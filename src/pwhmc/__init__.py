@@ -31,21 +31,18 @@ from .subspace import (
     RegionDynamics,
     boundary_normal,
     continuity_check,
-    get_ode_param_cached,
     isotropic_ode_param,
     null_space_decomposition,
     ode_coef,
     ode_param,
 )
 from .dynamics import (
-    BoundaryEvent,
-    RegionCache,
-    TrajectorySegment,
     boundary_dynamics,
     evolve_segment,
     evolve_segment_unified,
     evolve_to_boundary,
     hit_time,
+    region_table,
     wall_dynamics,
 )
 from .sampler import (
@@ -71,11 +68,10 @@ __all__ = [
     "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
     "potential", "region_boundaries", "region_membership", "validate_model",
     "NullSpaceDecomposition", "RegionDynamics", "boundary_normal",
-    "continuity_check", "get_ode_param_cached", "isotropic_ode_param",
+    "continuity_check", "isotropic_ode_param",
     "null_space_decomposition", "ode_coef", "ode_param",
-    "BoundaryEvent", "RegionCache", "TrajectorySegment", "boundary_dynamics",
-    "evolve_segment", "evolve_segment_unified", "evolve_to_boundary",
-    "hit_time", "wall_dynamics",
+    "boundary_dynamics", "evolve_segment", "evolve_segment_unified",
+    "evolve_to_boundary", "hit_time", "region_table", "wall_dynamics",
     "ChainConfig", "ChainOutput", "ParticleState", "initial_point_check",
     "refresh_velocity", "run_chain",
     "ConditionalMoments", "conditional_gaussian_moments", "grid_hit_time",

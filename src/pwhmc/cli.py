@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ContractError, ModelFormatError, StallError
-from .model import ell, load_model_file, min_slack, validate_model
+from .model import (
+    CONTINUITY_TOL,
+    ell,
+    load_model_file,
+    min_slack,
+    validate_model,
+)
 from .sampler import ChainConfig, initial_point_check, run_chain
 
 EXIT_OK = 0
@@ -112,7 +117,8 @@ def _chain_paths(base, chain, n_chains):
 
 def cmd_validate(args):
     spec = _load(args.model)
-    report = validate_model(spec, tol=args.tol if args.tol else 1e-8)
+    tol = CONTINUITY_TOL if args.tol is None else args.tol
+    report = validate_model(spec, tol=tol)
     print(report.format())
     n_fail = len(report.failures())
     print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed")
@@ -120,6 +126,9 @@ def cmd_validate(args):
 
 
 def cmd_sample(args):
+    if args.chains < 1:
+        return _fail(EXIT_CONTENT,
+                     f"--chains must be at least 1, got {args.chains}")
     spec = _load(args.model)
     report = validate_model(spec)
     if not report.passed:
@@ -127,44 +136,36 @@ def cmd_sample(args):
             print(c.format(), file=sys.stderr)
         return _fail(EXIT_CONTENT, "model failed validation")
     region, x0 = _resolve_start(spec, args)
-    tol = args.tol if args.tol else 1e-8
-    check = initial_point_check(spec, region, x0, tol=tol)
+    check = initial_point_check(spec, region, x0)
     if not check.passed:
         return _fail(EXIT_CONTENT, check.format())
 
-    def one_chain(chain):
-        seed_seq = np.random.SeedSequence([args.seed, chain]) \
-            if args.chains > 1 else np.random.SeedSequence(args.seed)
-        cfg = ChainConfig(
-            n_samples=args.n, seed=seed_seq, t_max=args.tmax,
-            burn_in=args.burnin, thin=args.thin,
-            record_events=args.events is not None,
-        )
-        out = run_chain(spec, region, x0, cfg)
-        samples_path = _chain_paths(args.out, chain, args.chains)
-        _write_samples(samples_path, spec, cfg, out)
-        events_path = None
-        if args.events is not None:
-            events_path = _chain_paths(args.events, chain, args.chains)
-            _write_events(events_path, out.events)
-        manifest = RunManifest(
-            model=str(args.model),
-            seed=[args.seed, chain] if args.chains > 1 else [args.seed],
-            t_max=args.tmax, n_samples=args.n, burn_in=args.burnin,
-            thin=args.thin, region=region, init=[float(v) for v in x0],
-            samples_path=str(samples_path),
-            events_path=None if events_path is None else str(events_path),
-            version=__version__,
-        )
-        manifest.dump(str(samples_path) + ".manifest.json")
-        return samples_path
-
+    # Chains run one after another: they are pure Python, so threads would
+    # only take turns on the interpreter lock.
     try:
-        if args.chains == 1:
-            one_chain(0)
-        else:
-            with ThreadPoolExecutor(max_workers=args.chains) as pool:
-                list(pool.map(one_chain, range(args.chains)))
+        for chain in range(args.chains):
+            seed = [args.seed, chain] if args.chains > 1 else [args.seed]
+            cfg = ChainConfig(
+                n_samples=args.n, seed=np.random.SeedSequence(seed),
+                t_max=args.tmax, burn_in=args.burnin, thin=args.thin,
+                record_events=args.events is not None,
+            )
+            out = run_chain(spec, region, x0, cfg)
+            samples_path = _chain_paths(args.out, chain, args.chains)
+            _write_samples(samples_path, spec, cfg, out)
+            events_path = None
+            if args.events is not None:
+                events_path = _chain_paths(args.events, chain, args.chains)
+                _write_events(events_path, out.events)
+            manifest = RunManifest(
+                model=str(args.model), seed=seed, t_max=args.tmax,
+                n_samples=args.n, burn_in=args.burnin, thin=args.thin,
+                region=region, init=[float(v) for v in x0],
+                samples_path=str(samples_path),
+                events_path=None if events_path is None else str(events_path),
+                version=__version__,
+            )
+            manifest.dump(str(samples_path) + ".manifest.json")
     except StallError as exc:
         return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
     except ContractError as exc:
@@ -184,8 +185,7 @@ def cmd_diagnose(args):
             print(c.format(), file=sys.stderr)
         return _fail(EXIT_CONTENT, "model failed validation")
     region, x0 = _resolve_start(spec, args)
-    check = initial_point_check(spec, region, x0,
-                                tol=args.tol if args.tol else 1e-8)
+    check = initial_point_check(spec, region, x0)
     if not check.passed:
         return _fail(EXIT_CONTENT, check.format())
 
@@ -271,8 +271,6 @@ def build_parser():
                         help="starting region (1-based)")
     common.add_argument("--init", type=str, default=None,
                         help="starting point, comma-separated decimals")
-    common.add_argument("--tol", type=float, default=None,
-                        help="initial-point tolerance (default 1e-8)")
 
     p_smp = sub.add_parser("sample", parents=[common],
                            help="run chains and write sample files")

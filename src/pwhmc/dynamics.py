@@ -2,21 +2,27 @@
 
 A trajectory inside region j is the closed-form oscillation
 x(t) = x_p + a sin t + b cos t about the region's center x_p.  Crossing
-times of the active constraints have closed-form roots (see the kernels);
+times of the active constraints have closed-form roots (see ``_hit_py``);
 at a crossing the velocity is updated by specular reflection (walls) or by
 the transmit/reflect rule driven by the potential jump (transitions).
+
+Everything that depends only on the region lives in one Region record per
+region, in a RegionTable shared by every chain on the same ModelSpec, so a
+segment does arithmetic only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from math import sqrt
 
 import numpy as np
 
+from . import subspace
+from ._hit_py import first_hit
 from .errors import StallError
-from .kernels import first_hit
-from .model import potential, region_boundaries
-from .subspace import boundary_normal, get_ode_param_cached, ode_coef
+from .model import region_boundaries
+from .subspace import boundary_normal, check_state
 
 # Root-exclusion window after an event: roots at t <= EPS_T are treated as
 # the boundary just left, not a new hit.
@@ -24,39 +30,6 @@ EPS_T = 1e-9
 # Hit times within TIE_TOL of the minimum count as a corner tie and resolve
 # to the lowest constraint row.
 TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectorySegment:
-    """One in-region flight: x(t) = x_p + a sin t + b cos t."""
-
-    a: np.ndarray          # velocity coefficient, xdot(0)
-    b: np.ndarray          # displacement coefficient, x(0) - x_p
-    x_p: np.ndarray        # oscillation center
-
-    def x(self, t):
-        return self.x_p + self.a * np.sin(t) + self.b * np.cos(t)
-
-    def xdot(self, t):
-        return self.a * np.cos(t) - self.b * np.sin(t)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryEvent:
-    """Outcome of scanning one segment for its first boundary crossing.
-
-    tau is the hit time, or t_max when nothing was hit.  k is the row within
-    the RegionBoundary that fired (None on no-hit).  j_target is |L[j,k]|,
-    which equals the owning region for walls and on no-hit.  f_row is the
-    sign-adjusted normal row, defaulting to the velocity coefficient a on
-    no-hit (the artificial-boundary convention of the unified update).
-    """
-
-    tau: float
-    k: int | None
-    j_target: int
-    f_row: np.ndarray
-    kind: str              # "no-hit" | "wall" | "transition"
 
 
 def hit_time(fa, fb, h, t_max, eps_t=EPS_T):
@@ -69,37 +42,33 @@ def hit_time(fa, fb, h, t_max, eps_t=EPS_T):
         np.array([fa], dtype=float),
         np.array([fb], dtype=float),
         np.array([h], dtype=float),
-        t_max, eps_t,
+        t_max, eps_t, TIE_TOL,
     )
     return None if k < 0 else tau
 
 
-def evolve_to_boundary(t_max, seg: TrajectorySegment, rb, j, eps_t=EPS_T,
-                       h_rows=None):
-    """Scan all active constraints of region j for the first crossing.
+def flight(x_p, a, b, t):
+    """Position and velocity at time t of x(t) = x_p + a sin t + b cos t."""
+    s, c = np.sin(t), np.cos(t)
+    return x_p + a * s + b * c, a * c - b * s
 
-    Returns (event, x(tau), xdot(tau)).  h_rows may carry the precomputed
-    per-constraint offsets F_j x_p + g_j (they depend only on the region).
+
+def evolve_to_boundary(t_max, a, b, x_p, F_j, h, eps_t=EPS_T):
+    """Scan the constraints F_j x + g_j >= 0 for the flight's first crossing.
+
+    h holds the per-row offsets F_j x_p + g_j.  Returns (k, tau, x(tau),
+    xdot(tau)), with k = -1 and tau = t_max when no row is hit.
     """
-    fa = rb.F_j @ seg.a
-    fb = rb.F_j @ seg.b
-    h = h_rows if h_rows is not None else rb.F_j @ seg.x_p + rb.g_j
-    k, tau = first_hit(fa, fb, h, t_max, eps_t, TIE_TOL)
-    if k < 0:
-        event = BoundaryEvent(tau=t_max, k=None, j_target=j, f_row=seg.a,
-                              kind="no-hit")
-    else:
-        target = int(rb.L_j[k])
-        event = BoundaryEvent(
-            tau=tau, k=k, j_target=target, f_row=rb.F_j[k],
-            kind="wall" if target == j else "transition",
-        )
-    return event, seg.x(event.tau), seg.xdot(event.tau)
+    # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
+    # which costs more than the product at these sizes.
+    k, tau = first_hit(F_j.dot(a), F_j.dot(b), h, t_max, eps_t, TIE_TOL)
+    x, xdot = flight(x_p, a, b, tau)
+    return k, tau, x, xdot
 
 
 def wall_dynamics(xdot, u1):
     """Specular reflection off a hard wall with unit in-manifold normal u1."""
-    return xdot - 2.0 * float(u1 @ xdot) * u1
+    return xdot - 2.0 * float(u1.dot(xdot)) * u1
 
 
 def boundary_dynamics(xdot, j1, j2, u1, u2, V1, V2):
@@ -110,152 +79,163 @@ def boundary_dynamics(xdot, j1, j2, u1, u2, V1, V2):
     along u2 with the surplus) or does not (reflect).  Tangential components
     are untouched.  Returns (xdot_new, j_new).
     """
-    v1 = float(u1 @ xdot)
+    v1 = float(u1.dot(xdot))
     E = 0.5 * v1 * v1
     dV = V2 - V1
     if E < dV:
         return xdot - 2.0 * v1 * u1, j1
-    return (xdot - v1 * u1) + np.sqrt(2.0 * (E - dV)) * u2, j2
+    return (xdot - v1 * u1) + sqrt(2.0 * (E - dV)) * u2, j2
 
 
-class RegionCache:
-    """Per-chain memo of everything that depends only on the region.
+class Region:
+    """Everything about region j that the segment loop reads.
 
-    Holds the RegionDynamics (via get_ode_param_cached), the sign-adjusted
-    boundaries, the constraint offsets h = F_j x_p + g_j, the in-manifold
-    unit normals (each oriented into its own region), and the hyperplane ->
-    row maps used to find the matching row across a transition.  Also owns
-    the consecutive-zero-advance stall detector, which is chain state.
-    Values are immutable once stored; dict setdefault keeps concurrent first
-    computations consistent, though one cache per chain is the intended use.
+    Built once, on the region's first visit: the dynamics (center x_p,
+    velocity factor S), the sign-adjusted boundary rows F_j with offsets
+    h = F_j x_p + g_j, per-row target region L_j and hyperplane index idx
+    (Python ints), the potential's M_j, linear term and k_j, and the
+    transposes A_j' and Q1' used by the contract checks.  The unit normal of
+    a row and, for a transition row, the record and normal across the face
+    are filled on the row's first hit.  Nothing here is chain state.
+    """
+
+    __slots__ = ("j", "dyn", "x_p", "S", "F_j", "h", "L_j", "idx", "M",
+                 "lin", "k", "At", "y", "Q1t", "normals", "across")
+
+    def __init__(self, spec, j):
+        dyn = subspace.ode_param(
+            spec.M[j - 1], spec.r[j - 1], spec.A[j - 1], spec.y[j - 1],
+            spec.mean_flag,
+        )
+        rb = region_boundaries(spec, j)
+        self.j = j
+        self.dyn = dyn
+        self.x_p = dyn.x_p
+        self.S = dyn.S
+        self.F_j = rb.F_j
+        self.h = rb.F_j @ dyn.x_p + rb.g_j
+        self.L_j = rb.L_j.tolist()
+        self.idx = rb.idx.tolist()
+        self.M = spec.M[j - 1]
+        self.lin = spec.linear_term(j)
+        self.k = float(spec.k[j - 1])
+        self.At = np.ascontiguousarray(dyn.A.T)
+        self.y = dyn.y
+        self.Q1t = np.ascontiguousarray(dyn.Q1.T)
+        self.normals = [None] * len(self.idx)
+        self.across = [None] * len(self.idx)
+
+    def potential(self, x) -> float:
+        """V_j(x) = 1/2 x'M_j x - r'x + k_j, as model.potential computes it."""
+        return (0.5 * float(x.dot(self.M).dot(x)) - float(self.lin.dot(x))
+                + self.k)
+
+    def normal(self, k):
+        """Unit in-manifold normal of row k, oriented into this region."""
+        u = self.normals[k]
+        if u is None:
+            u = boundary_normal(self.F_j[k], self.dyn.Q, self.dyn.d)
+            self.normals[k] = u
+        return u
+
+    def neighbor(self, k, table):
+        """(record, normal) across transition row k; the normal points into
+        the neighbor."""
+        pair = self.across[k]
+        if pair is None:
+            other = table[self.L_j[k]]
+            pair = (other, other.normal(other.idx.index(self.idx[k])))
+            self.across[k] = pair
+        return pair
+
+
+class RegionTable(dict):
+    """Region records of one model keyed by 1-based index, each built on
+    first lookup.
+
+    Holds the model through a weak proxy: the registry behind region_table
+    is keyed by the model and must not keep it alive.
     """
 
     def __init__(self, spec):
-        self.spec = spec
-        self.dyn = {}
-        self._rb = {}
-        self._h = {}
-        self._normals = {}
-        self._rowmaps = {}
-        self._stall_key = None
-        self._stall_count = 0
+        super().__init__()
+        self.spec = weakref.proxy(spec)
 
-    def dynamics(self, j):
-        return get_ode_param_cached(j, self.dyn, self.spec)
+    def __missing__(self, j):
+        return self.setdefault(j, Region(self.spec, j))
 
-    def boundary(self, j):
-        rb = self._rb.get(j)
-        if rb is None:
-            rb = self._rb.setdefault(j, region_boundaries(self.spec, j))
-        return rb
 
-    def h_rows(self, j):
-        h = self._h.get(j)
-        if h is None:
-            rb = self.boundary(j)
-            dyn = self.dynamics(j)
-            h = self._h.setdefault(j, rb.F_j @ dyn.x_p + rb.g_j)
-        return h
+_TABLES = weakref.WeakKeyDictionary()
 
-    def normal(self, j, k):
-        """Unit in-manifold normal of row k of region j's boundary."""
-        u = self._normals.get((j, k))
-        if u is None:
-            rb = self.boundary(j)
-            dyn = self.dynamics(j)
-            u = self._normals.setdefault(
-                (j, k), boundary_normal(rb.F_j[k], dyn.Q, dyn.d)
-            )
-        return u
 
-    def row_of(self, j, hyperplane_idx):
-        """Row position of a 1-based hyperplane index in region j's boundary."""
-        rowmap = self._rowmaps.get(j)
-        if rowmap is None:
-            rb = self.boundary(j)
-            rowmap = self._rowmaps.setdefault(
-                j, {int(i): pos for pos, i in enumerate(rb.idx)}
-            )
-        return rowmap[hyperplane_idx]
+def region_table(spec) -> RegionTable:
+    """The RegionTable shared by every chain run on this ModelSpec object."""
+    table = _TABLES.get(spec)
+    if table is None:
+        table = _TABLES.setdefault(spec, RegionTable(spec))
+    return table
 
-    def observe_advance(self, tau, key, eps_t):
-        """Track zero-advance events; two in a row at one constraint stall."""
+
+class StallDetector:
+    """Chain-local watch on zero-advance events; two in a row at one
+    constraint stall."""
+
+    __slots__ = ("key",)
+
+    def __init__(self):
+        self.key = None
+
+    def observe(self, tau, key, eps_t):
         if tau > eps_t:
-            self._stall_key = None
-            self._stall_count = 0
+            self.key = None
             return
-        if key == self._stall_key:
-            self._stall_count += 1
+        if key == self.key:
             raise StallError(
                 "no time progress for two consecutive events at the same "
                 "constraint",
                 context={"constraint": key, "tau": tau, "eps_t": eps_t},
             )
-        self._stall_key = key
-        self._stall_count = 1
+        self.key = key
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentResult:
-    """evolve_segment outcome plus the bookkeeping the event log wants."""
-
-    x: np.ndarray
-    xdot: np.ndarray       # post-update velocity, ready for the next segment
-    tau_used: float
-    j_new: int
-    event: BoundaryEvent
-    V1: float = 0.0
-    V2: float = 0.0
-    xdot_pre: np.ndarray | None = None   # velocity at tau before the update
-
-
-def evolve_segment_detail(t_budget, j, x0, xdot0, spec, cache: RegionCache,
-                          eps_t=EPS_T) -> SegmentResult:
+def evolve_segment_detail(t_budget, j, x0, xdot0, table, stall, eps_t=EPS_T):
     """One segment: fly inside region j until a boundary or the budget ends.
 
-    Applies the appropriate velocity update at the segment end and reports
-    the event.  The returned state is ready to start the next segment (in
-    j_new, which differs from j only on a successful transition).
+    Applies the appropriate velocity update at the segment end.  Returns
+    (x, xdot, tau, j_new, k, V1, V2, xdot_pre): the state ready to start the
+    next segment in j_new (which differs from j only on a successful
+    transition), the time used, the boundary row k of region j that was hit
+    (-1 when the budget ran out first), the potentials on either side of it
+    and the velocity before the update.
     """
-    dyn = cache.dynamics(j)
-    a, b = ode_coef(dyn, x0, xdot0)
-    seg = TrajectorySegment(a=a, b=b, x_p=dyn.x_p)
-    rb = cache.boundary(j)
-    event, x, xdot = evolve_to_boundary(
-        t_budget, seg, rb, j, eps_t, h_rows=cache.h_rows(j)
+    reg = table[j]
+    check_state(reg.At, reg.y, reg.Q1t, x0, xdot0)
+    k, tau, x, xdot = evolve_to_boundary(
+        t_budget, xdot0, x0 - reg.x_p, reg.x_p, reg.F_j, reg.h, eps_t
     )
+    if k < 0:
+        return x, xdot, tau, j, k, 0.0, 0.0, xdot
 
-    if event.kind == "no-hit":
-        return SegmentResult(x=x, xdot=xdot, tau_used=event.tau, j_new=j,
-                             event=event)
+    stall.observe(tau, (j, reg.idx[k]), eps_t)
+    u1 = reg.normal(k)
+    V1 = reg.potential(x)
+    if reg.L_j[k] == j:
+        return x, wall_dynamics(xdot, u1), tau, j, k, V1, V1, xdot
 
-    cache.observe_advance(event.tau, (j, int(rb.idx[event.k])), eps_t)
-    u1 = cache.normal(j, event.k)
-    if event.kind == "wall":
-        V = potential(spec, j, x)
-        return SegmentResult(x=x, xdot=wall_dynamics(xdot, u1),
-                             tau_used=event.tau, j_new=j, event=event,
-                             V1=V, V2=V, xdot_pre=xdot)
-
-    j2 = event.j_target
-    row2 = cache.row_of(j2, int(rb.idx[event.k]))
-    u2 = cache.normal(j2, row2)     # j2's own orientation: points into j2
-    V1 = potential(spec, j, x)
-    V2 = potential(spec, j2, x)
-    xdot_new, j_new = boundary_dynamics(xdot, j, j2, u1, u2, V1, V2)
-    return SegmentResult(x=x, xdot=xdot_new, tau_used=event.tau, j_new=j_new,
-                         event=event, V1=V1, V2=V2, xdot_pre=xdot)
+    other, u2 = reg.neighbor(k, table)
+    V2 = other.potential(x)
+    xdot_new, j_new = boundary_dynamics(xdot, j, other.j, u1, u2, V1, V2)
+    return x, xdot_new, tau, j_new, k, V1, V2, xdot
 
 
-def evolve_segment(t_budget, j, x0, xdot0, spec, cache: RegionCache,
-                   eps_t=EPS_T):
+def evolve_segment(t_budget, j, x0, xdot0, table, eps_t=EPS_T):
     """Segment evolution returning (x, xdot, tau_used, j_new)."""
-    res = evolve_segment_detail(t_budget, j, x0, xdot0, spec, cache, eps_t)
-    return res.x, res.xdot, res.tau_used, res.j_new
+    return evolve_segment_detail(
+        t_budget, j, x0, xdot0, table, StallDetector(), eps_t
+    )[:4]
 
 
-def evolve_segment_unified(t_budget, j, x0, xdot0, spec, cache: RegionCache,
-                           eps_t=EPS_T):
+def evolve_segment_unified(t_budget, j, x0, xdot0, table, eps_t=EPS_T):
     """Segment evolution with every ending funneled through one update rule.
 
     Equivalence target for evolve_segment: a hard wall is a zero-step
@@ -264,38 +244,31 @@ def evolve_segment_unified(t_budget, j, x0, xdot0, spec, cache: RegionCache,
     turns into a no-op.  Signs are chosen so the incoming normal velocity is
     nonpositive, as boundary_dynamics assumes.
     """
-    dyn = cache.dynamics(j)
-    a, b = ode_coef(dyn, x0, xdot0)
-    seg = TrajectorySegment(a=a, b=b, x_p=dyn.x_p)
-    rb = cache.boundary(j)
-    event, x, xdot = evolve_to_boundary(
-        t_budget, seg, rb, j, eps_t, h_rows=cache.h_rows(j)
+    reg = table[j]
+    check_state(reg.At, reg.y, reg.Q1t, x0, xdot0)
+    k, tau, x, xdot = evolve_to_boundary(
+        t_budget, xdot0, x0 - reg.x_p, reg.x_p, reg.F_j, reg.h, eps_t
     )
 
-    if event.kind == "no-hit":
-        norm_a = float(np.linalg.norm(event.f_row))
+    if k < 0:
+        norm_a = float(np.linalg.norm(xdot0))
         if norm_a == 0.0:
-            return x, xdot, event.tau, j
-        u1 = event.f_row / norm_a
+            return x, xdot, tau, j
+        u1 = xdot0 / norm_a
         if float(u1 @ xdot) > 0.0:
             u1 = -u1
         u2, j2 = -u1, j
-        V1 = V2 = potential(spec, j, x)
-    elif event.kind == "wall":
-        u1 = cache.normal(j, event.k)
+        V1 = V2 = reg.potential(x)
+    elif reg.L_j[k] == j:
+        u1 = reg.normal(k)
         u2, j2 = u1, j
-        V1 = V2 = potential(spec, j, x)
+        V1 = V2 = reg.potential(x)
     else:
-        j2 = event.j_target
-        u1 = cache.normal(j, event.k)
-        u2 = cache.normal(j2, cache.row_of(j2, int(rb.idx[event.k])))
-        V1 = potential(spec, j, x)
-        V2 = potential(spec, j2, x)
+        u1 = reg.normal(k)
+        other, u2 = reg.neighbor(k, table)
+        j2 = other.j
+        V1 = reg.potential(x)
+        V2 = other.potential(x)
 
     xdot_new, j_new = boundary_dynamics(xdot, j, j2, u1, u2, V1, V2)
-    return x, xdot_new, event.tau, j_new
-
-
-def euclidean_energy(spec, j, x, xdot):
-    """Kinetic-plus-potential bookkeeping energy 0.5||xdot||^2 + V_j(x)."""
-    return 0.5 * float(xdot @ xdot) + potential(spec, j, x)
+    return x, xdot_new, tau, j_new

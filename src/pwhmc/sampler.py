@@ -12,9 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EPS_T, RegionCache, evolve_segment_detail
+from .dynamics import (
+    EPS_T,
+    StallDetector,
+    evolve_segment_detail,
+    region_table,
+)
 from .errors import ContractError, StallError
-from .model import ell, min_slack, potential, region_membership
+from .model import ell, min_slack
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 MAX_EVENTS_PER_ITERATE = 1_000_000
@@ -92,7 +97,7 @@ def make_rng(seed) -> np.random.Generator:
 
 def refresh_velocity(dyn, rng) -> np.ndarray:
     """Fresh tangent velocity S @ eps, eps ~ N(0, I_{n-d})."""
-    return dyn.S @ rng.standard_normal(dyn.S.shape[1])
+    return dyn.S.dot(rng.standard_normal(dyn.S.shape[1]))
 
 
 def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
@@ -125,7 +130,8 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         )
 
     rng = make_rng(cfg.seed)
-    cache = RegionCache(spec)
+    table = region_table(spec)
+    stall = StallDetector()
     n = spec.n
     X = np.empty((cfg.n_samples, n))
     Xdot = np.empty((cfg.n_samples, n))
@@ -134,36 +140,34 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
 
     x, j = x0.copy(), int(j0)
     for i in range(cfg.n_iterates):
-        xdot = refresh_velocity(cache.dynamics(j), rng)
+        xdot = refresh_velocity(table[j], rng)
         t_left = cfg.t_max
         t_used = 0.0
         n_events = 0
         while True:
-            res = evolve_segment_detail(t_left, j, x, xdot, spec, cache,
-                                        eps_t=EPS_T)
-            t_used += res.tau_used
-            t_left -= res.tau_used
-            x, xdot = res.x, res.xdot
-            if res.event.kind == "no-hit":
+            x, xdot, tau, j_new, k, V1, V2, xdot_pre = evolve_segment_detail(
+                t_left, j, x, xdot, table, stall, EPS_T
+            )
+            t_used += tau
+            t_left -= tau
+            if k < 0:
                 break
             n_events += 1
             if events is not None:
-                rb = cache.boundary(j)
-                pre = 0.5 * float(res.xdot_pre @ res.xdot_pre) + res.V1
-                post = 0.5 * float(res.xdot @ res.xdot) \
-                    + potential(spec, res.j_new, res.x)
+                reg = table[j]
                 events.append({
                     "iterate": i,
                     "time": t_used,
-                    "constraint": int(rb.idx[res.event.k]),
-                    "kind": res.event.kind,
+                    "constraint": reg.idx[k],
+                    "kind": "wall" if reg.L_j[k] == j else "transition",
                     "j_from": j,
-                    "j_to": res.j_new,
-                    "dV": res.V2 - res.V1,
-                    "energy_pre": pre,
-                    "energy_post": post,
+                    "j_to": j_new,
+                    "dV": V2 - V1,
+                    "energy_pre": 0.5 * float(xdot_pre @ xdot_pre) + V1,
+                    "energy_post": 0.5 * float(xdot @ xdot)
+                    + (V1 if j_new == j else V2),
                 })
-            j = res.j_new
+            j = j_new
             if n_events > MAX_EVENTS_PER_ITERATE:
                 raise StallError(
                     "event cap exceeded within one iterate",

@@ -12,6 +12,7 @@ particular solution satisfies R1'z1 = -y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from scipy.linalg import cholesky, null_space, solve_triangular
@@ -153,23 +154,6 @@ def isotropic_ode_param(phi, mu, A, y) -> RegionDynamics:
     )
 
 
-def get_ode_param_cached(j, cache, spec) -> RegionDynamics:
-    """Memoized ode_param for region j of a model.
-
-    cache is any mutable mapping from region index to RegionDynamics;
-    setdefault semantics make concurrent first computations collapse to one
-    stored value.
-    """
-    dyn = cache.get(j)
-    if dyn is None:
-        dyn = ode_param(
-            spec.M[j - 1], spec.r[j - 1], spec.A[j - 1], spec.y[j - 1],
-            spec.mean_flag,
-        )
-        dyn = cache.setdefault(j, dyn)
-    return dyn
-
-
 def boundary_normal(f, Q, d) -> np.ndarray:
     """Unit normal to a boundary hyperplane within the manifold.
 
@@ -188,6 +172,28 @@ def boundary_normal(f, Q, d) -> np.ndarray:
     return w / nw
 
 
+def check_state(At, y, Q1t, x, xdot=None, tol=COEF_TOL):
+    """Enforce a segment start's preconditions at tol.
+
+    x must lie on the manifold (A'x + y = 0) and xdot, when given, be tangent
+    to it (Q1'xdot = 0).  At and Q1t are the transposes A' and Q1'.  Raises
+    ContractError carrying the residual norm.
+    """
+    r = At.dot(x) + y
+    res = sqrt(r.dot(r))
+    if res > tol:
+        raise ContractError(
+            "start point is off the region's manifold", residual=res
+        )
+    if xdot is not None:
+        r = Q1t.dot(xdot)
+        res = sqrt(r.dot(r))
+        if res > tol:
+            raise ContractError(
+                "start velocity is not tangent to the manifold", residual=res
+            )
+
+
 def ode_coef(dyn: RegionDynamics, x0, xdot0=None, rng=None, tol=COEF_TOL):
     """Trajectory coefficients (a, b) for a start state in dyn's region.
 
@@ -196,25 +202,15 @@ def ode_coef(dyn: RegionDynamics, x0, xdot0=None, rng=None, tol=COEF_TOL):
     (x0 on the manifold, xdot0 tangent) are enforced at tol.
     """
     x0 = np.asarray(x0, dtype=float)
-    res = float(np.linalg.norm(dyn.A.T @ x0 + dyn.y))
-    if res > tol:
-        raise ContractError(
-            "start point is off the region's manifold", residual=res
-        )
-    b = x0 - dyn.x_p
     if xdot0 is not None:
         xdot0 = np.asarray(xdot0, dtype=float)
-        res_t = float(np.linalg.norm(dyn.Q1.T @ xdot0))
-        if res_t > tol:
-            raise ContractError(
-                "start velocity is not tangent to the manifold", residual=res_t
-            )
-        a = xdot0
-    else:
-        if rng is None:
-            raise ValueError("rng is required when xdot0 is not given")
-        a = dyn.S @ rng.standard_normal(dyn.S.shape[1])
-    return a, b
+    check_state(dyn.A.T, dyn.y, dyn.Q1.T, x0, xdot0, tol)
+    b = x0 - dyn.x_p
+    if xdot0 is not None:
+        return xdot0, b
+    if rng is None:
+        raise ValueError("rng is required when xdot0 is not given")
+    return dyn.S @ rng.standard_normal(dyn.S.shape[1]), b
 
 
 def continuity_check(f, g, A1, A2, y1, y2, tol=1e-8):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwhmc.dynamics import RegionCache
+from pwhmc.dynamics import region_table
 from pwhmc.model import region_membership
 
 
@@ -62,10 +62,9 @@ def rand_continuous_pair(rng, n, d):
         return f, g, A1, y1, A2, y2
 
 
-def point_in_region(spec, j, rng, cache=None, scale=0.6, max_tries=500):
+def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
-    cache = cache or RegionCache(spec)
-    dyn = cache.dynamics(j)
+    dyn = region_table(spec)[j].dyn
     for _ in range(max_tries):
         x = dyn.x_p + dyn.Q2 @ rng.normal(scale=scale, size=spec.n - spec.d)
         members = region_membership(spec, x, tol=0.0)

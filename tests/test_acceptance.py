@@ -17,10 +17,10 @@ from conftest import point_in_region, rand_continuous_pair
 from pwhmc import zoo
 from pwhmc.cli import main
 from pwhmc.dynamics import (
-    RegionCache,
     evolve_segment,
     evolve_segment_unified,
     hit_time,
+    region_table,
 )
 from pwhmc.model import ell
 from pwhmc.oracle import (
@@ -209,7 +209,7 @@ def test_criterion_08_unified_boundary_rule_equivalence():
     rng = np.random.default_rng(808)
     specs = [zoo.one_norm_model(), zoo.step_line_model(),
              zoo.positive_part_model(), zoo.polygonal_top_model()]
-    caches = [RegionCache(s) for s in specs]
+    tables = [region_table(s) for s in specs]
     budget = float(np.pi / 2)
     encounters = 0
     attempts = 0
@@ -217,13 +217,12 @@ def test_criterion_08_unified_boundary_rule_equivalence():
         attempts += 1
         assert attempts < 20000
         pick = attempts % len(specs)
-        spec, cache = specs[pick], caches[pick]
+        spec, table = specs[pick], tables[pick]
         j = int(rng.integers(1, spec.J + 1))
-        x0 = point_in_region(spec, j, rng, cache=cache)
-        xdot0 = refresh_velocity(cache.dynamics(j), rng)
-        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, spec, cache)
-        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, spec,
-                                                cache)
+        x0 = point_in_region(spec, j, rng)
+        xdot0 = refresh_velocity(table[j], rng)
+        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, table)
+        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, table)
         assert j1 == j2 and t1 == t2
         assert np.max(np.abs(x1 - x2)) <= 1e-12
         assert np.max(np.abs(v1 - v2)) <= 1e-10

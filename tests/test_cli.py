@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from pwhmc import zoo
+from pwhmc import cli, zoo
 from pwhmc.cli import main
 from pwhmc.sampler import ChainConfig, run_chain
 
@@ -125,6 +126,44 @@ def test_sample_multiple_chains(tmp_path):
     assert m0["seed"] == [5, 0] and m1["seed"] == [5, 1]
 
 
+def test_sample_chains_run_in_turn_in_the_calling_thread(tmp_path,
+                                                         monkeypatch):
+    threads = []
+
+    def recording_run_chain(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return run_chain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chain", recording_run_chain)
+    out, ev = tmp_path / "draws.csv", tmp_path / "events.jsonl"
+    assert main(["sample", ONENORM, "--n", "30", "--seed", "4",
+                 "--chains", "3", "--out", str(out),
+                 "--events", str(ev)]) == 0
+    assert threads == [threading.current_thread()] * 3
+    spec = zoo.build_shipped("onenorm")
+    for chain in range(3):
+        ref = run_chain(spec, spec.init_region, spec.init_point,
+                        ChainConfig(n_samples=30, record_events=True,
+                                    seed=np.random.SeedSequence([4, chain])))
+        csv = tmp_path / f"draws.chain{chain}.csv"
+        rows = [line.split(",")
+                for line in csv.read_text().strip().splitlines()[1:]]
+        assert np.array_equal([[float(v) for v in r[:3]] for r in rows],
+                              ref.X)
+        log = tmp_path / f"events.chain{chain}.jsonl"
+        assert [json.loads(line) for line in log.read_text().splitlines()] \
+            == json.loads(json.dumps(ref.events))
+
+
+def test_sample_rejects_fewer_than_one_chain(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for chains in ("0", "-2"):
+        assert main(["sample", ONENORM, "--n", "5", "--chains", chains,
+                     "--out", str(out)]) == 1
+        assert "--chains must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sample_rejects_bad_start(tmp_path, capsys):
     out = str(tmp_path / "o.csv")
     assert main(["sample", ONENORM, "--n", "5", "--out", out,
@@ -163,6 +202,24 @@ def test_sample_bad_chain_settings_exit_1(tmp_path, capsys):
     assert main(["sample", ONENORM, "--n", "5", "--thin", "0", "--out", out]) == 1
     assert main(["diagnose", ONENORM, "--n", "0"]) == 1
     capsys.readouterr()
+
+
+def test_sample_and_diagnose_take_no_tol(tmp_path, capsys):
+    # run_chain checks the start at a fixed 1e-8, so a start tolerance on
+    # the command line could only loosen a check that is then redone
+    out = str(tmp_path / "o.csv")
+    for argv in (["sample", ONENORM, "--n", "5", "--out", out],
+                 ["diagnose", ONENORM, "--n", "5"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--tol", "1e-6"])
+    capsys.readouterr()
+
+
+def test_validate_honours_zero_tol(capsys):
+    assert main(["validate", ONENORM]) == 0
+    # continuity passes only on residuals strictly below tol: none at 0
+    assert main(["validate", ONENORM, "--tol", "0"]) == 1
+    assert "FAIL  continuity" in capsys.readouterr().out
 
 
 def test_sample_unwritable_output_exits_2(tmp_path, capsys):

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import point_in_region, rand_fullrank, rand_spd
-from pwhmc import kernels, zoo
+from pwhmc import zoo
 from pwhmc.dynamics import (
     EPS_T,
-    RegionCache,
-    TrajectorySegment,
+    TIE_TOL,
+    StallDetector,
     boundary_dynamics,
     evolve_segment,
+    evolve_segment_detail,
     evolve_segment_unified,
     evolve_to_boundary,
+    first_hit,
+    flight,
     hit_time,
+    region_table,
     wall_dynamics,
 )
-from pwhmc.errors import StallError
-from pwhmc.model import RegionBoundary, region_membership
+from pwhmc.errors import ContractError, StallError
+from pwhmc.model import potential, region_boundaries, region_membership
 from pwhmc.oracle import grid_hit_time
 from pwhmc.sampler import refresh_velocity
 from pwhmc.subspace import ode_coef, ode_param
@@ -71,91 +75,90 @@ def test_hit_time_matches_grid_oracle(rng):
 
 # --- kernels ---------------------------------------------------------------
 
-def test_kernel_backends_agree(rng):
-    if "cy" not in kernels.available_backends():
-        pytest.skip("compiled kernel not built")
-    from pwhmc import _hit_cy, _hit_py
-    for _ in range(2000):
-        m = int(rng.integers(0, 7))
-        fa = np.ascontiguousarray(rng.normal(size=m))
-        fb = np.ascontiguousarray(rng.normal(size=m))
-        h = np.ascontiguousarray(rng.normal(size=m))
-        t_max = float(rng.uniform(0.2, 7.0))
-        k_py, t_py = _hit_py.first_hit(fa, fb, h, t_max, 1e-9, 1e-9)
-        k_cy, t_cy = _hit_cy.first_hit(fa, fb, h, t_max, 1e-9, 1e-9)
-        assert k_py == k_cy
-        assert t_py == t_cy          # bit-identical, not merely close
-
-
 def test_kernel_tie_breaks_to_lowest_row():
     # identical constraints: same root everywhere, row 0 must win
     fa = np.array([0.3, 0.3, 0.3])
     fb = np.array([0.8, 0.8, 0.8])
     h = np.array([0.1, 0.1, 0.1])
-    k, _ = kernels.first_hit(fa, fb, h, 10.0, 1e-9)
+    k, _ = first_hit(fa, fb, h, 10.0, 1e-9, TIE_TOL)
     assert k == 0
 
 
-def test_kernel_empty_and_backend_controls():
-    assert kernels.first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, 0.0) \
-        == (-1, 2.0)
-    with pytest.raises(RuntimeError):
-        kernels.set_backend("nope")
-    prev = kernels.set_backend("py")
-    try:
-        assert kernels.current_backend() == "py"
-        tau = hit_time(1.0, 0.0, 0.5, 4.0)
-        assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
-    finally:
-        kernels.set_backend(prev)
+def test_kernel_empty_rows():
+    assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, 0.0,
+                     TIE_TOL) == (-1, 2.0)
 
 
 # --- segment scanning ------------------------------------------------------
 
-def empty_boundary(n):
-    return RegionBoundary(
-        F_j=np.zeros((0, n)), g_j=np.zeros(0),
-        L_j=np.zeros(0, dtype=int), idx=np.zeros(0, dtype=int),
-    )
-
-
 def test_evolve_to_boundary_no_constraints():
-    seg = TrajectorySegment(
-        a=np.array([0.3, -0.1]), b=np.array([0.0, 0.7]),
-        x_p=np.array([1.0, 0.0]),
-    )
-    event, x, xdot = evolve_to_boundary(1.2, seg, empty_boundary(2), j=1)
-    assert event.kind == "no-hit" and event.tau == 1.2 and event.j_target == 1
-    assert event.k is None
-    assert np.array_equal(event.f_row, seg.a)   # the documented default
-    assert np.allclose(x, seg.x(1.2))
-    assert np.allclose(xdot, seg.xdot(1.2))
+    a, b = np.array([0.3, -0.1]), np.array([0.0, 0.7])
+    x_p = np.array([1.0, 0.0])
+    k, tau, x, xdot = evolve_to_boundary(1.2, a, b, x_p, np.zeros((0, 2)),
+                                         np.zeros(0))
+    assert k == -1 and tau == 1.2
+    assert np.allclose(x, x_p + a * np.sin(1.2) + b * np.cos(1.2))
+    assert np.allclose(xdot, a * np.cos(1.2) - b * np.sin(1.2))
 
 
 def test_evolve_to_boundary_single_constraint():
-    seg = TrajectorySegment(a=np.array([1.0]), b=np.array([0.0]),
-                            x_p=np.array([0.5]))
-    rb = RegionBoundary(F_j=np.array([[1.0]]), g_j=np.array([0.0]),
-                        L_j=np.array([2]), idx=np.array([1]))
-    event, x, _ = evolve_to_boundary(4.0, seg, rb, j=1)
-    assert event.kind == "transition" and event.j_target == 2
-    assert event.tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
+    # F = [1], g = 0 about x_p = 0.5: offset h = F x_p + g = 0.5
+    k, tau, x, _ = evolve_to_boundary(
+        4.0, np.array([1.0]), np.array([0.0]), np.array([0.5]),
+        np.array([[1.0]]), np.array([0.5]),
+    )
+    assert k == 0
+    assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
     assert abs(x[0]) < 1e-12
 
 
 def test_evolve_to_boundary_picks_earliest():
     # K_i(t) = sin(t_i - t): first exiting root exactly at t_i
     roots = (2.0, 1.0)
-    seg = TrajectorySegment(
-        a=np.array([-np.cos(r) for r in roots]),
-        b=np.array([np.sin(r) for r in roots]),
-        x_p=np.zeros(2),
-    )
-    rb = RegionBoundary(F_j=np.eye(2), g_j=np.zeros(2),
-                        L_j=np.array([1, 1]), idx=np.array([1, 2]))
-    event, _, _ = evolve_to_boundary(5.0, seg, rb, j=1)
-    assert event.k == 1
-    assert event.tau == pytest.approx(1.0, abs=1e-12)
+    a = np.array([-np.cos(r) for r in roots])
+    b = np.array([np.sin(r) for r in roots])
+    k, tau, _, _ = evolve_to_boundary(5.0, a, b, np.zeros(2), np.eye(2),
+                                      np.zeros(2))
+    assert k == 1
+    assert tau == pytest.approx(1.0, abs=1e-12)
+
+
+def test_region_table_memoizes():
+    spec = zoo.one_norm_model()
+    table = region_table(spec)
+    assert region_table(spec) is table
+    reg1 = table[1]
+    assert table[1] is reg1
+    assert set(table) == {1}
+    table[2]
+    assert set(table) == {1, 2}
+    # a fresh copy of the model gets its own table, rebuilt bit-identically
+    other = zoo.one_norm_model()
+    fresh = region_table(other)[1]
+    assert fresh is not reg1
+    assert np.array_equal(fresh.x_p, reg1.x_p)
+
+
+def test_region_potential_matches_model_potential(rng):
+    # the event log's energies come from the records: they must be the
+    # model's potential to the bit
+    for spec in (zoo.one_norm_model(), zoo.polygonal_top_model(),
+                 zoo.positive_part_model()):
+        table = region_table(spec)
+        for j in range(1, spec.J + 1):
+            x = rng.normal(size=spec.n)
+            assert table[j].potential(x) == potential(spec, j, x)
+
+
+def test_segment_enforces_manifold_and_tangency():
+    spec = zoo.one_norm_model()
+    table = region_table(spec)
+    x0 = np.array([0.2, 0.3, 0.5])
+    xdot0 = table[1].S @ np.array([0.3, -0.2])
+    with pytest.raises(ContractError, match="manifold"):
+        evolve_segment(1.0, 1, x0 + 1e-6, xdot0, table)
+    with pytest.raises(ContractError, match="tangent"):
+        evolve_segment(1.0, 1, x0, xdot0 + 1e-6, table)
 
 
 # --- velocity updates ------------------------------------------------------
@@ -220,9 +223,9 @@ def test_boundary_dynamics_velocity_transfer(rng):
 
 def test_evolve_segment_half_period():
     spec = zoo.axis_plane_model(2)
-    cache = RegionCache(spec)
     x, xdot, tau, j = evolve_segment(
-        np.pi, 1, np.array([0.0, 1.0]), np.array([0.0, -1.0]), spec, cache,
+        np.pi, 1, np.array([0.0, 1.0]), np.array([0.0, -1.0]),
+        region_table(spec),
     )
     assert j == 1 and tau == pytest.approx(np.pi)
     assert np.allclose(x, [0.0, -1.0], atol=1e-12)
@@ -231,9 +234,9 @@ def test_evolve_segment_half_period():
 
 def test_evolve_segment_reflects_on_big_step():
     spec = zoo.step_line_model()                # dV = ln 2 at x1 = 0
-    cache = RegionCache(spec)
     x, xdot, tau, j = evolve_segment(
-        np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]), spec, cache,
+        np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
+        region_table(spec),
     )
     assert tau == pytest.approx(np.pi / 4, abs=1e-12)
     assert j == 1
@@ -243,9 +246,9 @@ def test_evolve_segment_reflects_on_big_step():
 
 def test_evolve_segment_transmits_on_flat_step():
     spec = zoo.step_line_model(dk=0.0)
-    cache = RegionCache(spec)
     x, xdot, tau, j = evolve_segment(
-        np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]), spec, cache,
+        np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
+        region_table(spec),
     )
     assert j == 2
     assert xdot[0] == pytest.approx(-0.5 * np.sqrt(2), abs=1e-12)
@@ -253,34 +256,32 @@ def test_evolve_segment_transmits_on_flat_step():
 
 def test_evolve_segment_junction_energy_balance():
     spec = zoo.step_line_model(dk=0.2)
-    cache = RegionCache(spec)
     speed = 1.3                                  # enough to climb the step
-    from pwhmc.dynamics import evolve_segment_detail
-    res = evolve_segment_detail(
+    x, xdot, tau, j_new, k, V1, V2, xdot_pre = evolve_segment_detail(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-speed, 0.0]),
-        spec, cache,
+        region_table(spec), StallDetector(),
     )
-    assert res.j_new == 2
-    pre = 0.5 * res.xdot_pre @ res.xdot_pre + res.V1
-    post = 0.5 * res.xdot @ res.xdot + res.V2
+    assert j_new == 2
+    pre = 0.5 * xdot_pre @ xdot_pre + V1
+    post = 0.5 * xdot @ xdot + V2
     assert post == pytest.approx(pre, abs=1e-8)
 
 
 def test_segment_adherence_and_region_bounds(rng):
     spec = zoo.one_norm_model()
-    cache = RegionCache(spec)
+    table = region_table(spec)
     for _ in range(20):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
-        dyn = cache.dynamics(j)
-        a, b = ode_coef(dyn, x0, None, rng)
-        seg = TrajectorySegment(a=a, b=b, x_p=dyn.x_p)
-        rb = cache.boundary(j)
-        event, _, _ = evolve_to_boundary(np.pi / 2, seg, rb, j)
-        for t in np.linspace(0.0, event.tau, 32):
-            x = seg.x(t)
+        reg = table[j]
+        a, b = ode_coef(reg.dyn, x0, None, rng)
+        _, tau, _, _ = evolve_to_boundary(np.pi / 2, a, b, reg.x_p, reg.F_j,
+                                          reg.h)
+        rb = region_boundaries(spec, j)
+        for t in np.linspace(0.0, tau, 32):
+            x, _ = flight(reg.x_p, a, b, t)
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
-            if t < event.tau:
+            if t < tau:
                 assert np.min(rb.F_j @ x + rb.g_j) > -1e-7
 
 
@@ -296,10 +297,9 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         dyn = ode_param(M, r, A, y)
         x0 = dyn.x_p + dyn.Q2 @ rng.normal(size=n - d)
         a, b = ode_coef(dyn, x0, None, rng)
-        seg = TrajectorySegment(a=a, b=b, x_p=dyn.x_p)
 
         def H(t):
-            x, xd = seg.x(t), seg.xdot(t)
+            x, xd = flight(dyn.x_p, a, b, t)
             return 0.5 * xd @ M @ xd + 0.5 * x @ M @ x - r @ x
 
         vals = np.array([H(t) for t in np.linspace(0, 2 * np.pi, 32)])
@@ -313,14 +313,13 @@ def test_unified_rule_matches_split_rule(rng):
     checked = 0
     for trial in range(200):
         spec = specs[trial % len(specs)]
-        cache = RegionCache(spec)
+        table = region_table(spec)
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
-        xdot0 = refresh_velocity(cache.dynamics(j), rng)
+        xdot0 = refresh_velocity(table[j], rng)
         budget = float(rng.uniform(0.05, np.pi / 2))
-        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, spec, cache)
-        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, spec,
-                                                cache)
+        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, table)
+        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, table)
         assert j1 == j2 and t1 == t2
         assert np.allclose(x1, x2, atol=1e-12)
         assert np.allclose(v1, v2, atol=1e-10)
@@ -329,35 +328,32 @@ def test_unified_rule_matches_split_rule(rng):
 
 
 def test_stall_detector_trips_on_repeat():
-    spec = zoo.step_line_model()
-    cache = RegionCache(spec)
-    cache.observe_advance(0.0, (1, 1), EPS_T)
+    stall = StallDetector()
+    stall.observe(0.0, (1, 1), EPS_T)
     with pytest.raises(StallError) as err:
-        cache.observe_advance(0.0, (1, 1), EPS_T)
+        stall.observe(0.0, (1, 1), EPS_T)
     assert err.value.context["constraint"] == (1, 1)
 
 
 def test_stall_detector_resets_on_progress():
-    spec = zoo.step_line_model()
-    cache = RegionCache(spec)
-    cache.observe_advance(0.0, (1, 1), EPS_T)
-    cache.observe_advance(0.5, (1, 1), EPS_T)    # healthy event resets
-    cache.observe_advance(0.0, (1, 1), EPS_T)
-    cache.observe_advance(0.0, (2, 1), EPS_T)    # different constraint is fine
+    stall = StallDetector()
+    stall.observe(0.0, (1, 1), EPS_T)
+    stall.observe(0.5, (1, 1), EPS_T)    # healthy event resets
+    stall.observe(0.0, (1, 1), EPS_T)
+    stall.observe(0.0, (2, 1), EPS_T)    # different constraint is fine
     with pytest.raises(StallError):
-        cache.observe_advance(0.0, (2, 1), EPS_T)
+        stall.observe(0.0, (2, 1), EPS_T)
 
 
 def test_region_membership_preserved_across_transition(rng):
     spec = zoo.one_norm_model()
-    cache = RegionCache(spec)
+    table = region_table(spec)
     moved = 0
     for _ in range(40):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
-        xdot0 = refresh_velocity(cache.dynamics(j), rng)
-        x, xdot, tau, j_new = evolve_segment(np.pi / 2, j, x0, xdot0, spec,
-                                             cache)
+        xdot0 = refresh_velocity(table[j], rng)
+        x, xdot, tau, j_new = evolve_segment(np.pi / 2, j, x0, xdot0, table)
         assert j_new in region_membership(spec, x, tol=1e-9)
         if j_new != j:
             moved += 1

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from pwhmc import zoo
-from pwhmc.dynamics import EPS_T, RegionCache, evolve_segment_detail
+from pwhmc.dynamics import (
+    EPS_T,
+    StallDetector,
+    evolve_segment_detail,
+    region_table,
+)
 from pwhmc.errors import ContractError
-from pwhmc.model import ell, region_membership
+from pwhmc.model import ell, load_model_file, region_membership
 from pwhmc.sampler import (
     ChainConfig,
     initial_point_check,
@@ -42,7 +47,7 @@ def test_chain_config_validation():
 
 def test_refresh_velocity_is_tangent_with_right_covariance(rng):
     spec = zoo.sum_constraint_model(3)
-    dyn = RegionCache(spec).dynamics(1)
+    dyn = region_table(spec)[1].dyn
     draws = np.array([refresh_velocity(dyn, rng) for _ in range(50000)])
     # tangency: velocities live in the null space of the constraint
     assert np.max(np.abs(draws @ spec.A[0])) < 1e-12
@@ -123,21 +128,46 @@ def test_events_off_by_default_and_well_formed_when_on():
         times[ev["iterate"]] = ev["time"]
 
 
+@pytest.mark.parametrize("name, kinds", [
+    ("onenorm", {"transition"}),
+    ("pospart", {"wall", "transition"}),
+])
+def test_shared_region_table_carries_no_chain_state(name, kinds):
+    # chains interleaved on one model share its region table; each must
+    # equal, byte for byte, the same chain run on a freshly loaded copy
+    path = zoo.model_path(name)
+
+    def chain(spec, seed):
+        cfg = ChainConfig(n_samples=300, seed=seed, record_events=True)
+        return run_chain(spec, spec.init_region, spec.init_point, cfg)
+
+    shared = load_model_file(path)
+    seeds = [1, 2, 1, 2]
+    outs = [chain(shared, seed) for seed in seeds]
+    assert {ev["kind"] for out in outs for ev in out.events} == kinds
+    for seed, out in zip(seeds, outs):
+        fresh = chain(load_model_file(path), seed)
+        assert out.X.tobytes() == fresh.X.tobytes()
+        assert out.Xdot.tobytes() == fresh.Xdot.tobytes()
+        assert out.R.tobytes() == fresh.R.tobytes()
+        assert out.events == fresh.events
+
+
 def test_iterate_time_budget_fully_consumed(rng):
     spec = zoo.one_norm_model()
-    cache = RegionCache(spec)
+    table = region_table(spec)
+    stall = StallDetector()
     x = np.array([0.2, 0.3, 0.5])
     j = 1
     for _ in range(50):
-        xdot = refresh_velocity(cache.dynamics(j), rng)
+        xdot = refresh_velocity(table[j], rng)
         t_left, used = np.pi / 2, 0.0
         while True:
-            res = evolve_segment_detail(t_left, j, x, xdot, spec, cache,
-                                        eps_t=EPS_T)
-            used += res.tau_used
-            t_left -= res.tau_used
-            x, xdot, j = res.x, res.xdot, res.j_new
-            if res.event.kind == "no-hit":
+            x, xdot, tau, j, k = evolve_segment_detail(
+                t_left, j, x, xdot, table, stall, eps_t=EPS_T)[:5]
+            used += tau
+            t_left -= tau
+            if k < 0:
                 break
         assert used == pytest.approx(np.pi / 2, abs=1e-9)
 

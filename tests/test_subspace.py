@@ -10,7 +10,6 @@ from pwhmc.oracle import conditional_gaussian_moments
 from pwhmc.subspace import (
     boundary_normal,
     continuity_check,
-    get_ode_param_cached,
     isotropic_ode_param,
     null_space_decomposition,
     ode_coef,
@@ -90,19 +89,6 @@ def test_isotropic_matches_general_path(rng):
         gen = ode_param(phi * np.eye(n), mu, A, y, mean_flag=True)
         assert np.allclose(iso.x_p, gen.x_p, atol=1e-10)
         assert np.allclose(iso.S @ iso.S.T, gen.S @ gen.S.T, atol=1e-10)
-
-
-def test_cached_param_memoizes():
-    spec = zoo.one_norm_model()
-    cache = {}
-    dyn1 = get_ode_param_cached(1, cache, spec)
-    assert get_ode_param_cached(1, cache, spec) is dyn1
-    assert set(cache) == {1}
-    get_ode_param_cached(2, cache, spec)
-    assert set(cache) == {1, 2}
-    # recompute from scratch is bit-identical
-    fresh = get_ode_param_cached(1, {}, spec)
-    assert np.array_equal(fresh.x_p, dyn1.x_p)
 
 
 def test_boundary_normal_examples():
