@@ -27,28 +27,20 @@ from .model import (
     validate_model,
 )
 from .subspace import (
-    NullSpaceDecomposition,
-    RegionDynamics,
     boundary_normal,
     continuity_check,
-    isotropic_ode_param,
-    null_space_decomposition,
-    ode_coef,
     ode_param,
 )
 from .dynamics import (
     boundary_dynamics,
-    evolve_segment,
     evolve_segment_unified,
     evolve_to_boundary,
-    hit_time,
     region_table,
     wall_dynamics,
 )
 from .sampler import (
     ChainConfig,
     ChainOutput,
-    ParticleState,
     initial_point_check,
     refresh_velocity,
     run_chain,
@@ -67,12 +59,10 @@ __all__ = [
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
     "potential", "region_boundaries", "region_membership", "validate_model",
-    "NullSpaceDecomposition", "RegionDynamics", "boundary_normal",
-    "continuity_check", "isotropic_ode_param",
-    "null_space_decomposition", "ode_coef", "ode_param",
-    "boundary_dynamics", "evolve_segment", "evolve_segment_unified",
-    "evolve_to_boundary", "hit_time", "region_table", "wall_dynamics",
-    "ChainConfig", "ChainOutput", "ParticleState", "initial_point_check",
+    "boundary_normal", "continuity_check", "ode_param",
+    "boundary_dynamics", "evolve_segment_unified", "evolve_to_boundary",
+    "region_table", "wall_dynamics",
+    "ChainConfig", "ChainOutput", "initial_point_check",
     "refresh_velocity", "run_chain",
     "ConditionalMoments", "conditional_gaussian_moments", "grid_hit_time",
     "occupancy_quadrature_line", "slab_rejection_sample",

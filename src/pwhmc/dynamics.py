@@ -90,38 +90,38 @@ def boundary_dynamics(xdot, j1, j2, u1, u2, V1, V2):
 class Region:
     """Everything about region j that the segment loop reads.
 
-    Built once, on the region's first visit: the dynamics (center x_p,
-    velocity factor S), the sign-adjusted boundary rows F_j with offsets
-    h = F_j x_p + g_j, per-row target region L_j and hyperplane index idx
-    (Python ints), the potential's M_j, linear term and k_j, and the
-    transposes A_j' and Q1' used by the contract checks.  The unit normal of
-    a row and, for a transition row, the record and normal across the face
-    are filled on the row's first hit.  Nothing here is chain state.
+    Built once, on the region's first visit: the dynamics from
+    subspace.ode_param (center x_p, velocity factor S, complete QR basis Q
+    of A_j, whose first d columns span the constraint normals), the
+    sign-adjusted boundary rows F_j with offsets h = F_j x_p + g_j, per-row
+    target region L_j and hyperplane index idx (Python ints), the
+    potential's M_j, linear term and k_j, and A_j', y_j and Q1' for the
+    contract checks.  The unit normal of a row and, for a transition row,
+    the record and normal across the face are filled on the row's first
+    hit.  Nothing here is chain state.
     """
 
-    __slots__ = ("j", "dyn", "x_p", "S", "F_j", "h", "L_j", "idx", "M",
+    __slots__ = ("j", "x_p", "S", "Q", "d", "F_j", "h", "L_j", "idx", "M",
                  "lin", "k", "At", "y", "Q1t", "normals", "across")
 
     def __init__(self, spec, j):
-        dyn = subspace.ode_param(
-            spec.M[j - 1], spec.r[j - 1], spec.A[j - 1], spec.y[j - 1],
-            spec.mean_flag,
+        A, y = spec.A[j - 1], spec.y[j - 1]
+        self.x_p, self.S, self.Q = subspace.ode_param(
+            spec.M[j - 1], spec.r[j - 1], A, y, spec.mean_flag,
         )
         rb = region_boundaries(spec, j)
         self.j = j
-        self.dyn = dyn
-        self.x_p = dyn.x_p
-        self.S = dyn.S
+        self.d = spec.d
         self.F_j = rb.F_j
-        self.h = rb.F_j @ dyn.x_p + rb.g_j
+        self.h = rb.F_j @ self.x_p + rb.g_j
         self.L_j = rb.L_j.tolist()
         self.idx = rb.idx.tolist()
         self.M = spec.M[j - 1]
         self.lin = spec.linear_term(j)
         self.k = float(spec.k[j - 1])
-        self.At = np.ascontiguousarray(dyn.A.T)
-        self.y = dyn.y
-        self.Q1t = np.ascontiguousarray(dyn.Q1.T)
+        self.At = np.ascontiguousarray(A.T)
+        self.y = y
+        self.Q1t = np.ascontiguousarray(self.Q[:, :self.d].T)
         self.normals = [None] * len(self.idx)
         self.across = [None] * len(self.idx)
 
@@ -134,7 +134,7 @@ class Region:
         """Unit in-manifold normal of row k, oriented into this region."""
         u = self.normals[k]
         if u is None:
-            u = boundary_normal(self.F_j[k], self.dyn.Q, self.dyn.d)
+            u = boundary_normal(self.F_j[k], self.Q, self.d)
             self.normals[k] = u
         return u
 

@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelFormatError
-from .subspace import continuity_check
+from .subspace import NORMAL_DEGENERACY_TOL, continuity_check
 
 # ~100x unit roundoff at desk scale.
 MEMBERSHIP_TOL = 1e-9
 CONTINUITY_TOL = 1e-8
-
-# Below this residual norm a hyperplane normal is considered to lie in the
-# constraint column space and cannot define an in-manifold direction.
-DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +279,8 @@ def _rank_checks(spec: ModelSpec, report: ValidationReport):
         sv = np.linalg.svd(spec.A[j - 1], compute_uv=False)
         smin = float(sv[-1]) if sv.size else 0.0
         report.checks.append(
-            CheckResult("A_full_rank", f"region {j}", smin > DEGENERACY_TOL, smin)
+            CheckResult("A_full_rank", f"region {j}",
+                        smin > NORMAL_DEGENERACY_TOL, smin)
         )
 
 
@@ -313,7 +310,7 @@ def _normal_checks(spec: ModelSpec, report: ValidationReport):
                 CheckResult(
                     "normal_escapes_A",
                     f"region {j}, hyperplane {i}",
-                    rn > DEGENERACY_TOL,
+                    rn > NORMAL_DEGENERACY_TOL,
                     rn,
                 )
             )

@@ -8,7 +8,7 @@ energy-consistent, so there is no accept/reject step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +23,6 @@ from .model import ell, min_slack
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 MAX_EVENTS_PER_ITERATE = 1_000_000
-
-
-@dataclass
-class ParticleState:
-    """Mutable particle: position, velocity, region, remaining flight time."""
-
-    x: np.ndarray
-    xdot: np.ndarray
-    j: int
-    t_remaining: float
 
 
 @dataclass(frozen=True)
@@ -82,11 +72,6 @@ class InitialPointReport:
     min_slack: float
     passed: bool
 
-    def format(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        return (f"{verdict}  initial point: manifold residual "
-                f"{self.manifold_residual:.3e}, min slack {self.min_slack:.3e}")
-
 
 def make_rng(seed) -> np.random.Generator:
     """The chain RNG: PCG64 over a SeedSequence, fixed across platforms."""
@@ -95,9 +80,9 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def refresh_velocity(dyn, rng) -> np.ndarray:
-    """Fresh tangent velocity S @ eps, eps ~ N(0, I_{n-d})."""
-    return dyn.S.dot(rng.standard_normal(dyn.S.shape[1]))
+def refresh_velocity(reg, rng) -> np.ndarray:
+    """Fresh tangent velocity reg.S @ eps, eps ~ N(0, I_{n-d})."""
+    return reg.S.dot(rng.standard_normal(reg.S.shape[1]))
 
 
 def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
@@ -120,7 +105,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     from (spec, j0, x0, cfg).
     """
     x0 = np.asarray(x0, dtype=float)
-    report = initial_point_check(spec, j0, x0, tol=1e-8)
+    report = initial_point_check(spec, j0, x0)
     if not report.passed:
         raise ContractError(
             f"initial point rejected for region {j0}: "

@@ -64,9 +64,10 @@ def rand_continuous_pair(rng, n, d):
 
 def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
-    dyn = region_table(spec)[j].dyn
+    reg = region_table(spec)[j]
+    Q2 = reg.Q[:, spec.d:]
     for _ in range(max_tries):
-        x = dyn.x_p + dyn.Q2 @ rng.normal(scale=scale, size=spec.n - spec.d)
+        x = reg.x_p + Q2 @ rng.normal(scale=scale, size=spec.n - spec.d)
         members = region_membership(spec, x, tol=0.0)
         if members == {j}:
             return x

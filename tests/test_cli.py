@@ -1,13 +1,16 @@
 """Command-line behavior: exit codes, file outputs, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwhmc
 from pwhmc import cli, zoo
 from pwhmc.cli import main
 from pwhmc.sampler import ChainConfig, run_chain
@@ -166,12 +169,45 @@ def test_sample_rejects_fewer_than_one_chain(tmp_path, capsys):
 
 def test_sample_rejects_bad_start(tmp_path, capsys):
     out = str(tmp_path / "o.csv")
-    assert main(["sample", ONENORM, "--n", "5", "--out", out,
-                 "--init", "0.2,0.3,0.6"]) == 1
+    for start in (["--init", "0.2,0.3,0.6"],             # off the manifold
+                  ["--region", "2"]):                    # outside the cell
+        assert main(["sample", ONENORM, "--n", "5", "--out", out,
+                     "--events", str(tmp_path / "e.jsonl")] + start) == 1
+        assert "initial point" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
     assert main(["sample", ONENORM, "--n", "5", "--out", out,
                  "--region", "99"]) == 1
     assert main(["sample", ONENORM, "--n", "5", "--out", out,
                  "--init", "0.5,0.5"]) == 1
+    capsys.readouterr()
+
+
+def test_diagnose_rejects_bad_start(capsys):
+    for start in (["--init", "0.2,0.3,0.6"], ["--region", "2"]):
+        assert main(["diagnose", ONENORM, "--n", "5"] + start) == 1
+        captured = capsys.readouterr()
+        assert "initial point" in captured.err
+        assert captured.out == ""
+
+
+def test_malformed_init_exits_1(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for argv in (["sample", ONENORM, "--n", "5", "--out", str(out),
+                  "--init=0.2,x,0.5"],
+                 ["diagnose", ONENORM, "--n", "5", "--init=0.2,,0.5"]):
+        assert main(argv) == 1
+        assert "--init" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_needs_two_rows(capsys):
+    # one row has no lag-1 autocorrelation
+    for n in ("1", "0"):
+        assert main(["diagnose", ONENORM, "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert "--n must be at least 2" in captured.err
+        assert captured.out == ""
+    assert main(["diagnose", ONENORM, "--n", "2"]) == 0
     capsys.readouterr()
 
 
@@ -267,9 +303,14 @@ def test_diagnose_flags_non_identity_mass(capsys):
 
 
 def test_console_script_entry_point():
+    # the package may be importable here only through pytest's pythonpath
+    src = str(Path(pwhmc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pwhmc.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -24,7 +24,7 @@ from pwhmc.errors import ContractError, StallError
 from pwhmc.model import potential, region_boundaries, region_membership
 from pwhmc.oracle import grid_hit_time
 from pwhmc.sampler import refresh_velocity
-from pwhmc.subspace import ode_coef, ode_param
+from pwhmc.subspace import ode_param
 
 
 # --- hit times -------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_segment_adherence_and_region_bounds(rng):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
-        a, b = ode_coef(reg.dyn, x0, None, rng)
+        a, b = refresh_velocity(reg, rng), x0 - reg.x_p
         _, tau, _, _ = evolve_to_boundary(np.pi / 2, a, b, reg.x_p, reg.F_j,
                                           reg.h)
         rb = region_boundaries(spec, j)
@@ -294,12 +294,12 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        dyn = ode_param(M, r, A, y)
-        x0 = dyn.x_p + dyn.Q2 @ rng.normal(size=n - d)
-        a, b = ode_coef(dyn, x0, None, rng)
+        x_p, S, Q = ode_param(M, r, A, y)
+        x0 = x_p + Q[:, d:] @ rng.normal(size=n - d)
+        a, b = S @ rng.standard_normal(n - d), x0 - x_p
 
         def H(t):
-            x, xd = flight(dyn.x_p, a, b, t)
+            x, xd = flight(x_p, a, b, t)
             return 0.5 * xd @ M @ xd + 0.5 * x @ M @ x - r @ x
 
         vals = np.array([H(t) for t in np.linspace(0, 2 * np.pi, 32)])

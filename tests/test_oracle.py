@@ -58,12 +58,12 @@ def test_moments_bridge_to_region_dynamics(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        dyn = ode_param(M, r, A, y)
+        x_p, S, _ = ode_param(M, r, A, y)
         cm = conditional_gaussian_moments(
             np.linalg.solve(M, r), np.linalg.inv(M), A, -y
         )
-        assert np.allclose(dyn.x_p, cm.m, atol=1e-8)
-        assert np.allclose(dyn.S @ dyn.S.T, cm.V, atol=1e-8)
+        assert np.allclose(x_p, cm.m, atol=1e-8)
+        assert np.allclose(S @ S.T, cm.V, atol=1e-8)
 
 
 # --- grid hit times ----------------------------------------------------------

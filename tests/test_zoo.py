@@ -52,7 +52,7 @@ def test_shipped_init_points_are_usable():
         spec = zoo.build_shipped(name)
         assert spec.init_region is not None
         rep = initial_point_check(spec, spec.init_region, spec.init_point)
-        assert rep.passed, f"{name}: {rep.format()}"
+        assert rep.passed, f"{name}: {rep}"
 
 
 def test_one_norm_adjacency_flips_one_sign():
