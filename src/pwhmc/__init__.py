@@ -21,7 +21,6 @@ from .model import (
     ell,
     load_model,
     load_model_file,
-    potential,
     region_boundaries,
     region_membership,
     validate_model,
@@ -58,7 +57,7 @@ __all__ = [
     "__version__",
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
-    "potential", "region_boundaries", "region_membership", "validate_model",
+    "region_boundaries", "region_membership", "validate_model",
     "boundary_normal", "continuity_check", "ode_param",
     "boundary_dynamics", "evolve_segment_unified", "evolve_to_boundary",
     "region_table", "wall_dynamics",

@@ -95,7 +95,7 @@ class Region:
     of A_j, whose first d columns span the constraint normals), the
     sign-adjusted boundary rows F_j with offsets h = F_j x_p + g_j, per-row
     target region L_j and hyperplane index idx (Python ints), the
-    potential's M_j, linear term and k_j, and A_j', y_j and Q1' for the
+    potential's M_j, r_j and k_j, and A_j', y_j and Q1' for the
     contract checks.  The unit normal of a row and, for a transition row,
     the record and normal across the face are filled on the row's first
     hit.  Nothing here is chain state.
@@ -107,8 +107,7 @@ class Region:
     def __init__(self, spec, j):
         A, y = spec.A[j - 1], spec.y[j - 1]
         self.x_p, self.S, self.Q = subspace.ode_param(
-            spec.M[j - 1], spec.r[j - 1], A, y, spec.mean_flag,
-        )
+            spec.M[j - 1], spec.r[j - 1], A, y)
         rb = region_boundaries(spec, j)
         self.j = j
         self.d = spec.d
@@ -117,7 +116,7 @@ class Region:
         self.L_j = rb.L_j.tolist()
         self.idx = rb.idx.tolist()
         self.M = spec.M[j - 1]
-        self.lin = spec.linear_term(j)
+        self.lin = spec.r[j - 1]
         self.k = float(spec.k[j - 1])
         self.At = np.ascontiguousarray(A.T)
         self.y = y
@@ -126,7 +125,7 @@ class Region:
         self.across = [None] * len(self.idx)
 
     def potential(self, x) -> float:
-        """V_j(x) = 1/2 x'M_j x - r'x + k_j, as model.potential computes it."""
+        """V_j(x) = 1/2 x'M_j x - r_j'x + k_j, also at points outside the cell."""
         return (0.5 * float(x.dot(self.M).dot(x)) - float(self.lin.dot(x))
                 + self.k)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelFormatError
-from .subspace import NORMAL_DEGENERACY_TOL, continuity_check
+from .subspace import NORMAL_DEGENERACY_TOL, continuity_check, rank_margin
 
 # ~100x unit roundoff at desk scale.
 MEMBERSHIP_TOL = 1e-9
@@ -32,8 +32,7 @@ class ModelSpec:
     """Immutable problem definition.
 
     Arrays are stacked over regions: ``M[j-1]`` is region j's precision-like
-    matrix, and so on.  ``mean_flag`` says whether ``r[j-1]`` stores the
-    region mean (True) or the linear coefficient of the potential (False).
+    matrix, ``r[j-1]`` the linear coefficient of its potential, and so on.
     """
 
     n: int
@@ -48,19 +47,12 @@ class ModelSpec:
     F: np.ndarray          # (m, n)
     g: np.ndarray          # (m,)
     L: np.ndarray          # (J, m) int
-    mean_flag: bool = False
     init_region: int | None = None
     init_point: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("M", "r", "k", "A", "y", "F", "g", "L"):
             getattr(self, name).setflags(write=False)
-
-    def linear_term(self, j: int) -> np.ndarray:
-        """Effective linear coefficient of region j's potential."""
-        if self.mean_flag:
-            return self.M[j - 1] @ self.r[j - 1]
-        return self.r[j - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +84,12 @@ def _field(doc, key, where):
     return doc[key]
 
 
+def _integer(value, name):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelFormatError(f"field '{name}' must be an integer, got {value!r}")
+    return value
+
+
 def _as_array(value, shape, name, dtype=float):
     arr = np.asarray(value, dtype=dtype)
     if arr.size == 0 and 0 in shape:
@@ -111,6 +109,8 @@ def load_model(text: str) -> ModelSpec:
     Raises ModelFormatError naming the offending field on any schema
     violation.  Symmetry of each M is enforced by symmetrizing, tolerating
     serialization noise; definiteness is checked later by validate_model.
+    A document with ``"mean": true`` gives each region's mean mu as "r"; it
+    is stored as the linear coefficient M mu.
     """
     try:
         doc = json.loads(text)
@@ -119,17 +119,17 @@ def load_model(text: str) -> ModelSpec:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
 
-    n = int(_field(doc, "n", "document"))
-    d = int(_field(doc, "d", "document"))
-    J = int(_field(doc, "J", "document"))
-    m = int(_field(doc, "m", "document"))
+    n, d, J, m = (_integer(_field(doc, key, "document"), key)
+                  for key in ("n", "d", "J", "m"))
     if n <= 0 or d <= 0 or J <= 0 or m < 0:
         raise ModelFormatError(
             "fields 'n', 'd', 'J' must be positive and 'm' nonnegative"
         )
     if d >= n:
         raise ModelFormatError(f"field 'd' must satisfy d < n, got d={d}, n={n}")
-    mean_flag = bool(doc.get("mean", False))
+    mean = doc.get("mean", False)
+    if not isinstance(mean, bool):
+        raise ModelFormatError(f"field 'mean' must be true or false, got {mean!r}")
 
     regions = _field(doc, "regions", "document")
     if not isinstance(regions, list) or len(regions) != J:
@@ -146,12 +146,15 @@ def load_model(text: str) -> ModelSpec:
         Mj = _as_array(_field(reg, "M", where), (n, n), f"{where}.M")
         M[jz] = 0.5 * (Mj + Mj.T)
         r[jz] = _as_array(_field(reg, "r", where), (n,), f"{where}.r")
+        if mean:
+            r[jz] = M[jz] @ r[jz]
         k[jz] = float(_field(reg, "k", where))
         A[jz] = _as_array(_field(reg, "A", where), (n, d), f"{where}.A")
         y[jz] = _as_array(_field(reg, "y", where), (d,), f"{where}.y")
-        L[jz] = _as_array(
-            _field(reg, "L_row", where), (m,), f"{where}.L_row", dtype=np.int64
-        )
+        L_row = _field(reg, "L_row", where)
+        for v in L_row if isinstance(L_row, list) else ():
+            _integer(v, f"{where}.L_row")
+        L[jz] = _as_array(L_row, (m,), f"{where}.L_row", dtype=np.int64)
     if np.any(np.abs(L) > J):
         raise ModelFormatError("field 'L_row' entries must lie in -J..J")
 
@@ -163,14 +166,14 @@ def load_model(text: str) -> ModelSpec:
     init_point = None
     if "init" in doc:
         init = doc["init"]
-        init_region = int(_field(init, "region", "init"))
+        init_region = _integer(_field(init, "region", "init"), "init.region")
         if not 1 <= init_region <= J:
             raise ModelFormatError("field 'init.region' out of range 1..J")
         init_point = _as_array(_field(init, "x", "init"), (n,), "init.x")
 
     return ModelSpec(
         n=n, d=d, J=J, m=m, M=M, r=r, k=k, A=A, y=y, F=F, g=g, L=L,
-        mean_flag=mean_flag, init_region=init_region, init_point=init_point,
+        init_region=init_region, init_point=init_point,
     )
 
 
@@ -182,18 +185,6 @@ def load_model_file(path) -> ModelSpec:
 
 # ---------------------------------------------------------------------------
 # Region-local queries
-
-
-def potential(spec: ModelSpec, j: int, x: np.ndarray) -> float:
-    """Energy V_j(x) = 1/2 x'M_j x - r'x + k_j of region j at x.
-
-    Deliberately does not check x in R_j: callers evaluate adjacent
-    potentials at boundary points.
-    """
-    x = np.asarray(x, dtype=float)
-    Mj = spec.M[j - 1]
-    lin = spec.linear_term(j)
-    return 0.5 * float(x @ Mj @ x) - float(lin @ x) + float(spec.k[j - 1])
 
 
 def ell(spec: ModelSpec, j: int, x: np.ndarray) -> np.ndarray:
@@ -274,13 +265,12 @@ class ValidationReport:
         return "\n".join(c.format() for c in self.checks)
 
 
-def _rank_checks(spec: ModelSpec, report: ValidationReport):
-    for j in range(1, spec.J + 1):
-        sv = np.linalg.svd(spec.A[j - 1], compute_uv=False)
-        smin = float(sv[-1]) if sv.size else 0.0
+def _rank_checks(spec: ModelSpec, qrs, report: ValidationReport):
+    for j, (_, R) in enumerate(qrs, start=1):
+        margin = rank_margin(R[: spec.d])
         report.checks.append(
             CheckResult("A_full_rank", f"region {j}",
-                        smin > NORMAL_DEGENERACY_TOL, smin)
+                        margin > NORMAL_DEGENERACY_TOL, margin)
         )
 
 
@@ -296,11 +286,10 @@ def _spd_checks(spec: ModelSpec, report: ValidationReport):
         report.checks.append(CheckResult("M_spd", f"region {j}", ok, asym))
 
 
-def _normal_checks(spec: ModelSpec, report: ValidationReport):
+def _normal_checks(spec: ModelSpec, qrs, report: ValidationReport):
     # Each active hyperplane normal must leave the column space of A_j,
     # otherwise there is no in-manifold direction crossing it.
-    for j in range(1, spec.J + 1):
-        Q, _ = np.linalg.qr(spec.A[j - 1], mode="complete")
+    for j, (Q, _) in enumerate(qrs, start=1):
         Q1 = Q[:, : spec.d]
         rb = region_boundaries(spec, j)
         for f_row, i in zip(rb.F_j, rb.idx):
@@ -386,9 +375,10 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
     passes vacuously.
     """
     report = ValidationReport()
-    _rank_checks(spec, report)
+    qrs = [np.linalg.qr(A, mode="complete") for A in spec.A]
+    _rank_checks(spec, qrs, report)
     _spd_checks(spec, report)
-    _normal_checks(spec, report)
+    _normal_checks(spec, qrs, report)
     _adjacency_checks(spec, report)
     _continuity_checks(spec, tol, report)
     return report

@@ -109,8 +109,7 @@ def _region_gaussians(spec):
     for jz in range(spec.J):
         M = spec.M[jz]
         U = np.linalg.cholesky(M).T          # M = U'U
-        r_eff = spec.linear_term(jz + 1)
-        mu = np.linalg.solve(M, r_eff)
+        mu = np.linalg.solve(M, spec.r[jz])
         c = float(spec.k[jz]) - 0.5 * float(mu @ M @ mu)
         logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
         out.append((mu, U, c, logdet))

@@ -86,7 +86,10 @@ def refresh_velocity(reg, rng) -> np.ndarray:
 
 
 def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
-    """Is x0 a usable start: on region j0's manifold and inside its cell?"""
+    """Is x0 a usable start: on region j0's manifold and inside its cell?
+    A j0 outside 1..J raises ContractError."""
+    if not 1 <= j0 <= spec.J:
+        raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     residual = float(np.linalg.norm(ell(spec, j0, x0)))
     slack = min_slack(spec, j0, x0)

@@ -27,29 +27,38 @@ NORMAL_DEGENERACY_TOL = 1e-12
 COEF_TOL = 1e-8
 
 
+def rank_margin(R1) -> float:
+    """1/(||R1^-1||_F max(1, ||R1||_F)) for A = Q1 R1: at most sigma_min(A)
+    and min|diag R1| / max(1, max|diag R1|).  A is full rank for the sampler
+    and for validate_model iff this exceeds NORMAL_DEGENERACY_TOL."""
+    try:
+        inv = np.linalg.inv(R1)
+    except np.linalg.LinAlgError:           # an exact zero on the diagonal
+        return 0.0
+    return 1.0 / sqrt(float(np.vdot(inv, inv)) * max(1.0, float(np.vdot(R1, R1))))
+
+
 def _qr_complete(A):
     """Complete QR with a rank guard on the leading triangle."""
     Q, R = np.linalg.qr(A, mode="complete")
     d = A.shape[1]
     R1 = R[:d, :d]
-    if d > 0:
-        diag = np.abs(np.diag(R1))
-        if float(diag.min()) <= NORMAL_DEGENERACY_TOL * max(1.0, float(diag.max())):
-            raise np.linalg.LinAlgError(
-                "constraint matrix is numerically rank deficient"
-            )
+    if d > 0 and rank_margin(R1) <= NORMAL_DEGENERACY_TOL:
+        raise np.linalg.LinAlgError(
+            "constraint matrix is numerically rank deficient"
+        )
     return Q, R1
 
 
-def ode_param(M, r, A, y, mean_flag=False):
+def ode_param(M, r, A, y):
     """The dynamics of one region: (x_p, S, Q).
 
     The trajectory inside the region is x(t) = x_p + a sin t + b cos t about
-    the center x_p (the conditional mean on the manifold), with velocities
-    drawn as S @ eps, SS' = Q2 (Q2'M Q2)^{-1} Q2'.  Q is the complete QR
-    basis of A: its first d columns span the constraint normals, the rest
-    (Q2) the manifold directions.  mean_flag says r is the region mean
-    rather than the linear coefficient of the potential.
+    the center x_p (the conditional mean on the manifold of the potential
+    1/2 x'Mx - r'x), with velocities drawn as S @ eps,
+    SS' = Q2 (Q2'M Q2)^{-1} Q2'.  Q is the complete QR basis of A: its first
+    d columns span the constraint normals, the rest (Q2) the manifold
+    directions.
     """
     M = np.asarray(M, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -67,8 +76,7 @@ def ode_param(M, r, A, y, mean_flag=False):
     U = cholesky(omega22, lower=False)        # omega22 = U'U
     S = solve_triangular(U, Q2.T, trans=1, lower=False).T
 
-    rtil = M @ (r - x1) if mean_flag else r - M @ x1
-    x_p = S @ (S.T @ rtil) + x1
+    x_p = S @ (S.T @ (r - M @ x1)) + x1
     return x_p, S, Q
 
 

@@ -23,7 +23,6 @@ def dump_model(spec: ModelSpec) -> str:
     """Serialize a ModelSpec back into document text."""
     doc = {
         "n": spec.n, "d": spec.d, "J": spec.J, "m": spec.m,
-        "mean": spec.mean_flag,
         "regions": [
             {
                 "M": spec.M[jz].tolist(),

@@ -231,6 +231,28 @@ def test_sample_refuses_invalid_model(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sample_refuses_model_with_ill_scaled_constraints(tmp_path, capsys):
+    # sigma_min(A) = 1, but the sampler's QR test sees rank deficiency
+    doc = {
+        "n": 3, "d": 2, "J": 1, "m": 1,
+        "regions": [{
+            "M": np.eye(3).tolist(), "r": [0.0, 0.0, 0.0], "k": 0.0,
+            "A": [[1e13, 0.0], [0.0, 1.0], [0.0, 0.0]], "y": [0.0, 0.0],
+            "L_row": [1],
+        }],
+        "hyperplanes": {"F": [[0.0, 0.0, 1.0]], "g": [1.0]},
+        "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
+    }
+    path = write_model(tmp_path, json.dumps(doc))
+    assert main(["validate", path]) == 1
+    assert "FAIL  A_full_rank" in capsys.readouterr().out
+    assert main(["sample", path, "--n", "5",
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "model failed validation" in err and "A_full_rank" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_sample_bad_chain_settings_exit_1(tmp_path, capsys):
     out = str(tmp_path / "o.csv")
     assert main(["sample", ONENORM, "--n", "0", "--out", out]) == 1

@@ -21,7 +21,7 @@ from pwhmc.dynamics import (
     wall_dynamics,
 )
 from pwhmc.errors import ContractError, StallError
-from pwhmc.model import potential, region_boundaries, region_membership
+from pwhmc.model import region_boundaries, region_membership
 from pwhmc.oracle import grid_hit_time
 from pwhmc.sampler import refresh_velocity
 from pwhmc.subspace import ode_param
@@ -137,17 +137,6 @@ def test_region_table_memoizes():
     fresh = region_table(other)[1]
     assert fresh is not reg1
     assert np.array_equal(fresh.x_p, reg1.x_p)
-
-
-def test_region_potential_matches_model_potential(rng):
-    # the event log's energies come from the records: they must be the
-    # model's potential to the bit
-    for spec in (zoo.one_norm_model(), zoo.polygonal_top_model(),
-                 zoo.positive_part_model()):
-        table = region_table(spec)
-        for j in range(1, spec.J + 1):
-            x = rng.normal(size=spec.n)
-            assert table[j].potential(x) == potential(spec, j, x)
 
 
 def test_segment_enforces_manifold_and_tangency():

@@ -78,6 +78,20 @@ def test_run_chain_rejects_bad_start():
         run_chain(spec, 2, [0.2, 0.3, 0.5], cfg)     # right point, wrong cell
 
 
+@pytest.mark.parametrize("j0", [0, 9])
+def test_start_region_out_of_range(j0):
+    # onenorm has J = 8; the point lies in octant 8, which index -1 would read
+    spec = zoo.one_norm_model()
+    x = [-0.2, -0.3, -0.5]
+    message = rf"start region {j0} is out of range 1\.\.8"
+    with pytest.raises(ContractError, match=message):
+        initial_point_check(spec, j0, x)
+    with pytest.raises(ContractError, match=message):
+        run_chain(spec, j0, x, ChainConfig(n_samples=2))
+    assert initial_point_check(spec, 8, x).passed
+    assert j0 not in region_table(spec)
+
+
 def test_run_chain_deterministic():
     spec = zoo.one_norm_model()
     cfg = ChainConfig(n_samples=200, seed=42, record_events=True)

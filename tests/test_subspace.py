@@ -12,6 +12,7 @@ from pwhmc.subspace import (
     check_state,
     continuity_check,
     ode_param,
+    rank_margin,
 )
 
 E1 = np.array([[1.0], [0.0]])
@@ -19,15 +20,13 @@ I2 = np.eye(2)
 
 
 def test_ode_param_symmetric_case():
-    x_p, S, _ = ode_param(I2, np.zeros(2), E1, np.array([0.0]),
-                          mean_flag=True)
+    x_p, S, _ = ode_param(I2, np.zeros(2), E1, np.array([0.0]))
     assert np.allclose(x_p, 0.0, atol=1e-14)
     assert np.allclose(np.abs(S[:, 0]), [0.0, 1.0], atol=1e-14)
 
 
 def test_ode_param_center_is_conditional_mean():
-    x_p, _, _ = ode_param(I2, np.array([1.0, 1.0]), E1, np.array([0.0]),
-                          mean_flag=True)
+    x_p, _, _ = ode_param(I2, np.array([1.0, 1.0]), E1, np.array([0.0]))
     assert np.allclose(x_p, [0.0, 1.0], atol=1e-12)
     # independent cross-check through the moment formulas (A'x = y frame)
     mom = conditional_gaussian_moments(np.ones(2), I2, E1, [0.0])
@@ -35,8 +34,7 @@ def test_ode_param_center_is_conditional_mean():
 
 
 def test_ode_param_offset_plane():
-    x_p, _, _ = ode_param(I2, np.zeros(2), E1, np.array([-1.0]),
-                          mean_flag=True)
+    x_p, _, _ = ode_param(I2, np.zeros(2), E1, np.array([-1.0]))
     assert np.allclose(E1.T @ x_p, 1.0)                 # A'x = -y
     assert np.allclose(x_p, [1.0, 0.0], atol=1e-12)
     mom = conditional_gaussian_moments(np.zeros(2), I2, E1, [1.0])
@@ -51,7 +49,7 @@ def test_ode_param_invariants_random(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        x_p, S, Q = ode_param(M, r, A, y, mean_flag=bool(rng.integers(2)))
+        x_p, S, Q = ode_param(M, r, A, y)
         assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-10)
         assert np.linalg.norm(A.T @ x_p + y) < 1e-9
         assert np.linalg.norm(S.T @ A) < 1e-10
@@ -65,6 +63,21 @@ def test_ode_param_rejects_rank_deficient():
     A = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     with pytest.raises(np.linalg.LinAlgError):
         ode_param(np.eye(3), np.zeros(3), A, np.zeros(2))
+
+
+def test_rank_margin_is_below_both_rank_tests(rng):
+    # the margin bounds sigma_min(A) and the relative diagonal test of R1
+    # from below, so passing it passes both
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(1, n))
+        A = rand_fullrank(rng, n, d) * 10.0 ** rng.uniform(-6, 6, size=d)
+        R1 = np.linalg.qr(A, mode="r")
+        diag = np.abs(np.diag(R1))
+        margin = rank_margin(R1)
+        assert margin <= np.linalg.svd(A, compute_uv=False)[-1] * (1 + 1e-12)
+        assert margin <= diag.min() / max(1.0, diag.max()) * (1 + 1e-12)
+    assert rank_margin(np.array([[2.0, 1.0], [0.0, 0.0]])) == 0.0
 
 
 def test_boundary_normal_examples():
@@ -95,7 +108,7 @@ def test_boundary_normal_random_invariants(rng):
 
 def test_check_state_values_and_errors():
     y = np.array([0.0])
-    x_p, _, Q = ode_param(I2, np.ones(2), E1, y, mean_flag=True)
+    x_p, _, Q = ode_param(I2, np.ones(2), E1, y)
     At, Q1t = E1.T, Q[:, :1].T
     check_state(At, y, Q1t, x_p, np.zeros(2))
     check_state(At, y, Q1t, x_p + np.array([0.0, 0.7]), np.array([0.0, -0.3]))

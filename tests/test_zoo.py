@@ -27,7 +27,7 @@ def test_dump_round_trips():
         spec = build()
         back = load_model(zoo.dump_model(spec))
         assert back.n == spec.n and back.J == spec.J and back.m == spec.m
-        assert back.mean_flag == spec.mean_flag
+        assert np.array_equal(back.r, spec.r)
         assert np.array_equal(back.F, spec.F)
         assert np.array_equal(back.L, spec.L)
         for jz in range(spec.J):
@@ -115,8 +115,8 @@ def test_positive_part_observable_on_each_piece(rng):
 def test_positive_part_first_kink_is_inert():
     spec = zoo.positive_part_model()
     assert np.all(spec.L[:, 0] == 0)
-    assert spec.mean_flag
-    assert np.allclose(spec.r[0], [1.0, 1.0, 1.0])
+    # built as a mean document with mu = 1 and M = I, so r = M mu = mu
+    assert np.array_equal(spec.r, np.ones((3, 3)))
 
 
 def test_step_line_model_shapes():
