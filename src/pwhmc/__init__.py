@@ -32,7 +32,6 @@ from .subspace import (
 )
 from .dynamics import (
     boundary_dynamics,
-    evolve_segment_unified,
     evolve_to_boundary,
     region_table,
     wall_dynamics,
@@ -47,9 +46,9 @@ from .sampler import (
 from .oracle import (
     ConditionalMoments,
     conditional_gaussian_moments,
+    exact_sample,
     grid_hit_time,
     occupancy_quadrature_line,
-    slab_rejection_sample,
 )
 from . import zoo
 
@@ -59,11 +58,11 @@ __all__ = [
     "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
     "region_boundaries", "region_membership", "validate_model",
     "boundary_normal", "continuity_check", "ode_param",
-    "boundary_dynamics", "evolve_segment_unified", "evolve_to_boundary",
-    "region_table", "wall_dynamics",
+    "boundary_dynamics", "evolve_to_boundary", "region_table",
+    "wall_dynamics",
     "ChainConfig", "ChainOutput", "initial_point_check",
     "refresh_velocity", "run_chain",
-    "ConditionalMoments", "conditional_gaussian_moments", "grid_hit_time",
-    "occupancy_quadrature_line", "slab_rejection_sample",
+    "ConditionalMoments", "conditional_gaussian_moments", "exact_sample",
+    "grid_hit_time", "occupancy_quadrature_line",
     "zoo",
 ]

@@ -2,7 +2,7 @@
 
 A trajectory inside region j is the closed-form oscillation
 x(t) = x_p + a sin t + b cos t about the region's center x_p.  Crossing
-times of the active constraints have closed-form roots (see ``_hit_py``);
+times of the active constraints have closed-form roots (see ``first_hit``);
 at a crossing the velocity is updated by specular reflection (walls) or by
 the transmit/reflect rule driven by the potential jump (transitions).
 
@@ -14,12 +14,11 @@ segment does arithmetic only.
 from __future__ import annotations
 
 import weakref
-from math import sqrt
+from math import acos, atan2, ceil, sqrt
 
 import numpy as np
 
 from . import subspace
-from ._hit_py import first_hit
 from .errors import StallError
 from .model import region_boundaries
 from .subspace import boundary_normal, check_state
@@ -30,6 +29,48 @@ EPS_T = 1e-9
 # Hit times within TIE_TOL of the minimum count as a corner tie and resolve
 # to the lowest constraint row.
 TIE_TOL = 1e-9
+TWO_PI = 6.283185307179586476925286766559
+
+
+def first_hit(fa, fb, h, t_max, eps_t, tie_tol):
+    """First boundary crossing among m constraints.
+
+    fa, fb, h are per-constraint float arrays.  Returns (k, tau): k is the
+    0-based row of the winning constraint and tau its hit time, or
+    (-1, t_max) when nothing is hit in (eps_t, t_max].
+
+    Per constraint the crossing function is K(t) = fa sin t + fb cos t + h
+    = u cos(t + phi) + h with u = sqrt(fa^2 + fb^2) and phi = atan2(-fa, fb).
+    Exiting roots (K' < 0) form the single family
+    t = arccos(-h/u) - phi + 2*pi*n; the scan picks each constraint's first
+    root in (eps_t, t_max], then the smallest across constraints, breaking
+    near-ties (within tie_tol) toward the lowest row index.  Scalar ``math``
+    calls are deliberate: numpy's vectorized arccos/arctan2 may differ from
+    the platform libm by an ulp, and hit times feed straight into the
+    recorded states.
+    """
+    rows, roots = [], []
+    k = 0
+    for a, b, c in zip(fa.tolist(), fb.tolist(), h.tolist()):
+        u = sqrt(a * a + b * b)
+        if u > abs(c):
+            c = -c / u
+            if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
+                t0 = acos(c) - atan2(-a, b)
+                root = t0 + TWO_PI * ceil((eps_t - t0) / TWO_PI)
+                if root <= eps_t:
+                    root += TWO_PI
+                if root <= t_max:
+                    rows.append(k)
+                    roots.append(root)
+        k += 1
+    if not roots:
+        return -1, t_max
+    cutoff = min(roots) + tie_tol
+    for k, root in zip(rows, roots):
+        if root <= cutoff:
+            return k, root
+    return -1, t_max        # unreachable: the minimum itself passes the cutoff
 
 
 def hit_time(fa, fb, h, t_max, eps_t=EPS_T):
@@ -233,41 +274,3 @@ def evolve_segment(t_budget, j, x0, xdot0, table, eps_t=EPS_T):
         t_budget, j, x0, xdot0, table, StallDetector(), eps_t
     )[:4]
 
-
-def evolve_segment_unified(t_budget, j, x0, xdot0, table, eps_t=EPS_T):
-    """Segment evolution with every ending funneled through one update rule.
-
-    Equivalence target for evolve_segment: a hard wall is a zero-step
-    boundary with u2 = u1, and a budget-exhausted segment end is an
-    artificial boundary with u2 = -u1 and no step, which the transmit branch
-    turns into a no-op.  Signs are chosen so the incoming normal velocity is
-    nonpositive, as boundary_dynamics assumes.
-    """
-    reg = table[j]
-    check_state(reg.At, reg.y, reg.Q1t, x0, xdot0)
-    k, tau, x, xdot = evolve_to_boundary(
-        t_budget, xdot0, x0 - reg.x_p, reg.x_p, reg.F_j, reg.h, eps_t
-    )
-
-    if k < 0:
-        norm_a = float(np.linalg.norm(xdot0))
-        if norm_a == 0.0:
-            return x, xdot, tau, j
-        u1 = xdot0 / norm_a
-        if float(u1 @ xdot) > 0.0:
-            u1 = -u1
-        u2, j2 = -u1, j
-        V1 = V2 = reg.potential(x)
-    elif reg.L_j[k] == j:
-        u1 = reg.normal(k)
-        u2, j2 = u1, j
-        V1 = V2 = reg.potential(x)
-    else:
-        u1 = reg.normal(k)
-        other, u2 = reg.neighbor(k, table)
-        j2 = other.j
-        V1 = reg.potential(x)
-        V2 = other.potential(x)
-
-    xdot_new, j_new = boundary_dynamics(xdot, j, j2, u1, u2, V1, V2)
-    return x, xdot_new, tau, j_new

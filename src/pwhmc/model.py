@@ -90,6 +90,19 @@ def _integer(value, name):
     return value
 
 
+def _number(value, name):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise ModelFormatError(f"field '{name}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"field '{name}' must be a JSON object, got {value!r}")
+    return value
+
+
 def _as_array(value, shape, name, dtype=float):
     arr = np.asarray(value, dtype=dtype)
     if arr.size == 0 and 0 in shape:
@@ -143,12 +156,13 @@ def load_model(text: str) -> ModelSpec:
     L = np.empty((J, m), dtype=np.int64)
     for jz, reg in enumerate(regions):
         where = f"regions[{jz}]"
+        _object(reg, where)
         Mj = _as_array(_field(reg, "M", where), (n, n), f"{where}.M")
         M[jz] = 0.5 * (Mj + Mj.T)
         r[jz] = _as_array(_field(reg, "r", where), (n,), f"{where}.r")
         if mean:
             r[jz] = M[jz] @ r[jz]
-        k[jz] = float(_field(reg, "k", where))
+        k[jz] = _number(_field(reg, "k", where), f"{where}.k")
         A[jz] = _as_array(_field(reg, "A", where), (n, d), f"{where}.A")
         y[jz] = _as_array(_field(reg, "y", where), (d,), f"{where}.y")
         L_row = _field(reg, "L_row", where)
@@ -158,14 +172,14 @@ def load_model(text: str) -> ModelSpec:
     if np.any(np.abs(L) > J):
         raise ModelFormatError("field 'L_row' entries must lie in -J..J")
 
-    hyper = _field(doc, "hyperplanes", "document")
+    hyper = _object(_field(doc, "hyperplanes", "document"), "hyperplanes")
     F = _as_array(_field(hyper, "F", "hyperplanes"), (m, n), "hyperplanes.F")
     g = _as_array(_field(hyper, "g", "hyperplanes"), (m,), "hyperplanes.g")
 
     init_region = None
     init_point = None
     if "init" in doc:
-        init = doc["init"]
+        init = _object(doc["init"], "init")
         init_region = _integer(_field(init, "region", "init"), "init.region")
         if not 1 <= init_region <= J:
             raise ModelFormatError("field 'init.region' out of range 1..J")

@@ -4,7 +4,10 @@ Nothing here is used by the sampling hot path.  The moment formulas follow
 the plane-conditioning convention A'x = y_eq (note: the sampler's pieces use
 A'x + y = 0, so bridge by negating y).  The hit-time and occupancy oracles
 are deliberately brute force — grids, bisection, quadrature — so they share
-no code with the analytic implementations they check.
+no code with the analytic implementations they check.  ``exact_sample``
+draws the sampler's target law directly, from Gaussians conditioned on each
+piece's plane and rejected to its cell; it shares only the cell extraction
+``region_boundaries`` with the sampler.
 """
 
 from __future__ import annotations
@@ -15,6 +18,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import region_boundaries
+
+# exact_sample draws BATCH candidates at a time and gives up once fewer than
+# MIN_ACCEPT of them have landed in their cells, judged after 100/MIN_ACCEPT
+# draws.
+BATCH = 20_000
+MIN_ACCEPT = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,79 +112,57 @@ def occupancy_quadrature_line(V1, V2, split=0.0):
     return mass1 / total
 
 
-def _region_gaussians(spec):
-    """Per-region (mean, upper Cholesky of M, log-offset) triples."""
-    out = []
-    for jz in range(spec.J):
-        M = spec.M[jz]
-        U = np.linalg.cholesky(M).T          # M = U'U
-        mu = np.linalg.solve(M, spec.r[jz])
-        c = float(spec.k[jz]) - 0.5 * float(mu @ M @ mu)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(U))))
-        out.append((mu, U, c, logdet))
-    return out
+def exact_sample(spec, n, rng):
+    """Exact draws from the model's target law; returns (X, R).
 
-
-def slab_rejection_sample(spec, delta, n, rng, mc_mass=20000, max_draws=50_000_000):
-    """Approximate draws from the manifold law by keeping a thin slab.
-
-    Samples the unconstrained piecewise density (region-truncated Gaussians
-    mixed by Monte Carlo mass estimates) and keeps points with
-    ||ell_j(x)||_inf < delta.  A coarse cross-check only: the kept points
-    converge to the conditional law as delta -> 0.
+    The target is exp(-V(x)) conditioned on ell(x) = 0: on piece j its
+    density is exp(-V_j) det(A_j'A_j)^(-1/2) against surface measure on
+    the plane A_j'x + y_j = 0, restricted to region j's cell.  The
+    untruncated plane mass of piece j is, up to 2 pi factors common to all
+    pieces, Z_j = exp(-k~_j) det(M_j)^(-1/2) phi(0; b_j, C_j) with
+    mu_j = M_j^-1 r_j, k~_j = k_j - mu_j'M_j mu_j / 2, C_j = A_j'M_j^-1 A_j
+    and b_j = A_j'mu_j + y_j.  Each batch picks pieces in proportion to
+    Z_j, draws each from its Gaussian conditioned on the plane, and keeps
+    the draws inside their own cell, so the kept rows have density
+    proportional to sum_j Z_j p_j(x) 1{x in cell_j}: the target, with no
+    slab width and no mass estimate.  R holds the 1-based piece of each row.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive (empty slab)")
-    parts = _region_gaussians(spec)
-    rbs = [region_boundaries(spec, j) for j in range(1, spec.J + 1)]
+    pieces, log_z = [], []
+    for jz in range(spec.J):
+        M, A, y = spec.M[jz], spec.A[jz], spec.y[jz]
+        Minv = np.linalg.inv(M)
+        mu = np.linalg.solve(M, spec.r[jz])
+        C = A.T @ Minv @ A
+        b = A.T @ mu + y
+        log_z.append(-(float(spec.k[jz]) - 0.5 * float(mu @ M @ mu))
+                     - 0.5 * np.linalg.slogdet(M)[1]
+                     - 0.5 * np.linalg.slogdet(C)[1]
+                     - 0.5 * float(b @ np.linalg.solve(C, b)))
+        cm = conditional_gaussian_moments(mu, Minv, A, -y)
+        w, U = np.linalg.eigh(cm.V)          # ascending: the d null directions first
+        factor = U[:, spec.d:] * np.sqrt(np.maximum(w[spec.d:], 0.0))
+        pieces.append((cm.m, factor, region_boundaries(spec, jz + 1)))
+    weights = np.exp(np.array(log_z) - max(log_z))
+    weights /= weights.sum()
 
-    # Region masses: Gaussian normalizer times the Monte Carlo estimate of
-    # the probability the free Gaussian lands inside its region.
-    weights = np.empty(spec.J)
-    for jz, (mu, U, c, logdet) in enumerate(parts):
-        z = rng.standard_normal((mc_mass, spec.n))
-        x = mu + np.linalg.solve(U, z.T).T
-        rb = rbs[jz]
-        if len(rb):
-            inside = np.all(x @ rb.F_j.T + rb.g_j >= 0.0, axis=1)
-            frac = float(np.mean(inside))
-        else:
-            frac = 1.0
-        weights[jz] = np.exp(-c - 0.5 * logdet) * frac
-    if weights.sum() <= 0.0:
-        raise RuntimeError("all region masses estimated as zero")
-    weights = weights / weights.sum()
-
-    kept = []
-    n_kept = 0
-    drawn = 0
-    batch = 20000
+    kept, labels = [], []
+    n_kept = drawn = 0
     while n_kept < n:
-        if drawn >= max_draws:
-            raise RuntimeError(
-                f"slab acceptance rate {n_kept / max(drawn, 1):.2e} too low "
-                f"after {drawn} draws (delta={delta})"
-            )
-        counts = rng.multinomial(batch, weights)
-        for jz, cnt in enumerate(counts):
+        for jz, cnt in enumerate(rng.multinomial(BATCH, weights)):
             if cnt == 0:
                 continue
-            mu, U, _, _ = parts[jz]
-            z = rng.standard_normal((cnt, spec.n))
-            x = mu + np.linalg.solve(U, z.T).T
-            rb = rbs[jz]
-            ok = np.ones(cnt, dtype=bool)
+            m, factor, rb = pieces[jz]
+            x = m + rng.standard_normal((cnt, factor.shape[1])) @ factor.T
             if len(rb):
-                ok &= np.all(x @ rb.F_j.T + rb.g_j >= 0.0, axis=1)
-            lx = x @ spec.A[jz] + spec.y[jz]
-            ok &= np.max(np.abs(lx), axis=1) < delta
-            if np.any(ok):
-                kept.append(x[ok])
-                n_kept += int(np.sum(ok))
-        drawn += batch
-        if drawn >= 2_000_000 and n_kept / drawn < 1e-6:
+                x = x[np.all(x @ rb.F_j.T + rb.g_j >= 0.0, axis=1)]
+            kept.append(x)
+            labels.append(np.full(x.shape[0], jz + 1))
+            n_kept += x.shape[0]
+        drawn += BATCH
+        if drawn * MIN_ACCEPT >= 100 and n_kept < drawn * MIN_ACCEPT:
             raise RuntimeError(
-                f"slab acceptance rate {n_kept / drawn:.2e} below 1e-6 "
-                f"(delta={delta})"
+                f"exact_sample acceptance {n_kept / drawn:.2e} below "
+                f"{MIN_ACCEPT:g} after {drawn} draws"
             )
-    return np.concatenate(kept, axis=0)[:n]
+    order = rng.permutation(n_kept)[:n]
+    return np.concatenate(kept)[order], np.concatenate(labels)[order]

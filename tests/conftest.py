@@ -1,10 +1,13 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance and model builders for the test suite."""
+
+import json
 
 import numpy as np
 import pytest
 
+from pwhmc import zoo
 from pwhmc.dynamics import region_table
-from pwhmc.model import region_membership
+from pwhmc.model import load_model, region_membership
 
 
 def rand_spd(rng, n, jitter=0.5):
@@ -72,6 +75,34 @@ def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
         if members == {j}:
             return x
     raise RuntimeError(f"no interior point found for region {j}")
+
+
+def scaled_line_model():
+    """N(0, I_2) on the line x2 = 0, split at x1 = 0, with A_1 = (0, 1)'
+    and A_2 = (0, 2)': the same line and potential on both sides, so the
+    conditional law puts 2/3 of its mass on x1 > 0."""
+    doc = json.loads(zoo.dump_model(zoo.step_line_model(dk=0.0)))
+    doc["regions"][1]["A"] = [[0.0], [2.0]]
+    return load_model(json.dumps(doc))
+
+
+def wall_box_model():
+    """N(0, I_3) on the plane x3 = 0 inside the off-centre box
+    -1 <= x1 <= 0.5, -0.3 <= x2 <= 1.2: one region, four walls."""
+    doc = {
+        "n": 3, "d": 1, "J": 1, "m": 4,
+        "regions": [{
+            "M": np.eye(3).tolist(), "r": [0.0, 0.0, 0.0], "k": 0.0,
+            "A": [[0.0], [0.0], [1.0]], "y": [0.0], "L_row": [1, 1, 1, 1],
+        }],
+        "hyperplanes": {
+            "F": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+            "g": [1.0, 0.5, 0.3, 1.2],
+        },
+        "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
+    }
+    return load_model(json.dumps(doc))
 
 
 @pytest.fixture

@@ -13,23 +13,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import point_in_region
+from conftest import scaled_line_model, wall_box_model
 from pwhmc import zoo
 from pwhmc.cli import main
-from pwhmc.dynamics import (
-    evolve_segment,
-    evolve_segment_unified,
-    hit_time,
-    region_table,
-)
+from pwhmc.dynamics import hit_time
 from pwhmc.model import ell
 from pwhmc.oracle import (
     conditional_gaussian_moments,
+    exact_sample,
     grid_hit_time,
     occupancy_quadrature_line,
-    slab_rejection_sample,
 )
-from pwhmc.sampler import ChainConfig, refresh_velocity, run_chain
+from pwhmc.sampler import ChainConfig, run_chain
 from pwhmc.subspace import continuity_check
 
 
@@ -179,34 +174,6 @@ def test_criterion_07_continuity_and_null_space_machinery():
     assert not ok and e1 >= 0.5
 
 
-def test_criterion_08_unified_boundary_rule_equivalence():
-    # on 500 random single-boundary encounters, routing walls and budget ends
-    # through the one transmit/reflect rule reproduces the split-rule
-    # velocities to 1e-10
-    rng = np.random.default_rng(808)
-    specs = [zoo.one_norm_model(), zoo.step_line_model(),
-             zoo.positive_part_model(), zoo.polygonal_top_model()]
-    tables = [region_table(s) for s in specs]
-    budget = float(np.pi / 2)
-    encounters = 0
-    attempts = 0
-    while encounters < 500:
-        attempts += 1
-        assert attempts < 20000
-        pick = attempts % len(specs)
-        spec, table = specs[pick], tables[pick]
-        j = int(rng.integers(1, spec.J + 1))
-        x0 = point_in_region(spec, j, rng)
-        xdot0 = refresh_velocity(table[j], rng)
-        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, table)
-        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, table)
-        assert j1 == j2 and t1 == t2
-        assert np.max(np.abs(x1 - x2)) <= 1e-12
-        assert np.max(np.abs(v1 - v2)) <= 1e-10
-        if t1 < budget:
-            encounters += 1               # an actual boundary was hit
-
-
 def test_criterion_09_byte_identical_replay_from_manifest(tmp_path):
     # rerunning with the manifest's own parameters reproduces the sample and
     # event files byte for byte
@@ -243,13 +210,80 @@ def test_criterion_09_byte_identical_replay_from_manifest(tmp_path):
 
 def test_criterion_10_slab_rejection_cross_check():
     # N(0, I_2) | x1 = 0: KS statistic between the sampler's x2 marginal
-    # (10k kept) and a slab-rejection sample stays below 0.03
+    # (10k kept) and as many exact draws stays below 0.03
     spec = zoo.axis_plane_model(2)
     out = run_chain(spec, 1, [0.0, 0.0],
                     ChainConfig(n_samples=10000, seed=1010))
     assert np.max(np.abs(out.X[:, 0])) < 1e-12
 
-    rng = np.random.default_rng(1111)
-    slab = slab_rejection_sample(spec, 0.02, 10000, rng)
-    ks = stats.ks_2samp(out.X[:, 1], slab[:, 1])
+    exact, _ = exact_sample(spec, 10000, np.random.default_rng(1111))
+    ks = stats.ks_2samp(out.X[:, 1], exact[:, 1])
     assert ks.statistic < 0.03
+
+
+def oracle_gaps(spec, out, seed):
+    """Largest region-occupancy error and largest per-coordinate two-sample
+    KS statistic of a chain's rows against as many exact draws.
+
+    Coordinates are rounded to 1e-9 first, so a coordinate that a piece
+    pins to one value compares equal across both samples."""
+    X, R = exact_sample(spec, out.X.shape[0], np.random.default_rng(seed))
+    occ_chain = np.bincount(out.R, minlength=spec.J + 1)[1:] / out.R.size
+    occ_exact = np.bincount(R, minlength=spec.J + 1)[1:] / R.size
+    a, b = np.round(out.X, 9), np.round(X, 9)
+    ks = max(stats.ks_2samp(a[:, i], b[:, i]).statistic for i in range(spec.n))
+    return float(np.max(np.abs(occ_chain - occ_exact))), float(ks)
+
+
+@pytest.mark.parametrize("build", [zoo.one_norm_model, wall_box_model])
+def test_criterion_11_sampler_matches_exact_oracle(build):
+    # 30k iterates against 30k exact draws: region occupancy within 0.015
+    # and every coordinate's KS statistic at most 0.02
+    spec = build()
+    out = run_chain(spec, spec.init_region, spec.init_point,
+                    ChainConfig(n_samples=30000, seed=1101))
+    occ_err, ks = oracle_gaps(spec, out, 1102)
+    assert occ_err <= 0.015, f"occupancy error {occ_err:.4f}"
+    assert ks <= 0.02, f"KS {ks:.4f}"
+
+
+# Known gaps between the sampler and its stated target, pinned so that the
+# change that closes them has to drop the markers.
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: where ||A_j|| differs between regions the sampler "
+    "draws surface measure, not the conditional law"))
+def test_known_gap_scaled_line_occupancy():
+    # the conditional law puts 2/3 on x1 > 0; surface measure puts 1/2
+    ln2 = float(np.log(2.0))
+    target = occupancy_quadrature_line(lambda x: 0.5 * x * x,
+                                       lambda x: 0.5 * x * x + ln2)
+    spec = scaled_line_model()
+    out = run_chain(spec, 1, spec.init_point,
+                    ChainConfig(n_samples=30000, seed=1201))
+    frac1 = float(np.mean(out.R == 1))
+    assert abs(frac1 - target) <= 0.015, \
+        f"sampler occupancy {frac1:.4f}, quadrature {target:.4f}"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: where ||A_j|| differs between regions the sampler "
+    "draws surface measure, not the conditional law"))
+def test_known_gap_pospart_occupancy():
+    spec = zoo.positive_part_model()
+    out = run_chain(spec, spec.init_region, spec.init_point,
+                    ChainConfig(n_samples=30000, seed=1202))
+    occ_err, ks = oracle_gaps(spec, out, 1203)
+    assert occ_err <= 0.015 and ks <= 0.02, \
+        f"occupancy error {occ_err:.4f}, KS {ks:.4f}"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the boundary rule is wrong for a non-identity M"))
+def test_known_gap_ntop_marginals():
+    spec = zoo.polygonal_top_model()
+    out = run_chain(spec, spec.init_region, spec.init_point,
+                    ChainConfig(n_samples=30000, seed=1204))
+    occ_err, ks = oracle_gaps(spec, out, 1205)
+    assert occ_err <= 0.015 and ks <= 0.02, \
+        f"occupancy error {occ_err:.4f}, KS {ks:.4f}"

@@ -12,7 +12,6 @@ from pwhmc.dynamics import (
     boundary_dynamics,
     evolve_segment,
     evolve_segment_detail,
-    evolve_segment_unified,
     evolve_to_boundary,
     first_hit,
     flight,
@@ -174,6 +173,8 @@ def test_boundary_dynamics_transmit_and_reflect():
 
 
 def test_boundary_dynamics_artificial_boundary_is_identity():
+    # a stepless face with u2 = -u1 leaves the velocity alone, and one with
+    # u2 = u1 (a wall seen as a zero step) reflects it like wall_dynamics
     rng = np.random.default_rng(5)
     for _ in range(20):
         u1 = rng.normal(size=3)
@@ -184,6 +185,9 @@ def test_boundary_dynamics_artificial_boundary_is_identity():
         new, j_new = boundary_dynamics(xdot, 1, 2, u1, -u1, 0.7, 0.7)
         assert j_new == 2
         assert np.allclose(new, xdot, atol=1e-14)
+        new, j_new = boundary_dynamics(xdot, 1, 1, u1, u1, 0.7, 0.7)
+        assert j_new == 1
+        assert np.allclose(new, wall_dynamics(xdot, u1), rtol=0, atol=1e-14)
 
 
 def test_boundary_dynamics_continuous_in_dV():
@@ -294,26 +298,6 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         vals = np.array([H(t) for t in np.linspace(0, 2 * np.pi, 32)])
         scale = max(1.0, np.abs(vals).max())
         assert (vals.max() - vals.min()) / scale < 1e-8
-
-
-def test_unified_rule_matches_split_rule(rng):
-    specs = [zoo.one_norm_model(), zoo.step_line_model(),
-             zoo.positive_part_model()]
-    checked = 0
-    for trial in range(200):
-        spec = specs[trial % len(specs)]
-        table = region_table(spec)
-        j = int(rng.integers(1, spec.J + 1))
-        x0 = point_in_region(spec, j, rng)
-        xdot0 = refresh_velocity(table[j], rng)
-        budget = float(rng.uniform(0.05, np.pi / 2))
-        x1, v1, t1, j1 = evolve_segment(budget, j, x0, xdot0, table)
-        x2, v2, t2, j2 = evolve_segment_unified(budget, j, x0, xdot0, table)
-        assert j1 == j2 and t1 == t2
-        assert np.allclose(x1, x2, atol=1e-12)
-        assert np.allclose(v1, v2, atol=1e-10)
-        checked += 1
-    assert checked == 200
 
 
 def test_stall_detector_trips_on_repeat():

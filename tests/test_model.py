@@ -1,10 +1,12 @@
 """Problem-definition module: parsing, queries, and validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from pwhmc.cli import main
 from pwhmc.dynamics import region_table
 from pwhmc.errors import ModelFormatError
 from pwhmc.model import (
@@ -160,6 +162,36 @@ def test_load_rejects_non_boolean_mean(flag):
         load_model(json.dumps(doc))
     doc["mean"] = False                      # a JSON boolean loads
     assert np.array_equal(load_model(json.dumps(doc)).r, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("regions[0]", 3), ("regions[0]", [1.0, 0.0]), ("init", 1),
+    ("hyperplanes", [[1.0, 0.0]]),
+])
+def test_load_requires_json_objects(tmp_path, capsys, key, value):
+    doc = doc_of(zoo.step_line_model())
+    if key == "regions[0]":
+        doc["regions"][0] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"'{key}' must be a JSON object")):
+        load_model(json.dumps(doc))
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0.25", True, float("nan")])
+def test_load_requires_finite_number_k(value):
+    doc = doc_of(zoo.step_line_model())
+    doc["regions"][1]["k"] = value
+    with pytest.raises(ModelFormatError,
+                       match=re.escape("'regions[1].k' must be a finite number")):
+        load_model(json.dumps(doc))
+    doc["regions"][1]["k"] = 1                   # a JSON integer loads
+    assert load_model(json.dumps(doc)).k[1] == 1.0
 
 
 def test_ell_zero_on_manifold():

@@ -1,16 +1,19 @@
-"""Ground-truth oracles: moments, grid hit times, quadrature, slab draws."""
+"""Ground-truth oracles: moments, grid hit times, quadrature, exact draws."""
+
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import rand_fullrank, rand_spd
+from conftest import rand_fullrank, rand_spd, scaled_line_model
 from pwhmc import zoo
+from pwhmc.model import ell, load_model, min_slack, validate_model
 from pwhmc.oracle import (
     conditional_gaussian_moments,
+    exact_sample,
     grid_hit_time,
     occupancy_quadrature_line,
-    slab_rejection_sample,
 )
 from pwhmc.subspace import ode_param
 
@@ -126,44 +129,94 @@ def test_occupancy_shifted_split_matches_tail():
         assert p == pytest.approx(stats.norm.sf(s), abs=1e-9)
 
 
-# --- slab rejection ------------------------------------------------------------
+# --- exact draws ---------------------------------------------------------------
+# The exact law is the delta -> 0 limit of keeping draws of the unconstrained
+# density within a slab of width delta about the manifold.
 
 def test_slab_rejects_empty_width(rng):
-    spec = zoo.axis_plane_model(2)
-    with pytest.raises(ValueError):
-        slab_rejection_sample(spec, 0.0, 10, rng)
+    # a cell of width 1e-9 five standard deviations out holds no draw
+    doc = json.loads(zoo.dump_model(zoo.axis_plane_model(2)))
+    doc["m"] = 2
+    doc["regions"][0]["L_row"] = [1, 1]
+    doc["hyperplanes"] = {"F": [[0.0, 1.0], [0.0, -1.0]], "g": [-5.0, 5.0 + 1e-9]}
+    with pytest.raises(RuntimeError, match="acceptance"):
+        exact_sample(load_model(json.dumps(doc)), 10, rng)
 
 
 def test_slab_axis_plane_marginal_is_standard_normal(rng):
     spec = zoo.axis_plane_model(2)
-    xs = slab_rejection_sample(spec, 0.05, 4000, rng)
-    assert xs.shape == (4000, 2)
-    assert np.max(np.abs(xs[:, 0])) < 0.05
+    xs, R = exact_sample(spec, 4000, rng)
+    assert xs.shape == (4000, 2) and np.all(R == 1)
+    assert np.max(np.abs(xs[:, 0])) <= 1e-12
     ks = stats.kstest(xs[:, 1], "norm")
     assert ks.pvalue > 0.01
 
 
 def test_slab_step_occupancy(rng):
-    spec = zoo.step_line_model()
-    xs = slab_rejection_sample(spec, 0.05, 6000, rng)
-    frac1 = float(np.mean(xs[:, 0] > 0.0))
-    assert frac1 == pytest.approx(2.0 / 3.0, abs=0.04)
+    # a potential step of ln 2, and the same line with A_2 = 2 A_1, whose
+    # det(A_2'A_2)^(-1/2) = 1/2 acts as that step: both put 2/3 on x1 > 0
+    ln2 = float(np.log(2.0))
+    target = occupancy_quadrature_line(lambda x: 0.5 * x * x,
+                                       lambda x: 0.5 * x * x + ln2)
+    for spec in (zoo.step_line_model(), scaled_line_model()):
+        assert validate_model(spec).passed
+        xs, R = exact_sample(spec, 60000, rng)
+        assert np.array_equal(R == 1, xs[:, 0] >= 0.0)
+        assert float(np.mean(R == 1)) == pytest.approx(target, abs=0.01)
+
+
+def test_exact_piece_masses_match_quadrature(rng):
+    # two pieces of the line x2 = c, split at x1 = 0, with their own
+    # anisotropic M, r, k and scale of A: along the line (unit speed) piece
+    # j has density exp(-V_j(s, c)) / |a_j|
+    for _ in range(5):
+        c = float(rng.normal())
+        Ms = [rand_spd(rng, 2, jitter=1.0) for _ in range(2)]
+        rs = [rng.normal(size=2) for _ in range(2)]
+        ks = rng.normal(size=2)
+        scales = rng.uniform(0.5, 3.0, size=2)
+        doc = {
+            "n": 2, "d": 1, "J": 2, "m": 1,
+            "regions": [
+                {"M": Ms[jz].tolist(), "r": rs[jz].tolist(), "k": float(ks[jz]),
+                 "A": [[0.0], [float(scales[jz])]],
+                 "y": [-float(scales[jz]) * c], "L_row": [L]}
+                for jz, L in ((0, 2), (1, -1))
+            ],
+            "hyperplanes": {"F": [[1.0, 0.0]], "g": [0.0]},
+        }
+        spec = load_model(json.dumps(doc))
+
+        def V(jz):
+            M, r = spec.M[jz], spec.r[jz]
+            return lambda s: (0.5 * (M[0, 0] * s * s + 2 * M[0, 1] * s * c
+                                     + M[1, 1] * c * c)
+                              - r[0] * s - r[1] * c + spec.k[jz]
+                              + np.log(scales[jz]))
+        target = occupancy_quadrature_line(V(0), V(1))
+        xs, R = exact_sample(spec, 60000, rng)
+        assert np.max(np.abs(xs[:, 1] - c)) <= 1e-12
+        assert float(np.mean(R == 1)) == pytest.approx(target, abs=0.01)
 
 
 def test_slab_respects_region_geometry(rng):
-    spec = zoo.one_norm_model()
-    xs = slab_rejection_sample(spec, 0.1, 3000, rng)
-    one_norms = np.abs(xs).sum(axis=1)
-    assert np.max(np.abs(one_norms - 1.0)) < 0.1
-    assert abs(xs.mean()) < 0.05                    # symmetric law
+    # every draw is on its own piece's plane and inside its own cell
+    for name in zoo.SHIPPED:
+        spec = zoo.build_shipped(name)
+        xs, R = exact_sample(spec, 3000, rng)
+        for x, j in zip(xs, R):
+            assert np.max(np.abs(ell(spec, j, x))) <= 1e-12, name
+            assert min_slack(spec, j, x) >= 0.0, name
+        if name == "onenorm":
+            assert np.max(np.abs(np.abs(xs).sum(axis=1) - 1.0)) <= 1e-12
+            assert abs(xs.mean()) < 0.05                 # symmetric law
 
 
 def test_slab_positive_part_observable(rng):
-    # kept points must put the piecewise functional within delta of the level
+    # every draw puts the piecewise functional exactly on its level
     spec = zoo.positive_part_model()
-    delta = 0.05
-    xs = slab_rejection_sample(spec, delta, 1500, rng)
+    xs, _ = exact_sample(spec, 1500, rng)
     dm = np.array([0.8, 0.6, 0.4])
     s = np.cumsum(xs, axis=1)
     obs = np.maximum(2.0 - s, 0.0) @ dm
-    assert np.max(np.abs(obs - 0.75)) < delta + 1e-12
+    assert np.max(np.abs(obs - 0.75)) <= 1e-12
