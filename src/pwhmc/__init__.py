@@ -25,11 +25,7 @@ from .model import (
     region_membership,
     validate_model,
 )
-from .subspace import (
-    boundary_normal,
-    continuity_check,
-    ode_param,
-)
+from .subspace import boundary_normal, ode_param
 from .dynamics import (
     boundary_dynamics,
     evolve_to_boundary,
@@ -57,7 +53,7 @@ __all__ = [
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
     "region_boundaries", "region_membership", "validate_model",
-    "boundary_normal", "continuity_check", "ode_param",
+    "boundary_normal", "ode_param",
     "boundary_dynamics", "evolve_to_boundary", "region_table",
     "wall_dynamics",
     "ChainConfig", "ChainOutput", "initial_point_check",

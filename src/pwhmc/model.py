@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelFormatError
-from .subspace import NORMAL_DEGENERACY_TOL, continuity_check, rank_margin
+from .subspace import NORMAL_DEGENERACY_TOL, face_residuals, rank_margin
 
 # ~100x unit roundoff at desk scale.
 MEMBERSHIP_TOL = 1e-9
@@ -104,13 +104,24 @@ def _object(value, name):
 
 
 def _as_array(value, shape, name, dtype=float):
-    arr = np.asarray(value, dtype=dtype)
-    if arr.size == 0 and 0 in shape:
-        arr = arr.reshape(shape)
-    if arr.shape != shape:
+    # Entries are checked as parsed, since numpy would coerce strings and
+    # booleans (a JSON true is a Python int) to numbers.
+    try:
+        cells = np.asarray(value, dtype=object)
+    except (ValueError, TypeError) as exc:
+        raise ModelFormatError(f"field '{name}' is not an array: {exc}") from exc
+    if cells.size == 0 and 0 in shape:
+        cells = cells.reshape(shape)
+    if cells.shape != shape:
         raise ModelFormatError(
-            f"field '{name}' has shape {arr.shape}, expected {shape}"
+            f"field '{name}' has shape {cells.shape}, expected {shape}"
         )
+    if not set(map(type, cells.flat)) <= {int, float}:
+        raise ModelFormatError(f"field '{name}' must hold JSON numbers only")
+    try:
+        arr = cells.astype(dtype)
+    except OverflowError as exc:
+        raise ModelFormatError(f"field '{name}' is out of range: {exc}") from exc
     if dtype is float and not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"field '{name}' contains non-finite entries")
     return arr
@@ -279,120 +290,103 @@ class ValidationReport:
         return "\n".join(c.format() for c in self.checks)
 
 
-def _rank_checks(spec: ModelSpec, qrs, report: ValidationReport):
-    for j, (_, R) in enumerate(qrs, start=1):
-        margin = rank_margin(R[: spec.d])
-        report.checks.append(
-            CheckResult("A_full_rank", f"region {j}",
-                        margin > NORMAL_DEGENERACY_TOL, margin)
-        )
+@dataclass(frozen=True, eq=False)
+class _FaceTable:
+    """Every active lookup entry of a model, derived once from L.
+
+    Entry e is (region j[e], hyperplane i[e]) in row-major order of L, all
+    0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
+    j[e] and its target region t[e] (t[e] == j[e] marks a wall).  ``trans``
+    indexes the transition entries and ``face`` each face (the pair of
+    regions and the hyperplane between them) once, at its first entry.
+    """
+
+    j: np.ndarray
+    i: np.ndarray
+    t: np.ndarray
+    F: np.ndarray
+    g: np.ndarray
+    trans: np.ndarray
+    face: np.ndarray
 
 
-def _spd_checks(spec: ModelSpec, report: ValidationReport):
-    for j in range(1, spec.J + 1):
-        Mj = spec.M[j - 1]
-        asym = float(np.max(np.abs(Mj - Mj.T))) if Mj.size else 0.0
-        try:
-            np.linalg.cholesky(Mj)
-            ok = True
-        except np.linalg.LinAlgError:
-            ok = False
-        report.checks.append(CheckResult("M_spd", f"region {j}", ok, asym))
-
-
-def _normal_checks(spec: ModelSpec, qrs, report: ValidationReport):
-    # Each active hyperplane normal must leave the column space of A_j,
-    # otherwise there is no in-manifold direction crossing it.
-    for j, (Q, _) in enumerate(qrs, start=1):
-        Q1 = Q[:, : spec.d]
-        rb = region_boundaries(spec, j)
-        for f_row, i in zip(rb.F_j, rb.idx):
-            resid = f_row - Q1 @ (Q1.T @ f_row)
-            rn = float(np.linalg.norm(resid))
-            report.checks.append(
-                CheckResult(
-                    "normal_escapes_A",
-                    f"region {j}, hyperplane {i}",
-                    rn > NORMAL_DEGENERACY_TOL,
-                    rn,
-                )
-            )
-
-
-def _adjacency_checks(spec: ModelSpec, report: ValidationReport):
-    # Reciprocity: a transition entry (j, i) -> j* must be mirrored by
-    # (j*, i) -> j with the opposite sign.
-    for j in range(1, spec.J + 1):
-        for i in range(1, spec.m + 1):
-            entry = int(spec.L[j - 1, i - 1])
-            target = abs(entry)
-            if entry == 0 or target == j:
-                continue
-            if not 1 <= target <= spec.J:
-                report.checks.append(
-                    CheckResult("reciprocity", f"L[{j},{i}] -> {target}", False, None)
-                )
-                continue
-            mirror = int(spec.L[target - 1, i - 1])
-            ok = abs(mirror) == j and np.sign(mirror) == -np.sign(entry)
-            report.checks.append(
-                CheckResult("reciprocity", f"L[{j},{i}] <-> L[{target},{i}]", ok, None)
-            )
-
-    # Per-face uniqueness: convex regions can share at most one facet, so a
-    # pair (j, j*) may be designated across at most one hyperplane.
-    for j in range(1, spec.J + 1):
-        row = spec.L[j - 1]
-        targets = np.abs(row[(row != 0) & (np.abs(row) != j)])
-        uniq, counts = np.unique(targets, return_counts=True)
-        for t, c in zip(uniq, counts):
-            report.checks.append(
-                CheckResult("face_uniqueness", f"pair ({j},{t})", c == 1, float(c))
-            )
-
-
-def _continuity_checks(spec: ModelSpec, tol: float, report: ValidationReport):
-    seen = set()
-    for j in range(1, spec.J + 1):
-        rb = region_boundaries(spec, j)
-        for f_row, g_row, target, i in zip(rb.F_j, rb.g_j, rb.L_j, rb.idx):
-            target = int(target)
-            if target == j:
-                continue  # walls have no partner piece
-            key = (min(j, target), max(j, target), int(i))
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                ok, e1, e2 = continuity_check(
-                    f_row, g_row,
-                    spec.A[j - 1], spec.A[target - 1],
-                    spec.y[j - 1], spec.y[target - 1],
-                    tol,
-                )
-            except np.linalg.LinAlgError:
-                ok, e1, e2 = False, np.inf, np.inf
-            report.checks.append(
-                CheckResult(
-                    "continuity",
-                    f"face ({j}|{target}) via hyperplane {i}",
-                    ok,
-                    max(e1, e2),
-                )
-            )
+def _face_table(spec: ModelSpec) -> _FaceTable:
+    j, i = np.nonzero(spec.L)
+    entry = spec.L[j, i]
+    signs = np.sign(entry).astype(float)
+    t = np.abs(entry) - 1
+    trans = np.flatnonzero(t != j)
+    jt, tt = j[trans], t[trans]
+    key = (np.minimum(jt, tt) * spec.J + np.maximum(jt, tt)) * spec.m + i[trans]
+    first = np.unique(key, return_index=True)[1]
+    return _FaceTable(j=j, i=i, t=t, F=spec.F[i] * signs[:, None],
+                     g=spec.g[i] * signs, trans=trans, face=trans[np.sort(first)])
 
 
 def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationReport:
     """Run all structural checks and return a pass/fail report.
 
-    Failures are report entries, never exceptions; a single-region model
-    passes vacuously.
+    Every face is checked once, and all but M_spd run on all their
+    subjects at once.  Failures are report entries, never exceptions; a
+    single-region model passes vacuously.
     """
     report = ValidationReport()
-    qrs = [np.linalg.qr(A, mode="complete") for A in spec.A]
-    _rank_checks(spec, qrs, report)
-    _spd_checks(spec, report)
-    _normal_checks(spec, qrs, report)
-    _adjacency_checks(spec, report)
-    _continuity_checks(spec, tol, report)
+    add = report.checks.extend
+    tab = _face_table(spec)
+    Q1, R1 = np.linalg.qr(spec.A)
+
+    margin = rank_margin(R1).tolist()
+    add(CheckResult("A_full_rank", f"region {j}", v > NORMAL_DEGENERACY_TOL, v)
+        for j, v in enumerate(margin, start=1))
+
+    for j, Mj in enumerate(spec.M, start=1):
+        try:
+            np.linalg.cholesky(Mj)
+            ok = True
+        except np.linalg.LinAlgError:
+            ok = False
+        report.checks.append(CheckResult(
+            "M_spd", f"region {j}", ok, float(np.max(np.abs(Mj - Mj.T)))))
+
+    # Each active hyperplane normal must leave the column space of A_j,
+    # otherwise there is no in-manifold direction crossing it.
+    Qe = Q1[tab.j]
+    w = tab.F - np.einsum("enk,ek->en", Qe, np.einsum("enk,en->ek", Qe, tab.F))
+    rn = np.linalg.norm(w, axis=1).tolist()
+    add(CheckResult("normal_escapes_A", f"region {j}, hyperplane {i}",
+                    v > NORMAL_DEGENERACY_TOL, v)
+        for j, i, v in zip((tab.j + 1).tolist(), (tab.i + 1).tolist(), rn))
+
+    # Reciprocity: a transition entry (j, i) -> t must be mirrored by
+    # (t, i) -> j with the opposite sign.
+    j, i, t = tab.j[tab.trans], tab.i[tab.trans], tab.t[tab.trans]
+    mirror = spec.L[t, i]
+    ok = (np.abs(mirror) == j + 1) & (np.sign(mirror) == -np.sign(spec.L[j, i]))
+    add(CheckResult("reciprocity", f"L[{a},{c}] <-> L[{b},{c}]", v, None)
+        for a, b, c, v in zip((j + 1).tolist(), (t + 1).tolist(),
+                              (i + 1).tolist(), ok.tolist()))
+
+    # Per-face uniqueness: convex regions can share at most one facet, so a
+    # pair (j, t) may be designated across at most one hyperplane.
+    pairs, counts = np.unique(j * spec.J + t, return_counts=True)
+    add(CheckResult("face_uniqueness", f"pair ({p // spec.J + 1},{p % spec.J + 1})",
+                    c == 1, float(c))
+        for p, c in zip(pairs.tolist(), counts.tolist()))
+
+    j, i, t = tab.j[tab.face], tab.i[tab.face], tab.t[tab.face]
+    faces = [f"face ({a}|{b}) via hyperplane {c}" for a, b, c in
+             zip((j + 1).tolist(), (t + 1).tolist(), (i + 1).tolist())]
+    e1, e2 = face_residuals(tab.F[tab.face], tab.g[tab.face], spec.A[j],
+                            spec.A[t], spec.y[j], spec.y[t])
+    ok = ((e1 < tol) & (e2 < tol)).tolist()
+    add(CheckResult("continuity", s, v, r) for s, v, r in
+        zip(faces, ok, np.maximum(e1, e2).tolist()))
+
+    # No boundary rule is derived for a mass matrix that jumps across a
+    # face, so both sides of every face must share M.
+    dM = np.zeros(len(faces))
+    for row in range(spec.n):          # K x n temporaries, not K x n x n
+        np.maximum(dM, np.abs(spec.M[j, row] - spec.M[t, row]).max(axis=1), out=dM)
+    add(CheckResult("mass_continuity", s, v <= tol, v)
+        for s, v in zip(faces, dM.tolist()))
     return report

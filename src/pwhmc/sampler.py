@@ -44,8 +44,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.thin < 1:
             raise ValueError(f"thin must be at least 1, got {self.thin}")
         if self.burn_in < 0:

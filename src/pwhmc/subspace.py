@@ -1,10 +1,10 @@
 """Null-space constructions for motion restricted to an affine piece.
 
 Everything here is exact linear algebra, no sampling: complete QR splits of
-the constraint matrix A (n x d), the oscillation center and velocity factor
-of the within-region dynamics, in-manifold boundary normals, the segment
-start check, and the continuity check where two affine pieces meet at a
-hyperplane.
+the constraint matrix A (n x d) and their rank test, the oscillation center
+and velocity factor of the within-region dynamics, in-manifold boundary
+normals, the segment start check, and the continuity residuals of a stack of
+faces where two affine pieces meet at a hyperplane.
 
 Sign convention: the constraint is ell(x) = A'x + y = 0 throughout, so the
 particular solution satisfies R1'z1 = -y.
@@ -27,15 +27,22 @@ NORMAL_DEGENERACY_TOL = 1e-12
 COEF_TOL = 1e-8
 
 
-def rank_margin(R1) -> float:
+def rank_margin(R1):
     """1/(||R1^-1||_F max(1, ||R1||_F)) for A = Q1 R1: at most sigma_min(A)
     and min|diag R1| / max(1, max|diag R1|).  A is full rank for the sampler
-    and for validate_model iff this exceeds NORMAL_DEGENERACY_TOL."""
-    try:
-        inv = np.linalg.inv(R1)
-    except np.linalg.LinAlgError:           # an exact zero on the diagonal
-        return 0.0
-    return 1.0 / sqrt(float(np.vdot(inv, inv)) * max(1.0, float(np.vdot(R1, R1))))
+    and for validate_model iff this exceeds NORMAL_DEGENERACY_TOL.
+
+    R1 is one triangle (d, d) or a stack (..., d, d); a triangle with an
+    exact zero on its diagonal has no inverse and margin 0.
+    """
+    R1 = np.asarray(R1, dtype=float)
+    singular = np.any(np.diagonal(R1, axis1=-2, axis2=-1) == 0.0, axis=-1)
+    inv = np.linalg.inv(np.where(singular[..., None, None],
+                                 np.eye(R1.shape[-1]), R1))
+    with np.errstate(over="ignore"):
+        ss = np.einsum("...ij,...ij->...", inv, inv) * np.maximum(
+            1.0, np.einsum("...ij,...ij->...", R1, R1))
+    return np.where(singular, 0.0, 1.0 / np.sqrt(ss))[()]
 
 
 def _qr_complete(A):
@@ -90,7 +97,7 @@ def boundary_normal(f, Q, d) -> np.ndarray:
     Q1 = Q[:, :d]
     w = f - Q1 @ (Q1.T @ f)
     nw = float(np.linalg.norm(w))
-    if nw < NORMAL_DEGENERACY_TOL:
+    if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
         raise DegenerateNormalError(
             "hyperplane normal lies in the constraint column space "
             f"(residual norm {nw:.3e})"
@@ -103,45 +110,43 @@ def check_state(At, y, Q1t, x, xdot=None, tol=COEF_TOL):
 
     x must lie on the manifold (A'x + y = 0) and xdot, when given, be tangent
     to it (Q1'xdot = 0).  At and Q1t are the transposes A' and Q1'.  Raises
-    ContractError carrying the residual norm.
+    ContractError carrying the residual norm; a NaN residual fails.
     """
     r = At.dot(x) + y
     res = sqrt(r.dot(r))
-    if res > tol:
+    if not res <= tol:
         raise ContractError(
             "start point is off the region's manifold", residual=res
         )
     if xdot is not None:
         r = Q1t.dot(xdot)
         res = sqrt(r.dot(r))
-        if res > tol:
+        if not res <= tol:
             raise ContractError(
                 "start velocity is not tangent to the manifold", residual=res
             )
 
 
-def continuity_check(f, g, A1, A2, y1, y2, tol=1e-8):
-    """Do two affine pieces agree on the hyperplane f'x + g = 0 between them?
+def face_residuals(f, g, A1, A2, y1, y2):
+    """Continuity residuals (e1, e2) of K faces f'x + g = 0 between pieces.
 
-    The shared face solves A1'x + y1 = 0 and f'x + g = 0; the second piece is
-    continuous across it iff A2 annihilates the face's free directions
-    (e2 = ||A2'Q0||) and agrees at one particular solution
-    (e1 = ||A2'Q1z1 + y2||).  Returns (ok, e1, e2).
+    Face k solves A1'x + y1 = 0 and f'x + g = 0 (f (K, n), g (K,), A1, A2
+    (K, n, d), y1, y2 (K, d)).  With [A1 f] = Q1 R1, the second piece is
+    continuous across it iff A2 annihilates the face's free directions,
+    e2 = ||A2 - Q1 Q1'A2||_F = ||A2'Q0||, and agrees at the particular
+    solution x0 = Q1 z1 with R1'z1 = -[y1; g], e1 = ||A2'x0 + y2||.  A face
+    whose [A1 f] fails the rank test (f in A1's span) gets e1 = e2 = inf.
     """
-    f = np.asarray(f, dtype=float)
-    A1 = np.asarray(A1, dtype=float)
-    A2 = np.asarray(A2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-
-    B1 = np.column_stack([A1, f])
-    Q, R1 = _qr_complete(B1)          # raises if f is parallel to A1's span
-    dp1 = B1.shape[1]
-    yg = np.concatenate([y1, [float(g)]])
-    z1 = solve_triangular(R1, -yg, trans=1, lower=False)
-    Q0 = Q[:, dp1:]
-
-    e1 = float(np.linalg.norm(A2.T @ (Q[:, :dp1] @ z1) + y2))
-    e2 = float(np.linalg.norm(A2.T @ Q0))
-    return (e1 < tol) and (e2 < tol), e1, e2
-
+    B = np.concatenate([A1, f[:, :, None]], axis=2)
+    Q1, R1 = np.linalg.qr(B)
+    ok = rank_margin(R1) > NORMAL_DEGENERACY_TOL
+    R1 = np.where(ok[:, None, None], R1, np.eye(R1.shape[-1]))
+    yg = np.concatenate([y1, g[:, None]], axis=1)
+    z1 = np.linalg.solve(np.swapaxes(R1, 1, 2), -yg[:, :, None])
+    x0 = Q1 @ z1
+    e1 = np.linalg.norm((np.swapaxes(A2, 1, 2) @ x0)[:, :, 0] + y2, axis=1)
+    if B.shape[1] > B.shape[2]:
+        e2 = np.linalg.norm(A2 - Q1 @ (np.swapaxes(Q1, 1, 2) @ A2), axis=(1, 2))
+    else:
+        e2 = np.zeros(len(B))       # a point face has no free directions
+    return np.where(ok, e1, np.inf), np.where(ok, e2, np.inf)

@@ -17,7 +17,7 @@ from conftest import scaled_line_model, wall_box_model
 from pwhmc import zoo
 from pwhmc.cli import main
 from pwhmc.dynamics import hit_time
-from pwhmc.model import ell
+from pwhmc.model import ell, validate_model
 from pwhmc.oracle import (
     conditional_gaussian_moments,
     exact_sample,
@@ -25,7 +25,6 @@ from pwhmc.oracle import (
     occupancy_quadrature_line,
 )
 from pwhmc.sampler import ChainConfig, run_chain
-from pwhmc.subspace import continuity_check
 
 
 def test_criterion_01_conditional_moments_on_sum_plane():
@@ -143,35 +142,20 @@ def test_criterion_06_octant_symmetry_frequencies():
 
 
 def test_criterion_07_continuity_and_null_space_machinery():
-    # continuity_check, which tests the face's null-space directions,
-    # passes on every shared face of every shipped model and flags a
-    # deliberately broken variant with residual >= 0.5
+    # validate_model's continuity check, which tests each face's null-space
+    # directions, passes on every shared face of every shipped model and
+    # flags a deliberately broken variant with residual >= 0.5
     for name in zoo.SHIPPED:
-        spec = zoo.build_shipped(name)
-        seen = set()
-        for j in range(1, spec.J + 1):
-            for i in range(spec.m):
-                target = abs(int(spec.L[j - 1, i]))
-                if target == 0 or target == j:
-                    continue
-                key = (min(j, target), max(j, target), i)
-                if key in seen:
-                    continue
-                seen.add(key)
-                ok, e1, e2 = continuity_check(
-                    spec.F[i], spec.g[i],
-                    spec.A[j - 1], spec.A[target - 1],
-                    spec.y[j - 1], spec.y[target - 1],
-                )
-                assert ok, (name, key, e1, e2)
-        assert seen, name
+        report = validate_model(zoo.build_shipped(name))
+        faces = [c for c in report.checks if c.name == "continuity"]
+        assert faces, name
+        assert all(c.passed for c in faces), [c.format() for c in faces]
 
     broken = json.loads(zoo.dump_model(zoo.one_norm_model()))
     broken["regions"][0]["y"] = [-2.0]
-    bad = zoo.load_model(json.dumps(broken))
-    ok, e1, _ = continuity_check(bad.F[0], bad.g[0], bad.A[0], bad.A[4],
-                                 bad.y[0], bad.y[4])
-    assert not ok and e1 >= 0.5
+    report = validate_model(zoo.load_model(json.dumps(broken)))
+    bad = [c for c in report.checks if c.name == "continuity" and not c.passed]
+    assert bad and max(c.residual for c in bad) >= 0.5
 
 
 def test_criterion_09_byte_identical_replay_from_manifest(tmp_path):

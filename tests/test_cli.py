@@ -262,6 +262,30 @@ def test_sample_bad_chain_settings_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tmax", ["nan", "inf"])
+def test_non_finite_tmax_exits_1_without_output(tmp_path, capsys, tmax):
+    out = tmp_path / "o.csv"
+    assert main(["sample", ONENORM, "--n", "3", "--tmax", tmax,
+                 "--out", str(out)]) == 1
+    assert "t_max must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["diagnose", ONENORM, "--n", "3", "--tmax", tmax]) == 1
+    captured = capsys.readouterr()
+    assert "t_max must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+def test_sample_refuses_mass_jump_across_a_face(tmp_path, capsys):
+    doc = json.loads(zoo.dump_model(zoo.step_line_model()))
+    doc["regions"][1]["M"] = [[1.0, 0.0], [0.0, 2.0]]
+    path = write_model(tmp_path, json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["sample", path, "--n", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "model failed validation" in err and "FAIL  mass_continuity" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.model"]
+
+
 def test_sample_and_diagnose_take_no_tol(tmp_path, capsys):
     # run_chain checks the start at a fixed 1e-8, so a start tolerance on
     # the command line could only loosen a check that is then redone

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import rand_continuous_pair
 from pwhmc.cli import main
 from pwhmc.dynamics import region_table
 from pwhmc.errors import ModelFormatError
@@ -194,6 +195,35 @@ def test_load_requires_finite_number_k(value):
     assert load_model(json.dumps(doc)).k[1] == 1.0
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("regions", 0, "M"), [["1", "0"], ["0", "1"]], "JSON numbers only"),
+    (("regions", 0, "M"), [[True, False], [False, True]], "JSON numbers only"),
+    (("regions", 0, "M"), [[1.0, False], [0.0, 1.0]], "JSON numbers only"),
+    (("hyperplanes", "g"), ["0"], "JSON numbers only"),
+    (("init", "x"), ["0.5", "0.0"], "JSON numbers only"),
+    (("regions", 0, "M"), [[1.0, 0.0], [0.0]], "shape"),
+    (("regions", 0, "r"), {"x": 1}, "shape"),
+    (("regions", 0, "L_row"), {"a": 1}, "shape"),
+    (("regions", 0, "r"), [10 ** 400, 0], "out of range"),
+], ids=["M-strings", "M-booleans", "M-mixed-boolean", "g-string",
+        "init.x-strings", "M-ragged", "r-object", "L_row-object",
+        "r-huge-integer"])
+def test_load_rejects_non_numeric_arrays(tmp_path, capsys, path, value, message):
+    doc = doc_of(zoo.step_line_model())
+    *parents, key = path
+    node = doc
+    for p in parents:
+        node = node[p]
+    node[key] = value
+    name = ".".join(str(p) for p in path).replace(".0.", "[0].")
+    with pytest.raises(ModelFormatError, match=re.escape(f"'{name}'") + ".*" + message):
+        load_model(json.dumps(doc))
+    bad = tmp_path / "bad.model"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "bad model document" in capsys.readouterr().err
+
+
 def test_ell_zero_on_manifold():
     spec = zoo.one_norm_model()
     x = np.array([0.2, 0.3, 0.5])
@@ -244,6 +274,67 @@ def test_validate_catches_broken_continuity():
     report = validate_model(load_model(json.dumps(doc)))
     bad = [c for c in report.checks if c.name == "continuity" and not c.passed]
     assert bad and max(c.residual for c in bad) >= 0.5
+
+
+def test_validate_onenorm_entry_counts():
+    # 8 octants x 3 coordinate planes: 24 active entries, all transitions,
+    # and 12 faces, each checked once
+    report = validate_model(zoo.one_norm_model())
+    counts = {}
+    for c in report.checks:
+        counts[c.name] = counts.get(c.name, 0) + 1
+    assert counts == {"A_full_rank": 8, "M_spd": 8, "normal_escapes_A": 24,
+                      "reciprocity": 24, "face_uniqueness": 24,
+                      "continuity": 12, "mass_continuity": 12}
+
+
+def _two_piece_document(f, g, A1, y1, A2, y2):
+    # two pieces of a manifold in R^n meeting at the hyperplane f'x + g = 0
+    n, d = A1.shape
+    return json.dumps({
+        "n": n, "d": d, "J": 2, "m": 1,
+        "regions": [
+            {"M": np.eye(n).tolist(), "r": [0.0] * n, "k": 0.0,
+             "A": A.tolist(), "y": np.asarray(y).tolist(), "L_row": [L]}
+            for A, y, L in ((A1, y1, 2), (A2, y2, -1))
+        ],
+        "hyperplanes": {"F": [f.tolist()], "g": [float(g)]},
+    })
+
+
+def _lstsq_gap(f, g, A1, y1, A2, y2):
+    # A2'x + y2 vanishes on the face {A1'x + y1 = 0, f'x + g = 0} iff each
+    # of its rows, as a functional of (x, 1), is a combination of the
+    # face's defining rows
+    G = np.column_stack([np.column_stack([A1, f]).T, np.append(y1, g)])
+    H = np.column_stack([A2.T, y2])
+    W, *_ = np.linalg.lstsq(G.T, H.T, rcond=None)
+    return float(np.linalg.norm(G.T @ W - H.T))
+
+
+def test_validate_continuity_matches_lstsq_oracle(rng):
+    verdicts = []
+    for c in range(200):
+        d = 1 + c % 2
+        n = int(rng.integers(d + 2, 7))
+        f, g, A1, y1, A2, y2 = rand_continuous_pair(rng, n, d)
+        if c % 4 >= 2:
+            y2 = y2 + 0.1 * rng.normal(size=d)
+        spec = load_model(_two_piece_document(f, g, A1, y1, A2, y2))
+        [face] = [c for c in validate_model(spec, tol=1e-7).checks
+                  if c.name == "continuity"]
+        expected = _lstsq_gap(f, g, A1, y1, A2, y2) < 1e-7
+        assert face.passed == expected, (c, face.format())
+        verdicts.append(face.passed)
+    assert sum(verdicts) == 100
+
+
+def test_validate_catches_mass_jump():
+    doc = doc_of(zoo.step_line_model())
+    doc["regions"][1]["M"] = [[1.0, 0.0], [0.0, 2.0]]
+    report = validate_model(load_model(json.dumps(doc)))
+    assert [(c.name, c.residual) for c in report.failures()] == [
+        ("mass_continuity", 1.0)]
 
 
 def test_validate_catches_non_spd():

@@ -45,6 +45,12 @@ def test_chain_config_validation():
     assert cfg.n_iterates == 17
 
 
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -float("inf")])
+def test_chain_config_rejects_non_finite_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max must be positive and finite"):
+        ChainConfig(n_samples=5, t_max=t_max)
+
+
 def test_refresh_velocity_is_tangent_with_right_covariance(rng):
     spec = zoo.sum_constraint_model(3)
     reg = region_table(spec)[1]

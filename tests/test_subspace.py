@@ -1,4 +1,4 @@
-"""QR machinery: ODE parameters, normals, state checks, continuity."""
+"""QR machinery: ODE parameters, rank test, normals, state checks, face residuals."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from pwhmc.oracle import conditional_gaussian_moments
 from pwhmc.subspace import (
     boundary_normal,
     check_state,
-    continuity_check,
+    face_residuals,
     ode_param,
     rank_margin,
 )
@@ -80,6 +80,21 @@ def test_rank_margin_is_below_both_rank_tests(rng):
     assert rank_margin(np.array([[2.0, 1.0], [0.0, 0.0]])) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rank_margin_of_a_stack_is_each_triangles(rng, d):
+    # one call on K stacked triangles gives each triangle's own margin,
+    # including 0 for an exact zero on the diagonal
+    R1 = np.triu(rng.normal(size=(7, d, d)) * 10.0 ** rng.uniform(-8, 8, (7, 1, d)))
+    R1[2, d - 1, d - 1] = 0.0
+    R1[5, 0, 0] = 0.0
+    margins = rank_margin(R1)
+    assert margins.shape == (7,)
+    for k in range(7):
+        assert margins[k] == rank_margin(R1[k])
+    assert margins[2] == margins[5] == 0.0
+    assert np.all(np.delete(margins, [2, 5]) > 0.0)
+
+
 def test_boundary_normal_examples():
     Q = np.eye(2)
     u = boundary_normal(np.array([0.0, 1.0]), Q, 1)
@@ -88,6 +103,8 @@ def test_boundary_normal_examples():
     assert np.allclose(u, [0.0, 1.0])
     with pytest.raises(DegenerateNormalError):
         boundary_normal(np.array([1.0, 0.0]), Q, 1)
+    with pytest.raises(DegenerateNormalError):
+        boundary_normal(np.array([0.0, np.nan]), Q, 1)
 
 
 def test_boundary_normal_random_invariants(rng):
@@ -122,32 +139,56 @@ def test_check_state_values_and_errors():
     assert err.value.residual == pytest.approx(0.5)
 
 
-def test_continuity_check_examples():
+@pytest.mark.parametrize("x, xdot, what", [
+    ([np.nan, 0.0], [0.0, 0.0], "off the region's manifold"),
+    ([0.0, 1.0], [0.0, np.nan], "not tangent"),
+], ids=["nan-x", "nan-xdot"])
+def test_check_state_rejects_nan(x, xdot, what):
+    y = np.array([0.0])
+    _, _, Q = ode_param(I2, np.ones(2), E1, y)
+    with pytest.raises(ContractError, match=what) as err:
+        check_state(E1.T, y, Q[:, :1].T, np.array(x), np.array(xdot))
+    assert np.isnan(err.value.residual)
+
+
+def _continuity(f, g, A1, A2, y1, y2, tol):
+    """face_residuals on the single face f'x + g = 0: (ok, e1, e2)."""
+    e1, e2 = face_residuals(
+        np.array([f], dtype=float), np.array([g], dtype=float),
+        np.array([A1], dtype=float), np.array([A2], dtype=float),
+        np.array([y1], dtype=float), np.array([y2], dtype=float),
+    )
+    e1, e2 = float(e1[0]), float(e2[0])
+    return (e1 < tol) and (e2 < tol), e1, e2
+
+
+def test_face_residuals_examples():
     A1 = np.array([[1.0], [1.0]])
     A2 = np.array([[-1.0], [1.0]])
     f = np.array([1.0, 0.0])
-    ok, e1, e2 = continuity_check(f, 0.0, A1, A2, [-1.0], [-1.0], 1e-8)
+    ok, e1, e2 = _continuity(f, 0.0, A1, A2, [-1.0], [-1.0], 1e-8)
     assert ok and e1 < 1e-12 and e2 == 0.0
 
-    ok, e1, _ = continuity_check(f, 0.0, A1, A2, [-1.0], [-2.0], 1e-8)
+    ok, e1, _ = _continuity(f, 0.0, A1, A2, [-1.0], [-2.0], 1e-8)
     assert not ok
     assert e1 == pytest.approx(1.0, abs=1e-12)
 
-    ok, *_ = continuity_check(f, 0.3, A1, A1, [0.4], [0.4], 1e-8)
+    ok, *_ = _continuity(f, 0.3, A1, A1, [0.4], [0.4], 1e-8)
     assert ok
 
 
-def test_continuity_check_symmetric_verdict(rng):
+def test_face_residuals_symmetric_verdict(rng):
     for _ in range(100):
         n = int(rng.integers(3, 7))
         d = int(rng.integers(1, n - 1))
         f, g, A1, y1, A2, y2 = rand_continuous_pair(rng, n, d)
-        ok_fwd, *_ = continuity_check(f, g, A1, A2, y1, y2, 1e-7)
-        ok_bwd, *_ = continuity_check(-f, -g, A2, A1, y2, y1, 1e-7)
+        ok_fwd, *_ = _continuity(f, g, A1, A2, y1, y2, 1e-7)
+        ok_bwd, *_ = _continuity(-f, -g, A2, A1, y2, y1, 1e-7)
         assert ok_fwd and ok_bwd
 
 
-def test_continuity_check_rejects_parallel_normal():
+def test_face_residuals_reject_parallel_normal():
+    # f in A1's span fails the rank test: no face, infinite residuals
     A1 = np.array([[1.0], [0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        continuity_check(np.array([1.0, 0.0]), 0.0, A1, A1, [0.0], [0.0], 1e-8)
+    ok, e1, e2 = _continuity(np.array([1.0, 0.0]), 0.0, A1, A1, [0.0], [0.0], 1e-8)
+    assert not ok and e1 == e2 == np.inf
