@@ -17,12 +17,10 @@ from .errors import (
 )
 from .model import (
     ModelSpec,
-    RegionBoundary,
+    cell_slack,
     ell,
     load_model,
     load_model_file,
-    region_boundaries,
-    region_membership,
     validate_model,
 )
 from .subspace import boundary_normal, ode_param
@@ -51,8 +49,8 @@ from . import zoo
 __all__ = [
     "__version__",
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
-    "ModelSpec", "RegionBoundary", "ell", "load_model", "load_model_file",
-    "region_boundaries", "region_membership", "validate_model",
+    "ModelSpec", "cell_slack", "ell", "load_model", "load_model_file",
+    "validate_model",
     "boundary_normal", "ode_param",
     "boundary_dynamics", "evolve_to_boundary", "region_table",
     "wall_dynamics",

@@ -20,9 +20,9 @@ from . import __version__
 from .errors import ModelFormatError, StallError
 from .model import (
     CONTINUITY_TOL,
+    cell_slack,
     ell,
     load_model_file,
-    min_slack,
     validate_model,
 )
 from .sampler import ChainConfig, run_chain
@@ -90,9 +90,6 @@ def _resolve_start(spec, args):
     if x0.shape != (spec.n,):
         raise SystemExit(_fail(
             EXIT_CONTENT, f"--init must have {spec.n} components"))
-    if not 1 <= region <= spec.J:
-        raise SystemExit(_fail(
-            EXIT_CONTENT, f"--region must be in 1..{spec.J}"))
     return int(region), x0
 
 
@@ -122,8 +119,11 @@ def _chain_paths(base, chain, n_chains):
 
 
 def cmd_validate(args):
-    spec = _load(args.model)
     tol = CONTINUITY_TOL if args.tol is None else args.tol
+    if not 0 <= tol < np.inf:
+        return _fail(EXIT_CONTENT,
+                     f"--tol must be nonnegative and finite, got {tol}")
+    spec = _load(args.model)
     report = validate_model(spec, tol=tol)
     print(report.format())
     n_fail = len(report.failures())
@@ -201,14 +201,8 @@ def cmd_diagnose(args):
     except StallError as exc:
         return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
 
-    resid = max(
-        float(np.linalg.norm(ell(spec, int(out.R[i]), out.X[i])))
-        for i in range(out.X.shape[0])
-    )
-    violation = max(
-        max(0.0, -min_slack(spec, int(out.R[i]), out.X[i]))
-        for i in range(out.X.shape[0])
-    )
+    resid = float(np.linalg.norm(ell(spec, out.R, out.X), axis=-1).max())
+    violation = max(0.0, -float(cell_slack(spec, out.R, out.X).min()))
 
     drift = 0.0
     per_iter = {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import subspace
 from .errors import StallError
-from .model import region_boundaries
+from .model import cell_table
 from .subspace import boundary_normal, check_state
 
 # Root-exclusion window after an event: roots at t <= EPS_T are treated as
@@ -135,27 +135,27 @@ class Region:
     subspace.ode_param (center x_p, velocity factor S, complete QR basis Q
     of A_j, whose first d columns span the constraint normals), the
     sign-adjusted boundary rows F_j with offsets h = F_j x_p + g_j, per-row
-    target region L_j and hyperplane index idx (Python ints), the
-    potential's M_j, r_j and k_j, and A_j', y_j and Q1' for the
-    contract checks.  The unit normal of a row and, for a transition row,
-    the record and normal across the face are filled on the row's first
-    hit.  Nothing here is chain state.
+    target region L_j and hyperplane index idx (Python ints), all sliced
+    from the model's cell table, the potential's M_j, r_j and k_j, and A_j',
+    y_j and Q1' for the contract checks.  The unit normal of a row and, for
+    a transition row, the record and normal across the face are filled on
+    the row's first hit.  Nothing here is chain state.
     """
 
     __slots__ = ("j", "x_p", "S", "Q", "d", "F_j", "h", "L_j", "idx", "M",
                  "lin", "k", "At", "y", "Q1t", "normals", "across")
 
-    def __init__(self, spec, j):
+    def __init__(self, spec, j, cells):
         A, y = spec.A[j - 1], spec.y[j - 1]
         self.x_p, self.S, self.Q = subspace.ode_param(
             spec.M[j - 1], spec.r[j - 1], A, y)
-        rb = region_boundaries(spec, j)
+        rows = slice(cells.start[j - 1], cells.start[j])
         self.j = j
         self.d = spec.d
-        self.F_j = rb.F_j
-        self.h = rb.F_j @ self.x_p + rb.g_j
-        self.L_j = rb.L_j.tolist()
-        self.idx = rb.idx.tolist()
+        self.F_j = cells.F[rows]
+        self.h = self.F_j @ self.x_p + cells.g[rows]
+        self.L_j = (cells.t[rows] + 1).tolist()
+        self.idx = (cells.i[rows] + 1).tolist()
         self.M = spec.M[j - 1]
         self.lin = spec.r[j - 1]
         self.k = float(spec.k[j - 1])
@@ -194,15 +194,17 @@ class RegionTable(dict):
     first lookup.
 
     Holds the model through a weak proxy: the registry behind region_table
-    is keyed by the model and must not keep it alive.
+    is keyed by the model and must not keep it alive.  The model's cell
+    table is decoded once, here.
     """
 
     def __init__(self, spec):
         super().__init__()
         self.spec = weakref.proxy(spec)
+        self.cells = cell_table(spec)
 
     def __missing__(self, j):
-        return self.setdefault(j, Region(self.spec, j))
+        return self.setdefault(j, Region(self.spec, j, self.cells))
 
 
 _TABLES = weakref.WeakKeyDictionary()

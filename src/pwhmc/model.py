@@ -9,7 +9,9 @@ magnitude j marks a hard wall; magnitude j* != j marks a transition into
 region j*; zero means hyperplane i does not touch region j.
 
 Region indices are 1-based everywhere in the public API, matching the model
-document and the lookup-table encoding.
+document and the lookup-table encoding.  ``cell_table`` is the one decoder of
+L: the sampler's region records, the exact oracle and validation all read
+their boundary rows from it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 from .errors import ModelFormatError
 from .subspace import NORMAL_DEGENERACY_TOL, face_residuals, rank_margin
 
-# ~100x unit roundoff at desk scale.
-MEMBERSHIP_TOL = 1e-9
 CONTINUITY_TOL = 1e-8
 
 
@@ -56,22 +56,21 @@ class ModelSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class RegionBoundary:
-    """Active constraints of one region, sign-adjusted to be >= 0 inside.
+class CellTable:
+    """Every active lookup entry of a model, decoded once from L.
 
-    ``F_j x + g_j > 0`` strictly inside the region.  ``L_j`` holds the
-    magnitudes of the active lookup entries (1-based target regions; the
-    owning region's own index marks a wall) and ``idx`` the 1-based
-    hyperplane indices the rows came from.
+    Entry e is (region j[e], hyperplane i[e]) in row-major order of L, all
+    0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
+    j[e] and its target region t[e] (t[e] == j[e] marks a wall).  Region
+    j's entries (1-based j) are rows start[j-1]:start[j].
     """
 
-    F_j: np.ndarray        # (m_j, n)
-    g_j: np.ndarray        # (m_j,)
-    L_j: np.ndarray        # (m_j,) int, target region per row
-    idx: np.ndarray        # (m_j,) int, original hyperplane index
-
-    def __len__(self):
-        return self.F_j.shape[0]
+    j: np.ndarray          # (E,) int
+    i: np.ndarray          # (E,) int
+    t: np.ndarray          # (E,) int
+    F: np.ndarray          # (E, n)
+    g: np.ndarray          # (E,)
+    start: np.ndarray      # (J + 1,) int
 
 
 # ---------------------------------------------------------------------------
@@ -209,53 +208,39 @@ def load_model_file(path) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Region-local queries
+# Cell table and point queries
 
 
-def ell(spec: ModelSpec, j: int, x: np.ndarray) -> np.ndarray:
-    """Affine piece A_j'x + y_j; zero iff x is on region j's manifold piece."""
-    x = np.asarray(x, dtype=float)
-    return spec.A[j - 1].T @ x + spec.y[j - 1]
+def cell_table(spec: ModelSpec) -> CellTable:
+    """Decode the lookup table L into the model's cell table."""
+    j, i = np.nonzero(spec.L)
+    entry = spec.L[j, i]
+    signs = np.sign(entry).astype(float)
+    return CellTable(j=j, i=i, t=np.abs(entry) - 1,
+                     F=spec.F[i] * signs[:, None], g=spec.g[i] * signs,
+                     start=np.searchsorted(j, np.arange(spec.J + 1)))
 
 
-def region_boundaries(spec: ModelSpec, j: int) -> RegionBoundary:
-    """Extract region j's active constraints, sign-adjusted to >= 0 inside."""
-    row = spec.L[j - 1]
-    active = np.flatnonzero(row != 0)
-    signs = np.sign(row[active]).astype(float)
-    return RegionBoundary(
-        F_j=spec.F[active] * signs[:, None],
-        g_j=spec.g[active] * signs,
-        L_j=np.abs(row[active]),
-        idx=active + 1,
-    )
+def ell(spec: ModelSpec, R, X) -> np.ndarray:
+    """Affine piece A_R'X + y_R; zero iff X is on region R's manifold piece.
 
-
-def region_membership(spec: ModelSpec, x: np.ndarray, tol: float = MEMBERSHIP_TOL):
-    """All regions whose sign-adjusted constraints hold at x within tol.
-
-    Boundary points belong to every region touching them.
+    R is one 1-based region label or an array of them, X one point or a
+    stack of points; the two broadcast against each other.
     """
-    x = np.asarray(x, dtype=float)
-    slack_all = spec.F @ x + spec.g
-    members = set()
-    for j in range(1, spec.J + 1):
-        row = spec.L[j - 1]
-        active = row != 0
-        if np.all(np.sign(row[active]) * slack_all[active] >= -tol):
-            members.add(j)
-    return members
+    R = np.asarray(R)
+    return (np.einsum("...nd,...n->...d", spec.A[R - 1], np.asarray(X, dtype=float))
+            + spec.y[R - 1])
 
 
-def min_slack(spec: ModelSpec, j: int, x: np.ndarray) -> float:
-    """Smallest sign-adjusted constraint value of region j at x.
+def cell_slack(spec: ModelSpec, R, X):
+    """Smallest sign-adjusted constraint value of region R at X.
 
-    Positive means strictly inside; +inf for an unconstrained region.
+    Positive means strictly inside the cell; +inf for a region without
+    boundary rows.  R and X broadcast as in ``ell``.
     """
-    rb = region_boundaries(spec, j)
-    if len(rb) == 0:
-        return np.inf
-    return float(np.min(rb.F_j @ np.asarray(x, dtype=float) + rb.g_j))
+    L = spec.L[np.asarray(R) - 1]
+    slack = np.sign(L) * (np.asarray(X, dtype=float) @ spec.F.T + spec.g)
+    return np.where(L != 0, slack, np.inf).min(-1, initial=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +275,6 @@ class ValidationReport:
         return "\n".join(c.format() for c in self.checks)
 
 
-@dataclass(frozen=True, eq=False)
-class _FaceTable:
-    """Every active lookup entry of a model, derived once from L.
-
-    Entry e is (region j[e], hyperplane i[e]) in row-major order of L, all
-    0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
-    j[e] and its target region t[e] (t[e] == j[e] marks a wall).  ``trans``
-    indexes the transition entries and ``face`` each face (the pair of
-    regions and the hyperplane between them) once, at its first entry.
-    """
-
-    j: np.ndarray
-    i: np.ndarray
-    t: np.ndarray
-    F: np.ndarray
-    g: np.ndarray
-    trans: np.ndarray
-    face: np.ndarray
-
-
-def _face_table(spec: ModelSpec) -> _FaceTable:
-    j, i = np.nonzero(spec.L)
-    entry = spec.L[j, i]
-    signs = np.sign(entry).astype(float)
-    t = np.abs(entry) - 1
-    trans = np.flatnonzero(t != j)
-    jt, tt = j[trans], t[trans]
-    key = (np.minimum(jt, tt) * spec.J + np.maximum(jt, tt)) * spec.m + i[trans]
-    first = np.unique(key, return_index=True)[1]
-    return _FaceTable(j=j, i=i, t=t, F=spec.F[i] * signs[:, None],
-                     g=spec.g[i] * signs, trans=trans, face=trans[np.sort(first)])
-
-
 def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationReport:
     """Run all structural checks and return a pass/fail report.
 
@@ -332,21 +284,28 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
     """
     report = ValidationReport()
     add = report.checks.extend
-    tab = _face_table(spec)
+    tab = cell_table(spec)
     Q1, R1 = np.linalg.qr(spec.A)
+    # The transition entries, and each face (a pair of regions and the
+    # hyperplane between them) once, at its first entry.
+    trans = np.flatnonzero(tab.t != tab.j)
+    jt, tt = tab.j[trans], tab.t[trans]
+    key = (np.minimum(jt, tt) * spec.J + np.maximum(jt, tt)) * spec.m + tab.i[trans]
+    face = trans[np.sort(np.unique(key, return_index=True)[1])]
 
     margin = rank_margin(R1).tolist()
     add(CheckResult("A_full_rank", f"region {j}", v > NORMAL_DEGENERACY_TOL, v)
         for j, v in enumerate(margin, start=1))
 
-    for j, Mj in enumerate(spec.M, start=1):
+    # Cholesky gives the verdict; the smallest eigenvalue is the margin.
+    low = np.linalg.eigvalsh(spec.M)[:, 0].tolist()
+    for j, (Mj, v) in enumerate(zip(spec.M, low), start=1):
         try:
             np.linalg.cholesky(Mj)
             ok = True
         except np.linalg.LinAlgError:
             ok = False
-        report.checks.append(CheckResult(
-            "M_spd", f"region {j}", ok, float(np.max(np.abs(Mj - Mj.T)))))
+        report.checks.append(CheckResult("M_spd", f"region {j}", ok, v))
 
     # Each active hyperplane normal must leave the column space of A_j,
     # otherwise there is no in-manifold direction crossing it.
@@ -359,7 +318,7 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
 
     # Reciprocity: a transition entry (j, i) -> t must be mirrored by
     # (t, i) -> j with the opposite sign.
-    j, i, t = tab.j[tab.trans], tab.i[tab.trans], tab.t[tab.trans]
+    j, i, t = tab.j[trans], tab.i[trans], tab.t[trans]
     mirror = spec.L[t, i]
     ok = (np.abs(mirror) == j + 1) & (np.sign(mirror) == -np.sign(spec.L[j, i]))
     add(CheckResult("reciprocity", f"L[{a},{c}] <-> L[{b},{c}]", v, None)
@@ -373,10 +332,10 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
                     c == 1, float(c))
         for p, c in zip(pairs.tolist(), counts.tolist()))
 
-    j, i, t = tab.j[tab.face], tab.i[tab.face], tab.t[tab.face]
+    j, i, t = tab.j[face], tab.i[face], tab.t[face]
     faces = [f"face ({a}|{b}) via hyperplane {c}" for a, b, c in
              zip((j + 1).tolist(), (t + 1).tolist(), (i + 1).tolist())]
-    e1, e2 = face_residuals(tab.F[tab.face], tab.g[tab.face], spec.A[j],
+    e1, e2 = face_residuals(tab.F[face], tab.g[face], spec.A[j],
                             spec.A[t], spec.y[j], spec.y[t])
     ok = ((e1 < tol) & (e2 < tol)).tolist()
     add(CheckResult("continuity", s, v, r) for s, v, r in

@@ -6,8 +6,8 @@ A'x + y = 0, so bridge by negating y).  The hit-time and occupancy oracles
 are deliberately brute force — grids, bisection, quadrature — so they share
 no code with the analytic implementations they check.  ``exact_sample``
 draws the sampler's target law directly, from Gaussians conditioned on each
-piece's plane and rejected to its cell; it shares only the cell extraction
-``region_boundaries`` with the sampler.
+piece's plane and rejected to its cell; it shares only the model's cell
+table (``cell_table``) with the sampler.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .model import region_boundaries
+from .model import cell_table
 
 # exact_sample draws BATCH candidates at a time and gives up once fewer than
 # MIN_ACCEPT of them have landed in their cells, judged after 100/MIN_ACCEPT
@@ -127,6 +127,7 @@ def exact_sample(spec, n, rng):
     proportional to sum_j Z_j p_j(x) 1{x in cell_j}: the target, with no
     slab width and no mass estimate.  R holds the 1-based piece of each row.
     """
+    cells = cell_table(spec)
     pieces, log_z = [], []
     for jz in range(spec.J):
         M, A, y = spec.M[jz], spec.A[jz], spec.y[jz]
@@ -141,7 +142,8 @@ def exact_sample(spec, n, rng):
         cm = conditional_gaussian_moments(mu, Minv, A, -y)
         w, U = np.linalg.eigh(cm.V)          # ascending: the d null directions first
         factor = U[:, spec.d:] * np.sqrt(np.maximum(w[spec.d:], 0.0))
-        pieces.append((cm.m, factor, region_boundaries(spec, jz + 1)))
+        rows = slice(cells.start[jz], cells.start[jz + 1])
+        pieces.append((cm.m, factor, cells.F[rows], cells.g[rows]))
     weights = np.exp(np.array(log_z) - max(log_z))
     weights /= weights.sum()
 
@@ -151,10 +153,9 @@ def exact_sample(spec, n, rng):
         for jz, cnt in enumerate(rng.multinomial(BATCH, weights)):
             if cnt == 0:
                 continue
-            m, factor, rb = pieces[jz]
+            m, factor, F, g = pieces[jz]
             x = m + rng.standard_normal((cnt, factor.shape[1])) @ factor.T
-            if len(rb):
-                x = x[np.all(x @ rb.F_j.T + rb.g_j >= 0.0, axis=1)]
+            x = x[np.all(x @ F.T + g >= 0.0, axis=1)]
             kept.append(x)
             labels.append(np.full(x.shape[0], jz + 1))
             n_kept += x.shape[0]

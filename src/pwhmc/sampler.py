@@ -19,7 +19,7 @@ from .dynamics import (
     region_table,
 )
 from .errors import ContractError, StallError
-from .model import ell, min_slack
+from .model import cell_slack, ell
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 MAX_EVENTS_PER_ITERATE = 1_000_000
@@ -69,7 +69,7 @@ class ChainOutput:
 @dataclass(frozen=True)
 class InitialPointReport:
     manifold_residual: float
-    min_slack: float
+    cell_slack: float
     passed: bool
 
 
@@ -92,10 +92,10 @@ def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     residual = float(np.linalg.norm(ell(spec, j0, x0)))
-    slack = min_slack(spec, j0, x0)
+    slack = float(cell_slack(spec, j0, x0))
     return InitialPointReport(
         manifold_residual=residual,
-        min_slack=slack,
+        cell_slack=slack,
         passed=(residual <= tol) and (slack >= -tol),
     )
 
@@ -113,8 +113,8 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         raise ContractError(
             f"initial point rejected for region {j0}: "
             f"manifold residual {report.manifold_residual:.3e}, "
-            f"min slack {report.min_slack:.3e}",
-            residual=max(report.manifold_residual, -report.min_slack),
+            f"cell slack {report.cell_slack:.3e}",
+            residual=max(report.manifold_residual, -report.cell_slack),
         )
 
     rng = make_rng(cfg.seed)

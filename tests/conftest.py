@@ -7,7 +7,7 @@ import pytest
 
 from pwhmc import zoo
 from pwhmc.dynamics import region_table
-from pwhmc.model import load_model, region_membership
+from pwhmc.model import cell_slack, load_model
 
 
 def rand_spd(rng, n, jitter=0.5):
@@ -65,13 +65,19 @@ def rand_continuous_pair(rng, n, d):
         return f, g, A1, y1, A2, y2
 
 
+def members_of(spec, x, tol=0.0):
+    """Every region whose cell holds x within tol."""
+    labels = np.arange(1, spec.J + 1)
+    return set(labels[cell_slack(spec, labels, x) >= -tol].tolist())
+
+
 def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
     reg = region_table(spec)[j]
     Q2 = reg.Q[:, spec.d:]
     for _ in range(max_tries):
         x = reg.x_p + Q2 @ rng.normal(scale=scale, size=spec.n - spec.d)
-        members = region_membership(spec, x, tol=0.0)
+        members = members_of(spec, x)
         if members == {j}:
             return x
     raise RuntimeError(f"no interior point found for region {j}")

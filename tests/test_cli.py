@@ -304,6 +304,27 @@ def test_validate_honours_zero_tol(capsys):
     assert "FAIL  continuity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_validate_rejects_tol_outside_zero_to_inf(capsys, tol):
+    assert main(["validate", ONENORM, "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
+def test_start_region_out_of_range_exits_1_without_output(tmp_path, capsys):
+    # run_chain's start check is the only range check on --region
+    out = tmp_path / "o.csv"
+    assert main(["sample", ONENORM, "--n", "5", "--region", "9",
+                 "--out", str(out), "--events", str(tmp_path / "e.jsonl")]) == 1
+    assert "start region" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["diagnose", ONENORM, "--n", "5", "--region", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "start region" in captured.err
+    assert captured.out == ""
+
+
 def test_sample_unwritable_output_exits_2(tmp_path, capsys):
     out = str(tmp_path / "no_such_dir" / "o.csv")
     assert main(["sample", ONENORM, "--n", "5", "--out", out]) == 2

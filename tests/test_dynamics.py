@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import point_in_region, rand_fullrank, rand_spd
+from conftest import members_of, point_in_region, rand_fullrank, rand_spd
 from pwhmc import zoo
 from pwhmc.dynamics import (
     EPS_T,
@@ -20,7 +20,7 @@ from pwhmc.dynamics import (
     wall_dynamics,
 )
 from pwhmc.errors import ContractError, StallError
-from pwhmc.model import region_boundaries, region_membership
+from pwhmc.model import cell_slack
 from pwhmc.oracle import grid_hit_time
 from pwhmc.sampler import refresh_velocity
 from pwhmc.subspace import ode_param
@@ -270,12 +270,11 @@ def test_segment_adherence_and_region_bounds(rng):
         a, b = refresh_velocity(reg, rng), x0 - reg.x_p
         _, tau, _, _ = evolve_to_boundary(np.pi / 2, a, b, reg.x_p, reg.F_j,
                                           reg.h)
-        rb = region_boundaries(spec, j)
         for t in np.linspace(0.0, tau, 32):
             x, _ = flight(reg.x_p, a, b, t)
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
             if t < tau:
-                assert np.min(rb.F_j @ x + rb.g_j) > -1e-7
+                assert cell_slack(spec, j, x) > -1e-7
 
 
 def test_segment_conserves_restricted_hamiltonian(rng):
@@ -318,7 +317,7 @@ def test_stall_detector_resets_on_progress():
         stall.observe(0.0, (2, 1), EPS_T)
 
 
-def test_region_membership_preserved_across_transition(rng):
+def test_membership_preserved_across_transition(rng):
     spec = zoo.one_norm_model()
     table = region_table(spec)
     moved = 0
@@ -327,7 +326,7 @@ def test_region_membership_preserved_across_transition(rng):
         x0 = point_in_region(spec, j, rng)
         xdot0 = refresh_velocity(table[j], rng)
         x, xdot, tau, j_new = evolve_segment(np.pi / 2, j, x0, xdot0, table)
-        assert j_new in region_membership(spec, x, tol=1e-9)
+        assert j_new in members_of(spec, x, tol=1e-9)
         if j_new != j:
             moved += 1
     assert moved > 5

@@ -1,21 +1,22 @@
 """Problem-definition module: parsing, queries, and validation."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import rand_continuous_pair
+from conftest import members_of, rand_continuous_pair
 from pwhmc.cli import main
 from pwhmc.dynamics import region_table
 from pwhmc.errors import ModelFormatError
 from pwhmc.model import (
-    load_model,
-    min_slack,
+    cell_slack,
+    cell_table,
     ell,
-    region_boundaries,
-    region_membership,
+    load_model,
     validate_model,
 )
 from pwhmc import zoo
@@ -74,9 +75,9 @@ def test_load_checks_lookup_range_and_init():
 def test_load_allows_zero_hyperplanes():
     spec = zoo.sum_constraint_model(3, 1.0)
     assert spec.m == 0
-    assert len(region_boundaries(spec, 1)) == 0
-    assert region_membership(spec, np.zeros(3)) == {1}
-    assert min_slack(spec, 1, np.zeros(3)) == np.inf
+    assert cell_table(spec).start.tolist() == [0, 0]
+    assert members_of(spec, np.zeros(3)) == {1}
+    assert cell_slack(spec, 1, np.zeros(3)) == np.inf
 
 
 def test_potential_quadratic_values():
@@ -231,28 +232,74 @@ def test_ell_zero_on_manifold():
     assert np.linalg.norm(ell(spec, 1, 2 * x)) > 0.5
 
 
-def test_region_boundaries_signs():
+def test_cell_table_signs():
     spec = zoo.step_line_model()
-    rb1 = region_boundaries(spec, 1)
-    rb2 = region_boundaries(spec, 2)
+    cells = cell_table(spec)
+    assert cells.start.tolist() == [0, 1, 2]
     # inside region 1 (x1 > 0) the adjusted constraint is positive
-    assert rb1.F_j @ np.array([2.0, 0.0]) + rb1.g_j > 0
-    assert rb2.F_j @ np.array([-2.0, 0.0]) + rb2.g_j > 0
-    assert list(rb1.L_j) == [2] and list(rb2.L_j) == [1]
-    assert list(rb1.idx) == [1]
+    assert cells.F[0] @ np.array([2.0, 0.0]) + cells.g[0] > 0
+    assert cells.F[1] @ np.array([-2.0, 0.0]) + cells.g[1] > 0
+    assert (cells.t + 1).tolist() == [2, 1]
+    assert (cells.i + 1).tolist() == [1, 1]
 
 
-def test_region_membership_boundary_point_is_shared():
+def _benchmark_models():
+    # polywall-256 and onenorm10, from the benchmark's own generators
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    module_spec = importlib.util.spec_from_file_location("bench_models", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    return [load_model(bench.polywall_document(256, 1.0, 1)),
+            load_model(bench.onenorm_document(10, 1))]
+
+
+def test_region_rows_match_lookup_table():
+    specs = [zoo.build_shipped(name) for name in zoo.SHIPPED]
+    for spec in specs + _benchmark_models():
+        table = region_table(spec)
+        for j in range(1, spec.J + 1):
+            row = spec.L[j - 1]
+            on = row != 0
+            sign = np.sign(row[on]).astype(float)
+            reg = table[j]
+            assert np.array_equal(reg.F_j, sign[:, None] * spec.F[on])
+            assert np.allclose(reg.h - reg.F_j @ reg.x_p, sign * spec.g[on],
+                               rtol=0, atol=1e-12)
+            assert reg.L_j == np.abs(row[on]).tolist()
+            assert reg.idx == (np.flatnonzero(on) + 1).tolist()
+
+
+def test_stacked_point_queries_match_pointwise_loop(rng):
+    for name in zoo.SHIPPED:
+        spec = zoo.build_shipped(name)
+        R = rng.integers(1, spec.J + 1, size=1000)
+        X = rng.normal(size=(1000, spec.n))
+        want_ell, want_slack = [], []
+        for j, x in zip(R, X):
+            want_ell.append(spec.A[j - 1].T @ x + spec.y[j - 1])
+            row = spec.L[j - 1]
+            vals = [np.sign(row[i]) * (spec.F[i] @ x + spec.g[i])
+                    for i in range(spec.m) if row[i] != 0]
+            want_slack.append(min(vals, default=np.inf))
+        assert np.allclose(ell(spec, R, X), want_ell, rtol=0, atol=1e-12)
+        assert np.allclose(cell_slack(spec, R, X), want_slack, rtol=0, atol=1e-12)
+        assert np.allclose(ell(spec, R[0], X), ell(spec, np.full(1000, R[0]), X))
+        assert cell_slack(spec, R[1], X[1]) == pytest.approx(want_slack[1])
+    spec = zoo.sum_constraint_model(3, 1.0)
+    assert np.all(cell_slack(spec, np.ones(5, dtype=int), np.zeros((5, 3))) == np.inf)
+
+
+def test_membership_boundary_point_is_shared():
     spec = zoo.one_norm_model()
     # on the face x1 = 0 between octants (+,+,+) and (-,+,+)
     x = np.array([0.0, 0.4, 0.6])
-    members = region_membership(spec, x)
+    members = members_of(spec, x, tol=1e-9)
     assert {1, 5} <= members
 
 
 def test_membership_interior_is_exclusive():
     spec = zoo.one_norm_model()
-    assert region_membership(spec, np.array([0.2, 0.3, 0.5])) == {1}
+    assert members_of(spec, np.array([0.2, 0.3, 0.5]), tol=1e-9) == {1}
 
 
 def test_validate_passes_shipped_models():
@@ -339,9 +386,15 @@ def test_validate_catches_mass_jump():
 
 def test_validate_catches_non_spd():
     doc = doc_of(zoo.step_line_model())
-    doc["regions"][0]["M"] = [[1.0, 0.0], [0.0, -1.0]]
+    doc["regions"][1]["M"] = [[1.0, 0.0], [0.0, -1.0]]
     report = validate_model(load_model(json.dumps(doc)))
-    assert any(c.name == "M_spd" and not c.passed for c in report.checks)
+    # the margin is each region's smallest eigenvalue
+    assert [(c.subject, c.passed, c.residual) for c in report.checks
+            if c.name == "M_spd"] == [("region 1", True, 1.0),
+                                      ("region 2", False, -1.0)]
+    report = validate_model(zoo.positive_part_model())
+    assert [(c.passed, c.residual) for c in report.checks
+            if c.name == "M_spd"] == [(True, 1.0)] * 3
 
 
 def _two_plane_document(A):

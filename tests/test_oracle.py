@@ -8,7 +8,7 @@ from scipy import stats
 
 from conftest import rand_fullrank, rand_spd, scaled_line_model
 from pwhmc import zoo
-from pwhmc.model import ell, load_model, min_slack, validate_model
+from pwhmc.model import cell_slack, ell, load_model, validate_model
 from pwhmc.oracle import (
     conditional_gaussian_moments,
     exact_sample,
@@ -206,7 +206,7 @@ def test_slab_respects_region_geometry(rng):
         xs, R = exact_sample(spec, 3000, rng)
         for x, j in zip(xs, R):
             assert np.max(np.abs(ell(spec, j, x))) <= 1e-12, name
-            assert min_slack(spec, j, x) >= 0.0, name
+            assert cell_slack(spec, j, x) >= 0.0, name
         if name == "onenorm":
             assert np.max(np.abs(np.abs(xs).sum(axis=1) - 1.0)) <= 1e-12
             assert abs(xs.mean()) < 0.05                 # symmetric law

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import members_of
 from pwhmc import zoo
 from pwhmc.dynamics import (
     EPS_T,
@@ -11,7 +12,7 @@ from pwhmc.dynamics import (
     region_table,
 )
 from pwhmc.errors import ContractError
-from pwhmc.model import ell, load_model_file, region_membership
+from pwhmc.model import ell, load_model_file
 from pwhmc.sampler import (
     ChainConfig,
     initial_point_check,
@@ -72,7 +73,7 @@ def test_initial_point_check_cases():
     assert not off_manifold.passed
 
     wrong_cell = initial_point_check(spec, 1, [-0.2, 0.3, 0.9])
-    assert not wrong_cell.passed and wrong_cell.min_slack < 0
+    assert not wrong_cell.passed and wrong_cell.cell_slack < 0
 
 
 def test_run_chain_rejects_bad_start():
@@ -217,7 +218,7 @@ def test_recorded_states_satisfy_model_constraints():
         out = run_chain(spec, spec.init_region, spec.init_point, cfg)
         for x, xd, jr in zip(out.X, out.Xdot, out.R):
             j = int(jr)
-            assert j in region_membership(spec, x, tol=1e-7)
+            assert j in members_of(spec, x, tol=1e-7)
             assert np.linalg.norm(ell(spec, j, x)) < 1e-7
             assert np.linalg.norm(spec.A[j - 1].T @ xd) < 1e-7
 

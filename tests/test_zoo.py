@@ -5,7 +5,7 @@ import pytest
 
 from conftest import point_in_region
 from pwhmc import zoo
-from pwhmc.model import load_model, min_slack, validate_model
+from pwhmc.model import cell_slack, load_model, validate_model
 from pwhmc.sampler import initial_point_check
 
 
@@ -82,7 +82,7 @@ def test_polygonal_top_cells_are_gauge_argmax(rng):
         if np.sort(vals)[-1] - np.sort(vals)[-2] < 1e-6:
             continue                         # avoid exact cell boundaries
         j = int(np.argmax(vals)) + 1
-        assert min_slack(spec, j, x) > -1e-9
+        assert cell_slack(spec, j, x) > -1e-9
         hits[j - 1] += 1
     assert np.all(hits > 0)                  # every face cell gets exercised
 
