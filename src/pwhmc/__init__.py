@@ -23,20 +23,7 @@ from .model import (
     load_model_file,
     validate_model,
 )
-from .subspace import boundary_normal, ode_param
-from .dynamics import (
-    boundary_dynamics,
-    evolve_to_boundary,
-    region_table,
-    wall_dynamics,
-)
-from .sampler import (
-    ChainConfig,
-    ChainOutput,
-    initial_point_check,
-    refresh_velocity,
-    run_chain,
-)
+from .sampler import ChainConfig, ChainOutput, initial_point_check, run_chain
 from .oracle import (
     ConditionalMoments,
     conditional_gaussian_moments,
@@ -51,11 +38,7 @@ __all__ = [
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "cell_slack", "ell", "load_model", "load_model_file",
     "validate_model",
-    "boundary_normal", "ode_param",
-    "boundary_dynamics", "evolve_to_boundary", "region_table",
-    "wall_dynamics",
-    "ChainConfig", "ChainOutput", "initial_point_check",
-    "refresh_velocity", "run_chain",
+    "ChainConfig", "ChainOutput", "initial_point_check", "run_chain",
     "ConditionalMoments", "conditional_gaussian_moments", "exact_sample",
     "grid_hit_time", "occupancy_quadrature_line",
     "zoo",

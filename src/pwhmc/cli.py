@@ -226,18 +226,11 @@ def cmd_diagnose(args):
         else:
             ac.append(float(np.corrcoef(c0, c1)[0, 1]))
 
-    identity_mass = all(
-        np.allclose(spec.M[jz], np.eye(spec.n)) for jz in range(spec.J)
-    )
-
     print(f"iterates:                {cfg.n_iterates}")
     print(f"boundary events:         {len(out.events)}")
     print(f"max manifold residual:   {resid:.3e}")
     print(f"max constraint breach:   {violation:.3e}")
     print(f"max energy drift (rel):  {drift:.3e}")
-    if not identity_mass:
-        print("  (drift tracks the Euclidean energy, which is invariant "
-              "only under identity mass matrices)")
     print("region occupancy:        "
           + " ".join(f"{j + 1}:{c}" for j, c in enumerate(occupancy)))
     print("lag-1 autocorrelation:   "

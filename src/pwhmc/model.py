@@ -337,7 +337,7 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
              zip((j + 1).tolist(), (t + 1).tolist(), (i + 1).tolist())]
     e1, e2 = face_residuals(tab.F[face], tab.g[face], spec.A[j],
                             spec.A[t], spec.y[j], spec.y[t])
-    ok = ((e1 < tol) & (e2 < tol)).tolist()
+    ok = ((e1 <= tol) & (e2 <= tol)).tolist()
     add(CheckResult("continuity", s, v, r) for s, v, r in
         zip(faces, ok, np.maximum(e1, e2).tolist()))
 

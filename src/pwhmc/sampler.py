@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    EPS_T,
-    StallDetector,
-    evolve_segment_detail,
-    region_table,
-)
+from .dynamics import StallDetector, evolve_segment_detail, region_table
 from .errors import ContractError, StallError
 from .model import cell_slack, ell
+from .subspace import COEF_TOL
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 MAX_EVENTS_PER_ITERATE = 1_000_000
@@ -85,7 +81,7 @@ def refresh_velocity(reg, rng) -> np.ndarray:
     return reg.S.dot(rng.standard_normal(reg.S.shape[1]))
 
 
-def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
+def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
     A j0 outside 1..J raises ContractError."""
     if not 1 <= j0 <= spec.J:
@@ -96,7 +92,7 @@ def initial_point_check(spec, j0, x0, tol=1e-8) -> InitialPointReport:
     return InitialPointReport(
         manifold_residual=residual,
         cell_slack=slack,
-        passed=(residual <= tol) and (slack >= -tol),
+        passed=(residual <= COEF_TOL) and (slack >= -COEF_TOL),
     )
 
 
@@ -134,7 +130,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         n_events = 0
         while True:
             x, xdot, tau, j_new, k, V1, V2, xdot_pre = evolve_segment_detail(
-                t_left, j, x, xdot, table, stall, EPS_T
+                t_left, j, x, xdot, table, stall
             )
             t_used += tau
             t_left -= tau
@@ -151,8 +147,8 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                     "j_from": j,
                     "j_to": j_new,
                     "dV": V2 - V1,
-                    "energy_pre": 0.5 * float(xdot_pre @ xdot_pre) + V1,
-                    "energy_post": 0.5 * float(xdot @ xdot)
+                    "energy_pre": reg.kinetic(xdot_pre) + V1,
+                    "energy_post": table[j_new].kinetic(xdot)
                     + (V1 if j_new == j else V2),
                 })
             j = j_new

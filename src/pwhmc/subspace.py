@@ -23,7 +23,8 @@ from .errors import ContractError, DegenerateNormalError
 # constraint column space and no in-manifold normal exists.
 NORMAL_DEGENERACY_TOL = 1e-12
 
-# Default tolerance on the on-manifold / tangency preconditions of check_state.
+# Tolerance of "a state lies on its manifold": the on-manifold and tangency
+# residuals of check_state and the sampler's initial-point check.
 COEF_TOL = 1e-8
 
 
@@ -105,26 +106,25 @@ def boundary_normal(f, Q, d) -> np.ndarray:
     return w / nw
 
 
-def check_state(At, y, Q1t, x, xdot=None, tol=COEF_TOL):
-    """Enforce a segment start's preconditions at tol.
+def check_state(At, y, Q1t, x, xdot):
+    """Enforce a segment start's preconditions at COEF_TOL.
 
-    x must lie on the manifold (A'x + y = 0) and xdot, when given, be tangent
-    to it (Q1'xdot = 0).  At and Q1t are the transposes A' and Q1'.  Raises
+    x must lie on the manifold (A'x + y = 0) and xdot be tangent to it
+    (Q1'xdot = 0).  At and Q1t are the transposes A' and Q1'.  Raises
     ContractError carrying the residual norm; a NaN residual fails.
     """
     r = At.dot(x) + y
     res = sqrt(r.dot(r))
-    if not res <= tol:
+    if not res <= COEF_TOL:
         raise ContractError(
             "start point is off the region's manifold", residual=res
         )
-    if xdot is not None:
-        r = Q1t.dot(xdot)
-        res = sqrt(r.dot(r))
-        if not res <= tol:
-            raise ContractError(
-                "start velocity is not tangent to the manifold", residual=res
-            )
+    r = Q1t.dot(xdot)
+    res = sqrt(r.dot(r))
+    if not res <= COEF_TOL:
+        raise ContractError(
+            "start velocity is not tangent to the manifold", residual=res
+        )
 
 
 def face_residuals(f, g, A1, A2, y1, y2):

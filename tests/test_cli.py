@@ -299,9 +299,20 @@ def test_sample_and_diagnose_take_no_tol(tmp_path, capsys):
 
 def test_validate_honours_zero_tol(capsys):
     assert main(["validate", ONENORM]) == 0
-    # continuity passes only on residuals strictly below tol: none at 0
+    # onenorm's continuity residuals are round-off (about 4e-16 to 8e-16),
+    # so a zero tolerance fails them
     assert main(["validate", ONENORM, "--tol", "0"]) == 1
     assert "FAIL  continuity" in capsys.readouterr().out
+
+
+def test_validate_zero_tol_passes_exact_faces(tmp_path, capsys):
+    # step_line's face residuals are exactly 0: continuity and
+    # mass_continuity compare them to the tolerance the same way
+    path = write_model(tmp_path, zoo.dump_model(zoo.step_line_model()))
+    assert main(["validate", path, "--tol", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "PASS  continuity" in out and "PASS  mass_continuity" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -363,10 +374,13 @@ def test_diagnose_step_occupancy(tmp_path, capsys):
     assert abs(counts[1] / 2000 - 2.0 / 3.0) <= 0.03
 
 
-def test_diagnose_flags_non_identity_mass(capsys):
+def test_diagnose_non_identity_mass_prints_no_caveat(capsys):
+    # the drift is measured in the M metric, so no model needs a caveat
     assert main(["diagnose", str(zoo.model_path("ntop")),
                  "--n", "200", "--seed", "4"]) == 0
-    assert "Euclidean energy" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "max energy drift" in text
+    assert "Euclidean energy" not in text
 
 
 def test_console_script_entry_point():

@@ -6,18 +6,12 @@ import pytest
 from conftest import members_of, point_in_region, rand_fullrank, rand_spd
 from pwhmc import zoo
 from pwhmc.dynamics import (
-    EPS_T,
-    TIE_TOL,
     StallDetector,
     boundary_dynamics,
-    evolve_segment,
     evolve_segment_detail,
-    evolve_to_boundary,
     first_hit,
     flight,
-    hit_time,
     region_table,
-    wall_dynamics,
 )
 from pwhmc.errors import ContractError, StallError
 from pwhmc.model import cell_slack
@@ -28,28 +22,22 @@ from pwhmc.subspace import ode_param
 
 # --- hit times -------------------------------------------------------------
 
-def test_hit_time_exiting_root():
-    tau = hit_time(1.0, 0.0, 0.5, 4.0)
-    assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
-
-
-def test_hit_time_unreachable_level():
-    assert hit_time(1.0, 0.0, 2.0, 100.0) is None
-    assert hit_time(0.0, 0.0, 0.5, 100.0) is None
-
-
-def test_hit_time_excludes_initial_root():
-    tau = hit_time(1.0, 0.0, 0.0, 4.0, 1e-9)
-    assert tau == pytest.approx(np.pi, abs=1e-12)
-
-
-def test_hit_time_beyond_budget():
-    assert hit_time(1.0, 0.0, 0.5, 3.0) is None     # root at ~3.665
-
-
-def test_hit_time_grazing_is_no_hit():
-    # u == |h|: the trajectory touches the boundary tangentially
-    assert hit_time(0.6, 0.8, 1.0, 100.0) is None
+@pytest.mark.parametrize("fa, fb, h, t_max, expected", [
+    (1.0, 0.0, 0.5, 4.0, 7 * np.pi / 6),     # exiting root
+    (1.0, 0.0, 2.0, 100.0, None),            # level out of reach
+    (0.0, 0.0, 0.5, 100.0, None),            # no motion
+    (1.0, 0.0, 0.0, 4.0, np.pi),             # the root at t = 0 is excluded
+    (1.0, 0.0, 0.5, 3.0, None),              # root at ~3.665, beyond budget
+    (0.6, 0.8, 1.0, 100.0, None),            # u == |h|: grazing, no hit
+], ids=["exiting", "unreachable", "still", "initial-root", "beyond-budget",
+        "grazing"])
+def test_first_hit_single_row(fa, fb, h, t_max, expected):
+    k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]), t_max)
+    if expected is None:
+        assert (k, tau) == (-1, t_max)
+    else:
+        assert k == 0
+        assert tau == pytest.approx(expected, abs=1e-12)
 
 
 def test_hit_time_matches_grid_oracle(rng):
@@ -61,13 +49,14 @@ def test_hit_time_matches_grid_oracle(rng):
         if abs(u - abs(h)) < 1e-2:
             continue                      # keep the oracle's bracketing honest
         t_max = float(rng.uniform(0.5, 8.0))
-        analytic = hit_time(fa, fb, h, t_max, eps_t=0.0)
+        k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]),
+                           t_max)
         grid = grid_hit_time(np.zeros(1), [fa], [fb], np.ones(1), h, t_max)
-        if analytic is None:
+        if k < 0:
             assert grid is None
         else:
             assert grid is not None
-            assert analytic == pytest.approx(grid, abs=1e-6)
+            assert tau == pytest.approx(grid, abs=1e-6)
             both_hit += 1
     assert both_hit > 50
 
@@ -79,45 +68,44 @@ def test_kernel_tie_breaks_to_lowest_row():
     fa = np.array([0.3, 0.3, 0.3])
     fb = np.array([0.8, 0.8, 0.8])
     h = np.array([0.1, 0.1, 0.1])
-    k, _ = first_hit(fa, fb, h, 10.0, 1e-9, TIE_TOL)
+    k, _ = first_hit(fa, fb, h, 10.0)
     assert k == 0
 
 
 def test_kernel_empty_rows():
-    assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, 0.0,
-                     TIE_TOL) == (-1, 2.0)
+    assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0) == (-1, 2.0)
 
 
 # --- segment scanning ------------------------------------------------------
 
-def test_evolve_to_boundary_no_constraints():
+def test_flight_without_constraints_runs_the_budget():
     a, b = np.array([0.3, -0.1]), np.array([0.0, 0.7])
     x_p = np.array([1.0, 0.0])
-    k, tau, x, xdot = evolve_to_boundary(1.2, a, b, x_p, np.zeros((0, 2)),
-                                         np.zeros(0))
+    F = np.zeros((0, 2))
+    k, tau = first_hit(F.dot(a), F.dot(b), np.zeros(0), 1.2)
+    x, xdot = flight(x_p, a, b, tau)
     assert k == -1 and tau == 1.2
     assert np.allclose(x, x_p + a * np.sin(1.2) + b * np.cos(1.2))
     assert np.allclose(xdot, a * np.cos(1.2) - b * np.sin(1.2))
 
 
-def test_evolve_to_boundary_single_constraint():
+def test_first_hit_single_constraint_lands_on_it():
     # F = [1], g = 0 about x_p = 0.5: offset h = F x_p + g = 0.5
-    k, tau, x, _ = evolve_to_boundary(
-        4.0, np.array([1.0]), np.array([0.0]), np.array([0.5]),
-        np.array([[1.0]]), np.array([0.5]),
-    )
+    F, x_p = np.array([[1.0]]), np.array([0.5])
+    a, b = np.array([1.0]), np.array([0.0])
+    k, tau = first_hit(F.dot(a), F.dot(b), np.array([0.5]), 4.0)
+    x, _ = flight(x_p, a, b, tau)
     assert k == 0
     assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
     assert abs(x[0]) < 1e-12
 
 
-def test_evolve_to_boundary_picks_earliest():
+def test_first_hit_picks_earliest():
     # K_i(t) = sin(t_i - t): first exiting root exactly at t_i
     roots = (2.0, 1.0)
     a = np.array([-np.cos(r) for r in roots])
     b = np.array([np.sin(r) for r in roots])
-    k, tau, _, _ = evolve_to_boundary(5.0, a, b, np.zeros(2), np.eye(2),
-                                      np.zeros(2))
+    k, tau = first_hit(np.eye(2).dot(a), np.eye(2).dot(b), np.zeros(2), 5.0)
     assert k == 1
     assert tau == pytest.approx(1.0, abs=1e-12)
 
@@ -144,18 +132,22 @@ def test_segment_enforces_manifold_and_tangency():
     x0 = np.array([0.2, 0.3, 0.5])
     xdot0 = table[1].S @ np.array([0.3, -0.2])
     with pytest.raises(ContractError, match="manifold"):
-        evolve_segment(1.0, 1, x0 + 1e-6, xdot0, table)
+        evolve_segment_detail(1.0, 1, x0 + 1e-6, xdot0, table, StallDetector())
     with pytest.raises(ContractError, match="tangent"):
-        evolve_segment(1.0, 1, x0, xdot0 + 1e-6, table)
+        evolve_segment_detail(1.0, 1, x0, xdot0 + 1e-6, table, StallDetector())
 
 
 # --- velocity updates ------------------------------------------------------
 
-def test_wall_dynamics_cases():
+def test_wall_reflection_cases():
+    # a hard wall is the step V2 = inf: reflect, stay in the region
     u = np.array([1.0, 0.0])
-    assert np.allclose(wall_dynamics(np.array([1.0, 1.0]), u), [-1.0, 1.0])
-    assert np.allclose(wall_dynamics(np.array([0.0, 2.0]), u), [0.0, 2.0])
-    assert np.allclose(wall_dynamics(-u, u), u)
+    for xdot, expected in (([1.0, 1.0], [-1.0, 1.0]), ([0.0, 2.0], [0.0, 2.0]),
+                           (-u, u)):
+        new, j_new = boundary_dynamics(np.asarray(xdot), 1, 1, u, u, 0.7,
+                                       np.inf)
+        assert j_new == 1
+        assert np.allclose(new, expected)
 
 
 def test_boundary_dynamics_transmit_and_reflect():
@@ -174,7 +166,7 @@ def test_boundary_dynamics_transmit_and_reflect():
 
 def test_boundary_dynamics_artificial_boundary_is_identity():
     # a stepless face with u2 = -u1 leaves the velocity alone, and one with
-    # u2 = u1 (a wall seen as a zero step) reflects it like wall_dynamics
+    # u2 = u1 (a wall seen as a zero step) reflects it like a hard wall
     rng = np.random.default_rng(5)
     for _ in range(20):
         u1 = rng.normal(size=3)
@@ -187,7 +179,8 @@ def test_boundary_dynamics_artificial_boundary_is_identity():
         assert np.allclose(new, xdot, atol=1e-14)
         new, j_new = boundary_dynamics(xdot, 1, 1, u1, u1, 0.7, 0.7)
         assert j_new == 1
-        assert np.allclose(new, wall_dynamics(xdot, u1), rtol=0, atol=1e-14)
+        wall, _ = boundary_dynamics(xdot, 1, 1, u1, u1, 0.7, np.inf)
+        assert np.allclose(new, wall, rtol=0, atol=1e-14)
 
 
 def test_boundary_dynamics_continuous_in_dV():
@@ -216,10 +209,10 @@ def test_boundary_dynamics_velocity_transfer(rng):
 
 def test_evolve_segment_half_period():
     spec = zoo.axis_plane_model(2)
-    x, xdot, tau, j = evolve_segment(
+    x, xdot, tau, j = evolve_segment_detail(
         np.pi, 1, np.array([0.0, 1.0]), np.array([0.0, -1.0]),
-        region_table(spec),
-    )
+        region_table(spec), StallDetector(),
+    )[:4]
     assert j == 1 and tau == pytest.approx(np.pi)
     assert np.allclose(x, [0.0, -1.0], atol=1e-12)
     assert np.allclose(xdot, [0.0, 1.0], atol=1e-12)
@@ -227,10 +220,10 @@ def test_evolve_segment_half_period():
 
 def test_evolve_segment_reflects_on_big_step():
     spec = zoo.step_line_model()                # dV = ln 2 at x1 = 0
-    x, xdot, tau, j = evolve_segment(
+    x, xdot, tau, j = evolve_segment_detail(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
-        region_table(spec),
-    )
+        region_table(spec), StallDetector(),
+    )[:4]
     assert tau == pytest.approx(np.pi / 4, abs=1e-12)
     assert j == 1
     assert abs(x[0]) < 1e-12
@@ -239,10 +232,10 @@ def test_evolve_segment_reflects_on_big_step():
 
 def test_evolve_segment_transmits_on_flat_step():
     spec = zoo.step_line_model(dk=0.0)
-    x, xdot, tau, j = evolve_segment(
+    x, xdot, tau, j = evolve_segment_detail(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
-        region_table(spec),
-    )
+        region_table(spec), StallDetector(),
+    )[:4]
     assert j == 2
     assert xdot[0] == pytest.approx(-0.5 * np.sqrt(2), abs=1e-12)
 
@@ -268,8 +261,7 @@ def test_segment_adherence_and_region_bounds(rng):
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
         a, b = refresh_velocity(reg, rng), x0 - reg.x_p
-        _, tau, _, _ = evolve_to_boundary(np.pi / 2, a, b, reg.x_p, reg.F_j,
-                                          reg.h)
+        _, tau = first_hit(reg.F_j.dot(a), reg.F_j.dot(b), reg.h, np.pi / 2)
         for t in np.linspace(0.0, tau, 32):
             x, _ = flight(reg.x_p, a, b, t)
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
@@ -301,20 +293,20 @@ def test_segment_conserves_restricted_hamiltonian(rng):
 
 def test_stall_detector_trips_on_repeat():
     stall = StallDetector()
-    stall.observe(0.0, (1, 1), EPS_T)
+    stall.observe(0.0, (1, 1))
     with pytest.raises(StallError) as err:
-        stall.observe(0.0, (1, 1), EPS_T)
+        stall.observe(0.0, (1, 1))
     assert err.value.context["constraint"] == (1, 1)
 
 
 def test_stall_detector_resets_on_progress():
     stall = StallDetector()
-    stall.observe(0.0, (1, 1), EPS_T)
-    stall.observe(0.5, (1, 1), EPS_T)    # healthy event resets
-    stall.observe(0.0, (1, 1), EPS_T)
-    stall.observe(0.0, (2, 1), EPS_T)    # different constraint is fine
+    stall.observe(0.0, (1, 1))
+    stall.observe(0.5, (1, 1))    # healthy event resets
+    stall.observe(0.0, (1, 1))
+    stall.observe(0.0, (2, 1))    # different constraint is fine
     with pytest.raises(StallError):
-        stall.observe(0.0, (2, 1), EPS_T)
+        stall.observe(0.0, (2, 1))
 
 
 def test_membership_preserved_across_transition(rng):
@@ -325,7 +317,8 @@ def test_membership_preserved_across_transition(rng):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
         xdot0 = refresh_velocity(table[j], rng)
-        x, xdot, tau, j_new = evolve_segment(np.pi / 2, j, x0, xdot0, table)
+        x, xdot, tau, j_new = evolve_segment_detail(
+            np.pi / 2, j, x0, xdot0, table, StallDetector())[:4]
         assert j_new in members_of(spec, x, tol=1e-9)
         if j_new != j:
             moved += 1

@@ -129,7 +129,6 @@ def test_check_state_values_and_errors():
     At, Q1t = E1.T, Q[:, :1].T
     check_state(At, y, Q1t, x_p, np.zeros(2))
     check_state(At, y, Q1t, x_p + np.array([0.0, 0.7]), np.array([0.0, -0.3]))
-    check_state(At, y, Q1t, x_p)                # no velocity: position only
 
     with pytest.raises(ContractError) as err:
         check_state(At, y, Q1t, np.array([0.1, 0.0]), np.zeros(2))
