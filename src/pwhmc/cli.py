@@ -1,17 +1,15 @@
 """Command-line surface: validate / sample / diagnose.
 
 Exit codes: 0 success, 1 model or content failure, 2 I/O or parse failure,
-3 runtime sampling failure.  Every sample run writes a manifest sidecar so
+3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events in one iterate).  Every sample run writes a manifest sidecar so
 the outputs can be reproduced bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,28 +31,6 @@ EXIT_IO = 2
 EXIT_RUNTIME = 3
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay one chain's outputs exactly."""
-
-    model: str
-    seed: list
-    t_max: float
-    n_samples: int
-    burn_in: int
-    thin: int
-    region: int
-    init: list
-    samples_path: str
-    events_path: str | None
-    version: str
-
-    def dump(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=1)
-            fh.write("\n")
-
-
 def _load(model_path):
     try:
         return load_model_file(model_path)
@@ -69,7 +45,17 @@ def _fail(code, message):
     return code
 
 
-def _resolve_start(spec, args):
+def _start(args):
+    """Load and validate the model, then resolve the starting state.
+
+    Returns (spec, region, x0); any failure exits with its message printed.
+    """
+    spec = _load(args.model)
+    report = validate_model(spec)
+    if not report.passed:
+        for c in report.failures():
+            print(c.format(), file=sys.stderr)
+        raise SystemExit(_fail(EXIT_CONTENT, "model failed validation"))
     region = args.region if args.region is not None else spec.init_region
     if args.init is not None:
         try:
@@ -90,7 +76,7 @@ def _resolve_start(spec, args):
     if x0.shape != (spec.n,):
         raise SystemExit(_fail(
             EXIT_CONTENT, f"--init must have {spec.n} components"))
-    return int(region), x0
+    return spec, int(region), x0
 
 
 def _write_samples(path, spec, cfg, out):
@@ -135,13 +121,7 @@ def cmd_sample(args):
     if args.chains < 1:
         return _fail(EXIT_CONTENT,
                      f"--chains must be at least 1, got {args.chains}")
-    spec = _load(args.model)
-    report = validate_model(spec)
-    if not report.passed:
-        for c in report.failures():
-            print(c.format(), file=sys.stderr)
-        return _fail(EXIT_CONTENT, "model failed validation")
-    region, x0 = _resolve_start(spec, args)
+    spec, region, x0 = _start(args)
 
     # Chains run one after another: they are pure Python, so threads would
     # only take turns on the interpreter lock.
@@ -160,21 +140,19 @@ def cmd_sample(args):
             if args.events is not None:
                 events_path = _chain_paths(args.events, chain, args.chains)
                 _write_events(events_path, out.events)
-            manifest = RunManifest(
-                model=str(args.model), seed=seed, t_max=args.tmax,
-                n_samples=args.n, burn_in=args.burnin, thin=args.thin,
-                region=region, init=[float(v) for v in x0],
-                samples_path=str(samples_path),
-                events_path=None if events_path is None else str(events_path),
-                version=__version__,
-            )
-            manifest.dump(str(samples_path) + ".manifest.json")
-    except StallError as exc:
-        return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
-    except ValueError as exc:
-        # bad chain settings, or a start point that run_chain rejects
-        # (ContractError) before any file is written
-        return _fail(EXIT_CONTENT, str(exc))
+            # everything needed to replay this chain's outputs exactly
+            manifest = {
+                "model": str(args.model), "seed": seed, "t_max": args.tmax,
+                "n_samples": args.n, "burn_in": args.burnin, "thin": args.thin,
+                "region": region, "init": [float(v) for v in x0],
+                "samples_path": str(samples_path),
+                "events_path": None if events_path is None else str(events_path),
+                "version": __version__,
+            }
+            with open(str(samples_path) + ".manifest.json", "w",
+                      encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=1)
+                fh.write("\n")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write output: {exc}")
     return EXIT_OK
@@ -184,36 +162,21 @@ def cmd_diagnose(args):
     if args.n < 2:
         # the lag-1 autocorrelation needs two kept rows
         return _fail(EXIT_CONTENT, f"--n must be at least 2, got {args.n}")
-    spec = _load(args.model)
-    report = validate_model(spec)
-    if not report.passed:
-        for c in report.failures():
-            print(c.format(), file=sys.stderr)
-        return _fail(EXIT_CONTENT, "model failed validation")
-    region, x0 = _resolve_start(spec, args)
-
-    try:
-        cfg = ChainConfig(n_samples=args.n, seed=np.random.SeedSequence(args.seed),
-                          t_max=args.tmax, record_events=True)
-        out = run_chain(spec, region, x0, cfg)
-    except ValueError as exc:
-        return _fail(EXIT_CONTENT, str(exc))
-    except StallError as exc:
-        return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
+    spec, region, x0 = _start(args)
+    cfg = ChainConfig(n_samples=args.n, seed=np.random.SeedSequence(args.seed),
+                      t_max=args.tmax, record_events=True)
+    out = run_chain(spec, region, x0, cfg)
 
     resid = float(np.linalg.norm(ell(spec, out.R, out.X), axis=-1).max())
     violation = max(0.0, -float(cell_slack(spec, out.R, out.X).min()))
 
-    drift = 0.0
-    per_iter = {}
+    # energy before an iterate's first event and after its last
+    first, last = {}, {}
     for ev in out.events:
-        first, last = per_iter.get(ev["iterate"], (None, None))
-        if first is None:
-            first = ev["energy_pre"]
-        per_iter[ev["iterate"]] = (first, ev["energy_post"])
-    for first, last in per_iter.values():
-        scale = max(1.0, abs(first))
-        drift = max(drift, abs(last - first) / scale)
+        first.setdefault(ev["iterate"], ev["energy_pre"])
+        last[ev["iterate"]] = ev["energy_post"]
+    drift = max([0.0] + [abs(last[i] - e) / max(1.0, abs(e))
+                         for i, e in first.items()])
 
     occupancy = np.bincount(out.R, minlength=spec.J + 1)[1:]
     ac = []
@@ -286,8 +249,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_IO
+        return exc.code
+    except StallError as exc:
+        return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
+    except ValueError as exc:
+        # bad chain settings, or a start point that run_chain rejects
+        # (ContractError), both before any file is written
+        return _fail(EXIT_CONTENT, str(exc))
 
 
 if __name__ == "__main__":

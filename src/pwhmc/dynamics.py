@@ -20,7 +20,6 @@ from math import acos, atan2, ceil, inf, sqrt
 import numpy as np
 
 from . import subspace
-from .errors import StallError
 from .model import cell_table
 from .subspace import boundary_normal, check_state
 
@@ -191,29 +190,7 @@ def region_table(spec) -> RegionTable:
     return table
 
 
-class StallDetector:
-    """Chain-local watch on zero-advance events; two in a row at one
-    constraint stall."""
-
-    __slots__ = ("key",)
-
-    def __init__(self):
-        self.key = None
-
-    def observe(self, tau, key):
-        if tau > EPS_T:
-            self.key = None
-            return
-        if key == self.key:
-            raise StallError(
-                "no time progress for two consecutive events at the same "
-                "constraint",
-                context={"constraint": key, "tau": tau, "eps_t": EPS_T},
-            )
-        self.key = key
-
-
-def evolve_segment_detail(t_budget, j, x0, xdot0, table, stall):
+def evolve_segment_detail(t_budget, j, x0, xdot0, table):
     """One segment: fly inside region j until a boundary or the budget ends.
 
     Applies the boundary rule at the segment end.  Returns (x, xdot, tau,
@@ -233,7 +210,6 @@ def evolve_segment_detail(t_budget, j, x0, xdot0, table, stall):
     if k < 0:
         return x, xdot, tau, j, k, 0.0, 0.0, xdot
 
-    stall.observe(tau, (j, reg.idx[k]))
     u1 = reg.normal(k)
     V1 = reg.potential(x)
     if reg.L_j[k] == j:

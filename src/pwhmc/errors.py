@@ -20,7 +20,7 @@ class DegenerateNormalError(ValueError):
 
 
 class StallError(RuntimeError):
-    """The trajectory stopped advancing at a boundary corner."""
+    """One iterate hit more boundary events than the sampler's event cap."""
 
     def __init__(self, message, context=None):
         super().__init__(message)

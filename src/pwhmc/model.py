@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ContractError, ModelFormatError
 from .subspace import NORMAL_DEGENERACY_TOL, face_residuals, rank_margin
 
 CONTINUITY_TOL = 1e-8
@@ -221,15 +221,26 @@ def cell_table(spec: ModelSpec) -> CellTable:
                      start=np.searchsorted(j, np.arange(spec.J + 1)))
 
 
+def _region_index(spec: ModelSpec, R) -> np.ndarray:
+    """0-based index of the 1-based region label(s) R.
+
+    A label outside 1..J raises ContractError instead of wrapping around.
+    """
+    R = np.asarray(R)
+    if not np.all((R >= 1) & (R <= spec.J)):
+        raise ContractError(f"region label out of range 1..{spec.J}")
+    return R - 1
+
+
 def ell(spec: ModelSpec, R, X) -> np.ndarray:
     """Affine piece A_R'X + y_R; zero iff X is on region R's manifold piece.
 
     R is one 1-based region label or an array of them, X one point or a
     stack of points; the two broadcast against each other.
     """
-    R = np.asarray(R)
-    return (np.einsum("...nd,...n->...d", spec.A[R - 1], np.asarray(X, dtype=float))
-            + spec.y[R - 1])
+    i = _region_index(spec, R)
+    return (np.einsum("...nd,...n->...d", spec.A[i], np.asarray(X, dtype=float))
+            + spec.y[i])
 
 
 def cell_slack(spec: ModelSpec, R, X):
@@ -238,7 +249,7 @@ def cell_slack(spec: ModelSpec, R, X):
     Positive means strictly inside the cell; +inf for a region without
     boundary rows.  R and X broadcast as in ``ell``.
     """
-    L = spec.L[np.asarray(R) - 1]
+    L = spec.L[_region_index(spec, R)]
     slack = np.sign(L) * (np.asarray(X, dtype=float) @ spec.F.T + spec.g)
     return np.where(L != 0, slack, np.inf).min(-1, initial=np.inf)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pwhmc
-from pwhmc import cli, zoo
+from pwhmc import cli, sampler, zoo
 from pwhmc.cli import main
 from pwhmc.sampler import ChainConfig, run_chain
 
@@ -333,6 +333,18 @@ def test_start_region_out_of_range_exits_1_without_output(tmp_path, capsys):
     assert main(["diagnose", ONENORM, "--n", "5", "--region", "0"]) == 1
     captured = capsys.readouterr()
     assert "start region" in captured.err
+    assert captured.out == ""
+
+
+def test_event_cap_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sampler, "MAX_EVENTS_PER_ITERATE", 2)
+    assert main(["sample", ONENORM, "--n", "5",
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    assert "event cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["diagnose", ONENORM, "--n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "event cap" in captured.err
     assert captured.out == ""
 
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import members_of, rand_continuous_pair
 from pwhmc.cli import main
 from pwhmc.dynamics import region_table
-from pwhmc.errors import ModelFormatError
+from pwhmc.errors import ContractError, ModelFormatError
 from pwhmc.model import (
     cell_slack,
     cell_table,
@@ -287,6 +287,15 @@ def test_stacked_point_queries_match_pointwise_loop(rng):
         assert cell_slack(spec, R[1], X[1]) == pytest.approx(want_slack[1])
     spec = zoo.sum_constraint_model(3, 1.0)
     assert np.all(cell_slack(spec, np.ones(5, dtype=int), np.zeros((5, 3))) == np.inf)
+
+
+@pytest.mark.parametrize("query", [ell, cell_slack])
+@pytest.mark.parametrize("R", [0, 9, [1, 0]], ids=["zero", "past-J", "stack"])
+def test_point_queries_reject_labels_outside_1_to_J(query, R):
+    # label 0 must not wrap around to region J, nor J + 1 fail as an IndexError
+    spec = zoo.one_norm_model()
+    with pytest.raises(ContractError, match="out of range 1..8"):
+        query(spec, R, np.array([-0.2, -0.3, -0.5]))
 
 
 def test_membership_boundary_point_is_shared():

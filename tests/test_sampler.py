@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import members_of
-from pwhmc import zoo
-from pwhmc.dynamics import StallDetector, evolve_segment_detail, region_table
-from pwhmc.errors import ContractError
+from pwhmc import sampler, zoo
+from pwhmc.dynamics import evolve_segment_detail, region_table
+from pwhmc.errors import ContractError, StallError
 from pwhmc.model import ell, load_model_file
 from pwhmc.sampler import (
     ChainConfig,
@@ -171,7 +171,6 @@ def test_shared_region_table_carries_no_chain_state(name, kinds):
 def test_iterate_time_budget_fully_consumed(rng):
     spec = zoo.one_norm_model()
     table = region_table(spec)
-    stall = StallDetector()
     x = np.array([0.2, 0.3, 0.5])
     j = 1
     for _ in range(50):
@@ -179,7 +178,7 @@ def test_iterate_time_budget_fully_consumed(rng):
         t_left, used = np.pi / 2, 0.0
         while True:
             x, xdot, tau, j, k = evolve_segment_detail(
-                t_left, j, x, xdot, table, stall)[:5]
+                t_left, j, x, xdot, table)[:5]
             used += tau
             t_left -= tau
             if k < 0:
@@ -202,6 +201,16 @@ def _energy_ledger(spec, j0, x0):
             segments.append((abs(ev["energy_pre"] - last[key]), last[key]))
         last[key] = ev["energy_post"]
     return junctions, segments
+
+
+def test_event_cap_raises_stall_error_with_context(monkeypatch):
+    # the cap is the chain's one runaway guard; onenorm crosses more than two
+    # faces within some iterate
+    monkeypatch.setattr(sampler, "MAX_EVENTS_PER_ITERATE", 2)
+    spec = zoo.one_norm_model()
+    with pytest.raises(StallError, match="event cap") as err:
+        run_chain(spec, 1, np.array([0.2, 0.3, 0.5]), ChainConfig(n_samples=50))
+    assert set(err.value.context) == {"iterate", "region", "t_left"}
 
 
 def test_energy_ledger_on_identity_mass_model():
