@@ -1,11 +1,13 @@
 """Exact within-region evolution and boundary-event handling.
 
-A trajectory inside region j is the closed-form oscillation
-x(t) = x_p + a sin t + b cos t about the region's center x_p.  Crossing
-times of the active constraints have closed-form roots (see ``first_hit``);
-at a crossing one rule updates the velocity: transmit when the normal
-kinetic energy clears the potential step, reflect otherwise.  A hard wall is
-a step that no energy clears.
+Region j runs in its whitened tangent coordinates x = x_p + S z, S'M_jS = I
+(see ``subspace.ode_param``), where the energy is 1/2 |zdot|^2 + 1/2 |z|^2 +
+base_j and a trajectory is z(t) = zdot sin t + z cos t.  Crossing times of
+its boundary rows G_j z + h >= 0 have closed-form roots (see
+``first_hit``); at a crossing one rule updates the velocity along the unit
+row of G_j, which is the face normal in the metric M_j: transmit when the
+normal kinetic energy clears the potential step, reflect otherwise.  A hard
+wall is a step that no energy clears.
 
 Everything that depends only on the region lives in one Region record per
 region, in a RegionTable shared by every chain on the same ModelSpec, so a
@@ -15,16 +17,15 @@ segment does arithmetic only.
 from __future__ import annotations
 
 import weakref
-from math import acos, atan2, ceil, inf, sqrt
-
-import numpy as np
+from math import acos, atan2, cos, inf, sin, sqrt
 
 from . import subspace
+from .errors import DegenerateNormalError
 from .model import cell_table
-from .subspace import boundary_normal, check_state
+from .subspace import NORMAL_DEGENERACY_TOL
 
-# Root-exclusion window after an event: roots at t <= EPS_T are treated as
-# the boundary just left, not a new hit.
+# Root-exclusion window after an event: on the row just crossed, roots at
+# t <= EPS_T are treated as the boundary just left, not a new hit.
 EPS_T = 1e-9
 # Hit times within TIE_TOL of the minimum count as a corner tie and resolve
 # to the lowest constraint row.
@@ -32,22 +33,24 @@ TIE_TOL = 1e-9
 TWO_PI = 6.283185307179586476925286766559
 
 
-def first_hit(fa, fb, h, t_max):
+def first_hit(fa, fb, h, t_max, skip):
     """First boundary crossing among m constraints.
 
-    fa, fb, h are per-constraint float arrays.  Returns (k, tau): k is the
-    0-based row of the winning constraint and tau its hit time, or
-    (-1, t_max) when nothing is hit in (EPS_T, t_max].
+    fa, fb, h are per-constraint float arrays, and skip is the row just
+    crossed (-1 if none).  Returns (k, tau): k is the 0-based row of the
+    winning constraint and tau its hit time, or (-1, t_max) when nothing is
+    hit in [0, t_max].
 
     Per constraint the crossing function is K(t) = fa sin t + fb cos t + h
     = u cos(t + phi) + h with u = sqrt(fa^2 + fb^2) and phi = atan2(-fa, fb).
-    Exiting roots (K' < 0) form the single family
-    t = arccos(-h/u) - phi + 2*pi*n; the scan picks each constraint's first
-    root in (EPS_T, t_max], then the smallest across constraints, breaking
-    near-ties (within TIE_TOL) toward the lowest row index.  Scalar ``math``
-    calls are deliberate: numpy's vectorized arccos/arctan2 may differ from
-    the platform libm by an ulp, and hit times feed straight into the
-    recorded states.
+    Exiting roots (K' < 0) are t0 + 2*pi*n with t0 = arccos(-h/u) - phi in
+    (-pi, 2*pi).  t0 <= EPS_T means the particle is leaving the row while
+    outside its face or within about EPS_T u of it: on skip that is the
+    face just left, and the root a period on is taken; any other row is hit
+    at tau = 0.  The smallest root wins, near-ties (within TIE_TOL) going to
+    the lowest row.  Scalar ``math`` calls are deliberate: numpy's
+    vectorized arccos/arctan2 may differ from the platform libm by an ulp,
+    and hit times feed straight into the recorded states.
     """
     rows, roots = [], []
     k = 0
@@ -56,10 +59,9 @@ def first_hit(fa, fb, h, t_max):
         if u > abs(c):
             c = -c / u
             if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
-                t0 = acos(c) - atan2(-a, b)
-                root = t0 + TWO_PI * ceil((EPS_T - t0) / TWO_PI)
+                root = acos(c) - atan2(-a, b)
                 if root <= EPS_T:
-                    root += TWO_PI
+                    root = root + TWO_PI if k == skip else 0.0
                 if root <= t_max:
                     rows.append(k)
                     roots.append(root)
@@ -73,92 +75,96 @@ def first_hit(fa, fb, h, t_max):
     return -1, t_max        # unreachable: the minimum itself passes the cutoff
 
 
-def flight(x_p, a, b, t):
-    """Position and velocity at time t of x(t) = x_p + a sin t + b cos t."""
-    s, c = np.sin(t), np.cos(t)
-    return x_p + a * s + b * c, a * c - b * s
+def flight(a, b, t):
+    """Position and velocity at time t of z(t) = a sin t + b cos t."""
+    s, c = sin(t), cos(t)
+    return a * s + b * c, a * c - b * s
 
 
-def boundary_dynamics(xdot, j1, j2, u1, u2, V1, V2):
+def boundary_dynamics(zdot, j1, j2, g1, g2, P, V1, V2):
     """Velocity update at a potential step between regions j1 and j2.
 
-    u1 points into j1 (so the exiting particle has v1 = u1'xdot <= 0), u2
-    into j2.  The normal kinetic energy either clears the step (transmit
-    along u2 with the surplus) or does not (reflect).  Tangential components
-    are untouched.  A hard wall is the step V2 = inf.  Returns (xdot_new,
-    j_new).
+    g1 is the unit normal into j1 in j1's coordinates (so the exiting
+    particle has v1 = g1'zdot <= 0), g2 the one into j2 in j2's, and P
+    carries face-tangent velocities from j1's coordinates to j2's.  The
+    normal kinetic energy either clears the step (transmit: the tangential
+    part through P, the surplus along g2) or does not (reflect; P is
+    unused).  A hard wall is the step V2 = inf.  Returns (zdot_new, j_new).
     """
-    v1 = float(u1.dot(xdot))
+    v1 = float(g1.dot(zdot))
     E = 0.5 * v1 * v1
     dV = V2 - V1
     if E < dV:
-        return xdot - 2.0 * v1 * u1, j1
-    return (xdot - v1 * u1) + sqrt(2.0 * (E - dV)) * u2, j2
+        return zdot - 2.0 * v1 * g1, j1
+    return P.dot(zdot - v1 * g1) + sqrt(2.0 * (E - dV)) * g2, j2
 
 
 class Region:
     """Everything about region j that the segment loop reads.
 
-    Built once, on the region's first visit: the dynamics from
-    subspace.ode_param (center x_p, velocity factor S, complete QR basis Q
-    of A_j, whose first d columns span the constraint normals), the
-    sign-adjusted boundary rows F_j with offsets h = F_j x_p + g_j, per-row
-    target region L_j and hyperplane index idx (Python ints), all sliced
-    from the model's cell table, the potential's M_j, r_j and k_j, and A_j',
-    y_j and Q1' for the contract checks.  The unit normal of a row and, for
-    a transition row, the record and normal across the face are filled on
-    the row's first hit.  Nothing here is chain state.
+    Built once, on the region's first visit: x_p and S from
+    subspace.ode_param, M_j, the boundary rows G = F_j S and offsets
+    h = F_j x_p + g_j of the sign-adjusted rows F_j, g_j in the model's cell
+    table, per-row target region L_j and hyperplane index idx (Python
+    ints), and base = V_j(x_p) + c_j.  A row's unit normal and, for a
+    transition row, what lies across the face are filled on the row's first
+    hit.  Nothing here is chain state.
     """
 
-    __slots__ = ("j", "x_p", "S", "Q", "d", "F_j", "h", "L_j", "idx", "M",
-                 "lin", "k", "At", "y", "Q1t", "normals", "across")
+    __slots__ = ("j", "x_p", "S", "M", "G", "h", "L_j", "idx", "base",
+                 "normals", "across")
 
     def __init__(self, spec, j, cells):
-        A, y = spec.A[j - 1], spec.y[j - 1]
-        self.x_p, self.S, self.Q = subspace.ode_param(
-            spec.M[j - 1], spec.r[j - 1], A, y)
+        M, r = spec.M[j - 1], spec.r[j - 1]
+        x_p, self.S, c = subspace.ode_param(M, r, spec.A[j - 1],
+                                            spec.y[j - 1])
         rows = slice(cells.start[j - 1], cells.start[j])
+        F = cells.F[rows]
         self.j = j
-        self.d = spec.d
-        self.F_j = cells.F[rows]
-        self.h = self.F_j @ self.x_p + cells.g[rows]
+        self.x_p = x_p
+        self.M = M
+        self.G = F.dot(self.S)
+        self.h = F.dot(x_p) + cells.g[rows]
         self.L_j = (cells.t[rows] + 1).tolist()
         self.idx = (cells.i[rows] + 1).tolist()
-        self.M = spec.M[j - 1]
-        self.lin = spec.r[j - 1]
-        self.k = float(spec.k[j - 1])
-        self.At = np.ascontiguousarray(A.T)
-        self.y = y
-        self.Q1t = np.ascontiguousarray(self.Q[:, :self.d].T)
+        self.base = (0.5 * float(x_p.dot(M).dot(x_p)) - float(r.dot(x_p))
+                     + float(spec.k[j - 1]) + c)
         self.normals = [None] * len(self.idx)
         self.across = [None] * len(self.idx)
 
-    def kinetic(self, xdot) -> float:
-        """1/2 xdot'M_j xdot, the kinetic energy in the region's metric."""
-        return 0.5 * float(xdot.dot(self.M).dot(xdot))
-
-    def potential(self, x) -> float:
-        """V_j(x) = 1/2 x'M_j x - r_j'x + k_j, also at points outside the cell."""
-        return (0.5 * float(x.dot(self.M).dot(x)) - float(self.lin.dot(x))
-                + self.k)
+    def coords(self, x):
+        """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
+        return self.S.T.dot(self.M.dot(x - self.x_p))
 
     def normal(self, k):
-        """Unit in-manifold normal of row k, oriented into this region."""
-        u = self.normals[k]
-        if u is None:
-            u = boundary_normal(self.F_j[k], self.Q, self.d)
-            self.normals[k] = u
-        return u
+        """Unit row k of G: the normal of row k's face in the metric M_j,
+        oriented into this region."""
+        g = self.normals[k]
+        if g is None:
+            w = self.G[k]
+            nw = sqrt(float(w.dot(w)))
+            if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
+                raise DegenerateNormalError(
+                    f"hyperplane {self.idx[k]} is parallel to region "
+                    f"{self.j}'s piece (row norm {nw:.3e})")
+            g = w / nw
+            self.normals[k] = g
+        return g
 
     def neighbor(self, k, table):
-        """(record, normal) across transition row k; the normal points into
-        the neighbor."""
-        pair = self.across[k]
-        if pair is None:
+        """(record, k2, P, q, g2) across transition row k: the face's row
+        k2 in the neighbor and its unit normal g2 into it, and the map
+        z2 = P z + q of face points into the neighbor's coordinates,
+        P = S2'M2 S and q = S2'M2 (x_p - x_p2)."""
+        across = self.across[k]
+        if across is None:
             other = table[self.L_j[k]]
-            pair = (other, other.normal(other.idx.index(self.idx[k])))
-            self.across[k] = pair
-        return pair
+            k2 = other.idx.index(self.idx[k])
+            SM = other.S.T.dot(other.M)
+            across = (other, k2, SM.dot(self.S), SM.dot(self.x_p - other.x_p),
+                      other.normal(k2))
+            self.across[k] = across
+        return across
 
 
 class RegionTable(dict):
@@ -190,33 +196,37 @@ def region_table(spec) -> RegionTable:
     return table
 
 
-def evolve_segment_detail(t_budget, j, x0, xdot0, table):
+def evolve_segment_detail(t_budget, j, z0, zdot0, skip, table):
     """One segment: fly inside region j until a boundary or the budget ends.
 
-    Applies the boundary rule at the segment end.  Returns (x, xdot, tau,
-    j_new, k, V1, V2, xdot_pre): the state ready to start the next segment
-    in j_new (which differs from j only on a successful transition), the
-    time used, the boundary row k of region j that was hit (-1 when the
-    budget ran out first), the potentials on either side of it (V2 = V1 at
-    a wall) and the velocity before the update.
+    (z0, zdot0) is the state in region j's coordinates and skip the row of
+    j just crossed (-1 if none).  Applies the boundary rule at the segment
+    end.  Returns (z, zdot, tau, j_new, k, V1, V2, zdot_pre): the state in
+    the coordinates of j_new (which differs from j only on a successful
+    transition), the time used, the row hit as numbered in j_new (the next
+    segment's skip; -1 when the budget ran out first), the potentials with
+    c_j on either side of it (V2 = V1 at a wall) and the velocity before
+    the update.
     """
     reg = table[j]
-    check_state(reg.At, reg.y, reg.Q1t, x0, xdot0)
-    b = x0 - reg.x_p
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
     # which costs more than the product at these sizes.
-    k, tau = first_hit(reg.F_j.dot(xdot0), reg.F_j.dot(b), reg.h, t_budget)
-    x, xdot = flight(reg.x_p, xdot0, b, tau)
+    k, tau = first_hit(reg.G.dot(zdot0), reg.G.dot(z0), reg.h, t_budget,
+                       skip)
+    z, zdot = flight(zdot0, z0, tau)
     if k < 0:
-        return x, xdot, tau, j, k, 0.0, 0.0, xdot
+        return z, zdot, tau, j, k, 0.0, 0.0, zdot
 
-    u1 = reg.normal(k)
-    V1 = reg.potential(x)
+    g1 = reg.normal(k)
+    V1 = 0.5 * float(z.dot(z)) + reg.base
     if reg.L_j[k] == j:
-        xdot_new = boundary_dynamics(xdot, j, j, u1, u1, V1, inf)[0]
-        return x, xdot_new, tau, j, k, V1, V1, xdot
+        zdot_new = boundary_dynamics(zdot, j, j, g1, g1, None, V1, inf)[0]
+        return z, zdot_new, tau, j, k, V1, V1, zdot
 
-    other, u2 = reg.neighbor(k, table)
-    V2 = other.potential(x)
-    xdot_new, j_new = boundary_dynamics(xdot, j, other.j, u1, u2, V1, V2)
-    return x, xdot_new, tau, j_new, k, V1, V2, xdot
+    other, k2, P, q, g2 = reg.neighbor(k, table)
+    z2 = P.dot(z) + q
+    V2 = 0.5 * float(z2.dot(z2)) + other.base
+    zdot_new, j_new = boundary_dynamics(zdot, j, other.j, g1, g2, P, V1, V2)
+    if j_new == j:
+        return z, zdot_new, tau, j, k, V1, V2, zdot
+    return z2, zdot_new, tau, j_new, k2, V1, V2, zdot

@@ -2,7 +2,9 @@
 
 One iterate draws a fresh tangent velocity, then evolves the particle for a
 total time t_max, consuming the budget segment by segment across however
-many boundary events occur.  The dynamics are exact and the boundary rules
+many boundary events occur.  The chain carries its state in the current
+region's whitened coordinates (see ``dynamics``) and writes each kept row
+back in x.  The dynamics are exact and the boundary rules
 energy-consistent, so there is no accept/reject step.
 """
 
@@ -18,9 +20,11 @@ from .model import cell_slack, ell
 from .subspace import COEF_TOL
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
-# It is the only runaway guard the chain needs: first_hit returns only roots
-# past EPS_T, so every event advances time by more than EPS_T and no iterate
-# can stand still at a boundary.
+# It is the only runaway guard the chain needs.  first_hit takes an event at
+# t = 0 only on a row the particle is already leaving, and never on the row
+# just crossed, so zero-time events happen only at a corner where several
+# faces meet; finitely many faces give finitely many of them (billiards in a
+# wedge), and every other event advances time by more than EPS_T.
 MAX_EVENTS_PER_ITERATE = 1_000_000
 
 
@@ -80,8 +84,9 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def refresh_velocity(reg, rng) -> np.ndarray:
-    """Fresh tangent velocity reg.S @ eps, eps ~ N(0, I_{n-d})."""
-    return reg.S.dot(rng.standard_normal(reg.S.shape[1]))
+    """Fresh velocity eps ~ N(0, I_{n-d}) in region reg's whitened
+    coordinates; it is S @ eps in x."""
+    return rng.standard_normal(reg.S.shape[1])
 
 
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
@@ -124,15 +129,17 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     R = np.empty(cfg.n_samples, dtype=np.int64)
     events = [] if cfg.record_events else None
 
-    x, j = x0.copy(), int(j0)
+    j = int(j0)
+    z = table[j].coords(x0)
     for i in range(cfg.n_iterates):
-        xdot = refresh_velocity(table[j], rng)
+        zdot = refresh_velocity(table[j], rng)
         t_left = cfg.t_max
         t_used = 0.0
         n_events = 0
+        k = -1
         while True:
-            x, xdot, tau, j_new, k, V1, V2, xdot_pre = evolve_segment_detail(
-                t_left, j, x, xdot, table
+            z, zdot, tau, j_new, k, V1, V2, zdot_pre = evolve_segment_detail(
+                t_left, j, z, zdot, k, table
             )
             t_used += tau
             t_left -= tau
@@ -140,17 +147,17 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                 break
             n_events += 1
             if events is not None:
-                reg = table[j]
+                reg = table[j_new]
                 events.append({
                     "iterate": i,
                     "time": t_used,
                     "constraint": reg.idx[k],
-                    "kind": "wall" if reg.L_j[k] == j else "transition",
+                    "kind": "wall" if reg.L_j[k] == j_new else "transition",
                     "j_from": j,
                     "j_to": j_new,
                     "dV": V2 - V1,
-                    "energy_pre": reg.kinetic(xdot_pre) + V1,
-                    "energy_post": table[j_new].kinetic(xdot)
+                    "energy_pre": 0.5 * float(zdot_pre.dot(zdot_pre)) + V1,
+                    "energy_post": 0.5 * float(zdot.dot(zdot))
                     + (V1 if j_new == j else V2),
                 })
             j = j_new
@@ -161,9 +168,16 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                 )
 
         if i >= cfg.burn_in and (i - cfg.burn_in + 1) % cfg.thin == 0:
+            reg = table[j]
+            slack = reg.G.dot(z) + reg.h
+            if slack.size and not slack.min() >= -COEF_TOL:
+                raise ContractError(
+                    f"iterate {i} ended outside region {j}'s cell",
+                    residual=-float(slack.min()),
+                )
             row = (i - cfg.burn_in + 1) // cfg.thin - 1
-            X[row] = x
-            Xdot[row] = xdot
+            X[row] = reg.x_p + reg.S.dot(z)
+            Xdot[row] = reg.S.dot(zdot)
             R[row] = j
 
     return ChainOutput(X=X, Xdot=Xdot, R=R, events=events)

@@ -1,10 +1,10 @@
 """Null-space constructions for motion restricted to an affine piece.
 
 Everything here is exact linear algebra, no sampling: complete QR splits of
-the constraint matrix A (n x d) and their rank test, the oscillation center
-and velocity factor of the within-region dynamics, in-manifold boundary
-normals, the segment start check, and the continuity residuals of a stack of
-faces where two affine pieces meet at a hyperplane.
+the constraint matrix A (n x d) and their rank test, the center, whitened
+tangent basis and log-volume constant of the within-region dynamics, and the
+continuity residuals of a stack of faces where two affine pieces meet at a
+hyperplane.
 
 Sign convention: the constraint is ell(x) = A'x + y = 0 throughout, so the
 particular solution satisfies R1'z1 = -y.
@@ -12,19 +12,16 @@ particular solution satisfies R1'z1 = -y.
 
 from __future__ import annotations
 
-from math import sqrt
-
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .errors import ContractError, DegenerateNormalError
-
-# Residual norm below which a hyperplane normal is numerically inside the
-# constraint column space and no in-manifold normal exists.
+# Norm below which a hyperplane normal is numerically inside the constraint
+# column space (its projection off A, or its row S'f on the piece) and no
+# in-manifold normal exists; also the rank test's margin.
 NORMAL_DEGENERACY_TOL = 1e-12
 
-# Tolerance of "a state lies on its manifold": the on-manifold and tangency
-# residuals of check_state and the sampler's initial-point check.
+# Tolerance of the sampler's initial-point check: the start's manifold
+# residual and cell breach, and the cell breach of every kept row.
 COEF_TOL = 1e-8
 
 
@@ -59,14 +56,16 @@ def _qr_complete(A):
 
 
 def ode_param(M, r, A, y):
-    """The dynamics of one region: (x_p, S, Q).
+    """The dynamics of one region: (x_p, S, c).
 
-    The trajectory inside the region is x(t) = x_p + a sin t + b cos t about
-    the center x_p (the conditional mean on the manifold of the potential
-    1/2 x'Mx - r'x), with velocities drawn as S @ eps,
-    SS' = Q2 (Q2'M Q2)^{-1} Q2'.  Q is the complete QR basis of A: its first
-    d columns span the constraint normals, the rest (Q2) the manifold
-    directions.
+    The piece A'x + y = 0 is x = x_p + S z with S'MS = I (whitened tangent
+    coordinates z), where the center x_p is the conditional mean of the
+    potential 1/2 x'Mx - r'x, which is 1/2 |z|^2 plus its value at x_p.
+    S = Q2 U^-1 with Q2 the manifold columns of A's complete QR basis and
+    Q2'MQ2 = U'U.  c = 1/2 log det M + 1/2 log det(A'M^-1 A) = sum log|diag
+    R1| + sum log diag U (A = Q1 R1) turns the flow's law, exp(-V) against
+    the volume of the metric M, into exp(-V) det(A'A)^(-1/2) against surface
+    measure.
     """
     M = np.asarray(M, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -85,46 +84,8 @@ def ode_param(M, r, A, y):
     S = solve_triangular(U, Q2.T, trans=1, lower=False).T
 
     x_p = S @ (S.T @ (r - M @ x1)) + x1
-    return x_p, S, Q
-
-
-def boundary_normal(f, Q, d) -> np.ndarray:
-    """Unit normal to a boundary hyperplane within the manifold.
-
-    Projects f off the constraint column space (the first d columns of Q)
-    and normalizes.  The result u automatically satisfies f'u > 0.
-    """
-    f = np.asarray(f, dtype=float)
-    Q1 = Q[:, :d]
-    w = f - Q1 @ (Q1.T @ f)
-    nw = float(np.linalg.norm(w))
-    if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
-        raise DegenerateNormalError(
-            "hyperplane normal lies in the constraint column space "
-            f"(residual norm {nw:.3e})"
-        )
-    return w / nw
-
-
-def check_state(At, y, Q1t, x, xdot):
-    """Enforce a segment start's preconditions at COEF_TOL.
-
-    x must lie on the manifold (A'x + y = 0) and xdot be tangent to it
-    (Q1'xdot = 0).  At and Q1t are the transposes A' and Q1'.  Raises
-    ContractError carrying the residual norm; a NaN residual fails.
-    """
-    r = At.dot(x) + y
-    res = sqrt(r.dot(r))
-    if not res <= COEF_TOL:
-        raise ContractError(
-            "start point is off the region's manifold", residual=res
-        )
-    r = Q1t.dot(xdot)
-    res = sqrt(r.dot(r))
-    if not res <= COEF_TOL:
-        raise ContractError(
-            "start velocity is not tangent to the manifold", residual=res
-        )
+    c = float(np.log(np.abs(np.diag(R1))).sum() + np.log(np.diag(U)).sum())
+    return x_p, S, c
 
 
 def face_residuals(f, g, A1, A2, y1, y2):

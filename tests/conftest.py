@@ -74,9 +74,8 @@ def members_of(spec, x, tol=0.0):
 def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
     reg = region_table(spec)[j]
-    Q2 = reg.Q[:, spec.d:]
     for _ in range(max_tries):
-        x = reg.x_p + Q2 @ rng.normal(scale=scale, size=spec.n - spec.d)
+        x = reg.x_p + reg.S @ rng.normal(scale=scale, size=spec.n - spec.d)
         members = members_of(spec, x)
         if members == {j}:
             return x
@@ -105,6 +104,57 @@ def wall_box_model():
             "F": [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
             "g": [1.0, 0.5, 0.3, 1.2],
+        },
+        "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
+    }
+    return load_model(json.dumps(doc))
+
+
+def sign_cells_model(M, scale_left=1.0):
+    """The d = 2 level set |x1| + x3 = 1, |x2| + x4 = 1 in R^4, one region
+    per sign cell of (x1, x2), under the shared mass matrix M and linear
+    term r = (0.3, -0.2, 0.1, 0.4).  Region j has signs s = (s1, s2) with
+    s1 = -1 for j = 2, 4 and s2 = -1 for j = 3, 4; its piece is
+    (s1 x1 + x3 - 1, s2 x2 + x4 - 1), times scale_left where x1 < 0, which
+    leaves the level set as it is but changes ||A_j||."""
+    signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    regions = []
+    for s1, s2 in signs:
+        c = scale_left if s1 < 0 else 1.0
+        regions.append({
+            "M": np.asarray(M).tolist(), "r": [0.3, -0.2, 0.1, 0.4], "k": 0.0,
+            "A": (c * np.array([[s1, 0], [0, s2], [1, 0], [0, 1]])).tolist(),
+            "y": [-c, -c],
+            "L_row": [s1 * (signs.index((-s1, s2)) + 1),
+                      s2 * (signs.index((s1, -s2)) + 1)],
+        })
+    doc = {
+        "n": 4, "d": 2, "J": 4, "m": 2, "regions": regions,
+        "hyperplanes": {"F": np.eye(2, 4).tolist(), "g": [0.0, 0.0]},
+        "init": {"region": 1, "x": [0.5, 0.5, 0.5, 0.5]},
+    }
+    return load_model(json.dumps(doc))
+
+
+def anisotropic_mass(n=4, seed=3):
+    """BB'/4 + I/2 with B from default_rng(seed)."""
+    B = np.random.default_rng(seed).normal(size=(n, n))
+    return B @ B.T / 4 + np.eye(n) / 2
+
+
+def oblique_wall_model():
+    """An anisotropic normal on the plane x3 = 0 inside a triangle of three
+    hard walls whose normals leave the plane obliquely."""
+    M = [[2.0, 0.6, 0.3], [0.6, 0.5, 0.1], [0.3, 0.1, 1.0]]
+    doc = {
+        "n": 3, "d": 1, "J": 1, "m": 3,
+        "regions": [{
+            "M": M, "r": [0.2, -0.1, 0.3], "k": 0.0,
+            "A": [[0.0], [0.0], [1.0]], "y": [0.0], "L_row": [1, 1, 1],
+        }],
+        "hyperplanes": {
+            "F": [[1.0, 0.5, 0.7], [-0.8, 1.0, -0.4], [-0.3, -1.0, 0.5]],
+            "g": [1.0, 1.2, 0.9],
         },
         "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
     }

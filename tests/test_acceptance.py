@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import scaled_line_model, wall_box_model
+from conftest import (
+    anisotropic_mass,
+    oblique_wall_model,
+    scaled_line_model,
+    sign_cells_model,
+    wall_box_model,
+)
 from pwhmc import zoo
 from pwhmc.cli import main
 from pwhmc.dynamics import first_hit
@@ -65,29 +71,35 @@ def test_criterion_02_two_region_occupancy_matches_quadrature():
 
 def test_criterion_03_hit_times_match_grid_oracle():
     # 1000 random instances agree with the grid/bisection oracle to 1e-6
-    # (hits to 1e-6, no-hit verdicts exactly), in at most 5 s
+    # (hits to 1e-6, no-hit verdicts exactly) as the row just crossed, and
+    # as any other row but for rows exiting from outside their face, which
+    # are hit at once; in at most 5 s
     rng = np.random.default_rng(303)
     t0 = time.perf_counter()
-    n_checked = n_hit = n_none = 0
+    n_checked = n_hit = n_none = n_now = 0
     while n_checked < 1000:
         fa, fb = rng.normal(scale=2.0, size=2)
         h = rng.normal()
-        if abs(np.hypot(fa, fb) - abs(h)) < 1e-2:
+        u = np.hypot(fa, fb)
+        if abs(u - abs(h)) < 1e-2:
             continue                       # grazing: ill-posed for any oracle
         t_max = float(rng.uniform(0.5, 8.0))
-        k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]),
-                           t_max)
         grid = grid_hit_time(np.zeros(1), [fa], [fb], np.ones(1), h, t_max)
-        if k < 0:
-            assert grid is None
-            n_none += 1
-        else:
-            assert grid is not None
-            assert abs(tau - grid) <= 1e-6
-            n_hit += 1
+        outside = fa < 0 and fb + h < 0 and u > abs(h)
+        for skip, expected in ((0, grid), (-1, 0.0 if outside else grid)):
+            k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]),
+                               t_max, skip)
+            if expected is None:
+                assert k < 0
+            else:
+                assert k == 0
+                assert abs(tau - expected) <= 1e-6
+        n_hit += grid is not None
+        n_none += grid is None
+        n_now += outside
         n_checked += 1
     elapsed = time.perf_counter() - t0
-    assert n_hit > 0 and n_none > 0
+    assert n_hit > 0 and n_none > 0 and n_now > 0
     assert elapsed <= 5.0
 
 
@@ -220,10 +232,28 @@ def oracle_gaps(spec, out, seed):
     return float(np.max(np.abs(occ_chain - occ_exact))), float(ks)
 
 
-@pytest.mark.parametrize("build", [zoo.one_norm_model, wall_box_model])
+def sign_cells_anisotropic():
+    return sign_cells_model(anisotropic_mass())
+
+
+def sign_cells_anisotropic_scaled():
+    return sign_cells_model(anisotropic_mass(), scale_left=2.0)
+
+
+def sign_cells_identity():
+    return sign_cells_model(np.eye(4))
+
+
+@pytest.mark.parametrize("build", [
+    zoo.one_norm_model, wall_box_model, sign_cells_anisotropic,
+    sign_cells_anisotropic_scaled, sign_cells_identity, oblique_wall_model,
+], ids=lambda build: build.__name__)
 def test_criterion_11_sampler_matches_exact_oracle(build):
     # 30k iterates against 30k exact draws: region occupancy within 0.015
-    # and every coordinate's KS statistic at most 0.02
+    # and every coordinate's KS statistic at most 0.02.  Beyond onenorm and
+    # the box: d = 2 with an anisotropic M, with ||A_j|| differing between
+    # regions, and with M = I, and walls oblique to the plane under an
+    # anisotropic M
     spec = build()
     out = run_chain(spec, spec.init_region, spec.init_point,
                     ChainConfig(n_samples=30000, seed=1101))
@@ -232,14 +262,9 @@ def test_criterion_11_sampler_matches_exact_oracle(build):
     assert ks <= 0.02, f"KS {ks:.4f}"
 
 
-# Known gaps between the sampler and its stated target, pinned so that the
-# change that closes them has to drop the markers.
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: where ||A_j|| differs between regions the sampler "
-    "draws surface measure, not the conditional law"))
-def test_known_gap_scaled_line_occupancy():
-    # the conditional law puts 2/3 on x1 > 0; surface measure puts 1/2
+def test_criterion_12_scaled_line_occupancy_matches_quadrature():
+    # ||A_j|| differs between the two regions: the conditional law puts 2/3
+    # on x1 > 0, where surface measure would put 1/2
     ln2 = float(np.log(2.0))
     target = occupancy_quadrature_line(lambda x: 0.5 * x * x,
                                        lambda x: 0.5 * x * x + ln2)
@@ -251,10 +276,8 @@ def test_known_gap_scaled_line_occupancy():
         f"sampler occupancy {frac1:.4f}, quadrature {target:.4f}"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: where ||A_j|| differs between regions the sampler "
-    "draws surface measure, not the conditional law"))
-def test_known_gap_pospart_occupancy():
+def test_criterion_13_pospart_matches_exact_oracle():
+    # shipped pospart: pieces with different ||A_j||
     spec = zoo.positive_part_model()
     out = run_chain(spec, spec.init_region, spec.init_point,
                     ChainConfig(n_samples=30000, seed=1202))
@@ -263,9 +286,8 @@ def test_known_gap_pospart_occupancy():
         f"occupancy error {occ_err:.4f}, KS {ks:.4f}"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: the boundary rule is wrong for a non-identity M"))
-def test_known_gap_ntop_marginals():
+def test_criterion_14_ntop_matches_exact_oracle():
+    # shipped ntop: a non-identity M
     spec = zoo.polygonal_top_model()
     out = run_chain(spec, spec.init_region, spec.init_point,
                     ChainConfig(n_samples=30000, seed=1204))

@@ -377,6 +377,14 @@ def test_diagnose_runs_clean(capsys):
     assert "Euclidean energy" not in text       # identity mass: no caveat
 
 
+def test_diagnose_from_a_face_reports_no_breach(capsys):
+    # a start on the edge between two octants, leaving through it
+    assert main(["diagnose", ONENORM, "--region", "1", "--init", "0.5,0.5,0",
+                 "--n", "200", "--seed", "2"]) == 0
+    text = capsys.readouterr().out
+    assert float(text.split("max constraint breach:")[1].split()[0]) == 0.0
+
+
 def test_diagnose_step_occupancy(tmp_path, capsys):
     path = write_model(tmp_path, zoo.dump_model(zoo.step_line_model()))
     assert main(["diagnose", path, "--seed", "6"]) == 0

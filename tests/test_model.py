@@ -80,12 +80,27 @@ def test_load_allows_zero_hyperplanes():
     assert cell_slack(spec, 1, np.zeros(3)) == np.inf
 
 
+def piece_energy(reg, x):
+    """The sampler's potential at a point x of region reg's piece:
+    1/2 |z|^2 + base in its whitened coordinates z."""
+    z = reg.coords(x)
+    return 0.5 * float(z @ z) + reg.base
+
+
+def log_volume(M, A):
+    """1/2 log det M + 1/2 log det(A'M^-1 A): the constant c_j that the
+    sampler adds to V_j."""
+    return 0.5 * (np.linalg.slogdet(M)[1]
+                  + np.linalg.slogdet(A.T @ np.linalg.inv(M) @ A)[1])
+
+
 def test_potential_quadratic_values():
+    # A = (0, 1)' and M = I on both sides: c_j = 0
     spec = zoo.step_line_model(dk=0.25)
     table = region_table(spec)
     x = np.array([1.5, 0.0])
-    assert table[1].potential(x) == pytest.approx(0.5 * 1.5**2)
-    assert table[2].potential(x) == pytest.approx(0.5 * 1.5**2 + 0.25)
+    assert piece_energy(table[1], x) == pytest.approx(0.5 * 1.5**2)
+    assert piece_energy(table[2], x) == pytest.approx(0.5 * 1.5**2 + 0.25)
 
 
 def test_potential_of_mean_document():
@@ -94,8 +109,11 @@ def test_potential_of_mean_document():
     jz = 1
     mu = np.ones(3)
     expected = 0.5 * float((x - mu) @ spec.M[jz] @ (x - mu)) \
-        + float(spec.k[jz]) - 0.5 * float(mu @ spec.M[jz] @ mu)
-    assert region_table(spec)[2].potential(x) == pytest.approx(expected, abs=1e-12)
+        + float(spec.k[jz]) - 0.5 * float(mu @ spec.M[jz] @ mu) \
+        + log_volume(spec.M[jz], spec.A[jz])
+    assert abs(float(ell(spec, 2, x)[0])) < 1e-12      # x is on the piece
+    assert piece_energy(region_table(spec)[2], x) == pytest.approx(expected,
+                                                                   abs=1e-12)
 
 
 def _mean_document(M, mus, k):
@@ -128,10 +146,11 @@ def test_mean_document_loads_linear_coefficient():
                                            spec.A[jz], -spec.y[jz])
         assert np.allclose(reg.x_p, mom.m, rtol=0, atol=1e-12)
         for _ in range(5):
-            x = rng.normal(size=3)
+            x = rng.normal(size=3) * [1.0, 1.0, 0.0]     # on the plane x3 = 0
             expected = 0.5 * (x - mu) @ M @ (x - mu) + k[jz] \
-                - 0.5 * mu @ M @ mu
-            assert reg.potential(x) == pytest.approx(expected, rel=0, abs=1e-12)
+                - 0.5 * mu @ M @ mu + log_volume(M, spec.A[jz])
+            assert piece_energy(reg, x) == pytest.approx(expected, rel=0,
+                                                         abs=1e-12)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -262,8 +281,9 @@ def test_region_rows_match_lookup_table():
             on = row != 0
             sign = np.sign(row[on]).astype(float)
             reg = table[j]
-            assert np.array_equal(reg.F_j, sign[:, None] * spec.F[on])
-            assert np.allclose(reg.h - reg.F_j @ reg.x_p, sign * spec.g[on],
+            F = sign[:, None] * spec.F[on]
+            assert np.array_equal(reg.G, F @ reg.S)
+            assert np.allclose(reg.h - F @ reg.x_p, sign * spec.g[on],
                                rtol=0, atol=1e-12)
             assert reg.L_j == np.abs(row[on]).tolist()
             assert reg.idx == (np.flatnonzero(on) + 1).tolist()

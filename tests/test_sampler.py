@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import members_of
-from pwhmc import sampler, zoo
+from pwhmc import dynamics, sampler, zoo
 from pwhmc.dynamics import evolve_segment_detail, region_table
 from pwhmc.errors import ContractError, StallError
-from pwhmc.model import ell, load_model_file
+from pwhmc.model import cell_slack, ell, load_model_file
 from pwhmc.sampler import (
     ChainConfig,
     initial_point_check,
@@ -50,7 +50,8 @@ def test_chain_config_rejects_non_finite_t_max(t_max):
 def test_refresh_velocity_is_tangent_with_right_covariance(rng):
     spec = zoo.sum_constraint_model(3)
     reg = region_table(spec)[1]
-    draws = np.array([refresh_velocity(reg, rng) for _ in range(50000)])
+    draws = np.array([reg.S @ refresh_velocity(reg, rng)
+                      for _ in range(50000)])
     # tangency: velocities live in the null space of the constraint
     assert np.max(np.abs(draws @ spec.A[0])) < 1e-12
     # covariance = projector onto the manifold directions (M = I here)
@@ -171,14 +172,14 @@ def test_shared_region_table_carries_no_chain_state(name, kinds):
 def test_iterate_time_budget_fully_consumed(rng):
     spec = zoo.one_norm_model()
     table = region_table(spec)
-    x = np.array([0.2, 0.3, 0.5])
     j = 1
+    z = table[j].coords(np.array([0.2, 0.3, 0.5]))
     for _ in range(50):
-        xdot = refresh_velocity(table[j], rng)
-        t_left, used = np.pi / 2, 0.0
+        zdot = refresh_velocity(table[j], rng)
+        t_left, used, k = np.pi / 2, 0.0, -1
         while True:
-            x, xdot, tau, j, k = evolve_segment_detail(
-                t_left, j, x, xdot, table)[:5]
+            z, zdot, tau, j, k = evolve_segment_detail(
+                t_left, j, z, zdot, k, table)[:5]
             used += tau
             t_left -= tau
             if k < 0:
@@ -187,15 +188,16 @@ def test_iterate_time_budget_fully_consumed(rng):
 
 
 def _energy_ledger(spec, j0, x0):
-    """From a 2000-row event log: |energy_post - energy_pre| at each event,
-    and (|change|, energy at its start) along each segment that runs
-    between two events of one iterate."""
+    """From a 2000-row event log: (|energy_post - energy_pre|, energy_pre)
+    at each event, and (|change|, energy at its start) along each segment
+    that runs between two events of one iterate."""
     cfg = ChainConfig(n_samples=2000, seed=11, record_events=True)
     out = run_chain(spec, j0, x0, cfg)
     junctions, segments = [], []
     last = {}
     for ev in out.events:
-        junctions.append(abs(ev["energy_post"] - ev["energy_pre"]))
+        junctions.append((abs(ev["energy_post"] - ev["energy_pre"]),
+                          ev["energy_pre"]))
         key = ev["iterate"]
         if key in last:
             segments.append((abs(ev["energy_pre"] - last[key]), last[key]))
@@ -216,16 +218,52 @@ def test_event_cap_raises_stall_error_with_context(monkeypatch):
 def test_energy_ledger_on_identity_mass_model():
     junctions, segments = _energy_ledger(
         zoo.one_norm_model(), 1, [0.2, 0.3, 0.5])
-    assert max(junctions) < 1e-10
+    assert max(change for change, _ in junctions) < 1e-10
     assert max(change for change, _ in segments) < 1e-10
-    # Under a non-identity M the logged energy 1/2 xdot'M_j xdot + V_j is
-    # still conserved along each segment; the Euclidean boundary rule does
-    # not conserve it across a face, so ntop's junctions are not held.
-    spec = load_model_file(zoo.model_path("ntop"))
-    _, segments = _energy_ledger(spec, spec.init_region, spec.init_point)
-    assert len(segments) > 100
-    for change, energy in segments:
+
+
+@pytest.mark.parametrize("name", ["ntop", "pospart"])
+def test_energy_ledger_per_event_with_log_volume(name):
+    # ntop has a non-identity M and pospart pieces with different ||A_j||:
+    # the logged energy, c_j included, is conserved across every event and
+    # along every segment
+    spec = load_model_file(zoo.model_path(name))
+    junctions, segments = _energy_ledger(spec, spec.init_region,
+                                         spec.init_point)
+    assert len(junctions) > 500 and len(segments) > 100
+    for change, energy in junctions + segments:
         assert change <= 1e-10 * max(1.0, abs(energy))
+
+
+@pytest.mark.parametrize("name, j0, x0", [
+    ("onenorm", 1, [1.0, 0.0, 0.0]),
+    ("onenorm", 1, [0.5, 0.5, 0.0]),
+    ("onenorm", 1, [1.0 - 4e-10, 2e-10, 2e-10]),
+    ("onenorm", 1, [0.5, 0.5 - 5e-10, 5e-10]),
+    ("ntop", 1, [1.5, 0.0, 0.0]),                 # the apex
+    ("pospart", 1, [1.0625, 0.9375, 0.5]),        # on the kink x1 + x2 = 2
+], ids=["vertex", "edge", "near-vertex", "near-edge", "ntop-apex",
+        "pospart-kink"])
+def test_chain_started_on_a_face_stays_in_its_cell(name, j0, x0):
+    # a start on a face or corner, or within EPS_T u of one, with an exiting
+    # velocity takes that face as an event at t = 0 instead of running
+    # region j0's dynamics through its neighbours
+    spec = zoo.build_shipped(name)
+    assert initial_point_check(spec, j0, x0).passed
+    for seed in range(60):
+        out = run_chain(spec, j0, x0, ChainConfig(n_samples=3, seed=seed))
+        assert cell_slack(spec, out.R, out.X).min() >= 0.0
+
+
+def test_kept_row_outside_its_cell_raises(monkeypatch):
+    # with the hit scan blinded, the particle flies through the walls: the
+    # kept row's cell check names the iterate instead of writing the row
+    monkeypatch.setattr(dynamics, "first_hit",
+                        lambda fa, fb, h, t_max, skip: (-1, t_max))
+    spec = zoo.build_shipped("pospart")
+    with pytest.raises(ContractError, match=r"iterate \d+ ended outside"):
+        run_chain(spec, spec.init_region, spec.init_point,
+                  ChainConfig(n_samples=200, seed=1))
 
 
 def test_recorded_states_satisfy_model_constraints():

@@ -1,19 +1,11 @@
-"""QR machinery: ODE parameters, rank test, normals, state checks, face residuals."""
+"""QR machinery: ODE parameters, rank test, face residuals."""
 
 import numpy as np
 import pytest
 
-from conftest import rand_continuous_pair, rand_face_instance, rand_fullrank, rand_spd
-from pwhmc import zoo
-from pwhmc.errors import ContractError, DegenerateNormalError
+from conftest import rand_continuous_pair, rand_fullrank, rand_spd
 from pwhmc.oracle import conditional_gaussian_moments
-from pwhmc.subspace import (
-    boundary_normal,
-    check_state,
-    face_residuals,
-    ode_param,
-    rank_margin,
-)
+from pwhmc.subspace import face_residuals, ode_param, rank_margin
 
 E1 = np.array([[1.0], [0.0]])
 I2 = np.eye(2)
@@ -49,14 +41,15 @@ def test_ode_param_invariants_random(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        x_p, S, Q = ode_param(M, r, A, y)
-        assert np.allclose(Q.T @ Q, np.eye(n), atol=1e-10)
+        x_p, S, c = ode_param(M, r, A, y)
         assert np.linalg.norm(A.T @ x_p + y) < 1e-9
         assert np.linalg.norm(S.T @ A) < 1e-10
-        Q2 = Q[:, d:]
-        omega22 = Q2.T @ M @ Q2
-        prod = (Q2.T @ S @ S.T @ Q2) @ omega22
-        assert np.allclose(prod, np.eye(n - d), atol=1e-8)
+        # whitened: S'MS = I, and x_p is stationary for the potential on the piece
+        assert np.allclose(S.T @ M @ S, np.eye(n - d), atol=1e-8)
+        assert np.allclose(S.T @ (M @ x_p - r), 0.0, atol=1e-8)
+        expected = 0.5 * np.linalg.slogdet(M)[1] \
+            + 0.5 * np.linalg.slogdet(A.T @ np.linalg.solve(M, A))[1]
+        assert c == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 def test_ode_param_rejects_rank_deficient():
@@ -93,61 +86,6 @@ def test_rank_margin_of_a_stack_is_each_triangles(rng, d):
         assert margins[k] == rank_margin(R1[k])
     assert margins[2] == margins[5] == 0.0
     assert np.all(np.delete(margins, [2, 5]) > 0.0)
-
-
-def test_boundary_normal_examples():
-    Q = np.eye(2)
-    u = boundary_normal(np.array([0.0, 1.0]), Q, 1)
-    assert np.allclose(u, [0.0, 1.0])
-    u = boundary_normal(np.array([1.0, 1.0]), Q, 1)
-    assert np.allclose(u, [0.0, 1.0])
-    with pytest.raises(DegenerateNormalError):
-        boundary_normal(np.array([1.0, 0.0]), Q, 1)
-    with pytest.raises(DegenerateNormalError):
-        boundary_normal(np.array([0.0, np.nan]), Q, 1)
-
-
-def test_boundary_normal_random_invariants(rng):
-    for _ in range(50):
-        n = int(rng.integers(2, 8))
-        d = int(rng.integers(1, n))
-        A = rand_fullrank(rng, n, d)
-        f, _, _, _ = rand_face_instance(rng, n, d)
-        Q, _ = np.linalg.qr(A, mode="complete")
-        try:
-            u = boundary_normal(f, Q, d)
-        except DegenerateNormalError:
-            continue
-        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-        assert np.linalg.norm(A.T @ u) < 1e-10
-        assert f @ u > 0
-
-
-def test_check_state_values_and_errors():
-    y = np.array([0.0])
-    x_p, _, Q = ode_param(I2, np.ones(2), E1, y)
-    At, Q1t = E1.T, Q[:, :1].T
-    check_state(At, y, Q1t, x_p, np.zeros(2))
-    check_state(At, y, Q1t, x_p + np.array([0.0, 0.7]), np.array([0.0, -0.3]))
-
-    with pytest.raises(ContractError) as err:
-        check_state(At, y, Q1t, np.array([0.1, 0.0]), np.zeros(2))
-    assert err.value.residual == pytest.approx(0.1)
-    with pytest.raises(ContractError) as err:
-        check_state(At, y, Q1t, x_p, np.array([0.5, 0.0]))
-    assert err.value.residual == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("x, xdot, what", [
-    ([np.nan, 0.0], [0.0, 0.0], "off the region's manifold"),
-    ([0.0, 1.0], [0.0, np.nan], "not tangent"),
-], ids=["nan-x", "nan-xdot"])
-def test_check_state_rejects_nan(x, xdot, what):
-    y = np.array([0.0])
-    _, _, Q = ode_param(I2, np.ones(2), E1, y)
-    with pytest.raises(ContractError, match=what) as err:
-        check_state(E1.T, y, Q[:, :1].T, np.array(x), np.array(xdot))
-    assert np.isnan(err.value.residual)
 
 
 def _continuity(f, g, A1, A2, y1, y2, tol):
