@@ -19,6 +19,8 @@ from __future__ import annotations
 import weakref
 from math import acos, atan2, cos, inf, sin, sqrt
 
+import numpy as np
+
 from . import subspace
 from .errors import DegenerateNormalError
 from .model import cell_table
@@ -31,6 +33,20 @@ EPS_T = 1e-9
 # to the lowest constraint row.
 TIE_TOL = 1e-9
 TWO_PI = 6.283185307179586476925286766559
+# Above this many rows first_hit lets numpy drop the rows that cannot win
+# before the exact scan.  The numpy step costs about as much as scanning
+# 48-64 rows, whatever the width: per call on one CPU, the scan alone is
+# 1.6x faster at 32 rows and 2.0x slower at 128 (BENCH_hitscan.json).
+SCAN_ROWS = 64
+# Relative margin on u > |h| in the selection, so that a row kept as maybe
+# in reach or counted as surely in reach is so by the scan's own test,
+# however the two round u.
+REACH_MARGIN = 1e-12
+# Absolute margin on the selection's approximate roots: about 1e9 times
+# their gap to the scan's roots.  Both compute u and -h/u alike, so only
+# numpy's arccos/arctan2 and libm's differ: by at most 8.9e-16 in the root
+# over 1e6 random rows surely in reach, near-grazing ones included.
+SELECT_SLACK = 1e-6
 
 
 def first_hit(fa, fb, h, t_max, skip):
@@ -50,8 +66,16 @@ def first_hit(fa, fb, h, t_max, skip):
     at tau = 0.  The smallest root wins, near-ties (within TIE_TOL) going to
     the lowest row.  Scalar ``math`` calls are deliberate: numpy's
     vectorized arccos/arctan2 may differ from the platform libm by an ulp,
-    and hit times feed straight into the recorded states.
+    and hit times feed straight into the recorded states.  Up to SCAN_ROWS
+    rows are all scanned; of a wider region only the rows that
+    ``_candidates`` keeps, in order, which changes no result.
     """
+    kept = None
+    if len(h) > SCAN_ROWS:
+        kept = _candidates(fa, fb, h, t_max)
+        fa, fb, h = fa[kept], fb[kept], h[kept]
+        kept = kept.tolist()          # the scan numbers kept rows 0, 1, ...
+        skip = kept.index(skip) if skip in kept else -1
     rows, roots = [], []
     k = 0
     for a, b, c in zip(fa.tolist(), fb.tolist(), h.tolist()):
@@ -71,8 +95,36 @@ def first_hit(fa, fb, h, t_max, skip):
     cutoff = min(roots) + TIE_TOL
     for k, root in zip(rows, roots):
         if root <= cutoff:
-            return k, root
+            return (k if kept is None else kept[k]), root
     return -1, t_max        # unreachable: the minimum itself passes the cutoff
+
+
+def _candidates(fa, fb, h, t_max):
+    """Ascending rows among which first_hit's scan finds its result.
+
+    Rows maybe in reach (u (1 + REACH_MARGIN) > |h|) are kept.  When each
+    of them is surely in reach (u (1 - REACH_MARGIN) > |h|, so the scan
+    counts it), numpy computes their approximate roots, and when the
+    smallest, r, lies past the EPS_T window, only rows with roots up to
+    min(t_max, r + TIE_TOL) + SELECT_SLACK are kept.  No root was moved by
+    the window, so r is the scan's minimum up to the approximation's gap;
+    SELECT_SLACK dwarfs that gap, so every row the scan could return is
+    kept and the scan of the rest returns the same (k, tau) bit for bit.
+    Otherwise every row maybe in reach is kept: a row that may only graze
+    its level has a touching point that is no hit and cannot stand in for
+    r, and near the window the skip and tau = 0 rules move roots.
+    """
+    u = np.sqrt(fa * fa + fb * fb)
+    ah = np.abs(h)
+    rows = np.flatnonzero(u * (1.0 + REACH_MARGIN) > ah)     # maybe in reach
+    sure = np.count_nonzero(u * (1.0 - REACH_MARGIN) > ah)   # surely in reach
+    if rows.size and sure == rows.size:
+        # -phi = atan2(fa, fb)
+        roots = np.arccos(-h[rows] / u[rows]) + np.arctan2(fa[rows], fb[rows])
+        low = roots.min()
+        if low > EPS_T + SELECT_SLACK:
+            rows = rows[roots <= min(t_max, low + TIE_TOL) + SELECT_SLACK]
+    return rows
 
 
 def flight(a, b, t):

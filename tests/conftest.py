@@ -1,11 +1,12 @@
 """Shared random-instance and model builders for the test suite."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from pwhmc import zoo
+from pwhmc import dynamics, zoo
 from pwhmc.dynamics import region_table
 from pwhmc.model import cell_slack, load_model
 
@@ -65,6 +66,19 @@ def rand_continuous_pair(rng, n, d):
         return f, g, A1, y1, A2, y2
 
 
+def first_hit_both_paths(monkeypatch, *args):
+    """first_hit(*args) on the scalar scan alone and through the numpy
+    pre-selection; asserts the two agree bit for bit and returns the
+    result."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dynamics, "SCAN_ROWS", sys.maxsize)
+        scalar = dynamics.first_hit(*args)
+        mp.setattr(dynamics, "SCAN_ROWS", 0)
+        selected = dynamics.first_hit(*args)
+    assert repr(selected) == repr(scalar)
+    return scalar
+
+
 def members_of(spec, x, tol=0.0):
     """Every region whose cell holds x within tol."""
     labels = np.arange(1, spec.J + 1)
@@ -106,6 +120,26 @@ def wall_box_model():
             "g": [1.0, 0.5, 0.3, 1.2],
         },
         "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
+    }
+    return load_model(json.dumps(doc))
+
+
+def polygon_model(sides, radius=1.2):
+    """N(0, I_3) on the plane x3 = 0 inside a regular polygon of the given
+    circumradius, turned off the axes: one region, one wall per side."""
+    theta = 0.1 + 2.0 * np.pi * np.arange(sides) / sides
+    doc = {
+        "n": 3, "d": 1, "J": 1, "m": sides,
+        "regions": [{
+            "M": np.eye(3).tolist(), "r": [0.0, 0.0, 0.0], "k": 0.0,
+            "A": [[0.0], [0.0], [1.0]], "y": [0.0], "L_row": [1] * sides,
+        }],
+        "hyperplanes": {
+            "F": np.column_stack([-np.cos(theta), -np.sin(theta),
+                                  np.zeros(sides)]).tolist(),
+            "g": [radius * np.cos(np.pi / sides)] * sides,
+        },
+        "init": {"region": 1, "x": [0.1, -0.2, 0.0]},
     }
     return load_model(json.dumps(doc))
 

@@ -5,10 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from conftest import members_of, point_in_region, rand_fullrank, rand_spd
-from pwhmc import zoo
+from conftest import (
+    first_hit_both_paths,
+    members_of,
+    point_in_region,
+    rand_fullrank,
+    rand_spd,
+)
+from pwhmc import dynamics, zoo
 from pwhmc.dynamics import (
     EPS_T,
+    TIE_TOL,
     boundary_dynamics,
     evolve_segment_detail,
     first_hit,
@@ -40,9 +47,9 @@ I2 = np.eye(2)
 ], ids=["exiting", "unreachable", "still", "initial-root", "beyond-budget",
         "grazing", "exiting-now", "exiting-now-skip", "outside",
         "outside-skip"])
-def test_first_hit_single_row(fa, fb, h, t_max, skip, expected):
-    k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]), t_max,
-                       skip)
+def test_first_hit_single_row(fa, fb, h, t_max, skip, expected, monkeypatch):
+    k, tau = first_hit_both_paths(monkeypatch, np.array([fa]), np.array([fb]),
+                                  np.array([h]), t_max, skip)
     if expected is None:
         assert (k, tau) == (-1, t_max)
     else:
@@ -50,7 +57,7 @@ def test_first_hit_single_row(fa, fb, h, t_max, skip, expected):
         assert tau == pytest.approx(expected, abs=1e-12)
 
 
-def test_first_hit_advances_past_eps_t(rng):
+def test_first_hit_advances_past_eps_t(rng, monkeypatch):
     # Exiting roots placed on and around the exclusion window's edge.  On
     # the row just crossed (skip) a root at or before EPS_T is the face just
     # left and never a hit; on any other row it is a hit at tau = 0.  Every
@@ -67,8 +74,9 @@ def test_first_hit_advances_past_eps_t(rng):
         phi = theta - root
         t_max = float(np.exp(rng.uniform(np.log(EPS_T / 2), np.log(7.0))))
         skip = int(rng.integers(-1, m))
-        k, tau = first_hit(-u * np.sin(phi), u * np.cos(phi),
-                           -u * np.cos(theta), t_max, skip)
+        k, tau = first_hit_both_paths(monkeypatch, -u * np.sin(phi),
+                                      u * np.cos(phi), -u * np.cos(theta),
+                                      t_max, skip)
         inside = [i for i in range(m) if i != skip and pick[i] <= 1]
         if inside:                  # unambiguously inside the window
             assert tau == 0.0 and k != skip and k <= min(inside)
@@ -82,7 +90,7 @@ def test_first_hit_advances_past_eps_t(rng):
     assert near > 0 and zero > 0     # roots at 2 EPS_T are found, not skipped
 
 
-def test_hit_time_matches_grid_oracle(rng):
+def test_hit_time_matches_grid_oracle(rng, monkeypatch):
     # As the row just crossed (skip), a row takes the grid's first downward
     # crossing in (0, t_max]; as any other row, a row that is exiting while
     # outside its face (K(0) < 0, K'(0) < 0) is hit at tau = 0.
@@ -97,8 +105,9 @@ def test_hit_time_matches_grid_oracle(rng):
         grid = grid_hit_time(np.zeros(1), [fa], [fb], np.ones(1), h, t_max)
         outside = fa < 0 and fb + h < 0 and u > abs(h)
         for skip, expected in ((0, grid), (-1, 0.0 if outside else grid)):
-            k, tau = first_hit(np.array([fa]), np.array([fb]), np.array([h]),
-                               t_max, skip)
+            k, tau = first_hit_both_paths(monkeypatch, np.array([fa]),
+                                          np.array([fb]), np.array([h]),
+                                          t_max, skip)
             if expected is None:
                 assert k < 0
             else:
@@ -122,6 +131,113 @@ def test_kernel_tie_breaks_to_lowest_row():
 
 def test_kernel_empty_rows():
     assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, -1) == (-1, 2.0)
+
+
+def one_row_oracle(fa, fb, h, t_max, skip):
+    """first_hit's result built from one-row first_hit calls, which take the
+    scalar scan: each row's own hit time, then the lowest row within
+    TIE_TOL of the earliest."""
+    times = {}
+    for k in range(len(h)):
+        row = slice(k, k + 1)
+        hit, tau = first_hit(fa[row], fb[row], h[row], t_max,
+                             0 if k == skip else -1)
+        if hit == 0:
+            times[k] = tau
+    if not times:
+        return -1, t_max
+    cutoff = min(times.values()) + TIE_TOL
+    k = min(k for k, tau in times.items() if tau <= cutoff)
+    return k, times[k]
+
+
+def rows_exiting_at(u, root, rng):
+    """(fa, fb, h) of rows with amplitudes u whose exiting root is root."""
+    theta = rng.uniform(0.05, np.pi - 0.05, size=len(u))   # t + phi at root
+    phi = theta - root
+    return -u * np.sin(phi), u * np.cos(phi), -u * np.cos(theta)
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "grazing", "unreachable",
+                                  "window", "at-budget", "short-budget"])
+def test_first_hit_preselection_matches_one_row_oracle(case, rng):
+    # Regions wider than SCAN_ROWS go through the numpy pre-selection; the
+    # result must equal, bit for bit, the one assembled from one-row calls.
+    assert dynamics.SCAN_ROWS >= 1          # one-row calls take the scan
+    hits = zero = 0
+    for _ in range(60):
+        m = int(rng.integers(dynamics.SCAN_ROWS + 1, 601))
+        u = rng.uniform(0.0, 3.0, size=m)
+        phi = rng.uniform(-np.pi, np.pi, size=m)
+        fa, fb = -u * np.sin(phi), u * np.cos(phi)
+        # inside every face at t = 0, as on a trajectory
+        h = rng.exponential(float(rng.choice([0.3, 1.0, 3.0])), size=m) - fb
+        t_max = float(rng.uniform(0.5, 7.0))
+        skip = int(rng.integers(-1, m))
+        pick = rng.choice(m, size=min(m, 8), replace=False)
+        if case == "ties":
+            # rows at near-tie offsets from an early root, and exact
+            # duplicates of the first of them
+            root = rng.uniform(0.01, 0.5) + TIE_TOL * np.array(
+                [0.0, 0.3, 0.999, 1.0, 1.001, 1.5, 10.0, -0.5])
+            fa[pick], fb[pick], h[pick] = rows_exiting_at(u[pick], root, rng)
+            dup = rng.choice(m, size=3, replace=False)
+            fa[dup], fb[dup], h[dup] = fa[pick[0]], fb[pick[0]], h[pick[0]]
+        elif case == "grazing":
+            # rows touching their level early, at u = |h| exactly as the
+            # scan computes u and just either side: a touch can come before
+            # the first hit, and a row just inside reach can be that hit
+            sign = rng.choice([-1.0, 1.0], size=len(pick))
+            touch = rng.uniform(0.01, 0.3, size=len(pick))
+            phi = np.where(sign > 0, np.pi, 0.0) - touch
+            fa[pick], fb[pick] = -u[pick] * np.sin(phi), u[pick] * np.cos(phi)
+            h[pick] = sign * [np.sqrt(a * a + b * b) for a, b
+                              in zip(fa[pick].tolist(), fb[pick].tolist())]
+            h[pick[4:]] *= 1.0 - np.array([1e-15, -1e-15, 1e-13, -1e-13])
+        elif case == "unreachable":
+            h = np.where(h < 0, -1.0, 1.0) * (np.hypot(fa, fb)
+                                              + rng.uniform(1e-9, 1.0, m))
+        elif case == "window":
+            # exiting roots at 0, EPS_T / 2, EPS_T and 2 EPS_T, on the skip
+            # row and on other rows
+            skip = int(pick[0]) if rng.uniform() < 0.7 else skip
+            root = EPS_T * rng.choice([0.0, 0.5, 1.0, 2.0],
+                                      size=int(rng.integers(1, 4)))
+            rows = pick[:len(root)]
+            fa[rows], fb[rows], h[rows] = rows_exiting_at(u[rows], root, rng)
+        elif case == "at-budget":
+            # the budget ends exactly at a row's early hit, as the scan
+            # computes it
+            fa[pick[:1]], fb[pick[:1]], h[pick[:1]] = rows_exiting_at(
+                u[pick[:1]], rng.uniform(1e-5, 1e-3), rng)
+            row = slice(pick[0], pick[0] + 1)
+            t_max = first_hit(fa[row], fb[row], h[row], 1.0, -1)[1]
+        elif case == "short-budget":
+            t_max = float(rng.choice([EPS_T / 2, 1e-12, EPS_T]))
+            rows = pick[:2]
+            fa[rows], fb[rows], h[rows] = rows_exiting_at(
+                u[rows], EPS_T * rng.choice([0.0, 0.5], size=2), rng)
+        expected = one_row_oracle(fa, fb, h, t_max, skip)
+        assert repr(first_hit(fa, fb, h, t_max, skip)) == repr(expected)
+        hits += expected[0] >= 0
+        zero += expected[1] == 0.0
+    if case == "unreachable":
+        assert hits == 0
+    else:
+        assert hits > 0
+    if case in ("window", "short-budget"):
+        assert zero > 0
+
+
+def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
+    # Row 0 touches its level at t = pi without crossing it; row 5 is hit at
+    # t = 3.5.  Every other row is out of reach.
+    m = dynamics.SCAN_ROWS + 8
+    fa, fb, h = np.zeros(m), np.zeros(m), np.ones(m)
+    fa[0], fb[0], h[0] = 0.0, 1.0, 1.0
+    fa[5:6], fb[5:6], h[5:6] = rows_exiting_at(np.ones(1), 3.5,
+                                               np.random.default_rng(1))
+    assert first_hit(fa, fb, h, 10.0, -1) == (5, pytest.approx(3.5, abs=1e-12))
 
 
 # --- segment scanning ------------------------------------------------------

@@ -1,9 +1,16 @@
 """Chain orchestration: refresh, recording, reproducibility, invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import members_of
+from conftest import (
+    members_of,
+    oblique_wall_model,
+    polygon_model,
+    wall_box_model,
+)
 from pwhmc import dynamics, sampler, zoo
 from pwhmc.dynamics import evolve_segment_detail, region_table
 from pwhmc.errors import ContractError, StallError
@@ -167,6 +174,28 @@ def test_shared_region_table_carries_no_chain_state(name, kinds):
         assert out.Xdot.tobytes() == fresh.Xdot.tobytes()
         assert out.R.tobytes() == fresh.R.tobytes()
         assert out.events == fresh.events
+
+
+@pytest.mark.parametrize("name", ["onenorm", "ntop", "pospart", "wall_box",
+                                  "oblique_wall", "polygon64"])
+def test_hit_scan_paths_give_byte_identical_chains(name, monkeypatch):
+    # first_hit's numpy pre-selection leaves every output byte as the
+    # scalar scan alone makes it
+    builders = {"wall_box": wall_box_model, "oblique_wall": oblique_wall_model,
+                "polygon64": lambda: polygon_model(64)}
+    spec = builders.get(name, lambda: zoo.build_shipped(name))()
+    cfg = ChainConfig(n_samples=300, seed=17, burn_in=3, thin=2,
+                      record_events=True)
+    outs = []
+    for scan_rows in (sys.maxsize, 0):
+        monkeypatch.setattr(dynamics, "SCAN_ROWS", scan_rows)
+        outs.append(run_chain(spec, spec.init_region, spec.init_point, cfg))
+    scalar, selected = outs
+    assert scalar.events
+    assert selected.X.tobytes() == scalar.X.tobytes()
+    assert selected.Xdot.tobytes() == scalar.Xdot.tobytes()
+    assert selected.R.tobytes() == scalar.R.tobytes()
+    assert repr(selected.events) == repr(scalar.events)
 
 
 def test_iterate_time_budget_fully_consumed(rng):
