@@ -1,8 +1,9 @@
 """Command-line surface: validate / sample / diagnose.
 
 Exit codes: 0 success, 1 model or content failure, 2 I/O or parse failure,
-3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events in one iterate).  Every sample run writes a manifest sidecar so
-the outputs can be reproduced bit for bit.
+3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events in one
+iterate).  Every sample run writes a manifest sidecar so the outputs can be
+reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -148,6 +149,7 @@ def cmd_sample(args):
                 "samples_path": str(samples_path),
                 "events_path": None if events_path is None else str(events_path),
                 "version": __version__,
+                "numpy": np.__version__,
             }
             with open(str(samples_path) + ".manifest.json", "w",
                       encoding="utf-8") as fh:

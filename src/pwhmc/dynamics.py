@@ -2,22 +2,26 @@
 
 Region j runs in its whitened tangent coordinates x = x_p + S z, S'M_jS = I
 (see ``subspace.ode_param``), where the energy is 1/2 |zdot|^2 + 1/2 |z|^2 +
-base_j and a trajectory is z(t) = zdot sin t + z cos t.  Crossing times of
-its boundary rows G_j z + h >= 0 have closed-form roots (see
-``first_hit``); at a crossing one rule updates the velocity along the unit
-row of G_j, which is the face normal in the metric M_j: transmit when the
-normal kinetic energy clears the potential step, reflect otherwise.  A hard
-wall is a step that no energy clears.
+base_j and a trajectory is z(t) = zdot sin t + z cos t.  A chain carries
+its state as one (2, n - d) array Y = [zdot; z]: a flight is one 2 x 2
+rotation of Y, and each linear map of the state is one product Y.dot(.).
+Crossing times of the boundary rows G_j z + h >= 0 have closed-form roots
+(see ``first_hit``); at a crossing one rule, ``boundary_dynamics``, decides
+from the velocity along the unit row of G_j, which is the face normal in
+the metric M_j: transmit when the normal kinetic energy clears the
+potential step, reflect otherwise.  A hard wall is a step that no energy
+clears.
 
 Everything that depends only on the region lives in one Region record per
-region, in a RegionTable shared by every chain on the same ModelSpec, so a
+region, in a RegionTable shared by every chain on the same ModelSpec, and
+everything about a face in one record built on the face's first hit, so a
 segment does arithmetic only.
 """
 
 from __future__ import annotations
 
 import weakref
-from math import acos, atan2, cos, inf, sin, sqrt
+from math import acos, atan2, cos, sin, sqrt
 
 import numpy as np
 
@@ -127,28 +131,29 @@ def _candidates(fa, fb, h, t_max):
     return rows
 
 
-def flight(a, b, t):
-    """Position and velocity at time t of z(t) = a sin t + b cos t."""
+def flight(Y, t):
+    """State Y = [zdot; z] after time t on z(t) = zdot sin t + z cos t: one
+    rotation of the stacked rows."""
     s, c = sin(t), cos(t)
-    return a * s + b * c, a * c - b * s
+    return np.array(((c, -s), (s, c))).dot(Y)
 
 
-def boundary_dynamics(zdot, j1, j2, g1, g2, P, V1, V2):
-    """Velocity update at a potential step between regions j1 and j2.
+def boundary_dynamics(v1, V1, V2):
+    """The velocity rule at a potential step V1 -> V2, given the normal
+    velocity v1 = g1'zdot <= 0 of the exiting particle (g1 the unit normal
+    into the region it leaves, in that region's coordinates).
 
-    g1 is the unit normal into j1 in j1's coordinates (so the exiting
-    particle has v1 = g1'zdot <= 0), g2 the one into j2 in j2's, and P
-    carries face-tangent velocities from j1's coordinates to j2's.  The
-    normal kinetic energy either clears the step (transmit: the tangential
-    part through P, the surplus along g2) or does not (reflect; P is
-    unused).  A hard wall is the step V2 = inf.  Returns (zdot_new, j_new).
+    The normal kinetic energy either clears the step, and the particle
+    transmits: the face-tangent part of zdot carries over to the far side
+    and the returned speed goes along the far side's unit normal g2.  Or it
+    does not, and the particle reflects, zdot - 2 v1 g1: the return is None.
+    A hard wall is the step V2 = inf.
     """
-    v1 = float(g1.dot(zdot))
     E = 0.5 * v1 * v1
     dV = V2 - V1
     if E < dV:
-        return zdot - 2.0 * v1 * g1, j1
-    return P.dot(zdot - v1 * g1) + sqrt(2.0 * (E - dV)) * g2, j2
+        return None
+    return sqrt(2.0 * (E - dV))
 
 
 class Region:
@@ -158,13 +163,15 @@ class Region:
     subspace.ode_param, M_j, the boundary rows G = F_j S and offsets
     h = F_j x_p + g_j of the sign-adjusted rows F_j, g_j in the model's cell
     table, per-row target region L_j and hyperplane index idx (Python
-    ints), and base = V_j(x_p) + c_j.  A row's unit normal and, for a
-    transition row, what lies across the face are filled on the row's first
-    hit.  Nothing here is chain state.
+    ints), and base = V_j(x_p) + c_j.  G is the transpose view of a
+    contiguous GT, so that one product Y.dot(GT) gives both coefficient rows
+    of the hit scan for a state Y = [zdot; z].  A row's face record is
+    built on the row's first hit (see ``face``).  Nothing here is chain
+    state.
     """
 
-    __slots__ = ("j", "x_p", "S", "M", "G", "h", "L_j", "idx", "base",
-                 "normals", "across")
+    __slots__ = ("j", "x_p", "S", "M", "G", "GT", "h", "L_j", "idx", "base",
+                 "faces")
 
     def __init__(self, spec, j, cells):
         M, r = spec.M[j - 1], spec.r[j - 1]
@@ -175,48 +182,59 @@ class Region:
         self.j = j
         self.x_p = x_p
         self.M = M
-        self.G = F.dot(self.S)
+        self.GT = np.ascontiguousarray(F.dot(self.S).T)
+        self.G = self.GT.T
         self.h = F.dot(x_p) + cells.g[rows]
         self.L_j = (cells.t[rows] + 1).tolist()
         self.idx = (cells.i[rows] + 1).tolist()
         self.base = (0.5 * float(x_p.dot(M).dot(x_p)) - float(r.dot(x_p))
                      + float(spec.k[j - 1]) + c)
-        self.normals = [None] * len(self.idx)
-        self.across = [None] * len(self.idx)
+        self.faces = [None] * len(self.idx)
 
     def coords(self, x):
         """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
         return self.S.T.dot(self.M.dot(x - self.x_p))
 
-    def normal(self, k):
-        """Unit row k of G: the normal of row k's face in the metric M_j,
-        oriented into this region."""
-        g = self.normals[k]
-        if g is None:
-            w = self.G[k]
-            nw = sqrt(float(w.dot(w)))
-            if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
-                raise DegenerateNormalError(
-                    f"hyperplane {self.idx[k]} is parallel to region "
-                    f"{self.j}'s piece (row norm {nw:.3e})")
-            g = w / nw
-            self.normals[k] = g
-        return g
+    def row_norm(self, k):
+        """|G_k|, the length of row k in the metric M_j."""
+        w = self.G[k]
+        nw = sqrt(float(w.dot(w)))
+        if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
+            raise DegenerateNormalError(
+                f"hyperplane {self.idx[k]} is parallel to region "
+                f"{self.j}'s piece (row norm {nw:.3e})")
+        return nw
 
-    def neighbor(self, k, table):
-        """(record, k2, P, q, g2) across transition row k: the face's row
-        k2 in the neighbor and its unit normal g2 into it, and the map
-        z2 = P z + q of face points into the neighbor's coordinates,
-        P = S2'M2 S and q = S2'M2 (x_p - x_p2)."""
-        across = self.across[k]
-        if across is None:
+    def face(self, k, table):
+        """Row k's face record (nw, other, k2, TT, D), built on first use.
+
+        nw = |G_k|, so the face's unit normal into this region is
+        g1 = G_k / nw.  A wall keeps nw alone (the other fields are None).
+        A transition also keeps the neighbor's record other, the face's row
+        k2 there, TT = T' and D = [g2; q_T], with g2 the neighbor's unit
+        normal of row k2 into it.  Face points map into the neighbor's
+        coordinates by z2 = P z + q, P = S2'M2 S and q = S2'M2 (x_p - x_p2),
+        and T = P (I - g1 g1') is P on the face's tangent directions.  On
+        the face g1'z = -h_k / nw, so for a state Y there Y.dot(TT) is
+        [P (zdot - v1 g1); z2 - q_T], with v1 = g1'zdot and
+        q_T = q - (h_k / nw) P g1: one product gives the tangential velocity
+        carried across and, plus q_T, the position on the far side.
+        """
+        nw = self.row_norm(k)
+        record = (nw, None, None, None, None)
+        if self.L_j[k] != self.j:
             other = table[self.L_j[k]]
             k2 = other.idx.index(self.idx[k])
             SM = other.S.T.dot(other.M)
-            across = (other, k2, SM.dot(self.S), SM.dot(self.x_p - other.x_p),
-                      other.normal(k2))
-            self.across[k] = across
-        return across
+            P = SM.dot(self.S)
+            g1 = self.G[k] / nw
+            Pg1 = P.dot(g1)
+            TT = np.ascontiguousarray((P - np.outer(Pg1, g1)).T)
+            q = SM.dot(self.x_p - other.x_p) - (self.h[k] / nw) * Pg1
+            g2 = other.G[k2] / other.row_norm(k2)
+            record = (nw, other, k2, TT, np.array((g2, q)))
+        self.faces[k] = record
+        return record
 
 
 class RegionTable(dict):
@@ -248,37 +266,49 @@ def region_table(spec) -> RegionTable:
     return table
 
 
-def evolve_segment_detail(t_budget, j, z0, zdot0, skip, table):
+def evolve_segment_detail(t_budget, j, Y, skip, table):
     """One segment: fly inside region j until a boundary or the budget ends.
 
-    (z0, zdot0) is the state in region j's coordinates and skip the row of
-    j just crossed (-1 if none).  Applies the boundary rule at the segment
-    end.  Returns (z, zdot, tau, j_new, k, V1, V2, zdot_pre): the state in
-    the coordinates of j_new (which differs from j only on a successful
+    Y = [zdot; z] is the (2, n - d) state in region j's coordinates and skip
+    the row of j just crossed (-1 if none).  Applies the boundary rule at
+    the segment end.  Returns (Y, tau, j_new, k, V1, V2, Y_pre): the state
+    in the coordinates of j_new (which differs from j only on a successful
     transition), the time used, the row hit as numbered in j_new (the next
     segment's skip; -1 when the budget ran out first), the potentials with
-    c_j on either side of it (V2 = V1 at a wall) and the velocity before
-    the update.
+    c_j on either side of it (V2 = V1 at a wall) and the state before the
+    update.  Y is not modified; the returned state is a fresh array.
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
     # which costs more than the product at these sizes.
-    k, tau = first_hit(reg.G.dot(zdot0), reg.G.dot(z0), reg.h, t_budget,
-                       skip)
-    z, zdot = flight(zdot0, z0, tau)
+    fab = Y.dot(reg.GT)
+    fa, fb = fab[0], fab[1]         # indexing: unpacking iterates, slower
+    k, tau = first_hit(fa, fb, reg.h, t_budget, skip)
+    Y = flight(Y, tau)
     if k < 0:
-        return z, zdot, tau, j, k, 0.0, 0.0, zdot
+        return Y, tau, j, k, 0.0, 0.0, Y
 
-    g1 = reg.normal(k)
+    face = reg.faces[k]
+    if face is None:
+        face = reg.face(k, table)
+    nw, other, k2, TT, D = face
+    # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
+    v1 = (fa.item(k) * cos(tau) - fb.item(k) * sin(tau)) / nw
+    z = Y[1]
     V1 = 0.5 * float(z.dot(z)) + reg.base
-    if reg.L_j[k] == j:
-        zdot_new = boundary_dynamics(zdot, j, j, g1, g1, None, V1, inf)[0]
-        return z, zdot_new, tau, j, k, V1, V1, zdot
-
-    other, k2, P, q, g2 = reg.neighbor(k, table)
-    z2 = P.dot(z) + q
-    V2 = 0.5 * float(z2.dot(z2)) + other.base
-    zdot_new, j_new = boundary_dynamics(zdot, j, other.j, g1, g2, P, V1, V2)
-    if j_new == j:
-        return z, zdot_new, tau, j, k, V1, V2, zdot
-    return z2, zdot_new, tau, j_new, k2, V1, V2, zdot
+    if other is None:
+        # a wall is the step V2 = inf, which boundary_dynamics never clears
+        V2 = V1
+    else:
+        W = Y.dot(TT)
+        z2 = W[1]
+        z2 += D[1]
+        V2 = 0.5 * float(z2.dot(z2)) + other.base
+        speed = boundary_dynamics(v1, V1, V2)
+        if speed is not None:
+            zdot2 = W[0]
+            zdot2 += speed * D[0]
+            return W, tau, other.j, k2, V1, V2, Y
+    Y_new = Y.copy()
+    Y_new[0] -= (2.0 * v1 / nw) * reg.G[k]
+    return Y_new, tau, j, k, V1, V2, Y

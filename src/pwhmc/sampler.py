@@ -2,10 +2,11 @@
 
 One iterate draws a fresh tangent velocity, then evolves the particle for a
 total time t_max, consuming the budget segment by segment across however
-many boundary events occur.  The chain carries its state in the current
-region's whitened coordinates (see ``dynamics``) and writes each kept row
-back in x.  The dynamics are exact and the boundary rules
-energy-consistent, so there is no accept/reject step.
+many boundary events occur.  The chain carries its state as one stacked
+array [zdot; z] in the current region's whitened coordinates (see
+``dynamics``) and writes each kept row back in x.  The dynamics are exact
+and the boundary rules energy-consistent, so there is no accept/reject
+step.
 """
 
 from __future__ import annotations
@@ -130,16 +131,17 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     events = [] if cfg.record_events else None
 
     j = int(j0)
-    z = table[j].coords(x0)
+    Y = np.zeros((2, n - spec.d))        # [zdot; z], zdot drawn per iterate
+    Y[1] = table[j].coords(x0)
     for i in range(cfg.n_iterates):
-        zdot = refresh_velocity(table[j], rng)
+        Y[0] = refresh_velocity(table[j], rng)
         t_left = cfg.t_max
         t_used = 0.0
         n_events = 0
         k = -1
         while True:
-            z, zdot, tau, j_new, k, V1, V2, zdot_pre = evolve_segment_detail(
-                t_left, j, z, zdot, k, table
+            Y, tau, j_new, k, V1, V2, Y_pre = evolve_segment_detail(
+                t_left, j, Y, k, table
             )
             t_used += tau
             t_left -= tau
@@ -148,6 +150,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
             n_events += 1
             if events is not None:
                 reg = table[j_new]
+                zdot_pre, zdot = Y_pre[0], Y[0]
                 events.append({
                     "iterate": i,
                     "time": t_used,
@@ -169,15 +172,16 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
 
         if i >= cfg.burn_in and (i - cfg.burn_in + 1) % cfg.thin == 0:
             reg = table[j]
-            slack = reg.G.dot(z) + reg.h
+            slack = reg.G.dot(Y[1]) + reg.h
             if slack.size and not slack.min() >= -COEF_TOL:
                 raise ContractError(
                     f"iterate {i} ended outside region {j}'s cell",
                     residual=-float(slack.min()),
                 )
             row = (i - cfg.burn_in + 1) // cfg.thin - 1
-            X[row] = reg.x_p + reg.S.dot(z)
-            Xdot[row] = reg.S.dot(zdot)
+            xdot_x = Y.dot(reg.S.T)
+            Xdot[row] = xdot_x[0]
+            X[row] = reg.x_p + xdot_x[1]
             R[row] = j
 
     return ChainOutput(X=X, Xdot=Xdot, R=R, events=events)

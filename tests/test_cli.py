@@ -66,6 +66,7 @@ def test_sample_writes_csv_and_manifest(tmp_path):
     assert manifest["region"] == 1
     assert manifest["events_path"] is None
     assert manifest["version"]
+    assert manifest["numpy"] == np.__version__
 
 
 def test_sample_csv_round_trips_exactly(tmp_path):

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    anisotropic_mass,
     first_hit_both_paths,
     members_of,
+    oblique_wall_model,
     point_in_region,
+    rand_continuous_pair,
     rand_fullrank,
     rand_spd,
+    sign_cells_model,
+    wall_box_model,
 )
 from pwhmc import dynamics, zoo
 from pwhmc.dynamics import (
@@ -27,9 +32,6 @@ from pwhmc.model import cell_slack, load_model
 from pwhmc.oracle import grid_hit_time
 from pwhmc.sampler import refresh_velocity
 from pwhmc.subspace import ode_param
-
-I2 = np.eye(2)
-
 
 # --- hit times -------------------------------------------------------------
 
@@ -246,7 +248,7 @@ def test_flight_without_constraints_runs_the_budget():
     a, b = np.array([0.3, -0.1]), np.array([0.0, 0.7])
     G = np.zeros((0, 2))
     k, tau = first_hit(G.dot(a), G.dot(b), np.zeros(0), 1.2, -1)
-    x, xdot = flight(a, b, tau)
+    xdot, x = flight(np.array([a, b]), tau)
     assert k == -1 and tau == 1.2
     assert np.allclose(x, a * np.sin(1.2) + b * np.cos(1.2))
     assert np.allclose(xdot, a * np.cos(1.2) - b * np.sin(1.2))
@@ -257,7 +259,7 @@ def test_first_hit_single_constraint_lands_on_it():
     F, x_p = np.array([[1.0]]), np.array([0.5])
     a, b = np.array([1.0]), np.array([0.0])
     k, tau = first_hit(F.dot(a), F.dot(b), np.array([0.5]), 4.0, -1)
-    x = x_p + flight(a, b, tau)[0]
+    x = x_p + flight(np.array([a, b]), tau)[1]
     assert k == 0
     assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
     assert abs(x[0]) < 1e-12
@@ -302,93 +304,212 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
         "hyperplanes": {"F": [[1.0, 0.0]], "g": [1.0]},
     }
     spec = load_model(json.dumps(doc))
-    reg = region_table(spec)[1]
+    table = region_table(spec)
     with pytest.raises(DegenerateNormalError, match="hyperplane 1"):
-        reg.normal(0)
+        table[1].face(0, table)
 
 
 def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):
     """evolve_segment_detail on a state given in x, with every state it
-    returns mapped back to x."""
+    returns mapped back to x; the state passed in is left as it was."""
     reg = table[j]
-    z, zdot, tau, j_new, k, V1, V2, zdot_pre = evolve_segment_detail(
-        t_budget, j, reg.coords(np.asarray(x0, dtype=float)),
-        reg.S.T @ reg.M @ np.asarray(xdot0, dtype=float), skip, table)
+    Y0 = np.array([reg.S.T @ reg.M @ np.asarray(xdot0, dtype=float),
+                   reg.coords(np.asarray(x0, dtype=float))])
+    before = Y0.copy()
+    Y, tau, j_new, k, V1, V2, Y_pre = evolve_segment_detail(
+        t_budget, j, Y0, skip, table)
+    assert np.array_equal(Y0, before)
     new = table[j_new]
-    return (new.x_p + new.S @ z, new.S @ zdot, tau, j_new, k, V1, V2,
-            reg.S @ zdot_pre)
+    return (new.x_p + new.S @ Y[1], new.S @ Y[0], tau, j_new, k, V1, V2,
+            reg.S @ Y_pre[0])
 
 
 # --- velocity updates ------------------------------------------------------
 
 def test_wall_reflection_cases():
-    # a hard wall is the step V2 = inf: reflect, stay in the region
-    u = np.array([1.0, 0.0])
-    for xdot, expected in (([1.0, 1.0], [-1.0, 1.0]), ([0.0, 2.0], [0.0, 2.0]),
-                           (-u, u)):
-        new, j_new = boundary_dynamics(np.asarray(xdot), 1, 1, u, u, None,
-                                       0.7, np.inf)
-        assert j_new == 1
+    # a hard wall is the step V2 = inf: every velocity reflects, the one
+    # tangent to the wall included
+    for v1 in (-1.0, -1e-300, 0.0):
+        assert boundary_dynamics(v1, 0.7, np.inf) is None
+    # through the segment, on the wall x1 = 0.5 of the box at t = 0
+    spec = wall_box_model()
+    table = region_table(spec)
+    for xdot, expected in (([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]),
+                           ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])):
+        x, new, tau, j_new, k, V1, V2 = segment_in_x(
+            0.0, 1, [0.5, 0.2, 0.0], xdot, table)[:7]
+        assert (tau, j_new, table[1].idx[k], V2) == (0.0, 1, 2, V1)
         assert np.allclose(new, expected)
 
 
 def test_boundary_dynamics_transmit_and_reflect():
-    u1 = np.array([1.0, 0.0])
-    u2 = -u1
-    xdot = np.array([-2.0, 3.0])
-    new, j_new = boundary_dynamics(xdot, 1, 2, u1, u2, I2, 0.0, 1.5)
-    assert j_new == 2
-    assert new[0] == pytest.approx(-1.0)        # sqrt(2(2 - 1.5)) along u2
-    assert new[1] == pytest.approx(3.0)
-
-    new, j_new = boundary_dynamics(xdot, 1, 2, u1, u2, I2, 0.0, 3.0)
-    assert j_new == 1
-    assert np.allclose(new, [2.0, 3.0])         # u1-component flipped
+    # v1 = -2 carries normal kinetic energy 2
+    assert boundary_dynamics(-2.0, 0.0, 1.5) == pytest.approx(1.0)
+    assert boundary_dynamics(-2.0, 0.0, 3.0) is None
+    assert boundary_dynamics(-2.0, 1.0, 2.5) == pytest.approx(1.0)
+    assert boundary_dynamics(-2.0, 0.0, -2.5) == pytest.approx(3.0)
 
 
 def test_boundary_dynamics_artificial_boundary_is_identity():
-    # a stepless face with u2 = -u1 leaves the velocity alone, and one with
-    # u2 = u1 (a wall seen as a zero step) reflects it like a hard wall
+    # a stepless face keeps the normal speed, and one with an equal step
+    # (the energy just clears it) stops the normal motion
     rng = np.random.default_rng(5)
     for _ in range(20):
-        u1 = rng.normal(size=3)
-        u1 /= np.linalg.norm(u1)
-        xdot = rng.normal(size=3)
-        if u1 @ xdot > 0:
-            xdot = -xdot
-        new, j_new = boundary_dynamics(xdot, 1, 2, u1, -u1, np.eye(3), 0.7,
-                                       0.7)
-        assert j_new == 2
-        assert np.allclose(new, xdot, atol=1e-14)
-        new, j_new = boundary_dynamics(xdot, 1, 1, u1, u1, np.eye(3), 0.7,
-                                       0.7)
-        assert j_new == 1
-        wall, _ = boundary_dynamics(xdot, 1, 1, u1, u1, None, 0.7, np.inf)
-        assert np.allclose(new, wall, rtol=0, atol=1e-14)
+        v1 = -abs(rng.normal())
+        assert boundary_dynamics(v1, 0.7, 0.7) == pytest.approx(-v1, rel=1e-15)
+        assert boundary_dynamics(v1, 0.0, 0.5 * v1 * v1) == 0.0
+    # through the segment: one piece under an anisotropic M, split by an
+    # oblique face, leaves the velocity as it was
+    region = {"M": [[2.0, 0.6, 0.3], [0.6, 0.5, 0.1], [0.3, 0.1, 1.0]],
+              "r": [0.2, -0.1, 0.3], "k": 0.0, "A": [[0.0], [0.0], [1.0]],
+              "y": [0.0]}
+    spec = load_model(json.dumps({
+        "n": 3, "d": 1, "J": 2, "m": 1,
+        "regions": [dict(region, L_row=[2]), dict(region, L_row=[-1])],
+        "hyperplanes": {"F": [[1.0, 0.5, 0.7]], "g": [0.2]},
+    }))
+    table = region_table(spec)
+    for _ in range(20):
+        Y0, _ = state_on_face(table, 1, 0, rng)
+        Y, tau, j_new = evolve_segment_detail(0.0, 1, Y0, -1, table)[:3]
+        assert (tau, j_new) == (0.0, 2)
+        assert np.allclose(table[2].S @ Y[0], table[1].S @ Y0[0],
+                           rtol=0, atol=1e-14)
 
 
 def test_boundary_dynamics_continuous_in_dV():
-    u1 = np.array([0.0, 1.0])
-    xdot = np.array([0.4, -1.3])
+    v1 = -1.3
     for dV in (1e-6, 1e-9, 1e-12):
-        new, _ = boundary_dynamics(xdot, 1, 2, u1, -u1, I2, 0.0, dV)
-        assert np.linalg.norm(new - xdot) < 2e-5
+        assert abs(boundary_dynamics(v1, 0.0, dV) + v1) < 2e-5
+
+
+# --- face records against the rule built from scratch ---------------------
+
+def continuous_pair_model(rng, n, d):
+    """Two regions on pieces continuous across the face f'x + g = 0, under
+    one random mass matrix and linear term, with a random step in k."""
+    f, g, A1, y1, A2, y2 = rand_continuous_pair(rng, n, d)
+    M, r = rand_spd(rng, n), rng.normal(size=n)
+    return load_model(json.dumps({
+        "n": n, "d": d, "J": 2, "m": 1,
+        "regions": [
+            {"M": M.tolist(), "r": r.tolist(), "k": k, "A": A.tolist(),
+             "y": y.tolist(), "L_row": [L]}
+            for A, y, k, L in ((A1, y1, 0.0, 2),
+                               (A2, y2, float(rng.uniform(-1, 1)), -1))
+        ],
+        "hyperplanes": {"F": [f.tolist()], "g": [float(g)]},
+    }))
+
+
+def rule_from_scratch(spec, j, i, x, zdot):
+    """The boundary rule at hyperplane i for a particle of region j at x on
+    it with whitened velocity zdot, from ode_param alone: returns (Y, j_new,
+    V1, V2) with Y = [zdot; z] in the coordinates of j_new."""
+    def piece(j):
+        M, r = spec.M[j - 1], spec.r[j - 1]
+        x_p, S, c = ode_param(M, r, spec.A[j - 1], spec.y[j - 1])
+        n = S.T @ (np.sign(spec.L[j - 1, i]) * spec.F[i])
+        V = 0.5 * x @ M @ x - r @ x + spec.k[j - 1] + c
+        return M, x_p, S, n / np.linalg.norm(n), V
+
+    M1, x_p1, S1, g1, V1 = piece(j)
+    z = S1.T @ M1 @ (x - x_p1)
+    v1 = g1 @ zdot
+    j2 = abs(int(spec.L[j - 1, i]))
+    if j2 == j:
+        return np.array([zdot - 2 * v1 * g1, z]), j, V1, V1
+    M2, x_p2, S2, g2, V2 = piece(j2)
+    E, dV = 0.5 * v1 * v1, V2 - V1
+    if E < dV:
+        return np.array([zdot - 2 * v1 * g1, z]), j, V1, V2
+    P = S2.T @ M2 @ S1
+    q = S2.T @ M2 @ (x_p1 - x_p2)
+    return (np.array([P @ (zdot - v1 * g1) + np.sqrt(2 * (E - dV)) * g2,
+                      P @ z + q]), j2, V1, V2)
+
+
+def state_on_face(table, j, k, rng):
+    """(Y, x): a state of region j on row k's face, clear of every other
+    row, leaving through it with a random speed."""
+    reg = table[j]
+    g1 = reg.G[k] / np.linalg.norm(reg.G[k])
+    while True:
+        z = rng.normal(size=len(g1))
+        z -= (reg.G[k] @ z + reg.h[k]) / np.linalg.norm(reg.G[k]) * g1
+        if np.delete(reg.G @ z + reg.h, k).min(initial=np.inf) > 1e-2:
+            break
+    zdot = rng.normal(size=len(g1))
+    zdot -= (g1 @ zdot + abs(rng.normal()) + 0.05) * g1
+    return (np.array([zdot * rng.uniform(0.2, 2.0), z]),
+            reg.x_p + reg.S @ z)
+
+
+def test_face_record_matches_rule_from_scratch(rng):
+    # each face is met twice: at t = 0 from a state on it, and at t > 0
+    # from that state flown back in time
+    specs = [sign_cells_model(anisotropic_mass()),
+             sign_cells_model(anisotropic_mass(), scale_left=2.0),
+             oblique_wall_model()]
+    specs += [continuous_pair_model(rng, n, d)
+              for n, d in ((3, 1), (4, 2), (5, 2), (6, 3))]
+    cases = set()
+    for spec in specs:
+        table = region_table(spec)
+        for _ in range(40):
+            j = int(rng.integers(1, spec.J + 1))
+            reg = table[j]
+            k = int(rng.integers(len(reg.idx)))
+            Y_face, _ = state_on_face(table, j, k, rng)
+            back = rng.uniform(0.05, 0.5)
+            for Y0, budget in ((Y_face, 0.0), (flight(Y_face, -back), 1.0)):
+                Y, tau, j_new, k_new, V1, V2, Y_pre = evolve_segment_detail(
+                    budget, j, Y0, -1, table)
+                if k_new < 0:
+                    continue
+                i = table[j_new].idx[k_new] - 1
+                expected, j_exp, V1_exp, V2_exp = rule_from_scratch(
+                    spec, j, i, reg.x_p + reg.S @ Y_pre[1], Y_pre[0])
+                assert j_new == j_exp
+                assert np.abs(Y_pre - flight(Y0, tau)).max() <= 1e-12
+                assert np.abs(Y - expected).max() <= 1e-12
+                assert abs(V1 - V1_exp) <= 1e-12 and abs(V2 - V2_exp) <= 1e-12
+                kind = ("wall" if abs(spec.L[j - 1, i]) == j else
+                        "transmit" if j_new != j else "reflect")
+                cases.add((kind, tau > 0))
+                # a second hit reads the stored record and agrees bit for bit
+                again = evolve_segment_detail(budget, j, Y0, -1, table)[0]
+                assert again.tobytes() == np.ascontiguousarray(Y).tobytes()
+    assert cases == {(kind, flown) for kind in ("wall", "reflect", "transmit")
+                     for flown in (False, True)}
 
 
 def test_boundary_dynamics_velocity_transfer(rng):
-    # the tangential part goes through P, the normal speed along u2
+    # on transmission the tangential part goes through P and the speed the
+    # rule returns along g2
+    spec = sign_cells_model(anisotropic_mass())
+    table = region_table(spec)
+    moved = 0
     for _ in range(30):
-        P = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        u1 = rng.normal(size=4)
-        u1 /= np.linalg.norm(u1)
-        u2 = rng.normal(size=4)
-        u2 /= np.linalg.norm(u2)
-        w = rng.normal(size=4)
-        w -= (u1 @ w) * u1
-        alpha = abs(rng.normal()) + 0.1
-        xdot = -alpha * u1 + w
-        new, _ = boundary_dynamics(xdot, 1, 2, u1, u2, P, 2.0, 2.0)
-        assert np.allclose(new, alpha * u2 + P @ w, atol=1e-10)
+        j = int(rng.integers(1, spec.J + 1))
+        reg = table[j]
+        k = int(rng.integers(len(reg.idx)))
+        Y0, x = state_on_face(table, j, k, rng)
+        g1 = reg.G[k] / np.linalg.norm(reg.G[k])
+        alpha = -g1 @ Y0[0]
+        w = Y0[0] + alpha * g1
+        Y, _, j2, k2, V1, V2 = evolve_segment_detail(0.0, j, Y0, -1,
+                                                     table)[:6]
+        speed = boundary_dynamics(-alpha, V1, V2)
+        if speed is None:
+            assert j2 == j
+            continue
+        moved += 1
+        other = table[j2]
+        P = other.S.T @ other.M @ reg.S
+        g2 = other.G[k2] / np.linalg.norm(other.G[k2])
+        assert np.allclose(Y[0], speed * g2 + P @ w, atol=1e-10)
+    assert moved > 20
 
 
 # --- full segments ---------------------------------------------------------
@@ -446,10 +567,10 @@ def test_segment_adherence_and_region_bounds(rng):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
-        a, b = refresh_velocity(reg, rng), reg.coords(x0)
-        _, tau = first_hit(reg.G.dot(a), reg.G.dot(b), reg.h, np.pi / 2, -1)
+        Y = np.array([refresh_velocity(reg, rng), reg.coords(x0)])
+        _, tau = first_hit(*Y.dot(reg.GT), reg.h, np.pi / 2, -1)
         for t in np.linspace(0.0, tau, 32):
-            x = reg.x_p + reg.S @ flight(a, b, t)[0]
+            x = reg.x_p + reg.S @ flight(Y, t)[1]
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
             if t < tau:
                 assert cell_slack(spec, j, x) > -1e-7
@@ -465,10 +586,10 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         r = rng.normal(size=n)
         y = rng.normal(size=d)
         x_p, S, _ = ode_param(M, r, A, y)
-        a, b = rng.standard_normal(n - d), rng.normal(size=n - d)
+        Y = np.array([rng.standard_normal(n - d), rng.normal(size=n - d)])
 
         def H(t):
-            z, zd = flight(a, b, t)
+            zd, z = flight(Y, t)
             x, xd = x_p + S @ z, S @ zd
             return 0.5 * xd @ M @ xd + 0.5 * x @ M @ x - r @ x
 

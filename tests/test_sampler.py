@@ -204,15 +204,15 @@ def test_iterate_time_budget_fully_consumed(rng):
     j = 1
     z = table[j].coords(np.array([0.2, 0.3, 0.5]))
     for _ in range(50):
-        zdot = refresh_velocity(table[j], rng)
+        Y = np.array([refresh_velocity(table[j], rng), z])
         t_left, used, k = np.pi / 2, 0.0, -1
         while True:
-            z, zdot, tau, j, k = evolve_segment_detail(
-                t_left, j, z, zdot, k, table)[:5]
+            Y, tau, j, k = evolve_segment_detail(t_left, j, Y, k, table)[:4]
             used += tau
             t_left -= tau
             if k < 0:
                 break
+        z = Y[1]
         assert used == pytest.approx(np.pi / 2, abs=1e-9)
 
 
