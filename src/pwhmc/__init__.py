@@ -24,13 +24,7 @@ from .model import (
     validate_model,
 )
 from .sampler import ChainConfig, ChainOutput, initial_point_check, run_chain
-from .oracle import (
-    ConditionalMoments,
-    conditional_gaussian_moments,
-    exact_sample,
-    grid_hit_time,
-    occupancy_quadrature_line,
-)
+from .oracle import conditional_gaussian_moments, exact_sample
 from . import zoo
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
     "ModelSpec", "cell_slack", "ell", "load_model", "load_model_file",
     "validate_model",
     "ChainConfig", "ChainOutput", "initial_point_check", "run_chain",
-    "ConditionalMoments", "conditional_gaussian_moments", "exact_sample",
-    "grid_hit_time", "occupancy_quadrature_line",
+    "conditional_gaussian_moments", "exact_sample",
     "zoo",
 ]

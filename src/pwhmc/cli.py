@@ -106,15 +106,11 @@ def _chain_paths(base, chain, n_chains):
 
 
 def cmd_validate(args):
-    tol = CONTINUITY_TOL if args.tol is None else args.tol
-    if not 0 <= tol < np.inf:
+    if not 0 <= args.tol < np.inf:
         return _fail(EXIT_CONTENT,
-                     f"--tol must be nonnegative and finite, got {tol}")
-    spec = _load(args.model)
-    report = validate_model(spec, tol=tol)
+                     f"--tol must be nonnegative and finite, got {args.tol}")
+    report = validate_model(_load(args.model), tol=args.tol)
     print(report.format())
-    n_fail = len(report.failures())
-    print(f"{len(report.checks) - n_fail}/{len(report.checks)} checks passed")
     return EXIT_OK if report.passed else EXIT_CONTENT
 
 
@@ -214,7 +210,7 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="structural checks on a model document")
     p_val.add_argument("model")
-    p_val.add_argument("--tol", type=float, default=None,
+    p_val.add_argument("--tol", type=float, default=CONTINUITY_TOL,
                        help="continuity tolerance (default 1e-8)")
     p_val.set_defaults(func=cmd_validate)
 

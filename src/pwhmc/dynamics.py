@@ -21,11 +21,10 @@ segment does arithmetic only.
 from __future__ import annotations
 
 import weakref
-from math import acos, atan2, cos, sin, sqrt
+from math import acos, atan2, cos, isnan, sin, sqrt
 
 import numpy as np
 
-from . import subspace
 from .errors import DegenerateNormalError
 from .model import cell_table
 from .subspace import NORMAL_DEGENERACY_TOL
@@ -159,36 +158,37 @@ def boundary_dynamics(v1, V1, V2):
 class Region:
     """Everything about region j that the segment loop reads.
 
-    Built once, on the region's first visit: x_p and S from
-    subspace.ode_param, M_j, the boundary rows G = F_j S and offsets
-    h = F_j x_p + g_j of the sign-adjusted rows F_j, g_j in the model's cell
-    table, per-row target region L_j and hyperplane index idx (Python
-    ints), and base = V_j(x_p) + c_j.  G is the transpose view of a
-    contiguous GT, so that one product Y.dot(GT) gives both coefficient rows
-    of the hit scan for a state Y = [zdot; z].  A row's face record is
+    Built on the region's first visit from slices of the model's cell
+    table: x_p, S, the boundary rows G = F_j S, their offsets h and lengths
+    nw (Python floats), per-row target region L_j and hyperplane index idx
+    (Python ints), and base = V_j(x_p) + c_j.  G is the transpose view of a
+    contiguous GT, so that one product Y.dot(GT) gives both coefficient
+    rows of the hit scan for a state Y = [zdot; z].  A row's face record is
     built on the row's first hit (see ``face``).  Nothing here is chain
-    state.
+    state.  A region that failed the rank or metric test raises LinAlgError.
     """
 
-    __slots__ = ("j", "x_p", "S", "M", "G", "GT", "h", "L_j", "idx", "base",
-                 "faces")
+    __slots__ = ("j", "x_p", "S", "M", "G", "GT", "h", "nw", "L_j", "idx",
+                 "base", "faces")
 
     def __init__(self, spec, j, cells):
-        M, r = spec.M[j - 1], spec.r[j - 1]
-        x_p, self.S, c = subspace.ode_param(M, r, spec.A[j - 1],
-                                            spec.y[j - 1])
+        c = float(cells.c[j - 1])
+        if isnan(c):
+            raise np.linalg.LinAlgError(f"region {j}: A is rank deficient, "
+                                        "or M is not SPD on its piece")
         rows = slice(cells.start[j - 1], cells.start[j])
-        F = cells.F[rows]
         self.j = j
-        self.x_p = x_p
-        self.M = M
-        self.GT = np.ascontiguousarray(F.dot(self.S).T)
+        self.x_p = x_p = cells.x_p[j - 1]
+        self.S = cells.S[j - 1]
+        self.M = M = spec.M[j - 1]
+        self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.G = self.GT.T
-        self.h = F.dot(x_p) + cells.g[rows]
+        self.h = cells.h[rows]
+        self.nw = cells.norm[rows].tolist()
         self.L_j = (cells.t[rows] + 1).tolist()
         self.idx = (cells.i[rows] + 1).tolist()
-        self.base = (0.5 * float(x_p.dot(M).dot(x_p)) - float(r.dot(x_p))
-                     + float(spec.k[j - 1]) + c)
+        self.base = (0.5 * float(x_p.dot(M).dot(x_p))
+                     - float(spec.r[j - 1].dot(x_p)) + float(spec.k[j - 1]) + c)
         self.faces = [None] * len(self.idx)
 
     def coords(self, x):
@@ -197,8 +197,7 @@ class Region:
 
     def row_norm(self, k):
         """|G_k|, the length of row k in the metric M_j."""
-        w = self.G[k]
-        nw = sqrt(float(w.dot(w)))
+        nw = self.nw[k]
         if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
             raise DegenerateNormalError(
                 f"hyperplane {self.idx[k]} is parallel to region "
@@ -243,7 +242,7 @@ class RegionTable(dict):
 
     Holds the model through a weak proxy: the registry behind region_table
     is keyed by the model and must not keep it alive.  The model's cell
-    table is decoded once, here.
+    table, with every region's geometry, is computed once, here.
     """
 
     def __init__(self, spec):

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ModelFormatError
-from .subspace import NORMAL_DEGENERACY_TOL, face_residuals, rank_margin
+from . import subspace
+from .subspace import NORMAL_DEGENERACY_TOL, face_residuals
 
 CONTINUITY_TOL = 1e-8
 
@@ -57,12 +58,14 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class CellTable:
-    """Every active lookup entry of a model, decoded once from L.
+    """Every active lookup entry of a model and every region's geometry.
 
     Entry e is (region j[e], hyperplane i[e]) in row-major order of L, all
     0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
     j[e] and its target region t[e] (t[e] == j[e] marks a wall).  Region
-    j's entries (1-based j) are rows start[j-1]:start[j].
+    j's entries (1-based j) are rows start[j-1]:start[j].  On its piece
+    x = x_p[j-1] + S[j-1] z (one stacked ``subspace.ode_param`` call), entry
+    e is the row G[e] z + h[e] >= 0, whose normal has length norm[e] in M_j.
     """
 
     j: np.ndarray          # (E,) int
@@ -71,6 +74,13 @@ class CellTable:
     F: np.ndarray          # (E, n)
     g: np.ndarray          # (E,)
     start: np.ndarray      # (J + 1,) int
+    x_p: np.ndarray        # (J, n)
+    S: np.ndarray          # (J, n, n - d)
+    c: np.ndarray          # (J,)
+    margin: np.ndarray     # (J,)
+    G: np.ndarray          # (E, n - d)
+    h: np.ndarray          # (E,)
+    norm: np.ndarray       # (E,)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +222,19 @@ def load_model_file(path) -> ModelSpec:
 
 
 def cell_table(spec: ModelSpec) -> CellTable:
-    """Decode the lookup table L into the model's cell table."""
+    """Decode the lookup table L and compute every region's geometry."""
     j, i = np.nonzero(spec.L)
     entry = spec.L[j, i]
     signs = np.sign(entry).astype(float)
-    return CellTable(j=j, i=i, t=np.abs(entry) - 1,
-                     F=spec.F[i] * signs[:, None], g=spec.g[i] * signs,
-                     start=np.searchsorted(j, np.arange(spec.J + 1)))
+    F, g = spec.F[i] * signs[:, None], spec.g[i] * signs
+    x_p, S, c, margin = subspace.ode_param(spec.M, spec.r, spec.A, spec.y)
+    # matmul, not einsum: each row rounds as in the product F_j S_j
+    G = (F[:, None, :] @ S[j])[:, 0]
+    return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g,
+                     start=np.searchsorted(j, np.arange(spec.J + 1)),
+                     x_p=x_p, S=S, c=c, margin=margin, G=G,
+                     h=np.einsum("en,en->e", F, x_p[j]) + g,
+                     norm=np.sqrt(np.einsum("ek,ek->e", G, G)))
 
 
 def _region_index(spec: ModelSpec, R) -> np.ndarray:
@@ -283,53 +299,51 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def format(self) -> str:
-        return "\n".join(c.format() for c in self.checks)
+        """Failing checks, a ``name: passed/total`` line per kind, the total."""
+        kinds = {}
+        for c in self.checks:
+            kinds.setdefault(c.name, []).append(c.passed)
+        lines = [c.format() for c in self.failures()]
+        lines += [f"{name}: {sum(v)}/{len(v)}" for name, v in kinds.items()]
+        passed = sum(map(sum, kinds.values()))
+        return "\n".join(lines + [f"{passed}/{len(self.checks)} checks passed"])
 
 
 def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationReport:
     """Run all structural checks and return a pass/fail report.
 
-    Every face is checked once, and all but M_spd run on all their
-    subjects at once.  Failures are report entries, never exceptions; a
+    Every face is checked once, and each check runs on all its subjects
+    at once.  Failures are report entries, never exceptions; a
     single-region model passes vacuously.
     """
     report = ValidationReport()
     add = report.checks.extend
     tab = cell_table(spec)
-    Q1, R1 = np.linalg.qr(spec.A)
     # The transition entries, and each face (a pair of regions and the
     # hyperplane between them) once, at its first entry.
     trans = np.flatnonzero(tab.t != tab.j)
-    jt, tt = tab.j[trans], tab.t[trans]
-    key = (np.minimum(jt, tt) * spec.J + np.maximum(jt, tt)) * spec.m + tab.i[trans]
+    j, i, t = tab.j[trans], tab.i[trans], tab.t[trans]
+    key = (np.minimum(j, t) * spec.J + np.maximum(j, t)) * spec.m + i
     face = trans[np.sort(np.unique(key, return_index=True)[1])]
 
-    margin = rank_margin(R1).tolist()
     add(CheckResult("A_full_rank", f"region {j}", v > NORMAL_DEGENERACY_TOL, v)
-        for j, v in enumerate(margin, start=1))
+        for j, v in enumerate(tab.margin.tolist(), start=1))
 
     # Cholesky gives the verdict; the smallest eigenvalue is the margin.
     low = np.linalg.eigvalsh(spec.M)[:, 0].tolist()
-    for j, (Mj, v) in enumerate(zip(spec.M, low), start=1):
-        try:
-            np.linalg.cholesky(Mj)
-            ok = True
-        except np.linalg.LinAlgError:
-            ok = False
-        report.checks.append(CheckResult("M_spd", f"region {j}", ok, v))
+    add(CheckResult("M_spd", f"region {j}", ok, v) for j, (ok, v) in
+        enumerate(zip(subspace.spd_factor(spec.M)[1].tolist(), low), start=1))
 
-    # Each active hyperplane normal must leave the column space of A_j,
-    # otherwise there is no in-manifold direction crossing it.
-    Qe = Q1[tab.j]
-    w = tab.F - np.einsum("enk,ek->en", Qe, np.einsum("enk,en->ek", Qe, tab.F))
-    rn = np.linalg.norm(w, axis=1).tolist()
-    add(CheckResult("normal_escapes_A", f"region {j}, hyperplane {i}",
-                    v > NORMAL_DEGENERACY_TOL, v)
-        for j, i, v in zip((tab.j + 1).tolist(), (tab.i + 1).tolist(), rn))
+    # Each row needs a normal on the piece, |G_e| = |S_j'F_e|, which the
+    # sampler divides by, or a constant value h_e there off 0: above tol it
+    # never binds, below -tol the piece misses the cell and is never hit.
+    ok = (tab.norm > NORMAL_DEGENERACY_TOL) | (np.abs(tab.h) > tol)
+    add(CheckResult("normal_escapes_A", f"region {j}, hyperplane {i}", v, r)
+        for j, i, v, r in zip((tab.j + 1).tolist(), (tab.i + 1).tolist(),
+                              ok.tolist(), tab.norm.tolist()))
 
     # Reciprocity: a transition entry (j, i) -> t must be mirrored by
     # (t, i) -> j with the opposite sign.
-    j, i, t = tab.j[trans], tab.i[trans], tab.t[trans]
     mirror = spec.L[t, i]
     ok = (np.abs(mirror) == j + 1) & (np.sign(mirror) == -np.sign(spec.L[j, i]))
     add(CheckResult("reciprocity", f"L[{a},{c}] <-> L[{b},{c}]", v, None)

@@ -6,8 +6,8 @@ A'x + y = 0, so bridge by negating y).  The hit-time and occupancy oracles
 are deliberately brute force — grids, bisection, quadrature — so they share
 no code with the analytic implementations they check.  ``exact_sample``
 draws the sampler's target law directly, from Gaussians conditioned on each
-piece's plane and rejected to its cell; it shares only the model's cell
-table (``cell_table``) with the sampler.
+piece's plane and rejected to its cell; it shares only the boundary rows
+of the model's cell table (``cell_table``) with the sampler.
 """
 
 from __future__ import annotations

@@ -13,11 +13,10 @@ particular solution satisfies R1'z1 = -y.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
-# Norm below which a hyperplane normal is numerically inside the constraint
-# column space (its projection off A, or its row S'f on the piece) and no
-# in-manifold normal exists; also the rank test's margin.
+# Length below which a boundary row S'f on a piece (a hyperplane normal in
+# the metric M) is numerically zero, so no in-manifold normal exists; also
+# the rank test's margin.
 NORMAL_DEGENERACY_TOL = 1e-12
 
 # Tolerance of the sampler's initial-point check: the start's manifold
@@ -43,49 +42,48 @@ def rank_margin(R1):
     return np.where(singular, 0.0, 1.0 / np.sqrt(ss))[()]
 
 
-def _qr_complete(A):
-    """Complete QR with a rank guard on the leading triangle."""
-    Q, R = np.linalg.qr(A, mode="complete")
-    d = A.shape[1]
-    R1 = R[:d, :d]
-    if d > 0 and rank_margin(R1) <= NORMAL_DEGENERACY_TOL:
-        raise np.linalg.LinAlgError(
-            "constraint matrix is numerically rank deficient"
-        )
-    return Q, R1
+def spd_factor(W):
+    """(L, pd): lower factors W = L L' of one symmetric matrix or a stack,
+    with the identity's where a matrix is not positive definite (pd false)."""
+    try:
+        return np.linalg.cholesky(W), np.ones(W.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:    # numpy fails a whole stack: split it
+        if W.ndim == 2:
+            return np.eye(len(W)), np.zeros((), dtype=bool)
+        L, pd = zip(*map(spd_factor, W))
+        return np.array(L), np.array(pd)
 
 
 def ode_param(M, r, A, y):
-    """The dynamics of one region: (x_p, S, c).
+    """The dynamics of one region, or of a stack: (x_p, S, c, margin).
 
     The piece A'x + y = 0 is x = x_p + S z with S'MS = I (whitened tangent
     coordinates z), where the center x_p is the conditional mean of the
     potential 1/2 x'Mx - r'x, which is 1/2 |z|^2 plus its value at x_p.
-    S = Q2 U^-1 with Q2 the manifold columns of A's complete QR basis and
-    Q2'MQ2 = U'U.  c = 1/2 log det M + 1/2 log det(A'M^-1 A) = sum log|diag
-    R1| + sum log diag U (A = Q1 R1) turns the flow's law, exp(-V) against
+    S = Q2 L'^-1 with Q2 the manifold columns of A's complete QR basis and
+    Q2'MQ2 = L L'.  c = 1/2 log det M + 1/2 log det(A'M^-1 A) = sum log|diag
+    R1| + sum log diag L (A = Q1 R1) turns the flow's law, exp(-V) against
     the volume of the metric M, into exp(-V) det(A'A)^(-1/2) against surface
-    measure.
+    measure.  margin = rank_margin(R1).  Each region of a stack gets its own
+    call's results, and none raises: R1 = I stands in where the margin
+    fails and L = I where Q2'MQ2 is not positive definite, with c = NaN.
     """
-    M = np.asarray(M, dtype=float)
-    r = np.asarray(r, dtype=float)
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = A.shape[1]
-
-    Q, R1 = _qr_complete(A)
-    z1 = solve_triangular(R1, -y, trans=1, lower=False)
-    x1 = Q[:, :d] @ z1
-    Q2 = Q[:, d:]
-
-    omega22 = Q2.T @ M @ Q2
-    omega22 = 0.5 * (omega22 + omega22.T)
-    U = cholesky(omega22, lower=False)        # omega22 = U'U
-    S = solve_triangular(U, Q2.T, trans=1, lower=False).T
-
-    x_p = S @ (S.T @ (r - M @ x1)) + x1
-    c = float(np.log(np.abs(np.diag(R1))).sum() + np.log(np.diag(U)).sum())
-    return x_p, S, c
+    M, r, A, y = (np.asarray(a, dtype=float) for a in (M, r, A, y))
+    d = A.shape[-1]
+    Q, R = np.linalg.qr(A, mode="complete")
+    margin = rank_margin(R[..., :d, :d])
+    full = margin > NORMAL_DEGENERACY_TOL
+    R1 = np.where(full[..., None, None], R[..., :d, :d], np.eye(d))
+    x1 = Q[..., :d] @ np.linalg.solve(np.swapaxes(R1, -1, -2), -y[..., None])
+    Q2T = np.swapaxes(Q[..., d:], -1, -2)
+    W = Q2T @ M @ Q[..., d:]
+    L, pd = spd_factor(0.5 * (W + np.swapaxes(W, -1, -2)))
+    ST = np.linalg.solve(L, Q2T)
+    S = np.swapaxes(ST, -1, -2)
+    x_p = S @ (ST @ (r[..., None] - M @ x1)) + x1
+    c = sum(np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1))).sum(-1)
+            for T in (R1, L))
+    return x_p[..., 0], S, np.where(full & pd, c, np.nan)[()], margin
 
 
 def face_residuals(f, g, A1, A2, y1, y2):

@@ -408,7 +408,7 @@ def rule_from_scratch(spec, j, i, x, zdot):
     V1, V2) with Y = [zdot; z] in the coordinates of j_new."""
     def piece(j):
         M, r = spec.M[j - 1], spec.r[j - 1]
-        x_p, S, c = ode_param(M, r, spec.A[j - 1], spec.y[j - 1])
+        x_p, S, c, _ = ode_param(M, r, spec.A[j - 1], spec.y[j - 1])
         n = S.T @ (np.sign(spec.L[j - 1, i]) * spec.F[i])
         V = 0.5 * x @ M @ x - r @ x + spec.k[j - 1] + c
         return M, x_p, S, n / np.linalg.norm(n), V
@@ -585,7 +585,7 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        x_p, S, _ = ode_param(M, r, A, y)
+        x_p, S, _, _ = ode_param(M, r, A, y)
         Y = np.array([rng.standard_normal(n - d), rng.normal(size=n - d)])
 
         def H(t):

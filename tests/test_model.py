@@ -7,8 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from conftest import members_of, rand_continuous_pair
+from conftest import (
+    anisotropic_mass,
+    members_of,
+    oblique_wall_model,
+    polygon_model,
+    rand_continuous_pair,
+    scaled_line_model,
+    sign_cells_model,
+    wall_box_model,
+)
 from pwhmc.cli import main
 from pwhmc.dynamics import region_table
 from pwhmc.errors import ContractError, ModelFormatError
@@ -17,10 +27,13 @@ from pwhmc.model import (
     cell_table,
     ell,
     load_model,
+    load_model_file,
     validate_model,
 )
 from pwhmc import zoo
-from pwhmc.oracle import conditional_gaussian_moments
+from pwhmc.oracle import conditional_gaussian_moments, exact_sample
+from pwhmc.sampler import ChainConfig, run_chain
+from pwhmc.subspace import NORMAL_DEGENERACY_TOL
 
 
 def doc_of(spec):
@@ -451,16 +464,64 @@ def test_validate_rank_check_is_the_samplers(A):
         region_table(spec)[1]
 
 
-def test_validate_catches_normal_in_column_space():
-    # manifold x1 = 0 with an active boundary also normal to x1
-    doc = {
-        "n": 2, "d": 1, "J": 1, "m": 1, "mean": False,
+def _parallel_row_document(g):
+    # the piece x1 = 0 with the wall x1 + g >= 0, a row parallel to it
+    return json.dumps({
+        "n": 2, "d": 1, "J": 1, "m": 1,
         "regions": [{
             "M": [[1.0, 0.0], [0.0, 1.0]], "r": [0.0, 0.0], "k": 0.0,
             "A": [[1.0], [0.0]], "y": [0.0], "L_row": [1],
         }],
-        "hyperplanes": {"F": [[1.0, 0.0]], "g": [1.0]},
-    }
-    report = validate_model(load_model(json.dumps(doc)))
-    assert any(c.name == "normal_escapes_A" and not c.passed
-               for c in report.checks)
+        "hyperplanes": {"F": [[1.0, 0.0]], "g": [g]},
+        "init": {"region": 1, "x": [0.0, 0.0]},
+    })
+
+
+def test_validate_passes_row_parallel_to_its_piece():
+    # at g = 1 the row is 1 everywhere on the piece, so it never binds:
+    # the model passes and the chain samples x2 ~ N(0, 1)
+    spec = load_model(_parallel_row_document(1.0))
+    report = validate_model(spec)
+    assert report.passed, report.format()
+    [row] = [c for c in report.checks if c.name == "normal_escapes_A"]
+    assert row.residual <= NORMAL_DEGENERACY_TOL
+    out = run_chain(spec, 1, [0.0, 0.0], ChainConfig(n_samples=20000, seed=1901))
+    assert np.max(np.abs(out.X[:, 0])) < 1e-12
+    exact, _ = exact_sample(spec, 20000, np.random.default_rng(1902))
+    assert stats.ks_2samp(out.X[:, 1], exact[:, 1]).statistic < 0.025
+
+
+def test_validate_catches_piece_on_a_row():
+    # at g = 0 the piece lies on the hyperplane: no normal crosses it
+    report = validate_model(load_model(_parallel_row_document(0.0)))
+    assert [(c.name, c.subject) for c in report.failures()] == [
+        ("normal_escapes_A", "region 1, hyperplane 1")]
+
+
+def _checked_models():
+    conftest_models = [
+        scaled_line_model(), wall_box_model(), polygon_model(7),
+        sign_cells_model(anisotropic_mass()),
+        sign_cells_model(anisotropic_mass(), scale_left=2.0),
+        sign_cells_model(np.eye(4)), oblique_wall_model()]
+    zoo_models = [
+        zoo.sum_constraint_model(), zoo.axis_plane_model(3),
+        zoo.step_line_model(), zoo.one_norm_model(),
+        zoo.polygonal_top_model(), zoo.polygonal_top_model(sides=12),
+        zoo.positive_part_model()]
+    shipped = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
+    return conftest_models + zoo_models + shipped + _benchmark_models()
+
+
+def test_validate_reads_the_samplers_geometry():
+    # normal_escapes_A reports each region record's row lengths and
+    # A_full_rank the margins its build tests, bit for bit
+    for spec in _checked_models():
+        report = validate_model(spec)
+        assert report.passed, report.format()
+        table = region_table(spec)
+        norms = [nw for j in range(1, spec.J + 1) for nw in table[j].nw]
+        assert [c.residual for c in report.checks
+                if c.name == "normal_escapes_A"] == norms
+        assert [c.residual for c in report.checks
+                if c.name == "A_full_rank"] == table.cells.margin.tolist()

@@ -61,7 +61,7 @@ def test_moments_bridge_to_region_dynamics(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        x_p, S, _ = ode_param(M, r, A, y)
+        x_p, S, _, _ = ode_param(M, r, A, y)
         cm = conditional_gaussian_moments(
             np.linalg.solve(M, r), np.linalg.inv(M), A, -y
         )

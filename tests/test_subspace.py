@@ -1,24 +1,34 @@
 """QR machinery: ODE parameters, rank test, face residuals."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import rand_continuous_pair, rand_fullrank, rand_spd
+from pwhmc import zoo
+from pwhmc.dynamics import Region
+from pwhmc.model import cell_table, load_model
 from pwhmc.oracle import conditional_gaussian_moments
-from pwhmc.subspace import face_residuals, ode_param, rank_margin
+from pwhmc.subspace import (
+    NORMAL_DEGENERACY_TOL,
+    face_residuals,
+    ode_param,
+    rank_margin,
+)
 
 E1 = np.array([[1.0], [0.0]])
 I2 = np.eye(2)
 
 
 def test_ode_param_symmetric_case():
-    x_p, S, _ = ode_param(I2, np.zeros(2), E1, np.array([0.0]))
+    x_p, S, _, _ = ode_param(I2, np.zeros(2), E1, np.array([0.0]))
     assert np.allclose(x_p, 0.0, atol=1e-14)
     assert np.allclose(np.abs(S[:, 0]), [0.0, 1.0], atol=1e-14)
 
 
 def test_ode_param_center_is_conditional_mean():
-    x_p, _, _ = ode_param(I2, np.array([1.0, 1.0]), E1, np.array([0.0]))
+    x_p, _, _, _ = ode_param(I2, np.array([1.0, 1.0]), E1, np.array([0.0]))
     assert np.allclose(x_p, [0.0, 1.0], atol=1e-12)
     # independent cross-check through the moment formulas (A'x = y frame)
     mom = conditional_gaussian_moments(np.ones(2), I2, E1, [0.0])
@@ -26,7 +36,7 @@ def test_ode_param_center_is_conditional_mean():
 
 
 def test_ode_param_offset_plane():
-    x_p, _, _ = ode_param(I2, np.zeros(2), E1, np.array([-1.0]))
+    x_p, _, _, _ = ode_param(I2, np.zeros(2), E1, np.array([-1.0]))
     assert np.allclose(E1.T @ x_p, 1.0)                 # A'x = -y
     assert np.allclose(x_p, [1.0, 0.0], atol=1e-12)
     mom = conditional_gaussian_moments(np.zeros(2), I2, E1, [1.0])
@@ -41,7 +51,7 @@ def test_ode_param_invariants_random(rng):
         A = rand_fullrank(rng, n, d)
         r = rng.normal(size=n)
         y = rng.normal(size=d)
-        x_p, S, c = ode_param(M, r, A, y)
+        x_p, S, c, _ = ode_param(M, r, A, y)
         assert np.linalg.norm(A.T @ x_p + y) < 1e-9
         assert np.linalg.norm(S.T @ A) < 1e-10
         # whitened: S'MS = I, and x_p is stationary for the potential on the piece
@@ -52,10 +62,56 @@ def test_ode_param_invariants_random(rng):
         assert c == pytest.approx(expected, rel=0, abs=1e-9)
 
 
-def test_ode_param_rejects_rank_deficient():
+def _one_region(M, A):
+    n, d = np.shape(A)
+    return load_model(json.dumps({
+        "n": n, "d": d, "J": 1, "m": 0,
+        "regions": [{"M": M, "r": [0.0] * n, "k": 0.0, "A": A,
+                     "y": [0.0] * d, "L_row": []}],
+        "hyperplanes": {"F": [], "g": []},
+    }))
+
+
+def test_rank_deficient_region_fails_the_margin_and_its_build():
     A = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        ode_param(np.eye(3), np.zeros(3), A, np.zeros(2))
+    *_, margin = ode_param(np.eye(3), np.zeros(3), A, np.zeros(2))
+    assert margin <= NORMAL_DEGENERACY_TOL
+    spec = _one_region(np.eye(3).tolist(), A.tolist())
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+        Region(spec, 1, cell_table(spec))
+
+
+def test_region_with_indefinite_metric_on_its_piece_fails_its_build():
+    # M = diag(1, -1, 1) is indefinite on the piece x1 = 0
+    M = np.diag([1.0, -1.0, 1.0])
+    _, S, c, margin = ode_param(M, np.zeros(3), np.eye(3, 1), np.zeros(1))
+    assert margin == 1.0 and np.isnan(c) and np.isfinite(S).all()
+    spec = _one_region(M.tolist(), np.eye(3, 1).tolist())
+    with pytest.raises(np.linalg.LinAlgError, match="not SPD on its piece"):
+        Region(spec, 1, cell_table(spec))
+
+
+def test_stacked_ode_param_is_each_regions_call(rng):
+    # one call on a stack gives each region's own call bit for bit,
+    # placeholders for a rank-deficient A and an indefinite M included
+    for n, d in ((2, 1), (4, 2), (6, 1), (7, 3)):
+        J = 9
+        M = np.array([rand_spd(rng, n) for _ in range(J)])
+        A = np.array([rand_fullrank(rng, n, d) for _ in range(J)])
+        r, y = rng.normal(size=(J, n)), rng.normal(size=(J, d))
+        A[2, :, -1] = A[2, :, 0] if d > 1 else 0.0
+        M[5] = -M[5]
+        stacked = ode_param(M, r, A, y)
+        for j in range(J):
+            for whole, own in zip(stacked, ode_param(M[j], r[j], A[j], y[j])):
+                assert np.array_equal(whole[j], own, equal_nan=True)
+        assert stacked[3][2] <= NORMAL_DEGENERACY_TOL and np.isnan(stacked[2][5])
+    for name in zoo.SHIPPED:
+        spec = zoo.build_shipped(name)
+        stacked = ode_param(spec.M, spec.r, spec.A, spec.y)
+        for j in range(spec.J):
+            own = ode_param(spec.M[j], spec.r[j], spec.A[j], spec.y[j])
+            assert all(np.array_equal(a[j], b) for a, b in zip(stacked, own))
 
 
 def test_rank_margin_is_below_both_rank_tests(rng):
