@@ -26,7 +26,6 @@ from math import acos, atan2, cos, isnan, sin, sqrt
 import numpy as np
 
 from .errors import DegenerateNormalError
-from .model import cell_table
 from .subspace import NORMAL_DEGENERACY_TOL
 
 # Root-exclusion window after an event: on the row just crossed, roots at
@@ -241,14 +240,14 @@ class RegionTable(dict):
     first lookup.
 
     Holds the model through a weak proxy: the registry behind region_table
-    is keyed by the model and must not keep it alive.  The model's cell
-    table, with every region's geometry, is computed once, here.
+    is keyed by the model and must not keep it alive.  Regions slice the
+    model's cell table, ``spec.cells``.
     """
 
     def __init__(self, spec):
         super().__init__()
         self.spec = weakref.proxy(spec)
-        self.cells = cell_table(spec)
+        self.cells = spec.cells
 
     def __missing__(self, j):
         return self.setdefault(j, Region(self.spec, j, self.cells))

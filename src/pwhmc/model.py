@@ -10,14 +10,15 @@ region j*; zero means hyperplane i does not touch region j.
 
 Region indices are 1-based everywhere in the public API, matching the model
 document and the lookup-table encoding.  ``cell_table`` is the one decoder of
-L: the sampler's region records, the exact oracle and validation all read
-their boundary rows from it.
+L, run once per model as ``ModelSpec.cells``: the sampler's region records,
+the exact oracle and validation all read their boundary rows from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,15 @@ class ModelSpec:
         for name in ("M", "r", "k", "A", "y", "F", "g", "L"):
             getattr(self, name).setflags(write=False)
 
+    @cached_property
+    def cells(self) -> CellTable:
+        """The model's one cell table, built on first use."""
+        return cell_table(self)
+
 
 @dataclass(frozen=True, eq=False)
 class CellTable:
-    """Every active lookup entry of a model and every region's geometry.
+    """A model's active lookup entries and region geometry, in read-only arrays.
 
     Entry e is (region j[e], hyperplane i[e]) in row-major order of L, all
     0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
@@ -81,6 +87,10 @@ class CellTable:
     G: np.ndarray          # (E, n - d)
     h: np.ndarray          # (E,)
     norm: np.ndarray       # (E,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +250,10 @@ def cell_table(spec: ModelSpec) -> CellTable:
 def _region_index(spec: ModelSpec, R) -> np.ndarray:
     """0-based index of the 1-based region label(s) R.
 
-    A label outside 1..J raises ContractError instead of wrapping around.
+    A label not an integer in 1..J raises ContractError, never wraps around.
     """
     R = np.asarray(R)
-    if not np.all((R >= 1) & (R <= spec.J)):
+    if R.dtype.kind not in "iu" or not np.all((R >= 1) & (R <= spec.J)):
         raise ContractError(f"region label out of range 1..{spec.J}")
     return R - 1
 
@@ -276,37 +286,49 @@ def cell_slack(spec: ModelSpec, R, X):
 
 @dataclass
 class CheckResult:
+    """One failing subject of a check."""
+
     name: str
     subject: str
-    passed: bool
     residual: float | None = None
 
     def format(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
         tail = "" if self.residual is None else f"  residual={self.residual:.3e}"
-        return f"{verdict}  {self.name:<18} {self.subject}{tail}"
+        return f"FAIL  {self.name:<18} {self.subject}{tail}"
+
+
+@dataclass(frozen=True, eq=False)
+class CheckKind:
+    """One check on all its subjects: subject e passed iff passed[e], and only
+    a failing e is labelled, ``subject.format(*(c[e] for c in columns))``."""
+
+    name: str
+    passed: np.ndarray             # (K,) bool
+    residual: np.ndarray | None    # (K,) float
+    subject: str
+    columns: tuple
 
 
 @dataclass
 class ValidationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckKind]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed.all() for c in self.checks)
 
     def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
+        return [CheckResult(c.name, c.subject.format(*(k[e] for k in c.columns)),
+                            None if c.residual is None else float(c.residual[e]))
+                for c in self.checks for e in np.flatnonzero(~c.passed).tolist()]
 
     def format(self) -> str:
         """Failing checks, a ``name: passed/total`` line per kind, the total."""
-        kinds = {}
-        for c in self.checks:
-            kinds.setdefault(c.name, []).append(c.passed)
-        lines = [c.format() for c in self.failures()]
-        lines += [f"{name}: {sum(v)}/{len(v)}" for name, v in kinds.items()]
-        passed = sum(map(sum, kinds.values()))
-        return "\n".join(lines + [f"{passed}/{len(self.checks)} checks passed"])
+        lines = [f.format() for f in self.failures()]
+        lines += [f"{c.name}: {c.passed.sum()}/{c.passed.size}"
+                  for c in self.checks if c.passed.size]
+        passed = np.concatenate([c.passed for c in self.checks])
+        return "\n".join(lines + [f"{passed.sum()}/{passed.size} checks passed"])
 
 
 def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationReport:
@@ -316,9 +338,21 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
     at once.  Failures are report entries, never exceptions; a
     single-region model passes vacuously.
     """
-    report = ValidationReport()
-    add = report.checks.extend
-    tab = cell_table(spec)
+    tab = spec.cells
+    region = ("region {}", (np.arange(1, spec.J + 1),))
+    checks = [
+        CheckKind("A_full_rank", tab.margin > NORMAL_DEGENERACY_TOL,
+                  tab.margin, *region),
+        # Cholesky gives the verdict; the smallest eigenvalue is the margin.
+        CheckKind("M_spd", subspace.spd_factor(spec.M)[1],
+                  np.linalg.eigvalsh(spec.M)[:, 0], *region),
+        # Each row needs a normal on the piece, |G_e| = |S_j'F_e|, which the
+        # sampler divides by, or a constant value h_e there off 0: above tol
+        # it never binds, below -tol the piece misses the cell and is never hit.
+        CheckKind("normal_escapes_A",
+                  (tab.norm > NORMAL_DEGENERACY_TOL) | (np.abs(tab.h) > tol),
+                  tab.norm, "region {}, hyperplane {}", (tab.j + 1, tab.i + 1))]
+
     # The transition entries, and each face (a pair of regions and the
     # hyperplane between them) once, at its first entry.
     trans = np.flatnonzero(tab.t != tab.j)
@@ -326,51 +360,28 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
     key = (np.minimum(j, t) * spec.J + np.maximum(j, t)) * spec.m + i
     face = trans[np.sort(np.unique(key, return_index=True)[1])]
 
-    add(CheckResult("A_full_rank", f"region {j}", v > NORMAL_DEGENERACY_TOL, v)
-        for j, v in enumerate(tab.margin.tolist(), start=1))
-
-    # Cholesky gives the verdict; the smallest eigenvalue is the margin.
-    low = np.linalg.eigvalsh(spec.M)[:, 0].tolist()
-    add(CheckResult("M_spd", f"region {j}", ok, v) for j, (ok, v) in
-        enumerate(zip(subspace.spd_factor(spec.M)[1].tolist(), low), start=1))
-
-    # Each row needs a normal on the piece, |G_e| = |S_j'F_e|, which the
-    # sampler divides by, or a constant value h_e there off 0: above tol it
-    # never binds, below -tol the piece misses the cell and is never hit.
-    ok = (tab.norm > NORMAL_DEGENERACY_TOL) | (np.abs(tab.h) > tol)
-    add(CheckResult("normal_escapes_A", f"region {j}, hyperplane {i}", v, r)
-        for j, i, v, r in zip((tab.j + 1).tolist(), (tab.i + 1).tolist(),
-                              ok.tolist(), tab.norm.tolist()))
-
     # Reciprocity: a transition entry (j, i) -> t must be mirrored by
     # (t, i) -> j with the opposite sign.
     mirror = spec.L[t, i]
     ok = (np.abs(mirror) == j + 1) & (np.sign(mirror) == -np.sign(spec.L[j, i]))
-    add(CheckResult("reciprocity", f"L[{a},{c}] <-> L[{b},{c}]", v, None)
-        for a, b, c, v in zip((j + 1).tolist(), (t + 1).tolist(),
-                              (i + 1).tolist(), ok.tolist()))
+    checks.append(CheckKind("reciprocity", ok, None, "L[{0},{2}] <-> L[{1},{2}]",
+                            (j + 1, t + 1, i + 1)))
 
     # Per-face uniqueness: convex regions can share at most one facet, so a
     # pair (j, t) may be designated across at most one hyperplane.
     pairs, counts = np.unique(j * spec.J + t, return_counts=True)
-    add(CheckResult("face_uniqueness", f"pair ({p // spec.J + 1},{p % spec.J + 1})",
-                    c == 1, float(c))
-        for p, c in zip(pairs.tolist(), counts.tolist()))
+    checks.append(CheckKind("face_uniqueness", counts == 1, counts, "pair ({},{})",
+                            (pairs // spec.J + 1, pairs % spec.J + 1)))
 
     j, i, t = tab.j[face], tab.i[face], tab.t[face]
-    faces = [f"face ({a}|{b}) via hyperplane {c}" for a, b, c in
-             zip((j + 1).tolist(), (t + 1).tolist(), (i + 1).tolist())]
+    faces = ("face ({}|{}) via hyperplane {}", (j + 1, t + 1, i + 1))
     e1, e2 = face_residuals(tab.F[face], tab.g[face], spec.A[j],
                             spec.A[t], spec.y[j], spec.y[t])
-    ok = ((e1 <= tol) & (e2 <= tol)).tolist()
-    add(CheckResult("continuity", s, v, r) for s, v, r in
-        zip(faces, ok, np.maximum(e1, e2).tolist()))
-
     # No boundary rule is derived for a mass matrix that jumps across a
     # face, so both sides of every face must share M.
-    dM = np.zeros(len(faces))
+    dM = np.zeros(len(face))
     for row in range(spec.n):          # K x n temporaries, not K x n x n
         np.maximum(dM, np.abs(spec.M[j, row] - spec.M[t, row]).max(axis=1), out=dM)
-    add(CheckResult("mass_continuity", s, v <= tol, v)
-        for s, v in zip(faces, dM.tolist()))
-    return report
+    return ValidationReport(checks + [
+        CheckKind("continuity", (e1 <= tol) & (e2 <= tol), np.maximum(e1, e2), *faces),
+        CheckKind("mass_continuity", dM <= tol, dM, *faces)])

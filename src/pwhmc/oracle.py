@@ -7,7 +7,7 @@ are deliberately brute force — grids, bisection, quadrature — so they share
 no code with the analytic implementations they check.  ``exact_sample``
 draws the sampler's target law directly, from Gaussians conditioned on each
 piece's plane and rejected to its cell; it shares only the boundary rows
-of the model's cell table (``cell_table``) with the sampler.
+of the model's cell table (``spec.cells``) with the sampler.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-
-from .model import cell_table
 
 # exact_sample draws BATCH candidates at a time and gives up once fewer than
 # MIN_ACCEPT of them have landed in their cells, judged after 100/MIN_ACCEPT
@@ -127,7 +125,7 @@ def exact_sample(spec, n, rng):
     proportional to sum_j Z_j p_j(x) 1{x in cell_j}: the target, with no
     slab width and no mass estimate.  R holds the 1-based piece of each row.
     """
-    cells = cell_table(spec)
+    cells = spec.cells
     pieces, log_z = [], []
     for jz in range(spec.J):
         M, A, y = spec.M[jz], spec.A[jz], spec.y[jz]

@@ -46,14 +46,12 @@ class ChainConfig:
     record_events: bool = False
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        for name, low in (("n_samples", 1), ("burn_in", 0), ("thin", 1)):
+            value = getattr(self, name)
+            if np.asarray(value).dtype.kind not in "iu" or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
         if not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be at least 1, got {self.thin}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be nonnegative, got {self.burn_in}")
 
     @property
     def n_iterates(self) -> int:
@@ -92,10 +90,12 @@ def refresh_velocity(reg, rng) -> np.ndarray:
 
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
-    A j0 outside 1..J raises ContractError."""
+    A j0 not an integer in 1..J, or an x0 not n long, raises ContractError."""
     if not 1 <= j0 <= spec.J:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (spec.n,):
+        raise ContractError(f"start point has shape {x0.shape}, expected ({spec.n},)")
     residual = float(np.linalg.norm(ell(spec, j0, x0)))
     slack = float(cell_slack(spec, j0, x0))
     return InitialPointReport(
@@ -112,7 +112,6 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     iterate, before any evolution, so outputs are reproducible bit for bit
     from (spec, j0, x0, cfg).
     """
-    x0 = np.asarray(x0, dtype=float)
     report = initial_point_check(spec, j0, x0)
     if not report.passed:
         raise ContractError(

@@ -162,15 +162,16 @@ def test_criterion_07_continuity_and_null_space_machinery():
     # flags a deliberately broken variant with residual >= 0.5
     for name in zoo.SHIPPED:
         report = validate_model(zoo.build_shipped(name))
-        faces = [c for c in report.checks if c.name == "continuity"]
-        assert faces, name
-        assert all(c.passed for c in faces), [c.format() for c in faces]
+        [faces] = [c for c in report.checks if c.name == "continuity"]
+        assert faces.passed.size, name
+        assert faces.passed.all(), [c.format() for c in faces.failures()]
 
     broken = json.loads(zoo.dump_model(zoo.one_norm_model()))
     broken["regions"][0]["y"] = [-2.0]
     report = validate_model(zoo.load_model(json.dumps(broken)))
-    bad = [c for c in report.checks if c.name == "continuity" and not c.passed]
-    assert bad and max(c.residual for c in bad) >= 0.5
+    [faces] = [c for c in report.checks if c.name == "continuity"]
+    bad = faces.residual[~faces.passed]
+    assert bad.size and bad.max() >= 0.5
 
 
 def test_criterion_09_byte_identical_replay_from_manifest(tmp_path):

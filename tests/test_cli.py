@@ -396,6 +396,17 @@ def test_diagnose_step_occupancy(tmp_path, capsys):
     assert abs(counts[1] / 2000 - 2.0 / 3.0) <= 0.03
 
 
+def test_diagnose_lists_visited_regions_only(capsys):
+    # two kept rows visit at most two of onenorm's 8 regions
+    assert main(["diagnose", str(zoo.model_path("onenorm")),
+                 "--n", "2", "--seed", "3"]) == 0
+    text = capsys.readouterr().out
+    occ = text.split("region occupancy:")[1].splitlines()[0].split()
+    counts = [int(p.split(":")[1]) for p in occ]
+    assert sum(counts) == 2 and min(counts) > 0
+    assert f"regions visited:         {len(counts)}/8\n" in text
+
+
 def test_diagnose_non_identity_mass_prints_no_caveat(capsys):
     # the drift is measured in the M metric, so no model needs a caveat
     assert main(["diagnose", str(zoo.model_path("ntop")),

@@ -33,11 +33,16 @@ from pwhmc.model import (
 from pwhmc import zoo
 from pwhmc.oracle import conditional_gaussian_moments, exact_sample
 from pwhmc.sampler import ChainConfig, run_chain
-from pwhmc.subspace import NORMAL_DEGENERACY_TOL
+from pwhmc.subspace import NORMAL_DEGENERACY_TOL, ode_param
 
 
 def doc_of(spec):
     return json.loads(zoo.dump_model(spec))
+
+
+def kind(report, name):
+    [check] = [c for c in report.checks if c.name == name]
+    return check
 
 
 def test_load_round_trip_preserves_arrays():
@@ -275,6 +280,37 @@ def test_cell_table_signs():
     assert (cells.i + 1).tolist() == [1, 1]
 
 
+def test_cell_table_is_read_only():
+    # one table serves validation, every chain and the oracle
+    spec = zoo.step_line_model()
+    with pytest.raises(ValueError, match="read-only"):
+        spec.cells.G[0, 0] = 1.0
+
+
+def test_one_cell_table_per_model(monkeypatch):
+    # one decode and one stacked geometry pass serve validation, two chains
+    # and the oracle
+    calls, passes = [], []
+
+    def counted(spec):
+        calls.append(spec)
+        return cell_table(spec)
+
+    def counted_pass(*args):
+        passes.append(args)
+        return ode_param(*args)
+
+    monkeypatch.setattr("pwhmc.model.cell_table", counted)
+    monkeypatch.setattr("pwhmc.subspace.ode_param", counted_pass)
+    spec = zoo.one_norm_model()
+    assert validate_model(spec).passed
+    for seed in (1, 2):
+        run_chain(spec, spec.init_region, spec.init_point,
+                  ChainConfig(n_samples=5, seed=seed))
+    exact_sample(spec, 100, np.random.default_rng(3))
+    assert calls == [spec] and len(passes) == 1
+
+
 def _benchmark_models():
     # polywall-256 and onenorm10, from the benchmark's own generators
     path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
@@ -323,9 +359,11 @@ def test_stacked_point_queries_match_pointwise_loop(rng):
 
 
 @pytest.mark.parametrize("query", [ell, cell_slack])
-@pytest.mark.parametrize("R", [0, 9, [1, 0]], ids=["zero", "past-J", "stack"])
+@pytest.mark.parametrize("R", [0, 9, [1, 0], 1.5],
+                         ids=["zero", "past-J", "stack", "non-integer"])
 def test_point_queries_reject_labels_outside_1_to_J(query, R):
-    # label 0 must not wrap around to region J, nor J + 1 fail as an IndexError
+    # label 0 must not wrap around to region J, nor J + 1 or 1.5 fail as an
+    # IndexError
     spec = zoo.one_norm_model()
     with pytest.raises(ContractError, match="out of range 1..8"):
         query(spec, R, np.array([-0.2, -0.3, -0.5]))
@@ -354,27 +392,26 @@ def test_validate_catches_broken_reciprocity():
     doc = doc_of(zoo.step_line_model())
     doc["regions"][1]["L_row"] = [1]          # same sign as region 1's entry
     report = validate_model(load_model(json.dumps(doc)))
-    assert any(c.name == "reciprocity" and not c.passed for c in report.checks)
+    assert not kind(report, "reciprocity").passed.all()
 
 
 def test_validate_catches_broken_continuity():
     doc = doc_of(zoo.one_norm_model())
     doc["regions"][0]["y"] = [-2.0]
     report = validate_model(load_model(json.dumps(doc)))
-    bad = [c for c in report.checks if c.name == "continuity" and not c.passed]
-    assert bad and max(c.residual for c in bad) >= 0.5
+    continuity = kind(report, "continuity")
+    bad = continuity.residual[~continuity.passed]
+    assert bad.size and bad.max() >= 0.5
 
 
 def test_validate_onenorm_entry_counts():
     # 8 octants x 3 coordinate planes: 24 active entries, all transitions,
     # and 12 faces, each checked once
     report = validate_model(zoo.one_norm_model())
-    counts = {}
-    for c in report.checks:
-        counts[c.name] = counts.get(c.name, 0) + 1
-    assert counts == {"A_full_rank": 8, "M_spd": 8, "normal_escapes_A": 24,
-                      "reciprocity": 24, "face_uniqueness": 24,
-                      "continuity": 12, "mass_continuity": 12}
+    assert [(c.name, c.passed.size) for c in report.checks] == [
+        ("A_full_rank", 8), ("M_spd", 8), ("normal_escapes_A", 24),
+        ("reciprocity", 24), ("face_uniqueness", 24),
+        ("continuity", 12), ("mass_continuity", 12)]
 
 
 def _two_piece_document(f, g, A1, y1, A2, y2):
@@ -410,11 +447,11 @@ def test_validate_continuity_matches_lstsq_oracle(rng):
         if c % 4 >= 2:
             y2 = y2 + 0.1 * rng.normal(size=d)
         spec = load_model(_two_piece_document(f, g, A1, y1, A2, y2))
-        [face] = [c for c in validate_model(spec, tol=1e-7).checks
-                  if c.name == "continuity"]
+        report = validate_model(spec, tol=1e-7)
+        [face] = kind(report, "continuity").passed.tolist()
         expected = _lstsq_gap(f, g, A1, y1, A2, y2) < 1e-7
-        assert face.passed == expected, (c, face.format())
-        verdicts.append(face.passed)
+        assert face == expected, (c, report.format())
+        verdicts.append(face)
     assert sum(verdicts) == 100
 
 
@@ -431,12 +468,15 @@ def test_validate_catches_non_spd():
     doc["regions"][1]["M"] = [[1.0, 0.0], [0.0, -1.0]]
     report = validate_model(load_model(json.dumps(doc)))
     # the margin is each region's smallest eigenvalue
-    assert [(c.subject, c.passed, c.residual) for c in report.checks
-            if c.name == "M_spd"] == [("region 1", True, 1.0),
-                                      ("region 2", False, -1.0)]
-    report = validate_model(zoo.positive_part_model())
-    assert [(c.passed, c.residual) for c in report.checks
-            if c.name == "M_spd"] == [(True, 1.0)] * 3
+    spd = kind(report, "M_spd")
+    assert (spd.subject, spd.columns[0].tolist()) == ("region {}", [1, 2])
+    assert list(zip(spd.passed.tolist(), spd.residual.tolist())) == [
+        (True, 1.0), (False, -1.0)]
+    assert [(c.subject, c.residual) for c in report.failures()
+            if c.name == "M_spd"] == [("region 2", -1.0)]
+    spd = kind(validate_model(zoo.positive_part_model()), "M_spd")
+    assert list(zip(spd.passed.tolist(), spd.residual.tolist())) == [
+        (True, 1.0)] * 3
 
 
 def _two_plane_document(A):
@@ -459,7 +499,7 @@ def _two_plane_document(A):
 def test_validate_rank_check_is_the_samplers(A):
     spec = load_model(_two_plane_document(A))
     report = validate_model(spec)
-    assert [c.passed for c in report.checks if c.name == "A_full_rank"] == [False]
+    assert kind(report, "A_full_rank").passed.tolist() == [False]
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         region_table(spec)[1]
 
@@ -483,8 +523,8 @@ def test_validate_passes_row_parallel_to_its_piece():
     spec = load_model(_parallel_row_document(1.0))
     report = validate_model(spec)
     assert report.passed, report.format()
-    [row] = [c for c in report.checks if c.name == "normal_escapes_A"]
-    assert row.residual <= NORMAL_DEGENERACY_TOL
+    [row] = kind(report, "normal_escapes_A").residual.tolist()
+    assert row <= NORMAL_DEGENERACY_TOL
     out = run_chain(spec, 1, [0.0, 0.0], ChainConfig(n_samples=20000, seed=1901))
     assert np.max(np.abs(out.X[:, 0])) < 1e-12
     exact, _ = exact_sample(spec, 20000, np.random.default_rng(1902))
@@ -513,6 +553,18 @@ def _checked_models():
     return conftest_models + zoo_models + shipped + _benchmark_models()
 
 
+def test_validate_formats_failures_only(monkeypatch):
+    # onenorm10 has 43,008 subjects, and a passing report labels none
+    made = []
+    monkeypatch.setattr("pwhmc.model.CheckResult", lambda *a: made.append(a))
+    report = validate_model(_benchmark_models()[1])
+    assert len(report.checks) == 7 and report.failures() == []
+    lines = report.format().splitlines()
+    assert lines[0] == "A_full_rank: 1024/1024"
+    assert lines[-1] == "43008/43008 checks passed" and len(lines) == 8
+    assert made == []
+
+
 def test_validate_reads_the_samplers_geometry():
     # normal_escapes_A reports each region record's row lengths and
     # A_full_rank the margins its build tests, bit for bit
@@ -521,7 +573,6 @@ def test_validate_reads_the_samplers_geometry():
         assert report.passed, report.format()
         table = region_table(spec)
         norms = [nw for j in range(1, spec.J + 1) for nw in table[j].nw]
-        assert [c.residual for c in report.checks
-                if c.name == "normal_escapes_A"] == norms
-        assert [c.residual for c in report.checks
-                if c.name == "A_full_rank"] == table.cells.margin.tolist()
+        assert kind(report, "normal_escapes_A").residual.tolist() == norms
+        assert (kind(report, "A_full_rank").residual.tolist()
+                == table.cells.margin.tolist())

@@ -44,6 +44,12 @@ def test_chain_config_validation():
         ChainConfig(n_samples=5, burn_in=-1)
     with pytest.raises(ValueError):
         ChainConfig(n_samples=5, t_max=0.0)
+    for name in ("n_samples", "burn_in", "thin"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ChainConfig(**{"n_samples": 5, name: 2.5})
+    with pytest.raises(ValueError, match="burn_in must be an integer"):
+        ChainConfig(n_samples=5, burn_in=1.5)
+    assert ChainConfig(n_samples=np.int64(3)).n_iterates == 3
     cfg = ChainConfig(n_samples=7, burn_in=3, thin=2)
     assert cfg.n_iterates == 17
 
@@ -100,6 +106,24 @@ def test_start_region_out_of_range(j0):
         run_chain(spec, j0, x, ChainConfig(n_samples=2))
     assert initial_point_check(spec, 8, x).passed
     assert j0 not in region_table(spec)
+
+
+def test_start_region_must_be_an_integer():
+    spec = zoo.one_norm_model()
+    message = r"out of range 1\.\.8"
+    with pytest.raises(ContractError, match=message):
+        initial_point_check(spec, 1.5, [0.2, 0.3, 0.5])
+    with pytest.raises(ContractError, match=message):
+        run_chain(spec, 1.5, [0.2, 0.3, 0.5], ChainConfig(n_samples=2))
+
+
+def test_start_point_must_have_n_components():
+    spec = zoo.one_norm_model()
+    message = r"start point has shape \(2,\), expected \(3,\)"
+    with pytest.raises(ContractError, match=message):
+        initial_point_check(spec, 1, [0.2, 0.3])
+    with pytest.raises(ContractError, match=message):
+        run_chain(spec, 1, [0.2, 0.3], ChainConfig(n_samples=2))
 
 
 def test_run_chain_deterministic():
