@@ -13,9 +13,9 @@ potential step, reflect otherwise.  A hard wall is a step that no energy
 clears.
 
 Everything that depends only on the region lives in one Region record per
-region, in a RegionTable shared by every chain on the same ModelSpec, and
-everything about a face in one record built on the face's first hit, so a
-segment does arithmetic only.
+region, in a RegionTable shared by every chain on the same ModelSpec, with
+the records of all its faces, built in one stacked pass on the region's
+first visit; so a segment does arithmetic only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import acos, atan2, cos, isnan, sin, sqrt
 
 import numpy as np
 
-from .errors import DegenerateNormalError
+from .errors import DegenerateNormalError, ModelFormatError
 from .subspace import NORMAL_DEGENERACY_TOL
 
 # Root-exclusion window after an event: on the row just crossed, roots at
@@ -158,17 +158,15 @@ class Region:
     """Everything about region j that the segment loop reads.
 
     Built on the region's first visit from slices of the model's cell
-    table: x_p, S, the boundary rows G = F_j S, their offsets h and lengths
-    nw (Python floats), per-row target region L_j and hyperplane index idx
-    (Python ints), and base = V_j(x_p) + c_j.  G is the transpose view of a
-    contiguous GT, so that one product Y.dot(GT) gives both coefficient
-    rows of the hit scan for a state Y = [zdot; z].  A row's face record is
-    built on the row's first hit (see ``face``).  Nothing here is chain
-    state.  A region that failed the rank or metric test raises LinAlgError.
+    table: x_p, S, the boundary rows G = F_j S, their offsets h, hyperplane
+    indices idx and face records (see ``face_records``), and base = V_j(x_p)
+    + c_j.  G is the transpose view of a contiguous GT, so that one product
+    Y.dot(GT) gives both coefficient rows of the hit scan for a state
+    Y = [zdot; z].  Nothing here is chain state.  A region that failed the
+    rank or metric test raises LinAlgError.
     """
 
-    __slots__ = ("j", "x_p", "S", "M", "G", "GT", "h", "nw", "L_j", "idx",
-                 "base", "faces")
+    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "idx", "base", "faces")
 
     def __init__(self, spec, j, cells):
         c = float(cells.c[j - 1])
@@ -176,63 +174,75 @@ class Region:
             raise np.linalg.LinAlgError(f"region {j}: A is rank deficient, "
                                         "or M is not SPD on its piece")
         rows = slice(cells.start[j - 1], cells.start[j])
-        self.j = j
         self.x_p = x_p = cells.x_p[j - 1]
         self.S = cells.S[j - 1]
         self.M = M = spec.M[j - 1]
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.G = self.GT.T
         self.h = cells.h[rows]
-        self.nw = cells.norm[rows].tolist()
-        self.L_j = (cells.t[rows] + 1).tolist()
         self.idx = (cells.i[rows] + 1).tolist()
         self.base = (0.5 * float(x_p.dot(M).dot(x_p))
                      - float(spec.r[j - 1].dot(x_p)) + float(spec.k[j - 1]) + c)
-        self.faces = [None] * len(self.idx)
+        self.faces = face_records(spec, cells, rows)
 
     def coords(self, x):
         """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
         return self.S.T.dot(self.M.dot(x - self.x_p))
 
-    def row_norm(self, k):
-        """|G_k|, the length of row k in the metric M_j."""
-        nw = self.nw[k]
-        if not nw >= NORMAL_DEGENERACY_TOL:        # NaN fails too
-            raise DegenerateNormalError(
-                f"hyperplane {self.idx[k]} is parallel to region "
-                f"{self.j}'s piece (row norm {nw:.3e})")
-        return nw
 
-    def face(self, k, table):
-        """Row k's face record (nw, other, k2, TT, D), built on first use.
+def face_records(spec, cells, rows):
+    """The face records of the cell-table entries rows (a slice), from one
+    stacked pass over those that a rule crosses; products run per entry, so
+    no record depends on the others built with it.
 
-        nw = |G_k|, so the face's unit normal into this region is
-        g1 = G_k / nw.  A wall keeps nw alone (the other fields are None).
-        A transition also keeps the neighbor's record other, the face's row
-        k2 there, TT = T' and D = [g2; q_T], with g2 the neighbor's unit
-        normal of row k2 into it.  Face points map into the neighbor's
-        coordinates by z2 = P z + q, P = S2'M2 S and q = S2'M2 (x_p - x_p2),
-        and T = P (I - g1 g1') is P on the face's tangent directions.  On
-        the face g1'z = -h_k / nw, so for a state Y there Y.dot(TT) is
-        [P (zdot - v1 g1); z2 - q_T], with v1 = g1'zdot and
-        q_T = q - (h_k / nw) P g1: one product gives the tangential velocity
-        carried across and, plus q_T, the position on the far side.
-        """
-        nw = self.row_norm(k)
-        record = (nw, None, None, None, None)
-        if self.L_j[k] != self.j:
-            other = table[self.L_j[k]]
-            k2 = other.idx.index(self.idx[k])
-            SM = other.S.T.dot(other.M)
-            P = SM.dot(self.S)
-            g1 = self.G[k] / nw
-            Pg1 = P.dot(g1)
-            TT = np.ascontiguousarray((P - np.outer(Pg1, g1)).T)
-            q = SM.dot(self.x_p - other.x_p) - (self.h[k] / nw) * Pg1
-            g2 = other.G[k2] / other.row_norm(k2)
-            record = (nw, other, k2, TT, np.array((g2, q)))
-        self.faces[k] = record
-        return record
+    Entry e's record is (nw, label, k2, TT, D), nw = |G_e|, so the face's
+    unit normal into the entry's region is g1 = G_e / nw.  A wall keeps nw
+    alone.  A transition adds the 1-based label of the region across, the
+    face's row k2 there (the mirror entry), TT = T' and D = [g2; q_T], g2
+    the neighbor's unit normal of row k2 into it.  Face points map into the
+    neighbor's coordinates by z2 = P z + q, P = S2'M2 S, q = S2'M2 (x_p -
+    x_p2), and T = P (I - g1 g1') is P on the face's tangent directions.  On
+    the face g1'z = -h_e / nw, so for a state Y there Y.dot(TT) is [P (zdot
+    - v1 g1); z2 - q_T], v1 = g1'zdot, q_T = q - (h_e / nw) P g1: one
+    product gives the tangential velocity carried across and, plus q_T, the
+    position on the far side.  An entry no rule crosses holds the error
+    that a hit on it raises instead.
+    """
+    nw, far = cells.norm[rows], cells.mirror[rows]
+    ok = nw >= NORMAL_DEGENERACY_TOL           # NaN fails too
+    cross = ok & (far >= 0) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
+    records = [(w, None, None, None, None) for w in nw.tolist()]
+    ks = cross.nonzero()[0]
+    if ks.size < nw.size:                  # walls, or entries no rule crosses
+        for k in np.flatnonzero(~(cross | ok & (cells.t[rows] == cells.j[rows]))):
+            records[k] = _fault(cells, rows.start + k)
+    if ks.size:
+        e = ks + rows.start
+        t, f, w = cells.t[e], cells.mirror[e], cells.norm[e][:, None]
+        SM = cells.S[t].transpose(0, 2, 1) @ spec.M[t]
+        P = SM @ cells.S[cells.j[e]]
+        g1 = cells.G[e] / w
+        Pg1 = (P @ g1[..., None])[..., 0]
+        TT = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1).copy()
+        q = ((SM @ (cells.x_p[cells.j[e]] - cells.x_p[t])[..., None])[..., 0]
+             - cells.h[e][:, None] / w * Pg1)
+        g2 = cells.G[f] / cells.norm[f][:, None]
+        D = np.concatenate((g2[:, None], q[:, None]), axis=1)
+        for k, label, k2, TT_k, D_k in zip(ks.tolist(), (t + 1).tolist(),
+                                           (f - cells.start[t]).tolist(), TT, D):
+            records[k] = (records[k][0], label, k2, TT_k, D_k)
+    return records
+
+
+def _fault(cells, e):
+    """The error a hit on entry e raises, for an entry no rule crosses."""
+    j, i, t = cells.j[e] + 1, cells.i[e] + 1, cells.t[e] + 1
+    bad = cells.mirror[e] if cells.norm[e] >= NORMAL_DEGENERACY_TOL else e
+    if bad < 0:
+        return ModelFormatError(f"L[{j},{i}] leads to region {t}, but L[{t},{i}] is 0")
+    return DegenerateNormalError(
+        f"hyperplane {i} is parallel to region {cells.j[bad] + 1}'s piece "
+        f"(row norm {cells.norm[bad]:.3e})")
 
 
 class RegionTable(dict):
@@ -287,26 +297,26 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
         return Y, tau, j, k, 0.0, 0.0, Y
 
     face = reg.faces[k]
-    if face is None:
-        face = reg.face(k, table)
-    nw, other, k2, TT, D = face
+    if not isinstance(face, tuple):       # a row no rule crosses
+        raise face
+    nw, label, k2, TT, D = face
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
     v1 = (fa.item(k) * cos(tau) - fb.item(k) * sin(tau)) / nw
     z = Y[1]
     V1 = 0.5 * float(z.dot(z)) + reg.base
-    if other is None:
+    if label is None:
         # a wall is the step V2 = inf, which boundary_dynamics never clears
         V2 = V1
     else:
         W = Y.dot(TT)
         z2 = W[1]
         z2 += D[1]
-        V2 = 0.5 * float(z2.dot(z2)) + other.base
+        V2 = 0.5 * float(z2.dot(z2)) + table[label].base
         speed = boundary_dynamics(v1, V1, V2)
         if speed is not None:
             zdot2 = W[0]
             zdot2 += speed * D[0]
-            return W, tau, other.j, k2, V1, V2, Y
+            return W, tau, label, k2, V1, V2, Y
     Y_new = Y.copy()
     Y_new[0] -= (2.0 * v1 / nw) * reg.G[k]
     return Y_new, tau, j, k, V1, V2, Y

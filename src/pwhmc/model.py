@@ -72,6 +72,7 @@ class CellTable:
     j's entries (1-based j) are rows start[j-1]:start[j].  On its piece
     x = x_p[j-1] + S[j-1] z (one stacked ``subspace.ode_param`` call), entry
     e is the row G[e] z + h[e] >= 0, whose normal has length norm[e] in M_j.
+    Across a transition, mirror[e] is the entry (t[e], i[e]), else -1.
     """
 
     j: np.ndarray          # (E,) int
@@ -87,6 +88,7 @@ class CellTable:
     G: np.ndarray          # (E, n - d)
     h: np.ndarray          # (E,)
     norm: np.ndarray       # (E,)
+    mirror: np.ndarray     # (E,) int
 
     def __post_init__(self):
         for f in fields(self):
@@ -235,6 +237,9 @@ def cell_table(spec: ModelSpec) -> CellTable:
     """Decode the lookup table L and compute every region's geometry."""
     j, i = np.nonzero(spec.L)
     entry = spec.L[j, i]
+    key, far = j * spec.m + i, (np.abs(entry) - 1) * spec.m + i  # key ascends
+    mirror = np.searchsorted(key, far)
+    mirror[(far == key) | (key.take(mirror, mode="clip") != far)] = -1
     signs = np.sign(entry).astype(float)
     F, g = spec.F[i] * signs[:, None], spec.g[i] * signs
     x_p, S, c, margin = subspace.ode_param(spec.M, spec.r, spec.A, spec.y)
@@ -242,7 +247,7 @@ def cell_table(spec: ModelSpec) -> CellTable:
     G = (F[:, None, :] @ S[j])[:, 0]
     return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g,
                      start=np.searchsorted(j, np.arange(spec.J + 1)),
-                     x_p=x_p, S=S, c=c, margin=margin, G=G,
+                     x_p=x_p, S=S, c=c, margin=margin, G=G, mirror=mirror,
                      h=np.einsum("en,en->e", F, x_p[j]) + g,
                      norm=np.sqrt(np.einsum("ek,ek->e", G, G)))
 
@@ -258,6 +263,16 @@ def _region_index(spec: ModelSpec, R) -> np.ndarray:
     return R - 1
 
 
+def _points(spec: ModelSpec, X) -> np.ndarray:
+    """X as floats; a point or stack of points without n components raises
+    ContractError, never a broadcast error."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != (spec.n,):
+        raise ContractError(f"point has shape {X.shape}, expected n = {spec.n} "
+                            "components")
+    return X
+
+
 def ell(spec: ModelSpec, R, X) -> np.ndarray:
     """Affine piece A_R'X + y_R; zero iff X is on region R's manifold piece.
 
@@ -265,8 +280,7 @@ def ell(spec: ModelSpec, R, X) -> np.ndarray:
     stack of points; the two broadcast against each other.
     """
     i = _region_index(spec, R)
-    return (np.einsum("...nd,...n->...d", spec.A[i], np.asarray(X, dtype=float))
-            + spec.y[i])
+    return np.einsum("...nd,...n->...d", spec.A[i], _points(spec, X)) + spec.y[i]
 
 
 def cell_slack(spec: ModelSpec, R, X):
@@ -276,7 +290,7 @@ def cell_slack(spec: ModelSpec, R, X):
     boundary rows.  R and X broadcast as in ``ell``.
     """
     L = spec.L[_region_index(spec, R)]
-    slack = np.sign(L) * (np.asarray(X, dtype=float) @ spec.F.T + spec.g)
+    slack = np.sign(L) * (_points(spec, X) @ spec.F.T + spec.g)
     return np.where(L != 0, slack, np.inf).min(-1, initial=np.inf)
 
 
@@ -354,16 +368,15 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
                   tab.norm, "region {}, hyperplane {}", (tab.j + 1, tab.i + 1))]
 
     # The transition entries, and each face (a pair of regions and the
-    # hyperplane between them) once, at its first entry.
+    # hyperplane between them) once: at the first of two mirrored entries.
     trans = np.flatnonzero(tab.t != tab.j)
-    j, i, t = tab.j[trans], tab.i[trans], tab.t[trans]
-    key = (np.minimum(j, t) * spec.J + np.maximum(j, t)) * spec.m + i
-    face = trans[np.sort(np.unique(key, return_index=True)[1])]
+    j, i, t, far = tab.j[trans], tab.i[trans], tab.t[trans], tab.mirror[trans]
+    back = (far >= 0) & (tab.t[far] == j)
+    face = trans[~back | (trans < far)]
 
     # Reciprocity: a transition entry (j, i) -> t must be mirrored by
-    # (t, i) -> j with the opposite sign.
-    mirror = spec.L[t, i]
-    ok = (np.abs(mirror) == j + 1) & (np.sign(mirror) == -np.sign(spec.L[j, i]))
+    # (t, i) -> j with the opposite sign, that is with its row reversed.
+    ok = back & (tab.g[far] == -tab.g[trans]) & (tab.F[far] == -tab.F[trans]).all(1)
     checks.append(CheckKind("reciprocity", ok, None, "L[{0},{2}] <-> L[{1},{2}]",
                             (j + 1, t + 1, i + 1)))
 

@@ -2,12 +2,10 @@
 
 Nothing here is used by the sampling hot path.  The moment formulas follow
 the plane-conditioning convention A'x = y_eq (note: the sampler's pieces use
-A'x + y = 0, so bridge by negating y).  The hit-time and occupancy oracles
-are deliberately brute force — grids, bisection, quadrature — so they share
-no code with the analytic implementations they check.  ``exact_sample``
-draws the sampler's target law directly, from Gaussians conditioned on each
-piece's plane and rejected to its cell; it shares only the boundary rows
-of the model's cell table (``spec.cells``) with the sampler.
+A'x + y = 0, so bridge by negating y).  ``exact_sample`` draws the
+sampler's target law directly, from Gaussians conditioned on each piece's
+plane and rejected to its cell; it shares only the boundary rows of the
+model's cell table (``spec.cells``) with the sampler.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # exact_sample draws BATCH candidates at a time and gives up once fewer than
 # MIN_ACCEPT of them have landed in their cells, judged after 100/MIN_ACCEPT
@@ -60,54 +57,6 @@ def conditional_gaussian_moments(mu, Sigma, A, y_eq) -> ConditionalMoments:
     m = Q1 @ z1_star + Q2 @ m_z2
     V = Q2 @ V_z2 @ Q2.T
     return ConditionalMoments(m=m, V=0.5 * (V + V.T))
-
-
-def grid_hit_time(x_p, a, b, f, g, t_max, grid_n=20000):
-    """Brute-force first boundary crossing of a sinusoidal trajectory.
-
-    Scans K(t) = f'x(t) + g on a uniform grid over (0, t_max] for the first
-    positive-to-nonpositive step and refines it by bisection.  Returns None
-    when K never crosses downward.
-    """
-    f = np.asarray(f, dtype=float)
-    fa = float(f @ np.asarray(a, dtype=float))
-    fb = float(f @ np.asarray(b, dtype=float))
-    h = float(f @ np.asarray(x_p, dtype=float)) + float(g)
-
-    def K(t):
-        return h + fa * np.sin(t) + fb * np.cos(t)
-
-    ts = np.linspace(0.0, float(t_max), int(grid_n) + 1)
-    Ks = K(ts)
-    down = np.flatnonzero((Ks[:-1] > 0.0) & (Ks[1:] <= 0.0))
-    if down.size == 0:
-        return None
-    lo, hi = ts[down[0]], ts[down[0] + 1]
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if K(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def occupancy_quadrature_line(V1, V2, split=0.0):
-    """Probability of the x > split side under the two-piece 1-D density.
-
-    V1 governs x > split, V2 governs x < split; the density is
-    exp(-V_j(x)) up to the joint normalizer.
-    """
-    mass1, _ = quad(lambda x: np.exp(-V1(x)), split, np.inf,
-                    epsabs=0.0, epsrel=1e-10, limit=200)
-    mass2, _ = quad(lambda x: np.exp(-V2(x)), -np.inf, split,
-                    epsabs=0.0, epsrel=1e-10, limit=200)
-    total = mass1 + mass2
-    if not np.isfinite(total) or total <= 0.0:
-        raise ValueError(f"non-finite or empty occupancy masses ({mass1}, {mass2})")
-    return mass1 / total
 
 
 def exact_sample(spec, n, rng):

@@ -33,9 +33,9 @@ MAX_EVENTS_PER_ITERATE = 1_000_000
 class ChainConfig:
     """Knobs of one chain.
 
-    seed may be an integer or a numpy SeedSequence (the latter is how
-    multi-chain runs derive independent streams).  n_samples counts kept
-    rows: the chain runs burn_in + thin * n_samples iterates.
+    seed may be a non-negative integer or a numpy SeedSequence (the latter
+    is how multi-chain runs derive independent streams).  n_samples counts
+    kept rows: the chain runs burn_in + thin * n_samples iterates.
     """
 
     n_samples: int
@@ -50,6 +50,12 @@ class ChainConfig:
             value = getattr(self, name)
             if np.asarray(value).dtype.kind not in "iu" or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+        seed = self.seed
+        if not isinstance(seed, np.random.SeedSequence) and (
+                isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise ValueError(
+                f"seed must be an integer >= 0 or a SeedSequence, got {seed!r}")
         if not 0 < self.t_max < np.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
 
@@ -154,7 +160,8 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                     "iterate": i,
                     "time": t_used,
                     "constraint": reg.idx[k],
-                    "kind": "wall" if reg.L_j[k] == j_new else "transition",
+                    "kind": ("wall" if j_new == j and reg.faces[k][1] is None
+                             else "transition"),
                     "j_from": j,
                     "j_to": j_new,
                     "dV": V2 - V1,

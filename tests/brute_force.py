@@ -1,0 +1,57 @@
+"""Brute-force ground truths that only the tests use.
+
+Grids, bisection and quadrature, deliberately: they share no code with the
+closed-form hit times and exact draws of the package they check.  This is
+the one place scipy is needed, so the package itself runs on numpy alone.
+"""
+
+import numpy as np
+from scipy.integrate import quad
+
+
+def grid_hit_time(x_p, a, b, f, g, t_max, grid_n=20000):
+    """Brute-force first boundary crossing of a sinusoidal trajectory.
+
+    Scans K(t) = f'x(t) + g on a uniform grid over (0, t_max] for the first
+    positive-to-nonpositive step and refines it by bisection.  Returns None
+    when K never crosses downward.
+    """
+    f = np.asarray(f, dtype=float)
+    fa = float(f @ np.asarray(a, dtype=float))
+    fb = float(f @ np.asarray(b, dtype=float))
+    h = float(f @ np.asarray(x_p, dtype=float)) + float(g)
+
+    def K(t):
+        return h + fa * np.sin(t) + fb * np.cos(t)
+
+    ts = np.linspace(0.0, float(t_max), int(grid_n) + 1)
+    Ks = K(ts)
+    down = np.flatnonzero((Ks[:-1] > 0.0) & (Ks[1:] <= 0.0))
+    if down.size == 0:
+        return None
+    lo, hi = ts[down[0]], ts[down[0] + 1]
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if K(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def occupancy_quadrature_line(V1, V2, split=0.0):
+    """Probability of the x > split side under the two-piece 1-D density.
+
+    V1 governs x > split, V2 governs x < split; the density is
+    exp(-V_j(x)) up to the joint normalizer.
+    """
+    mass1, _ = quad(lambda x: np.exp(-V1(x)), split, np.inf,
+                    epsabs=0.0, epsrel=1e-10, limit=200)
+    mass2, _ = quad(lambda x: np.exp(-V2(x)), -np.inf, split,
+                    epsabs=0.0, epsrel=1e-10, limit=200)
+    total = mass1 + mass2
+    if not np.isfinite(total) or total <= 0.0:
+        raise ValueError(f"non-finite or empty occupancy masses ({mass1}, {mass2})")
+    return mass1 / total

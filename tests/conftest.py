@@ -1,7 +1,9 @@
 """Shared random-instance and model builders for the test suite."""
 
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +195,16 @@ def oblique_wall_model():
         "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
     }
     return load_model(json.dumps(doc))
+
+
+def benchmark_models():
+    """polywall-256 and onenorm10, from the benchmark's own generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
+    module_spec = importlib.util.spec_from_file_location("bench_models", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    return [load_model(bench.polywall_document(256, 1.0, 1)),
+            load_model(bench.onenorm_document(10, 1))]
 
 
 @pytest.fixture

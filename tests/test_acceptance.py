@@ -3,7 +3,7 @@
 One test per shipped guarantee, each at its stated tolerance, so
 ``pytest -v tests/test_acceptance.py`` reads as a pass/fail checklist.
 Statistical targets come from closed forms or from the independent oracles
-in pwhmc.oracle, never from the sampler itself.
+in pwhmc.oracle and tests/brute_force.py, never from the sampler itself.
 """
 
 import json
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from brute_force import grid_hit_time, occupancy_quadrature_line
 from conftest import (
     anisotropic_mass,
     first_hit_both_paths,
@@ -24,12 +25,7 @@ from conftest import (
 from pwhmc import zoo
 from pwhmc.cli import main
 from pwhmc.model import ell, validate_model
-from pwhmc.oracle import (
-    conditional_gaussian_moments,
-    exact_sample,
-    grid_hit_time,
-    occupancy_quadrature_line,
-)
+from pwhmc.oracle import conditional_gaussian_moments, exact_sample
 from pwhmc.sampler import ChainConfig, run_chain
 
 

@@ -430,6 +430,32 @@ def test_console_script_entry_point():
     assert proc.stdout.strip()
 
 
+def test_package_runs_without_scipy():
+    # the package depends on numpy alone: with every scipy import failing,
+    # it validates and samples a shipped model
+    src = str(Path(pwhmc.__file__).resolve().parent.parent)
+    code = """if True:
+        import sys
+        sys.modules["scipy"] = None          # import scipy raises ImportError
+        try:
+            import scipy
+        except ImportError:
+            pass
+        else:
+            raise SystemExit("scipy imported")
+        from pwhmc import ChainConfig, load_model_file, run_chain, validate_model, zoo
+        spec = load_model_file(zoo.model_path("onenorm"))
+        assert validate_model(spec).passed
+        out = run_chain(spec, spec.init_region, spec.init_point,
+                        ChainConfig(n_samples=50, seed=1))
+        print(out.X.shape)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(50, 3)"
+
+
 def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["bogus"])

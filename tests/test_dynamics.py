@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from brute_force import grid_hit_time
 from conftest import (
     anisotropic_mass,
+    benchmark_models,
     first_hit_both_paths,
     members_of,
     oblique_wall_model,
     point_in_region,
+    polygon_model,
     rand_continuous_pair,
     rand_fullrank,
     rand_spd,
@@ -23,13 +26,14 @@ from pwhmc.dynamics import (
     TIE_TOL,
     boundary_dynamics,
     evolve_segment_detail,
+    face_records,
     first_hit,
     flight,
     region_table,
 )
-from pwhmc.errors import DegenerateNormalError
-from pwhmc.model import cell_slack, load_model
-from pwhmc.oracle import grid_hit_time
+from pwhmc.errors import DegenerateNormalError, ModelFormatError
+from pwhmc.model import cell_slack, load_model, load_model_file
+from pwhmc.oracle import exact_sample
 from pwhmc.sampler import refresh_velocity
 from pwhmc.subspace import ode_param
 
@@ -292,21 +296,56 @@ def test_region_table_memoizes():
     assert np.array_equal(fresh.x_p, reg1.x_p)
 
 
+def _lines_model(F, pieces):
+    """N(0, I_2) on one line A_j'x = 0 per region, for each (A_j, L_row) in
+    pieces, cut at the origin by the one hyperplane F'x = 0."""
+    return load_model(json.dumps({
+        "n": 2, "d": 1, "J": len(pieces), "m": 1,
+        "regions": [{"M": np.eye(2).tolist(), "r": [0.0, 0.0], "k": 0.0,
+                     "A": [[a] for a in A], "y": [0.0], "L_row": [L]}
+                    for A, L in pieces],
+        "hyperplanes": {"F": [F], "g": [0.0]},
+    }))
+
+
+def _state_moving_onto_row(reg):
+    # z = +-1 inside the row G z >= 0, with zdot = -z: hit at t = pi/4
+    z = np.sign(reg.G[0])
+    return np.array([-z, z])
+
+
 def test_normal_of_a_row_parallel_to_the_piece_raises():
-    # manifold x1 = 0 with an active boundary also normal to x1: the row of
-    # G = F S vanishes, so no normal exists on the piece
-    doc = {
-        "n": 2, "d": 1, "J": 1, "m": 1, "mean": False,
-        "regions": [{
-            "M": [[1.0, 0.0], [0.0, 1.0]], "r": [0.0, 0.0], "k": 0.0,
-            "A": [[1.0], [0.0]], "y": [0.0], "L_row": [1],
-        }],
-        "hyperplanes": {"F": [[1.0, 0.0]], "g": [1.0]},
-    }
+    # On the line x1 = 0 the wall x1 + 1e-13 x2 >= 0 is a row of length
+    # 1e-13 with h = 0, too short to divide by.  The region builds without
+    # a warning, and a hit on the row raises, never reflects.
+    spec = _lines_model([1.0, 1e-13], [([1.0, 0.0], 1)])
+    table = region_table(spec)
+    assert abs(table[1].G[0, 0]) == pytest.approx(1e-13) and table[1].h[0] == 0.0
+    with pytest.raises(DegenerateNormalError,
+                       match="hyperplane 1 is parallel to region 1's piece"):
+        evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
+    # A transition from the line x1 = x2 to the line x1 = 0, which lies in
+    # the face x1 = 0: the row is fine in region 1, its mirror has length 0.
+    spec = _lines_model([1.0, 0.0], [([1.0, -1.0], 2), ([1.0, 0.0], -1)])
+    table = region_table(spec)
+    assert spec.cells.norm.tolist()[1] == 0.0 and len(table[2].faces) == 1
+    with pytest.raises(DegenerateNormalError,
+                       match="hyperplane 1 is parallel to region 2's piece"):
+        evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
+
+
+def test_a_transition_without_a_far_entry_raises(rng):
+    # L[1,1] leads to region 5, whose row has no entry for hyperplane 1: a
+    # hit there raises a typed error naming the entry, never reflects
+    doc = json.loads(zoo.dump_model(zoo.one_norm_model()))
+    doc["regions"][4]["L_row"][0] = 0
     spec = load_model(json.dumps(doc))
     table = region_table(spec)
-    with pytest.raises(DegenerateNormalError, match="hyperplane 1"):
-        table[1].face(0, table)
+    k = table[1].idx.index(1)
+    assert spec.cells.mirror[table.cells.start[0] + k] == -1
+    Y, _ = state_on_face(table, 1, k, rng)
+    with pytest.raises(ModelFormatError, match=r"L\[1,1\] leads to region 5"):
+        evolve_segment_detail(0.0, 1, Y, -1, table)
 
 
 def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):
@@ -482,6 +521,79 @@ def test_face_record_matches_rule_from_scratch(rng):
                 assert again.tobytes() == np.ascontiguousarray(Y).tobytes()
     assert cases == {(kind, flown) for kind in ("wall", "reflect", "transmit")
                      for flown in (False, True)}
+
+
+def test_stacked_face_records_are_each_rows_own():
+    # a region's records, built in one stacked pass, equal bit for bit the
+    # records built for each of its rows alone
+    specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
+    specs += [sign_cells_model(anisotropic_mass(), scale_left=2.0),
+              oblique_wall_model(), wall_box_model()] + benchmark_models()
+    for spec in specs:
+        cells = spec.cells
+        for j in range(1, spec.J + 1):
+            rows = slice(cells.start[j - 1], cells.start[j])
+            for e, record in zip(range(rows.start, rows.stop),
+                                 face_records(spec, cells, rows)):
+                [own] = face_records(spec, cells, slice(e, e + 1))
+                assert record[:3] == own[:3]
+                if record[1] is not None:
+                    assert record[3].flags.c_contiguous
+                    for stacked, alone in zip(record[3:], own[3:]):
+                        assert stacked.tobytes() == alone.tobytes()
+
+
+def fly(table, j, Y, T):
+    """(j, Y, kappa, events) after flying the state (j, Y) for time T.
+
+    kappa is the product over the events of 1 + (|z| + |zdot|) / |v_n|:
+    an event's saltation matrix holds the face offset and the velocity
+    jump over the normal speed v_n, so kappa bounds how much the flight
+    can amplify a rounding error.
+    """
+    k, kappa, events = -1, 1.0, 0
+    while True:
+        Y_new, tau, j_new, k, _, _, Y = evolve_segment_detail(T, j, Y, k, table)
+        T -= tau
+        if k < 0:
+            return j_new, Y_new, kappa, events
+        reg = table[j]
+        row = reg.idx.index(table[j_new].idx[k])
+        v_n = reg.G[row] @ Y[0] / np.linalg.norm(reg.G[row])
+        kappa *= 1.0 + (np.linalg.norm(Y[0]) + np.linalg.norm(Y[1])) / abs(v_n)
+        j, Y, events = j_new, Y_new, events + 1
+
+
+@pytest.mark.parametrize("model", [
+    lambda: load_model_file(zoo.model_path("onenorm")),
+    lambda: load_model_file(zoo.model_path("ntop")),
+    lambda: load_model_file(zoo.model_path("pospart")),
+    lambda: sign_cells_model(anisotropic_mass(), scale_left=2.0),
+    oblique_wall_model,
+    lambda: polygon_model(64),
+], ids=["onenorm", "ntop", "pospart", "sign-cells", "oblique-walls",
+        "polygon64"])
+def test_flight_is_reversible(model, rng):
+    # From exact draws with fresh velocities, fly T = 3, flip the velocity
+    # and fly T again: every boundary map is an involution, so the particle
+    # returns to (x, -v) in its own region, within 1e-12 unless a run of
+    # near-grazing events makes the flight ill-conditioned (polygon64 has
+    # kappa up to about 1e12; every model keeps error / kappa near 1e-15).
+    spec = model()
+    table = region_table(spec)
+    X, R = exact_sample(spec, 300, rng)
+    events = 0
+    for x, j in zip(X, R.tolist()):
+        reg = table[j]
+        Y0 = np.array([rng.standard_normal(reg.S.shape[1]), reg.coords(x)])
+        j1, Y, kappa, n1 = fly(table, j, Y0, 3.0)
+        j2, Y, _, n2 = fly(table, j1, Y * [[-1.0], [1.0]], 3.0)
+        assert j2 == j
+        error = max(np.abs(reg.x_p + reg.S @ Y[1] - x).max(),
+                    np.abs(reg.S @ (Y[0] + Y0[0])).max())
+        assert error <= max(1e-12, 1e-13 * kappa)
+        events += n1 + n2
+    assert events >= 300
 
 
 def test_boundary_dynamics_velocity_transfer(rng):

@@ -1,9 +1,7 @@
 """Problem-definition module: parsing, queries, and validation."""
 
-import importlib.util
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from scipy import stats
 
 from conftest import (
     anisotropic_mass,
+    benchmark_models,
     members_of,
     oblique_wall_model,
     polygon_model,
@@ -311,19 +310,41 @@ def test_one_cell_table_per_model(monkeypatch):
     assert calls == [spec] and len(passes) == 1
 
 
-def _benchmark_models():
-    # polywall-256 and onenorm10, from the benchmark's own generators
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
-    module_spec = importlib.util.spec_from_file_location("bench_models", path)
-    bench = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(bench)
-    return [load_model(bench.polywall_document(256, 1.0, 1)),
-            load_model(bench.onenorm_document(10, 1))]
+def test_cell_table_mirror_pairs_entries():
+    # the entry across each transition is (t, i), which leads back: mirror
+    # is an involution on the transition entries and -1 on every wall
+    for spec in _checked_models():
+        tab = spec.cells
+        trans = tab.t != tab.j
+        e = np.flatnonzero(trans)
+        far = tab.mirror[e]
+        assert np.all(far >= 0), spec
+        assert np.array_equal(tab.mirror[far], e)
+        assert np.array_equal(tab.i[far], tab.i[e])
+        assert np.array_equal(tab.t[far], tab.j[e])
+        assert np.all(tab.mirror[~trans] == -1)
+
+
+def test_cell_table_mirror_of_a_broken_reciprocity():
+    # (t, i) present but leading elsewhere is still the mirror, which
+    # validation rejects; (t, i) absent reads -1 like a wall
+    doc = doc_of(zoo.one_norm_model())
+    doc["regions"][0]["L_row"][0] = 3          # (1, 1) -> 3; L[3, 1] -> 7
+    tab = load_model(json.dumps(doc)).cells
+    assert (tab.j[0], tab.i[0], tab.t[0]) == (0, 0, 2)
+    far = tab.mirror[0]
+    assert (tab.j[far], tab.i[far], tab.t[far]) == (2, 0, 6)
+    doc = doc_of(zoo.one_norm_model())
+    doc["regions"][4]["L_row"][0] = 0          # L[1, 1] -> 5 has no mirror
+    spec = load_model(json.dumps(doc))
+    assert (spec.cells.t[0], spec.cells.mirror[0]) == (4, -1)
+    assert [(c.name, c.subject) for c in validate_model(spec).failures()] == [
+        ("reciprocity", "L[1,1] <-> L[5,1]")]
 
 
 def test_region_rows_match_lookup_table():
     specs = [zoo.build_shipped(name) for name in zoo.SHIPPED]
-    for spec in specs + _benchmark_models():
+    for spec in specs + benchmark_models():
         table = region_table(spec)
         for j in range(1, spec.J + 1):
             row = spec.L[j - 1]
@@ -334,7 +355,9 @@ def test_region_rows_match_lookup_table():
             assert np.array_equal(reg.G, F @ reg.S)
             assert np.allclose(reg.h - F @ reg.x_p, sign * spec.g[on],
                                rtol=0, atol=1e-12)
-            assert reg.L_j == np.abs(row[on]).tolist()
+            # a wall's face record has no label across
+            assert ([face[1] or j for face in reg.faces]
+                    == np.abs(row[on]).tolist())
             assert reg.idx == (np.flatnonzero(on) + 1).tolist()
 
 
@@ -359,14 +382,19 @@ def test_stacked_point_queries_match_pointwise_loop(rng):
 
 
 @pytest.mark.parametrize("query", [ell, cell_slack])
-@pytest.mark.parametrize("R", [0, 9, [1, 0], 1.5],
-                         ids=["zero", "past-J", "stack", "non-integer"])
-def test_point_queries_reject_labels_outside_1_to_J(query, R):
+@pytest.mark.parametrize("R, X, match", [
+    (0, [-0.2, -0.3, -0.5], "out of range 1..8"),
+    (9, [-0.2, -0.3, -0.5], "out of range 1..8"),
+    ([1, 0], [-0.2, -0.3, -0.5], "out of range 1..8"),
+    (1.5, [-0.2, -0.3, -0.5], "out of range 1..8"),
+    (1, [0.2, 0.3], r"shape \(2,\), expected n = 3"),
+], ids=["zero", "past-J", "stack", "non-integer", "short-point"])
+def test_point_queries_reject_labels_outside_1_to_J(query, R, X, match):
     # label 0 must not wrap around to region J, nor J + 1 or 1.5 fail as an
-    # IndexError
+    # IndexError, nor a point without n components as a broadcast error
     spec = zoo.one_norm_model()
-    with pytest.raises(ContractError, match="out of range 1..8"):
-        query(spec, R, np.array([-0.2, -0.3, -0.5]))
+    with pytest.raises(ContractError, match=match):
+        query(spec, R, np.array(X))
 
 
 def test_membership_boundary_point_is_shared():
@@ -550,14 +578,14 @@ def _checked_models():
         zoo.polygonal_top_model(), zoo.polygonal_top_model(sides=12),
         zoo.positive_part_model()]
     shipped = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
-    return conftest_models + zoo_models + shipped + _benchmark_models()
+    return conftest_models + zoo_models + shipped + benchmark_models()
 
 
 def test_validate_formats_failures_only(monkeypatch):
     # onenorm10 has 43,008 subjects, and a passing report labels none
     made = []
     monkeypatch.setattr("pwhmc.model.CheckResult", lambda *a: made.append(a))
-    report = validate_model(_benchmark_models()[1])
+    report = validate_model(benchmark_models()[1])
     assert len(report.checks) == 7 and report.failures() == []
     lines = report.format().splitlines()
     assert lines[0] == "A_full_rank: 1024/1024"
@@ -572,7 +600,7 @@ def test_validate_reads_the_samplers_geometry():
         report = validate_model(spec)
         assert report.passed, report.format()
         table = region_table(spec)
-        norms = [nw for j in range(1, spec.J + 1) for nw in table[j].nw]
+        norms = [face[0] for j in range(1, spec.J + 1) for face in table[j].faces]
         assert kind(report, "normal_escapes_A").residual.tolist() == norms
         assert (kind(report, "A_full_rank").residual.tolist()
                 == table.cells.margin.tolist())

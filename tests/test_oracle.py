@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from brute_force import grid_hit_time, occupancy_quadrature_line
 from conftest import rand_fullrank, rand_spd, scaled_line_model
 from pwhmc import zoo
 from pwhmc.model import cell_slack, ell, load_model, validate_model
-from pwhmc.oracle import (
-    conditional_gaussian_moments,
-    exact_sample,
-    grid_hit_time,
-    occupancy_quadrature_line,
-)
+from pwhmc.oracle import conditional_gaussian_moments, exact_sample
 from pwhmc.subspace import ode_param
 
 

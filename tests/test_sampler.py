@@ -50,6 +50,12 @@ def test_chain_config_validation():
     with pytest.raises(ValueError, match="burn_in must be an integer"):
         ChainConfig(n_samples=5, burn_in=1.5)
     assert ChainConfig(n_samples=np.int64(3)).n_iterates == 3
+    # a seed that is no non-negative integer would run some other chain
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ChainConfig(n_samples=5, seed=seed)
+    for seed in (np.uint8(3), 2**70, np.random.SeedSequence(3)):
+        assert ChainConfig(n_samples=5, seed=seed).seed is seed
     cfg = ChainConfig(n_samples=7, burn_in=3, thin=2)
     assert cfg.n_iterates == 17
 
