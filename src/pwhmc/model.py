@@ -105,17 +105,15 @@ def _field(doc, key, where):
     return doc[key]
 
 
+_INT64 = range(-2**63, 2**63)
+
+
 def _integer(value, name):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFormatError(f"field '{name}' must be an integer, got {value!r}")
+    if value not in _INT64:
+        raise ModelFormatError(f"field '{name}' is out of range: {value}")
     return value
-
-
-def _number(value, name):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value)):
-        raise ModelFormatError(f"field '{name}' must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _object(value, name):
@@ -137,7 +135,11 @@ def _as_array(value, shape, name, dtype=float):
         raise ModelFormatError(
             f"field '{name}' has shape {cells.shape}, expected {shape}"
         )
-    if not set(map(type, cells.flat)) <= {int, float}:
+    kinds = set(map(type, cells.flat))
+    if dtype is not float and not kinds <= {int}:
+        bad = next(v for v in cells.flat if type(v) is not int)
+        raise ModelFormatError(f"field '{name}' must be an integer, got {bad!r}")
+    if not kinds <= {int, float}:
         raise ModelFormatError(f"field '{name}' must hold JSON numbers only")
     try:
         arr = cells.astype(dtype)
@@ -145,14 +147,37 @@ def _as_array(value, shape, name, dtype=float):
         raise ModelFormatError(f"field '{name}' is out of range: {exc}") from exc
     if dtype is float and not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"field '{name}' contains non-finite entries")
+    # every JSON integer must fit in 64 bits, in a float field as in L_row
+    if dtype is float and any(type(v) is int and v not in _INT64
+                              for v in cells[np.abs(arr) >= 2.0**63]):
+        raise ModelFormatError(f"field '{name}' is out of range: an integer "
+                               "beyond 64 bits")
     return arr
+
+
+def _stacked(regions, key, shape, dtype=float):
+    """Field ``key`` of every region as one (J, *shape) array.
+
+    Only if the one stacked check fails is the field checked region by
+    region, so that the error names ``regions[j].key``.
+    """
+    try:
+        values = [reg[key] for reg in regions]
+        return _as_array(values, (len(values), *shape), f"regions.{key}", dtype)
+    except (KeyError, ModelFormatError):
+        return np.stack([_as_array(_field(reg, key, f"regions[{jz}]"), shape,
+                                   f"regions[{jz}].{key}", dtype)
+                         for jz, reg in enumerate(regions)])
 
 
 def load_model(text: str) -> ModelSpec:
     """Parse a model document (JSON text) into a ModelSpec.
 
     Raises ModelFormatError naming the offending field on any schema
-    violation.  Symmetry of each M is enforced by symmetrizing, tolerating
+    violation.  Each region field is converted and checked for all J
+    regions at once, field by field (M, r, k, A, y, L_row); a faulty field
+    is then re-checked region by region to name ``regions[j].<field>``.
+    Symmetry of each M is enforced by symmetrizing, tolerating
     serialization noise; definiteness is checked later by validate_model.
     A document with ``"mean": true`` gives each region's mean mu as "r"; it
     is stored as the linear coefficient M mu.
@@ -179,28 +204,23 @@ def load_model(text: str) -> ModelSpec:
     regions = _field(doc, "regions", "document")
     if not isinstance(regions, list) or len(regions) != J:
         raise ModelFormatError(f"field 'regions' must be a list of J={J} objects")
-
-    M = np.empty((J, n, n))
-    r = np.empty((J, n))
-    k = np.empty(J)
-    A = np.empty((J, n, d))
-    y = np.empty((J, d))
-    L = np.empty((J, m), dtype=np.int64)
     for jz, reg in enumerate(regions):
-        where = f"regions[{jz}]"
-        _object(reg, where)
-        Mj = _as_array(_field(reg, "M", where), (n, n), f"{where}.M")
-        M[jz] = 0.5 * (Mj + Mj.T)
-        r[jz] = _as_array(_field(reg, "r", where), (n,), f"{where}.r")
-        if mean:
-            r[jz] = M[jz] @ r[jz]
-        k[jz] = _number(_field(reg, "k", where), f"{where}.k")
-        A[jz] = _as_array(_field(reg, "A", where), (n, d), f"{where}.A")
-        y[jz] = _as_array(_field(reg, "y", where), (d,), f"{where}.y")
-        L_row = _field(reg, "L_row", where)
-        for v in L_row if isinstance(L_row, list) else ():
-            _integer(v, f"{where}.L_row")
-        L[jz] = _as_array(L_row, (m,), f"{where}.L_row", dtype=np.int64)
+        _object(reg, f"regions[{jz}]")
+
+    M = _stacked(regions, "M", (n, n))
+    M = 0.5 * M + 0.5 * M.swapaxes(1, 2)    # halves: cannot overflow
+    r = _stacked(regions, "r", (n,))
+    if mean:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (M @ r[..., None])[..., 0]   # matmul rounds as each M[j] @ r[j]
+        bad = np.flatnonzero(~np.isfinite(r).all(1))
+        if bad.size:
+            raise ModelFormatError(f"field 'regions[{bad[0]}].r' overflows: "
+                                   "M mu is not finite")
+    k = _stacked(regions, "k", ())
+    A = _stacked(regions, "A", (n, d))
+    y = _stacked(regions, "y", (d,))
+    L = _stacked(regions, "L_row", (m,), dtype=np.int64)
     if np.any(np.abs(L) > J):
         raise ModelFormatError("field 'L_row' entries must lie in -J..J")
 

@@ -55,3 +55,24 @@ def occupancy_quadrature_line(V1, V2, split=0.0):
     if not np.isfinite(total) or total <= 0.0:
         raise ValueError(f"non-finite or empty occupancy masses ({mass1}, {mass2})")
     return mass1 / total
+
+
+def region_arrays(doc):
+    """A model document's region arrays, converted one region at a time.
+
+    The reference for the loader's stacked conversion: each region's M is
+    symmetrized on its own as 0.5 (M + M'), and under ``"mean": true`` its
+    r becomes M[j] @ r[j].  Returns M, r, k, A, y and L stacked over regions.
+    """
+    out = {key: [] for key in ("M", "r", "k", "A", "y", "L")}
+    for reg in doc["regions"]:
+        Mj = np.array(reg["M"], dtype=float)
+        Mj = 0.5 * (Mj + Mj.T)
+        rj = np.array(reg["r"], dtype=float)
+        out["M"].append(Mj)
+        out["r"].append(Mj @ rj if doc.get("mean", False) else rj)
+        out["k"].append(float(reg["k"]))
+        out["A"].append(np.array(reg["A"], dtype=float))
+        out["y"].append(np.array(reg["y"], dtype=float))
+        out["L"].append(np.array(reg["L_row"], dtype=np.int64).reshape(-1))
+    return {key: np.array(v) for key, v in out.items()}

@@ -47,6 +47,21 @@ def test_missing_and_malformed_files_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", 10 ** 30), ("n", 10 ** 30), ("m", 2 ** 40),
+])
+def test_out_of_range_documents_exit_2(tmp_path, capsys, key, value):
+    # these once escaped the loader as a TypeError, numpy's dimension
+    # ValueError and an allocation error: tracebacks or exit 1
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    if key == "k":
+        doc["regions"][0]["k"] = value
+    else:
+        doc[key] = value
+    assert main(["validate", write_model(tmp_path, json.dumps(doc))]) == 2
+    assert capsys.readouterr().err.startswith("bad model document: field ")
+
+
 def test_sample_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "draws.csv"
     code = main(["sample", ONENORM, "--n", "40", "--seed", "7",

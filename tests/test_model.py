@@ -2,11 +2,13 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from brute_force import region_arrays
 from conftest import (
     anisotropic_mass,
     benchmark_models,
@@ -14,6 +16,7 @@ from conftest import (
     oblique_wall_model,
     polygon_model,
     rand_continuous_pair,
+    rand_spd,
     scaled_line_model,
     sign_cells_model,
     wall_box_model,
@@ -225,8 +228,8 @@ def test_load_requires_json_objects(tmp_path, capsys, key, value):
 def test_load_requires_finite_number_k(value):
     doc = doc_of(zoo.step_line_model())
     doc["regions"][1]["k"] = value
-    with pytest.raises(ModelFormatError,
-                       match=re.escape("'regions[1].k' must be a finite number")):
+    with pytest.raises(ModelFormatError, match=re.escape("'regions[1].k' ")
+                       + "(must hold JSON numbers only|contains non-finite)"):
         load_model(json.dumps(doc))
     doc["regions"][1]["k"] = 1                   # a JSON integer loads
     assert load_model(json.dumps(doc)).k[1] == 1.0
@@ -259,6 +262,179 @@ def test_load_rejects_non_numeric_arrays(tmp_path, capsys, path, value, message)
     bad.write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
     assert "bad model document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("k", 10 ** 30, "regions[0].k"), ("n", 10 ** 30, "n"),
+    ("m", 2 ** 40, "regions[0].L_row"),
+])
+def test_load_rejects_huge_sizes_and_numbers(key, value, name):
+    # k once raised numpy's TypeError, n numpy's dimension ValueError and
+    # m an allocation error for (J, m); no array is sized from n, m or J
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    if key == "k":
+        doc["regions"][0]["k"] = value
+    else:
+        doc[key] = value
+    with pytest.raises(ModelFormatError, match=re.escape(f"field '{name}' ")):
+        load_model(json.dumps(doc))
+
+
+def test_load_integers_must_fit_in_64_bits():
+    doc = doc_of(zoo.step_line_model())
+    doc["regions"][1]["r"] = [2 ** 63 - 1, -2 ** 63]     # the int64 extremes
+    assert load_model(json.dumps(doc)).r[1].tolist() == [2.0 ** 63, -2.0 ** 63]
+    for value in (2 ** 63, -2 ** 63 - 1, 10 ** 30):
+        doc["regions"][1]["r"] = [value, 0]
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("'regions[1].r' is out of range")):
+            load_model(json.dumps(doc))
+    doc["regions"][1]["r"] = [1e300, 0.0]                # a float that large loads
+    assert load_model(json.dumps(doc)).r[1, 0] == 1e300
+
+
+def test_symmetrizing_M_cannot_overflow():
+    # 0.5 (M + M') overflowed to inf with a RuntimeWarning; the halves
+    # 0.5 M + 0.5 M' keep every finite entry finite
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    doc["regions"][7]["M"][0][1] = doc["regions"][7]["M"][1][0] = 1e308
+    doc["regions"][6]["M"][2][2] = 1.7e308
+    doc["regions"][5]["M"][0][2], doc["regions"][5]["M"][2][0] = 1e308, 9e307
+    M = load_model(json.dumps(doc)).M
+    assert M[7, 0, 1] == M[7, 1, 0] == 1e308
+    assert M[6, 2, 2] == 1.7e308
+    assert M[5, 0, 2] == M[5, 2, 0] == 0.5 * 1e308 + 0.5 * 9e307
+    assert np.isfinite(M).all()
+
+
+def test_mean_conversion_that_overflows_names_the_region():
+    doc = _mean_document(np.diag([1e308, 1.0, 1.0]), ([0.0, 0.0, 0.0],
+                                                     [10.0, 0.0, 0.0]), (0.0, 0.0))
+    with pytest.raises(ModelFormatError,
+                       match=re.escape("'regions[1].r' overflows")):
+        load_model(json.dumps(doc))
+
+
+def _random_document(rng, J, mean):
+    n = int(rng.integers(2, 6))
+    d = int(rng.integers(1, n))
+    m = int(rng.integers(0, 5))
+    regions = []
+    for _ in range(J):
+        M = rand_spd(rng, n) + 1e-9 * rng.normal(size=(n, n))   # not symmetric
+        regions.append({"M": M.tolist(), "r": rng.normal(size=n).tolist(),
+                        "k": float(rng.normal()),
+                        "A": rng.normal(size=(n, d)).tolist(),
+                        "y": rng.normal(size=d).tolist(),
+                        "L_row": rng.integers(-J, J + 1, size=m).tolist()})
+    return {"n": n, "d": d, "J": J, "m": m, "mean": mean, "regions": regions,
+            "hyperplanes": {"F": rng.normal(size=(m, n)).tolist(),
+                            "g": rng.normal(size=m).tolist()}}
+
+
+@pytest.mark.parametrize("mean", [False, True])
+def test_stacked_load_matches_per_region_conversion(rng, mean):
+    for J in (1, 2, 3, 17, 64):
+        for _ in range(4):
+            doc = _random_document(rng, J, mean)
+            spec = load_model(json.dumps(doc))
+            ref = region_arrays(doc)
+            for name in ("M", "r", "k", "A", "y", "L"):
+                got = getattr(spec, name)
+                assert got.dtype == ref[name].dtype
+                assert got.tobytes() == ref[name].tobytes(), (J, name)
+
+
+@pytest.mark.parametrize("key, shape", [
+    ("M", (3, 3)), ("r", (3,)), ("k", ()), ("A", (3, 1)), ("y", (1,)),
+    ("L_row", (3,)),
+])
+@pytest.mark.parametrize("jz", [0, 1, 7])
+def test_stacked_load_names_the_faulty_region(key, shape, jz):
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    doc["regions"][jz][key] = [1, 2]
+    with pytest.raises(ModelFormatError) as err:
+        load_model(json.dumps(doc))
+    assert str(err.value) == (f"field 'regions[{jz}].{key}' has shape (2,), "
+                              f"expected {shape}")
+    doc["regions"][jz][key] = "1"
+    message = "has shape ()" if shape else "must hold JSON numbers only"
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"field 'regions[{jz}].{key}' {message}")):
+        load_model(json.dumps(doc))
+    del doc["regions"][jz][key]
+    with pytest.raises(ModelFormatError) as err:
+        load_model(json.dumps(doc))
+    assert str(err.value) == f"missing field '{key}' in regions[{jz}]"
+
+
+def test_load_reports_faults_field_by_field():
+    # each field is checked over all regions before the next field, so a
+    # fault in a later region's M is named before an earlier region's r
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    doc["regions"][0]["r"] = ["0"]
+    doc["regions"][5]["M"] = "M"
+    with pytest.raises(ModelFormatError, match=re.escape("'regions[5].M'")):
+        load_model(json.dumps(doc))
+
+
+_FUZZ_VALUES = ("x", True, False, None, [], {}, [None], 1e308, 10 ** 30,
+                -10 ** 30, 2 ** 63, "1.5")
+
+
+def _nodes(node, path=()):
+    """The path of every node below a parsed JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _fuzz_documents(seed, count):
+    rng = np.random.default_rng(seed)
+    bases = [zoo.model_path(name).read_text() for name in zoo.SHIPPED]
+    bases += [zoo.dump_model(zoo.sum_constraint_model(3, 1.0)),
+              json.dumps(_mean_document(np.diag([2.0, 1.0, 0.5]),
+                                        ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                                        (0.0, 0.0)))]
+    paths = [list(_nodes(json.loads(text))) for text in bases]
+    for _ in range(count):
+        b = int(rng.integers(len(bases)))
+        doc = json.loads(bases[b])
+        for _ in range(int(rng.integers(1, 3))):
+            path = paths[b][int(rng.integers(len(paths[b])))]
+            *parents, key = path
+            node = doc
+            try:
+                for p in parents:
+                    node = node[p]
+                node[key]
+            except (KeyError, IndexError, TypeError):
+                continue                  # an earlier edit removed the path
+            if not isinstance(node, (dict, list)):
+                continue                  # or replaced a container by a string
+            if isinstance(node, dict) and rng.random() < 0.15:
+                del node[key]
+            else:
+                node[key] = _FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))]
+        yield json.dumps(doc)
+
+
+def test_any_document_loads_or_raises_model_format_error():
+    # 2,000 seeded edits of the shipped documents, a
+    # zero-hyperplane model and a "mean": true document; each loads or
+    # raises ModelFormatError, with no other exception and no warning
+    loaded = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in _fuzz_documents(7, 2000):
+            try:
+                load_model(text)
+                loaded += 1
+            except ModelFormatError:
+                pass
+    assert 0 < loaded < 2000
 
 
 def test_ell_zero_on_manifold():
