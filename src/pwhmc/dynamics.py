@@ -13,14 +13,13 @@ potential step, reflect otherwise.  A hard wall is a step that no energy
 clears.
 
 Everything that depends only on the region lives in one Region record per
-region, in a RegionTable shared by every chain on the same ModelSpec, with
-the records of all its faces, built in one stacked pass on the region's
-first visit; so a segment does arithmetic only.
+region, with the records of all its faces, sliced from the model's cell
+table on the region's first visit into ``ModelSpec.regions``, which every
+chain on the model shares; so a segment does arithmetic only.
 """
 
 from __future__ import annotations
 
-import weakref
 from math import acos, atan2, cos, isnan, sin, sqrt
 
 import numpy as np
@@ -157,40 +156,36 @@ def boundary_dynamics(v1, V1, V2):
 class Region:
     """Everything about region j that the segment loop reads.
 
-    Built on the region's first visit from slices of the model's cell
-    table: x_p, S, the boundary rows G = F_j S, their offsets h, hyperplane
-    indices idx and face records (see ``face_records``), and base = V_j(x_p)
-    + c_j.  G is the transpose view of a contiguous GT, so that one product
-    Y.dot(GT) gives both coefficient rows of the hit scan for a state
-    Y = [zdot; z].  Nothing here is chain state.  A region that failed the
-    rank or metric test raises LinAlgError.
+    Built on the region's first visit from M_j and slices of the model's
+    cell table: x_p, S, the boundary rows G = F_j S, their offsets h,
+    hyperplane indices idx and face records (see ``face_records``).  G is
+    the transpose view of a contiguous GT, so that one product Y.dot(GT)
+    gives both coefficient rows of the hit scan for a state Y = [zdot; z].
+    Nothing here is chain state.  A region with base NaN raises LinAlgError.
     """
 
-    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "idx", "base", "faces")
+    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "idx", "faces")
 
-    def __init__(self, spec, j, cells):
-        c = float(cells.c[j - 1])
-        if isnan(c):
+    def __init__(self, cells, M, j):
+        if isnan(cells.base[j - 1]):
             raise np.linalg.LinAlgError(f"region {j}: A is rank deficient, "
                                         "or M is not SPD on its piece")
         rows = slice(cells.start[j - 1], cells.start[j])
-        self.x_p = x_p = cells.x_p[j - 1]
+        self.x_p = cells.x_p[j - 1]
         self.S = cells.S[j - 1]
-        self.M = M = spec.M[j - 1]
+        self.M = M[j - 1]
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.G = self.GT.T
         self.h = cells.h[rows]
         self.idx = (cells.i[rows] + 1).tolist()
-        self.base = (0.5 * float(x_p.dot(M).dot(x_p))
-                     - float(spec.r[j - 1].dot(x_p)) + float(spec.k[j - 1]) + c)
-        self.faces = face_records(spec, cells, rows)
+        self.faces = face_records(cells, rows)
 
     def coords(self, x):
         """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
         return self.S.T.dot(self.M.dot(x - self.x_p))
 
 
-def face_records(spec, cells, rows):
+def face_records(cells, rows):
     """The face records of the cell-table entries rows (a slice), from one
     stacked pass over those that a rule crosses; products run per entry, so
     no record depends on the others built with it.
@@ -201,12 +196,12 @@ def face_records(spec, cells, rows):
     face's row k2 there (the mirror entry), TT = T' and D = [g2; q_T], g2
     the neighbor's unit normal of row k2 into it.  Face points map into the
     neighbor's coordinates by z2 = P z + q, P = S2'M2 S, q = S2'M2 (x_p -
-    x_p2), and T = P (I - g1 g1') is P on the face's tangent directions.  On
-    the face g1'z = -h_e / nw, so for a state Y there Y.dot(TT) is [P (zdot
-    - v1 g1); z2 - q_T], v1 = g1'zdot, q_T = q - (h_e / nw) P g1: one
-    product gives the tangential velocity carried across and, plus q_T, the
-    position on the far side.  An entry no rule crosses holds the error
-    that a hit on it raises instead.
+    x_p2) (S2'M2 from the cell table), and T = P (I - g1 g1') is P on the
+    face's tangent directions.  On the face g1'z = -h_e / nw, so for a
+    state Y there Y.dot(TT) is [P (zdot - v1 g1); z2 - q_T], v1 = g1'zdot,
+    q_T = q - (h_e / nw) P g1: one product gives the tangential velocity
+    carried across and, plus q_T, the position on the far side.  An entry
+    no rule crosses holds the error that a hit on it raises instead.
     """
     nw, far = cells.norm[rows], cells.mirror[rows]
     ok = nw >= NORMAL_DEGENERACY_TOL           # NaN fails too
@@ -219,7 +214,7 @@ def face_records(spec, cells, rows):
     if ks.size:
         e = ks + rows.start
         t, f, w = cells.t[e], cells.mirror[e], cells.norm[e][:, None]
-        SM = cells.S[t].transpose(0, 2, 1) @ spec.M[t]
+        SM = cells.SM[t]
         P = SM @ cells.S[cells.j[e]]
         g1 = cells.G[e] / w
         Pg1 = (P @ g1[..., None])[..., 0]
@@ -246,32 +241,16 @@ def _fault(cells, e):
 
 
 class RegionTable(dict):
-    """Region records of one model keyed by 1-based index, each built on
-    first lookup.
+    """Region records of one model (``ModelSpec.regions``) keyed by 1-based
+    label, each built on first lookup from the cell table and the M stack;
+    it holds no reference to the model."""
 
-    Holds the model through a weak proxy: the registry behind region_table
-    is keyed by the model and must not keep it alive.  Regions slice the
-    model's cell table, ``spec.cells``.
-    """
-
-    def __init__(self, spec):
+    def __init__(self, cells, M):
         super().__init__()
-        self.spec = weakref.proxy(spec)
-        self.cells = spec.cells
+        self.cells, self.M = cells, M
 
     def __missing__(self, j):
-        return self.setdefault(j, Region(self.spec, j, self.cells))
-
-
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def region_table(spec) -> RegionTable:
-    """The RegionTable shared by every chain run on this ModelSpec object."""
-    table = _TABLES.get(spec)
-    if table is None:
-        table = _TABLES.setdefault(spec, RegionTable(spec))
-    return table
+        return self.setdefault(j, Region(self.cells, self.M, j))
 
 
 def evolve_segment_detail(t_budget, j, Y, skip, table):
@@ -303,7 +282,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
     v1 = (fa.item(k) * cos(tau) - fb.item(k) * sin(tau)) / nw
     z = Y[1]
-    V1 = 0.5 * float(z.dot(z)) + reg.base
+    V1 = 0.5 * float(z.dot(z)) + table.cells.base.item(j - 1)
     if label is None:
         # a wall is the step V2 = inf, which boundary_dynamics never clears
         V2 = V1
@@ -311,7 +290,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
         W = Y.dot(TT)
         z2 = W[1]
         z2 += D[1]
-        V2 = 0.5 * float(z2.dot(z2)) + table[label].base
+        V2 = 0.5 * float(z2.dot(z2)) + table.cells.base.item(label - 1)
         speed = boundary_dynamics(v1, V1, V2)
         if speed is not None:
             zdot2 = W[0]

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, ModelFormatError
-from . import subspace
+from . import dynamics, subspace
 from .subspace import NORMAL_DEGENERACY_TOL, face_residuals
 
 CONTINUITY_TOL = 1e-8
@@ -35,6 +35,8 @@ class ModelSpec:
 
     Arrays are stacked over regions: ``M[j-1]`` is region j's precision-like
     matrix, ``r[j-1]`` the linear coefficient of its potential, and so on.
+    ``cells`` and ``regions`` are built on first use and cached on the
+    object; neither refers back to it.
     """
 
     n: int
@@ -61,6 +63,11 @@ class ModelSpec:
         """The model's one cell table, built on first use."""
         return cell_table(self)
 
+    @cached_property
+    def regions(self) -> dynamics.RegionTable:
+        """The region records that every chain on this model shares."""
+        return dynamics.RegionTable(self.cells, self.M)
+
 
 @dataclass(frozen=True, eq=False)
 class CellTable:
@@ -70,8 +77,10 @@ class CellTable:
     0-based, with its sign-adjusted row F[e] x + g[e] >= 0 inside region
     j[e] and its target region t[e] (t[e] == j[e] marks a wall).  Region
     j's entries (1-based j) are rows start[j-1]:start[j].  On its piece
-    x = x_p[j-1] + S[j-1] z (one stacked ``subspace.ode_param`` call), entry
-    e is the row G[e] z + h[e] >= 0, whose normal has length norm[e] in M_j.
+    x = x_p[j-1] + S[j-1] z (one stacked ``subspace.ode_param`` call), z =
+    SM[j-1] (x - x_p[j-1]), V_j + c_j = 1/2 |z|^2 + base[j-1] (NaN if the
+    rank or metric test fails) and entry e is the row G[e] z + h[e] >= 0,
+    whose normal has length norm[e] in M_j.
     Across a transition, mirror[e] is the entry (t[e], i[e]), else -1.
     """
 
@@ -83,7 +92,8 @@ class CellTable:
     start: np.ndarray      # (J + 1,) int
     x_p: np.ndarray        # (J, n)
     S: np.ndarray          # (J, n, n - d)
-    c: np.ndarray          # (J,)
+    base: np.ndarray       # (J,)
+    SM: np.ndarray         # (J, n - d, n)
     margin: np.ndarray     # (J,)
     G: np.ndarray          # (E, n - d)
     h: np.ndarray          # (E,)
@@ -263,12 +273,18 @@ def cell_table(spec: ModelSpec) -> CellTable:
     signs = np.sign(entry).astype(float)
     F, g = spec.F[i] * signs[:, None], spec.g[i] * signs
     x_p, S, c, margin = subspace.ode_param(spec.M, spec.r, spec.A, spec.y)
+    # matmul rounds each row as the region's own x_p.dot(M).dot(x_p),
+    # r.dot(x_p) and S.T @ M do; like those, it overflows without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = (0.5 * (x_p[:, None] @ spec.M @ x_p[..., None])[:, 0, 0]
+                - (spec.r[:, None] @ x_p[..., None])[:, 0, 0] + spec.k + c)
+        SM = S.transpose(0, 2, 1) @ spec.M
     # matmul, not einsum: each row rounds as in the product F_j S_j
     G = (F[:, None, :] @ S[j])[:, 0]
     return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g,
                      start=np.searchsorted(j, np.arange(spec.J + 1)),
-                     x_p=x_p, S=S, c=c, margin=margin, G=G, mirror=mirror,
-                     h=np.einsum("en,en->e", F, x_p[j]) + g,
+                     x_p=x_p, S=S, base=base, SM=SM, margin=margin, G=G,
+                     mirror=mirror, h=np.einsum("en,en->e", F, x_p[j]) + g,
                      norm=np.sqrt(np.einsum("ek,ek->e", G, G)))
 
 

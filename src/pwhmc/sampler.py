@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_segment_detail, region_table
+from .dynamics import evolve_segment_detail
 from .errors import ContractError, StallError
 from .model import cell_slack, ell
 from .subspace import COEF_TOL
@@ -128,7 +128,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         )
 
     rng = make_rng(cfg.seed)
-    table = region_table(spec)
+    table = spec.regions
     n = spec.n
     X = np.empty((cfg.n_samples, n))
     Xdot = np.empty((cfg.n_samples, n))

@@ -29,17 +29,19 @@ def rank_margin(R1):
     and min|diag R1| / max(1, max|diag R1|).  A is full rank for the sampler
     and for validate_model iff this exceeds NORMAL_DEGENERACY_TOL.
 
-    R1 is one triangle (d, d) or a stack (..., d, d); a triangle with an
-    exact zero on its diagonal has no inverse and margin 0.
+    R1 is one triangle (d, d) or a stack (..., d, d).  Its norms are taken
+    after scaling by max|R1|, so neither overflows.  A zero on the diagonal,
+    exact or after that scaling, or a non-finite entry, gives margin 0.
     """
     R1 = np.asarray(R1, dtype=float)
-    singular = np.any(np.diagonal(R1, axis1=-2, axis2=-1) == 0.0, axis=-1)
-    inv = np.linalg.inv(np.where(singular[..., None, None],
-                                 np.eye(R1.shape[-1]), R1))
-    with np.errstate(over="ignore"):
-        ss = np.einsum("...ij,...ij->...", inv, inv) * np.maximum(
-            1.0, np.einsum("...ij,...ij->...", R1, R1))
-    return np.where(singular, 0.0, 1.0 / np.sqrt(ss))[()]
+    s = np.abs(R1).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = R1 / s[..., None, None]       # ||R1^-1||_F = iu / s, ||R1||_F = s u
+        singular = ~np.all(np.abs(np.diagonal(U, axis1=-2, axis2=-1)) > 0.0, axis=-1)
+        U = np.where(singular[..., None, None], np.eye(U.shape[-1]), U)
+        iu, u = (np.linalg.norm(X, axis=(-2, -1)) for X in (np.linalg.inv(U), U))
+        margin = np.where(s * u >= 1.0, 1.0 / (iu * u), s / iu)
+    return np.where(singular, 0.0, margin)[()]
 
 
 def spd_factor(W):
@@ -77,7 +79,7 @@ def ode_param(M, r, A, y):
     x1 = Q[..., :d] @ np.linalg.solve(np.swapaxes(R1, -1, -2), -y[..., None])
     Q2T = np.swapaxes(Q[..., d:], -1, -2)
     W = Q2T @ M @ Q[..., d:]
-    L, pd = spd_factor(0.5 * (W + np.swapaxes(W, -1, -2)))
+    L, pd = spd_factor(0.5 * W + 0.5 * np.swapaxes(W, -1, -2))  # no overflow
     ST = np.linalg.solve(L, Q2T)
     S = np.swapaxes(ST, -1, -2)
     x_p = S @ (ST @ (r[..., None] - M @ x1)) + x1
@@ -103,9 +105,11 @@ def face_residuals(f, g, A1, A2, y1, y2):
     yg = np.concatenate([y1, g[:, None]], axis=1)
     z1 = np.linalg.solve(np.swapaxes(R1, 1, 2), -yg[:, :, None])
     x0 = Q1 @ z1
-    e1 = np.linalg.norm((np.swapaxes(A2, 1, 2) @ x0)[:, :, 0] + y2, axis=1)
-    if B.shape[1] > B.shape[2]:
-        e2 = np.linalg.norm(A2 - Q1 @ (np.swapaxes(Q1, 1, 2) @ A2), axis=(1, 2))
-    else:
-        e2 = np.zeros(len(B))       # a point face has no free directions
+    # a residual beyond the float range reads inf, and fails
+    with np.errstate(over="ignore"):
+        e1 = np.linalg.norm((np.swapaxes(A2, 1, 2) @ x0)[:, :, 0] + y2, axis=1)
+        if B.shape[1] > B.shape[2]:
+            e2 = np.linalg.norm(A2 - Q1 @ (np.swapaxes(Q1, 1, 2) @ A2), axis=(1, 2))
+        else:
+            e2 = np.zeros(len(B))       # a point face has no free directions
     return np.where(ok, e1, np.inf), np.where(ok, e2, np.inf)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pwhmc import dynamics, zoo
-from pwhmc.dynamics import region_table
 from pwhmc.model import cell_slack, load_model
 
 
@@ -89,7 +88,7 @@ def members_of(spec, x, tol=0.0):
 
 def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
-    reg = region_table(spec)[j]
+    reg = spec.regions[j]
     for _ in range(max_tries):
         x = reg.x_p + reg.S @ rng.normal(scale=scale, size=spec.n - spec.d)
         members = members_of(spec, x)

@@ -1,6 +1,8 @@
 """Exact evolution, hit detection, and boundary velocity updates."""
 
+import gc
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,12 +31,11 @@ from pwhmc.dynamics import (
     face_records,
     first_hit,
     flight,
-    region_table,
 )
 from pwhmc.errors import DegenerateNormalError, ModelFormatError
-from pwhmc.model import cell_slack, load_model, load_model_file
+from pwhmc.model import ModelSpec, cell_slack, load_model, load_model_file
 from pwhmc.oracle import exact_sample
-from pwhmc.sampler import refresh_velocity
+from pwhmc.sampler import ChainConfig, refresh_velocity, run_chain
 from pwhmc.subspace import ode_param
 
 # --- hit times -------------------------------------------------------------
@@ -280,10 +281,10 @@ def test_first_hit_picks_earliest():
     assert tau == pytest.approx(1.0, abs=1e-12)
 
 
-def test_region_table_memoizes():
+def test_regions_memoize():
     spec = zoo.one_norm_model()
-    table = region_table(spec)
-    assert region_table(spec) is table
+    table = spec.regions
+    assert spec.regions is table and table.cells is spec.cells
     reg1 = table[1]
     assert table[1] is reg1
     assert set(table) == {1}
@@ -291,9 +292,40 @@ def test_region_table_memoizes():
     assert set(table) == {1, 2}
     # a fresh copy of the model gets its own table, rebuilt bit-identically
     other = zoo.one_norm_model()
-    fresh = region_table(other)[1]
+    fresh = other.regions[1]
     assert fresh is not reg1
     assert np.array_equal(fresh.x_p, reg1.x_p)
+
+
+def test_a_model_whose_regions_were_built_dies_on_del():
+    # the cached cell table and region records hold no reference back to
+    # the model, so no cycle keeps it alive until the collector runs
+    died = []
+
+    class Probe(ModelSpec):
+        def __del__(self):
+            died.append(True)
+
+    spec = zoo.one_norm_model()
+    probe = Probe(**{f.name: getattr(spec, f.name) for f in fields(ModelSpec)})
+    gc.disable()
+    try:
+        run_chain(probe, 1, [0.2, 0.3, 0.5], ChainConfig(n_samples=20, seed=3))
+        assert len(probe.regions) > 1
+        del probe
+        assert died == [True]
+    finally:
+        gc.enable()
+
+
+def test_a_reflection_builds_no_region_the_chain_does_not_enter():
+    # a step of 50 reflects every crossing from region 1; the segment reads
+    # the far side's potential offset from the cell table, not its record
+    spec = zoo.step_line_model(dk=50.0)
+    out = run_chain(spec, 1, [0.5, 0.0], ChainConfig(n_samples=200, seed=4,
+                                                      record_events=True))
+    assert {ev["kind"] for ev in out.events} == {"transition"}
+    assert set(out.R.tolist()) == {1} and set(spec.regions) == {1}
 
 
 def _lines_model(F, pieces):
@@ -319,7 +351,7 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
     # 1e-13 with h = 0, too short to divide by.  The region builds without
     # a warning, and a hit on the row raises, never reflects.
     spec = _lines_model([1.0, 1e-13], [([1.0, 0.0], 1)])
-    table = region_table(spec)
+    table = spec.regions
     assert abs(table[1].G[0, 0]) == pytest.approx(1e-13) and table[1].h[0] == 0.0
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 1's piece"):
@@ -327,7 +359,7 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
     # A transition from the line x1 = x2 to the line x1 = 0, which lies in
     # the face x1 = 0: the row is fine in region 1, its mirror has length 0.
     spec = _lines_model([1.0, 0.0], [([1.0, -1.0], 2), ([1.0, 0.0], -1)])
-    table = region_table(spec)
+    table = spec.regions
     assert spec.cells.norm.tolist()[1] == 0.0 and len(table[2].faces) == 1
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 2's piece"):
@@ -340,7 +372,7 @@ def test_a_transition_without_a_far_entry_raises(rng):
     doc = json.loads(zoo.dump_model(zoo.one_norm_model()))
     doc["regions"][4]["L_row"][0] = 0
     spec = load_model(json.dumps(doc))
-    table = region_table(spec)
+    table = spec.regions
     k = table[1].idx.index(1)
     assert spec.cells.mirror[table.cells.start[0] + k] == -1
     Y, _ = state_on_face(table, 1, k, rng)
@@ -372,7 +404,7 @@ def test_wall_reflection_cases():
         assert boundary_dynamics(v1, 0.7, np.inf) is None
     # through the segment, on the wall x1 = 0.5 of the box at t = 0
     spec = wall_box_model()
-    table = region_table(spec)
+    table = spec.regions
     for xdot, expected in (([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]),
                            ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])):
         x, new, tau, j_new, k, V1, V2 = segment_in_x(
@@ -407,7 +439,7 @@ def test_boundary_dynamics_artificial_boundary_is_identity():
         "regions": [dict(region, L_row=[2]), dict(region, L_row=[-1])],
         "hyperplanes": {"F": [[1.0, 0.5, 0.7]], "g": [0.2]},
     }))
-    table = region_table(spec)
+    table = spec.regions
     for _ in range(20):
         Y0, _ = state_on_face(table, 1, 0, rng)
         Y, tau, j_new = evolve_segment_detail(0.0, 1, Y0, -1, table)[:3]
@@ -494,7 +526,7 @@ def test_face_record_matches_rule_from_scratch(rng):
               for n, d in ((3, 1), (4, 2), (5, 2), (6, 3))]
     cases = set()
     for spec in specs:
-        table = region_table(spec)
+        table = spec.regions
         for _ in range(40):
             j = int(rng.integers(1, spec.J + 1))
             reg = table[j]
@@ -534,8 +566,8 @@ def test_stacked_face_records_are_each_rows_own():
         for j in range(1, spec.J + 1):
             rows = slice(cells.start[j - 1], cells.start[j])
             for e, record in zip(range(rows.start, rows.stop),
-                                 face_records(spec, cells, rows)):
-                [own] = face_records(spec, cells, slice(e, e + 1))
+                                 face_records(cells, rows)):
+                [own] = face_records(cells, slice(e, e + 1))
                 assert record[:3] == own[:3]
                 if record[1] is not None:
                     assert record[3].flags.c_contiguous
@@ -580,7 +612,7 @@ def test_flight_is_reversible(model, rng):
     # near-grazing events makes the flight ill-conditioned (polygon64 has
     # kappa up to about 1e12; every model keeps error / kappa near 1e-15).
     spec = model()
-    table = region_table(spec)
+    table = spec.regions
     X, R = exact_sample(spec, 300, rng)
     events = 0
     for x, j in zip(X, R.tolist()):
@@ -600,7 +632,7 @@ def test_boundary_dynamics_velocity_transfer(rng):
     # on transmission the tangential part goes through P and the speed the
     # rule returns along g2
     spec = sign_cells_model(anisotropic_mass())
-    table = region_table(spec)
+    table = spec.regions
     moved = 0
     for _ in range(30):
         j = int(rng.integers(1, spec.J + 1))
@@ -630,7 +662,7 @@ def test_evolve_segment_half_period():
     spec = zoo.axis_plane_model(2)
     x, xdot, tau, j = segment_in_x(
         np.pi, 1, np.array([0.0, 1.0]), np.array([0.0, -1.0]),
-        region_table(spec),
+        spec.regions,
     )[:4]
     assert j == 1 and tau == pytest.approx(np.pi)
     assert np.allclose(x, [0.0, -1.0], atol=1e-12)
@@ -641,7 +673,7 @@ def test_evolve_segment_reflects_on_big_step():
     spec = zoo.step_line_model()                # dV = ln 2 at x1 = 0
     x, xdot, tau, j = segment_in_x(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
-        region_table(spec),
+        spec.regions,
     )[:4]
     assert tau == pytest.approx(np.pi / 4, abs=1e-12)
     assert j == 1
@@ -653,7 +685,7 @@ def test_evolve_segment_transmits_on_flat_step():
     spec = zoo.step_line_model(dk=0.0)
     x, xdot, tau, j = segment_in_x(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-0.5, 0.0]),
-        region_table(spec),
+        spec.regions,
     )[:4]
     assert j == 2
     assert xdot[0] == pytest.approx(-0.5 * np.sqrt(2), abs=1e-12)
@@ -664,7 +696,7 @@ def test_evolve_segment_junction_energy_balance():
     speed = 1.3                                  # enough to climb the step
     x, xdot, tau, j_new, k, V1, V2, xdot_pre = segment_in_x(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-speed, 0.0]),
-        region_table(spec),
+        spec.regions,
     )
     assert j_new == 2
     pre = 0.5 * xdot_pre @ xdot_pre + V1
@@ -674,7 +706,7 @@ def test_evolve_segment_junction_energy_balance():
 
 def test_segment_adherence_and_region_bounds(rng):
     spec = zoo.one_norm_model()
-    table = region_table(spec)
+    table = spec.regions
     for _ in range(20):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
@@ -712,7 +744,7 @@ def test_segment_conserves_restricted_hamiltonian(rng):
 
 def test_membership_preserved_across_transition(rng):
     spec = zoo.one_norm_model()
-    table = region_table(spec)
+    table = spec.regions
     moved = 0
     for _ in range(40):
         j = int(rng.integers(1, spec.J + 1))

@@ -22,7 +22,6 @@ from conftest import (
     wall_box_model,
 )
 from pwhmc.cli import main
-from pwhmc.dynamics import region_table
 from pwhmc.errors import ContractError, ModelFormatError
 from pwhmc.model import (
     cell_slack,
@@ -100,11 +99,11 @@ def test_load_allows_zero_hyperplanes():
     assert cell_slack(spec, 1, np.zeros(3)) == np.inf
 
 
-def piece_energy(reg, x):
-    """The sampler's potential at a point x of region reg's piece:
-    1/2 |z|^2 + base in its whitened coordinates z."""
-    z = reg.coords(x)
-    return 0.5 * float(z @ z) + reg.base
+def piece_energy(spec, j, x):
+    """The sampler's potential at a point x of region j's piece:
+    1/2 |z|^2 + base_j in its whitened coordinates z."""
+    z = spec.regions[j].coords(x)
+    return 0.5 * float(z @ z) + float(spec.cells.base[j - 1])
 
 
 def log_volume(M, A):
@@ -117,10 +116,9 @@ def log_volume(M, A):
 def test_potential_quadratic_values():
     # A = (0, 1)' and M = I on both sides: c_j = 0
     spec = zoo.step_line_model(dk=0.25)
-    table = region_table(spec)
     x = np.array([1.5, 0.0])
-    assert piece_energy(table[1], x) == pytest.approx(0.5 * 1.5**2)
-    assert piece_energy(table[2], x) == pytest.approx(0.5 * 1.5**2 + 0.25)
+    assert piece_energy(spec, 1, x) == pytest.approx(0.5 * 1.5**2)
+    assert piece_energy(spec, 2, x) == pytest.approx(0.5 * 1.5**2 + 0.25)
 
 
 def test_potential_of_mean_document():
@@ -132,8 +130,7 @@ def test_potential_of_mean_document():
         + float(spec.k[jz]) - 0.5 * float(mu @ spec.M[jz] @ mu) \
         + log_volume(spec.M[jz], spec.A[jz])
     assert abs(float(ell(spec, 2, x)[0])) < 1e-12      # x is on the piece
-    assert piece_energy(region_table(spec)[2], x) == pytest.approx(expected,
-                                                                   abs=1e-12)
+    assert piece_energy(spec, 2, x) == pytest.approx(expected, abs=1e-12)
 
 
 def _mean_document(M, mus, k):
@@ -157,7 +154,7 @@ def test_mean_document_loads_linear_coefficient():
     k = (0.2, -0.4)
     spec = load_model(json.dumps(_mean_document(M, mus, k)))
     assert validate_model(spec).passed
-    table = region_table(spec)
+    table = spec.regions
     rng = np.random.default_rng(5)
     for jz, mu in enumerate(np.array(mus)):
         assert np.array_equal(spec.r[jz], M @ mu)
@@ -169,8 +166,8 @@ def test_mean_document_loads_linear_coefficient():
             x = rng.normal(size=3) * [1.0, 1.0, 0.0]     # on the plane x3 = 0
             expected = 0.5 * (x - mu) @ M @ (x - mu) + k[jz] \
                 - 0.5 * mu @ M @ mu + log_volume(M, spec.A[jz])
-            assert piece_energy(reg, x) == pytest.approx(expected, rel=0,
-                                                         abs=1e-12)
+            assert piece_energy(spec, jz + 1, x) == pytest.approx(
+                expected, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -343,6 +340,16 @@ def test_stacked_load_matches_per_region_conversion(rng, mean):
                 got = getattr(spec, name)
                 assert got.dtype == ref[name].dtype
                 assert got.tobytes() == ref[name].tobytes(), (J, name)
+            # the cell table's stacked V_j(x_p) + c_j and S'M are each
+            # region's own products, bit for bit
+            cells = spec.cells
+            for jz in range(J):
+                x_p, M, r = cells.x_p[jz], spec.M[jz], spec.r[jz]
+                c = ode_param(M, r, spec.A[jz], spec.y[jz])[2]
+                own = (0.5 * float(x_p.dot(M).dot(x_p)) - float(r.dot(x_p))
+                       + float(spec.k[jz]) + c)
+                assert cells.base[jz].tobytes() == np.float64(own).tobytes()
+                assert cells.SM[jz].tobytes() == (cells.S[jz].T @ M).tobytes()
 
 
 @pytest.mark.parametrize("key, shape", [
@@ -421,20 +428,44 @@ def _fuzz_documents(seed, count):
         yield json.dumps(doc)
 
 
+def _onenorm_1e308(key):
+    """onenorm with one region 2 entry of M or A at 1e308: it loads, and
+    validate fails it without a warning."""
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    if key == "M":
+        doc["regions"][1]["M"][0][1] = doc["regions"][1]["M"][1][0] = 1e308
+    else:
+        doc["regions"][1]["A"] = [[1e308], [0.0], [0.0]]
+    return json.dumps(doc)
+
+
 def test_any_document_loads_or_raises_model_format_error():
     # 2,000 seeded edits of the shipped documents, a
-    # zero-hyperplane model and a "mean": true document; each loads or
-    # raises ModelFormatError, with no other exception and no warning
+    # zero-hyperplane model and a "mean": true document, and two documents
+    # with an entry at 1e308; each loads or raises ModelFormatError, and
+    # each that loads validates to a report, with no other exception and
+    # no warning
     loaded = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for text in _fuzz_documents(7, 2000):
             try:
-                load_model(text)
-                loaded += 1
+                spec = load_model(text)
             except ModelFormatError:
-                pass
+                continue
+            loaded += 1
+            validate_model(spec)
+        M, A = (validate_model(load_model(_onenorm_1e308(key)))
+                for key in ("M", "A"))
     assert 0 < loaded < 2000
+    # Q2'MQ2 symmetrized as 0.5 W + 0.5 W' stays finite, and fails Cholesky
+    assert [(c.name, c.subject) for c in M.failures()][0] == ("M_spd", "region 2")
+    # A = (1e308, 0, 0)' has rank margin 1, not NaN; its piece x1 = 1e-308
+    # lies on hyperplane 1
+    assert kind(A, "A_full_rank").passed.all()
+    assert kind(A, "A_full_rank").residual[1] == 1.0
+    assert ("normal_escapes_A", "region 2, hyperplane 1") in [
+        (c.name, c.subject) for c in A.failures()]
 
 
 def test_ell_zero_on_manifold():
@@ -521,7 +552,7 @@ def test_cell_table_mirror_of_a_broken_reciprocity():
 def test_region_rows_match_lookup_table():
     specs = [zoo.build_shipped(name) for name in zoo.SHIPPED]
     for spec in specs + benchmark_models():
-        table = region_table(spec)
+        table = spec.regions
         for j in range(1, spec.J + 1):
             row = spec.L[j - 1]
             on = row != 0
@@ -705,7 +736,7 @@ def test_validate_rank_check_is_the_samplers(A):
     report = validate_model(spec)
     assert kind(report, "A_full_rank").passed.tolist() == [False]
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        region_table(spec)[1]
+        spec.regions[1]
 
 
 def _parallel_row_document(g):
@@ -775,7 +806,7 @@ def test_validate_reads_the_samplers_geometry():
     for spec in _checked_models():
         report = validate_model(spec)
         assert report.passed, report.format()
-        table = region_table(spec)
+        table = spec.regions
         norms = [face[0] for j in range(1, spec.J + 1) for face in table[j].faces]
         assert kind(report, "normal_escapes_A").residual.tolist() == norms
         assert (kind(report, "A_full_rank").residual.tolist()

@@ -12,7 +12,7 @@ from conftest import (
     wall_box_model,
 )
 from pwhmc import dynamics, sampler, zoo
-from pwhmc.dynamics import evolve_segment_detail, region_table
+from pwhmc.dynamics import evolve_segment_detail
 from pwhmc.errors import ContractError, StallError
 from pwhmc.model import cell_slack, ell, load_model_file
 from pwhmc.sampler import (
@@ -68,7 +68,7 @@ def test_chain_config_rejects_non_finite_t_max(t_max):
 
 def test_refresh_velocity_is_tangent_with_right_covariance(rng):
     spec = zoo.sum_constraint_model(3)
-    reg = region_table(spec)[1]
+    reg = spec.regions[1]
     draws = np.array([reg.S @ refresh_velocity(reg, rng)
                       for _ in range(50000)])
     # tangency: velocities live in the null space of the constraint
@@ -111,7 +111,7 @@ def test_start_region_out_of_range(j0):
     with pytest.raises(ContractError, match=message):
         run_chain(spec, j0, x, ChainConfig(n_samples=2))
     assert initial_point_check(spec, 8, x).passed
-    assert j0 not in region_table(spec)
+    assert j0 not in spec.regions
 
 
 def test_start_region_must_be_an_integer():
@@ -185,8 +185,8 @@ def test_events_off_by_default_and_well_formed_when_on():
     ("onenorm", {"transition"}),
     ("pospart", {"wall", "transition"}),
 ])
-def test_shared_region_table_carries_no_chain_state(name, kinds):
-    # chains interleaved on one model share its region table; each must
+def test_shared_regions_carry_no_chain_state(name, kinds):
+    # chains interleaved on one model share its region records; each must
     # equal, byte for byte, the same chain run on a freshly loaded copy
     path = zoo.model_path(name)
 
@@ -230,7 +230,7 @@ def test_hit_scan_paths_give_byte_identical_chains(name, monkeypatch):
 
 def test_iterate_time_budget_fully_consumed(rng):
     spec = zoo.one_norm_model()
-    table = region_table(spec)
+    table = spec.regions
     j = 1
     z = table[j].coords(np.array([0.2, 0.3, 0.5]))
     for _ in range(50):

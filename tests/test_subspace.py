@@ -1,6 +1,7 @@
 """QR machinery: ODE parameters, rank test, face residuals."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_rank_deficient_region_fails_the_margin_and_its_build():
     assert margin <= NORMAL_DEGENERACY_TOL
     spec = _one_region(np.eye(3).tolist(), A.tolist())
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        Region(spec, 1, cell_table(spec))
+        Region(cell_table(spec), spec.M, 1)
 
 
 def test_region_with_indefinite_metric_on_its_piece_fails_its_build():
@@ -88,7 +89,7 @@ def test_region_with_indefinite_metric_on_its_piece_fails_its_build():
     assert margin == 1.0 and np.isnan(c) and np.isfinite(S).all()
     spec = _one_region(M.tolist(), np.eye(3, 1).tolist())
     with pytest.raises(np.linalg.LinAlgError, match="not SPD on its piece"):
-        Region(spec, 1, cell_table(spec))
+        Region(cell_table(spec), spec.M, 1)
 
 
 def test_stacked_ode_param_is_each_regions_call(rng):
@@ -127,6 +128,22 @@ def test_rank_margin_is_below_both_rank_tests(rng):
         assert margin <= np.linalg.svd(A, compute_uv=False)[-1] * (1 + 1e-12)
         assert margin <= diag.min() / max(1.0, diag.max()) * (1 + 1e-12)
     assert rank_margin(np.array([[2.0, 1.0], [0.0, 0.0]])) == 0.0
+
+
+def test_rank_margin_of_extreme_triangles():
+    # the norms are taken after scaling by max|R1|: ||R1||_F of 1e200 once
+    # overflowed and ||R1^-1||_F underflowed, and 0 * inf gave NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rank_margin([[1e200]]) == 1.0
+        assert rank_margin([[1e-200]]) == 1e-200
+        assert rank_margin([[1e308, 1e308], [0.0, 1e308]]) == pytest.approx(
+            1.0 / 3.0, rel=1e-15)
+        # a diagonal that scaling rounds to 0, or an entry beyond the float
+        # range, gives margin 0
+        assert rank_margin([[1e308, 0.0], [0.0, 1e-300]]) == 0.0
+        assert rank_margin([[np.inf, 1.0], [0.0, 1.0]]) == 0.0
+        assert rank_margin(np.zeros((2, 2))) == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
