@@ -79,14 +79,12 @@ def _start(args):
 
 def _write_samples(path, spec, cfg, out):
     header = ",".join([f"x{i + 1}" for i in range(spec.n)] + ["region", "iterate"])
+    line = ",".join(["%.17g"] * spec.n) + ",%d,%d\n"
+    kept = range(cfg.burn_in + cfg.thin - 1, cfg.n_iterates, cfg.thin)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in range(out.X.shape[0]):
-            iterate = cfg.burn_in + cfg.thin * (row + 1) - 1
-            cells = ["%.17g" % v for v in out.X[row]]
-            cells.append(str(int(out.R[row])))
-            cells.append(str(iterate))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(line % (*x, j, i)
+                      for x, j, i in zip(out.X.tolist(), out.R.tolist(), kept))
 
 
 def _write_events(path, events):

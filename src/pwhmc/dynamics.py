@@ -53,8 +53,10 @@ SELECT_SLACK = 1e-6
 def first_hit(fa, fb, h, t_max, skip):
     """First boundary crossing among m constraints.
 
-    fa, fb, h are per-constraint float arrays, and skip is the row just
-    crossed (-1 if none).  Returns (k, tau): k is the 0-based row of the
+    fa, fb, h are per-constraint floats, as lists, which the scan reads
+    fastest, or as arrays, which the numpy pre-selection above SCAN_ROWS
+    rows reads without a conversion; skip is the row just crossed (-1 if
+    none).  Returns (k, tau): k is the 0-based row of the
     winning constraint and tau its hit time, or (-1, t_max) when nothing is
     hit in [0, t_max].
 
@@ -73,13 +75,14 @@ def first_hit(fa, fb, h, t_max, skip):
     """
     kept = None
     if len(h) > SCAN_ROWS:
+        fa, fb, h = np.asarray(fa), np.asarray(fb), np.asarray(h)
         kept = _candidates(fa, fb, h, t_max)
-        fa, fb, h = fa[kept], fb[kept], h[kept]
+        fa, fb, h = fa[kept].tolist(), fb[kept].tolist(), h[kept].tolist()
         kept = kept.tolist()          # the scan numbers kept rows 0, 1, ...
         skip = kept.index(skip) if skip in kept else -1
     rows, roots = [], []
     k = 0
-    for a, b, c in zip(fa.tolist(), fb.tolist(), h.tolist()):
+    for a, b, c in zip(fa, fb, h):
         u = sqrt(a * a + b * b)
         if u > abs(c):
             c = -c / u
@@ -128,11 +131,10 @@ def _candidates(fa, fb, h, t_max):
     return rows
 
 
-def flight(Y, t):
-    """State Y = [zdot; z] after time t on z(t) = zdot sin t + z cos t: one
-    rotation of the stacked rows."""
-    s, c = sin(t), cos(t)
-    return np.array(((c, -s), (s, c))).dot(Y)
+def flight(Y, s, c):
+    """State Y = [zdot; z] after time t on z(t) = zdot sin t + z cos t, given
+    s = sin t and c = cos t: one rotation of the stacked rows."""
+    return np.array((c, -s, s, c)).reshape((2, 2)).dot(Y)
 
 
 def boundary_dynamics(v1, V1, V2):
@@ -161,10 +163,13 @@ class Region:
     hyperplane indices idx and face records (see ``face_records``).  G is
     the transpose view of a contiguous GT, so that one product Y.dot(GT)
     gives both coefficient rows of the hit scan for a state Y = [zdot; z].
-    Nothing here is chain state.  A region with base NaN raises LinAlgError.
+    h is a list of floats, as the scan takes them, unless the region is
+    wide (more than SCAN_ROWS rows): then it stays an array, for the
+    pre-selection.  Nothing here is chain state.  A region with base NaN
+    raises LinAlgError.
     """
 
-    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "idx", "faces")
+    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "wide", "idx", "faces")
 
     def __init__(self, cells, M, j):
         if isnan(cells.base[j - 1]):
@@ -177,6 +182,9 @@ class Region:
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.G = self.GT.T
         self.h = cells.h[rows]
+        self.wide = len(self.h) > SCAN_ROWS
+        if not self.wide:
+            self.h = self.h.tolist()
         self.idx = (cells.i[rows] + 1).tolist()
         self.faces = face_records(cells, rows)
 
@@ -243,11 +251,12 @@ def _fault(cells, e):
 class RegionTable(dict):
     """Region records of one model (``ModelSpec.regions``) keyed by 1-based
     label, each built on first lookup from the cell table and the M stack;
-    it holds no reference to the model."""
+    it holds no reference to the model.  base is the cell table's base
+    column as a list, so that a segment reads offsets as floats."""
 
     def __init__(self, cells, M):
         super().__init__()
-        self.cells, self.M = cells, M
+        self.cells, self.M, self.base = cells, M, cells.base.tolist()
 
     def __missing__(self, j):
         return self.setdefault(j, Region(self.cells, self.M, j))
@@ -267,11 +276,13 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
-    # which costs more than the product at these sizes.
+    # which costs more than the product at these sizes; the scan then runs
+    # on floats, from one tolist() (a wide region keeps arrays).
     fab = Y.dot(reg.GT)
-    fa, fb = fab[0], fab[1]         # indexing: unpacking iterates, slower
+    fa, fb = (fab[0], fab[1]) if reg.wide else fab.tolist()
     k, tau = first_hit(fa, fb, reg.h, t_budget, skip)
-    Y = flight(Y, tau)
+    s, c = sin(tau), cos(tau)
+    Y = flight(Y, s, c)
     if k < 0:
         return Y, tau, j, k, 0.0, 0.0, Y
 
@@ -280,9 +291,9 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
         raise face
     nw, label, k2, TT, D = face
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
-    v1 = (fa.item(k) * cos(tau) - fb.item(k) * sin(tau)) / nw
+    v1 = (fa[k] * c - fb[k] * s) / nw
     z = Y[1]
-    V1 = 0.5 * float(z.dot(z)) + table.cells.base.item(j - 1)
+    V1 = 0.5 * float(z.dot(z)) + table.base[j - 1]
     if label is None:
         # a wall is the step V2 = inf, which boundary_dynamics never clears
         V2 = V1
@@ -290,7 +301,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
         W = Y.dot(TT)
         z2 = W[1]
         z2 += D[1]
-        V2 = 0.5 * float(z2.dot(z2)) + table.cells.base.item(label - 1)
+        V2 = 0.5 * float(z2.dot(z2)) + table.base[label - 1]
         speed = boundary_dynamics(v1, V1, V2)
         if speed is not None:
             zdot2 = W[0]

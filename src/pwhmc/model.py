@@ -390,12 +390,17 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
     """
     tab = spec.cells
     region = ("region {}", (np.arange(1, spec.J + 1),))
+    full = tab.margin > NORMAL_DEGENERACY_TOL
+    spd = subspace.spd_factor(spec.M)[1]
+    finite = np.isfinite(tab.x_p).all(1) & np.isfinite(tab.base)
     checks = [
-        CheckKind("A_full_rank", tab.margin > NORMAL_DEGENERACY_TOL,
-                  tab.margin, *region),
+        CheckKind("A_full_rank", full, tab.margin, *region),
         # Cholesky gives the verdict; the smallest eigenvalue is the margin.
-        CheckKind("M_spd", subspace.spd_factor(spec.M)[1],
-                  np.linalg.eigvalsh(spec.M)[:, 0], *region),
+        CheckKind("M_spd", spd, np.linalg.eigvalsh(spec.M)[:, 0], *region),
+        # A center or potential offset beyond the float range would give the
+        # flow an infinite speed at its first crossing.  Where A or M fails
+        # above, neither is defined, and only that failure is reported.
+        CheckKind("finite_center", finite | ~(full & spd), tab.base, *region),
         # Each row needs a normal on the piece, |G_e| = |S_j'F_e|, which the
         # sampler divides by, or a constant value h_e there off 0: above tol
         # it never binds, below -tol the piece misses the cell and is never hit.

@@ -4,9 +4,10 @@ One iterate draws a fresh tangent velocity, then evolves the particle for a
 total time t_max, consuming the budget segment by segment across however
 many boundary events occur.  The chain carries its state as one stacked
 array [zdot; z] in the current region's whitened coordinates (see
-``dynamics``) and writes each kept row back in x.  The dynamics are exact
-and the boundary rules energy-consistent, so there is no accept/reject
-step.
+``dynamics``) and keeps that state and its region label per kept row; after
+the loop, one pass per visited region checks the kept rows against their
+cell and writes them back in x.  The dynamics are exact and the boundary
+rules energy-consistent, so there is no accept/reject step.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .subspace import COEF_TOL
 # faces meet; finitely many faces give finitely many of them (billiards in a
 # wedge), and every other event advances time by more than EPS_T.
 MAX_EVENTS_PER_ITERATE = 1_000_000
+# Kept rows written back per product after the loop: a bound on the pass's
+# temporaries, whatever the chain's length.
+RECORD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,10 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
 
     Stream order contract: exactly one velocity refresh is drawn per
     iterate, before any evolution, so outputs are reproducible bit for bit
-    from (spec, j0, x0, cfg).
+    from (spec, j0, x0, cfg).  The loop keeps each kept iterate's state
+    [zdot; z] and region label; after it, ``_record`` checks every kept row
+    against its cell and writes it back in x, so that a row outside its
+    cell raises ContractError naming the first such iterate.
     """
     report = initial_point_check(spec, j0, x0)
     if not report.passed:
@@ -130,8 +137,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     rng = make_rng(cfg.seed)
     table = spec.regions
     n = spec.n
-    X = np.empty((cfg.n_samples, n))
-    Xdot = np.empty((cfg.n_samples, n))
+    Ys = np.empty((cfg.n_samples, 2, n - spec.d))
     R = np.empty(cfg.n_samples, dtype=np.int64)
     events = [] if cfg.record_events else None
 
@@ -177,17 +183,48 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                 )
 
         if i >= cfg.burn_in and (i - cfg.burn_in + 1) % cfg.thin == 0:
-            reg = table[j]
-            slack = reg.G.dot(Y[1]) + reg.h
-            if slack.size and not slack.min() >= -COEF_TOL:
-                raise ContractError(
-                    f"iterate {i} ended outside region {j}'s cell",
-                    residual=-float(slack.min()),
-                )
             row = (i - cfg.burn_in + 1) // cfg.thin - 1
-            xdot_x = Y.dot(reg.S.T)
-            Xdot[row] = xdot_x[0]
-            X[row] = reg.x_p + xdot_x[1]
+            Ys[row] = Y
             R[row] = j
 
+    X, Xdot = _record(table, Ys, R, cfg)
     return ChainOutput(X=X, Xdot=Xdot, R=R, events=events)
+
+
+def _record(table, Ys, R, cfg):
+    """(X, Xdot) of the kept states Ys (N, 2, n - d) in the coordinates of
+    their regions R.
+
+    One pass per visited region, RECORD_ROWS rows at a time: the cell check
+    G z + h >= -COEF_TOL is one product per batch, and the write-back one
+    stacked matmul that makes each row's own (2, n - d) @ (n - d, n)
+    product, as Y.dot(S') does, so no row's bits depend on its batch.  A
+    row outside its cell raises ContractError naming the first such kept
+    iterate.
+    """
+    X = np.empty((len(R), table.cells.x_p.shape[1]))
+    Xdot = np.empty_like(X)
+    fails = []                    # (first row, region, breach) per batch
+    order = R.argsort(kind="stable")
+    labels = R[order]
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(R)]):
+        j = labels.item(a)
+        reg = table[j]
+        for start in range(a, b, RECORD_ROWS):
+            rows = order[start:min(b, start + RECORD_ROWS)]
+            Y = Ys[rows]
+            slack = Y[:, 1].dot(reg.GT) + reg.h
+            if not slack.min(initial=np.inf) >= -COEF_TOL:     # NaN fails too
+                low = slack.min(axis=1, initial=np.inf)
+                k = np.flatnonzero(~(low >= -COEF_TOL))[0]
+                fails.append((rows[k], j, -float(low[k])))
+            xdot_x = Y @ reg.S.T
+            Xdot[rows] = xdot_x[:, 0]
+            X[rows] = xdot_x[:, 1] + reg.x_p
+    if fails:
+        row, j, breach = min(fails)
+        raise ContractError(
+            f"iterate {cfg.burn_in + cfg.thin * (row + 1) - 1} ended outside "
+            f"region {j}'s cell", residual=breach)
+    return X, Xdot

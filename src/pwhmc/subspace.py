@@ -76,13 +76,16 @@ def ode_param(M, r, A, y):
     margin = rank_margin(R[..., :d, :d])
     full = margin > NORMAL_DEGENERACY_TOL
     R1 = np.where(full[..., None, None], R[..., :d, :d], np.eye(d))
-    x1 = Q[..., :d] @ np.linalg.solve(np.swapaxes(R1, -1, -2), -y[..., None])
     Q2T = np.swapaxes(Q[..., d:], -1, -2)
     W = Q2T @ M @ Q[..., d:]
     L, pd = spd_factor(0.5 * W + 0.5 * np.swapaxes(W, -1, -2))  # no overflow
     ST = np.linalg.solve(L, Q2T)
     S = np.swapaxes(ST, -1, -2)
-    x_p = S @ (ST @ (r[..., None] - M @ x1)) + x1
+    # a center beyond the float range comes out inf or NaN, without a
+    # warning; validate_model names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = Q[..., :d] @ np.linalg.solve(np.swapaxes(R1, -1, -2), -y[..., None])
+        x_p = S @ (ST @ (r[..., None] - M @ x1)) + x1
     c = sum(np.log(np.abs(np.diagonal(T, axis1=-2, axis2=-1))).sum(-1)
             for T in (R1, L))
     return x_p[..., 0], S, np.where(full & pd, c, np.nan)[()], margin

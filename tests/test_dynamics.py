@@ -3,6 +3,7 @@
 import gc
 import json
 from dataclasses import fields
+from math import cos, sin
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ from pwhmc.model import ModelSpec, cell_slack, load_model, load_model_file
 from pwhmc.oracle import exact_sample
 from pwhmc.sampler import ChainConfig, refresh_velocity, run_chain
 from pwhmc.subspace import ode_param
+
+
+def flight_of(Y, t):
+    """The state Y = [zdot; z] after a flight of time t."""
+    return flight(Y, sin(t), cos(t))
+
 
 # --- hit times -------------------------------------------------------------
 
@@ -253,7 +260,7 @@ def test_flight_without_constraints_runs_the_budget():
     a, b = np.array([0.3, -0.1]), np.array([0.0, 0.7])
     G = np.zeros((0, 2))
     k, tau = first_hit(G.dot(a), G.dot(b), np.zeros(0), 1.2, -1)
-    xdot, x = flight(np.array([a, b]), tau)
+    xdot, x = flight_of(np.array([a, b]), tau)
     assert k == -1 and tau == 1.2
     assert np.allclose(x, a * np.sin(1.2) + b * np.cos(1.2))
     assert np.allclose(xdot, a * np.cos(1.2) - b * np.sin(1.2))
@@ -264,7 +271,7 @@ def test_first_hit_single_constraint_lands_on_it():
     F, x_p = np.array([[1.0]]), np.array([0.5])
     a, b = np.array([1.0]), np.array([0.0])
     k, tau = first_hit(F.dot(a), F.dot(b), np.array([0.5]), 4.0, -1)
-    x = x_p + flight(np.array([a, b]), tau)[1]
+    x = x_p + flight_of(np.array([a, b]), tau)[1]
     assert k == 0
     assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
     assert abs(x[0]) < 1e-12
@@ -533,7 +540,7 @@ def test_face_record_matches_rule_from_scratch(rng):
             k = int(rng.integers(len(reg.idx)))
             Y_face, _ = state_on_face(table, j, k, rng)
             back = rng.uniform(0.05, 0.5)
-            for Y0, budget in ((Y_face, 0.0), (flight(Y_face, -back), 1.0)):
+            for Y0, budget in ((Y_face, 0.0), (flight_of(Y_face, -back), 1.0)):
                 Y, tau, j_new, k_new, V1, V2, Y_pre = evolve_segment_detail(
                     budget, j, Y0, -1, table)
                 if k_new < 0:
@@ -542,7 +549,7 @@ def test_face_record_matches_rule_from_scratch(rng):
                 expected, j_exp, V1_exp, V2_exp = rule_from_scratch(
                     spec, j, i, reg.x_p + reg.S @ Y_pre[1], Y_pre[0])
                 assert j_new == j_exp
-                assert np.abs(Y_pre - flight(Y0, tau)).max() <= 1e-12
+                assert np.abs(Y_pre - flight_of(Y0, tau)).max() <= 1e-12
                 assert np.abs(Y - expected).max() <= 1e-12
                 assert abs(V1 - V1_exp) <= 1e-12 and abs(V2 - V2_exp) <= 1e-12
                 kind = ("wall" if abs(spec.L[j - 1, i]) == j else
@@ -714,7 +721,7 @@ def test_segment_adherence_and_region_bounds(rng):
         Y = np.array([refresh_velocity(reg, rng), reg.coords(x0)])
         _, tau = first_hit(*Y.dot(reg.GT), reg.h, np.pi / 2, -1)
         for t in np.linspace(0.0, tau, 32):
-            x = reg.x_p + reg.S @ flight(Y, t)[1]
+            x = reg.x_p + reg.S @ flight_of(Y, t)[1]
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
             if t < tau:
                 assert cell_slack(spec, j, x) > -1e-7
@@ -733,7 +740,7 @@ def test_segment_conserves_restricted_hamiltonian(rng):
         Y = np.array([rng.standard_normal(n - d), rng.normal(size=n - d)])
 
         def H(t):
-            zd, z = flight(Y, t)
+            zd, z = flight_of(Y, t)
             x, xd = x_p + S @ z, S @ zd
             return 0.5 * xd @ M @ xd + 0.5 * x @ M @ x - r @ x
 

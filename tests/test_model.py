@@ -458,14 +458,39 @@ def test_any_document_loads_or_raises_model_format_error():
         M, A = (validate_model(load_model(_onenorm_1e308(key)))
                 for key in ("M", "A"))
     assert 0 < loaded < 2000
-    # Q2'MQ2 symmetrized as 0.5 W + 0.5 W' stays finite, and fails Cholesky
+    # Q2'MQ2 symmetrized as 0.5 W + 0.5 W' stays finite, and fails Cholesky;
+    # that region's center is then undefined, and only M_spd names it
     assert [(c.name, c.subject) for c in M.failures()][0] == ("M_spd", "region 2")
+    assert kind(M, "finite_center").passed.all()
     # A = (1e308, 0, 0)' has rank margin 1, not NaN; its piece x1 = 1e-308
     # lies on hyperplane 1
     assert kind(A, "A_full_rank").passed.all()
     assert kind(A, "A_full_rank").residual[1] == 1.0
     assert ("normal_escapes_A", "region 2, hyperplane 1") in [
         (c.name, c.subject) for c in A.failures()]
+
+
+def _line_document(M, y, r):
+    """One region in R^2 on the line x1 = -y, with no hyperplanes."""
+    return json.dumps({"n": 2, "d": 1, "J": 1, "m": 0,
+                       "regions": [{"M": M, "r": r, "k": 0, "A": [[1], [0]],
+                                    "y": [y], "L_row": []}],
+                       "hyperplanes": {"F": [], "g": []}})
+
+
+def test_validate_names_a_center_beyond_the_float_range():
+    # y = 1e308 puts the center at x1 = -1e308, where the potential is inf;
+    # with M = diag(1e308, 1) and y = 1e10, M x1 overflows on the way to the
+    # center.  Either passes every other check, and neither may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [validate_model(load_model(_line_document(*args)))
+                   for args in (([[1, 0], [0, 1]], 1e308, [0, 0]),
+                                ([[1e308, 0], [0, 1]], 1e10, [1, 0]))]
+    for report in reports:
+        assert [(c.name, c.subject) for c in report.failures()] == [
+            ("finite_center", "region 1")]
+    assert kind(reports[0], "finite_center").residual.tolist() == [np.inf]
 
 
 def test_ell_zero_on_manifold():
@@ -644,7 +669,8 @@ def test_validate_onenorm_entry_counts():
     # and 12 faces, each checked once
     report = validate_model(zoo.one_norm_model())
     assert [(c.name, c.passed.size) for c in report.checks] == [
-        ("A_full_rank", 8), ("M_spd", 8), ("normal_escapes_A", 24),
+        ("A_full_rank", 8), ("M_spd", 8), ("finite_center", 8),
+        ("normal_escapes_A", 24),
         ("reciprocity", 24), ("face_uniqueness", 24),
         ("continuity", 12), ("mass_continuity", 12)]
 
@@ -789,14 +815,14 @@ def _checked_models():
 
 
 def test_validate_formats_failures_only(monkeypatch):
-    # onenorm10 has 43,008 subjects, and a passing report labels none
+    # onenorm10 has 44,032 subjects, and a passing report labels none
     made = []
     monkeypatch.setattr("pwhmc.model.CheckResult", lambda *a: made.append(a))
     report = validate_model(benchmark_models()[1])
-    assert len(report.checks) == 7 and report.failures() == []
+    assert len(report.checks) == 8 and report.failures() == []
     lines = report.format().splitlines()
     assert lines[0] == "A_full_rank: 1024/1024"
-    assert lines[-1] == "43008/43008 checks passed" and len(lines) == 8
+    assert lines[-1] == "44032/44032 checks passed" and len(lines) == 9
     assert made == []
 
 

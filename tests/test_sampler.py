@@ -1,11 +1,13 @@
 """Chain orchestration: refresh, recording, reproducibility, invariants."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
+    benchmark_models,
     members_of,
     oblique_wall_model,
     polygon_model,
@@ -316,13 +318,73 @@ def test_chain_started_on_a_face_stays_in_its_cell(name, j0, x0):
 
 def test_kept_row_outside_its_cell_raises(monkeypatch):
     # with the hit scan blinded, the particle flies through the walls: the
-    # kept row's cell check names the iterate instead of writing the row
+    # cell check after the loop names the first kept iterate outside its
+    # cell, and its breach, instead of returning the rows
     monkeypatch.setattr(dynamics, "first_hit",
                         lambda fa, fb, h, t_max, skip: (-1, t_max))
     spec = zoo.build_shipped("pospart")
-    with pytest.raises(ContractError, match=r"iterate \d+ ended outside"):
-        run_chain(spec, spec.init_region, spec.init_point,
-                  ChainConfig(n_samples=200, seed=1))
+    for schedule, iterate, breach in (({}, 0, 0.2246),
+                                      ({"burn_in": 3, "thin": 2}, 4, 0.2346)):
+        with pytest.raises(ContractError,
+                           match=rf"^iterate {iterate} ended outside") as err:
+            run_chain(spec, spec.init_region, spec.init_point,
+                      ChainConfig(n_samples=200, seed=1, **schedule))
+        assert err.value.residual == pytest.approx(breach, abs=1e-4)
+
+
+def test_cell_check_names_the_first_kept_row_outside_its_cell():
+    # the check runs region by region, but it names the earliest failing
+    # row: here row 1 (region 3), though region 1's failing row 2 is
+    # checked first
+    spec = zoo.one_norm_model()
+    table = spec.regions
+
+    def outside(j):
+        G, h = table[j].G, np.asarray(table[j].h)
+        z = -(h[0] + 1.0) * G[0] / (G[0] @ G[0])
+        return np.array([np.zeros_like(z), z]), -float((G @ z + h).min())
+
+    (Y1, breach), (Y2, _) = outside(3), outside(1)
+    Y0 = np.array([[0.0, 0.0], table[1].coords(np.array([0.2, 0.3, 0.5]))])
+    with pytest.raises(ContractError,
+                       match=r"^iterate 1 ended outside region 3's cell") as err:
+        sampler._record(table, np.array([Y0, Y1, Y2]), np.array([1, 3, 1]),
+                        ChainConfig(n_samples=3))
+    assert err.value.residual == pytest.approx(breach, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["pospart", "polywall-256", "onenorm10"])
+@pytest.mark.parametrize("schedule", [{}, {"burn_in": 3, "thin": 2}])
+def test_kept_rows_do_not_depend_on_the_chain_length(name, schedule):
+    # the write-back after the loop runs per region and in batches, yet
+    # each row is its own product: the first k rows of a chain are the
+    # bytes of a k-row chain with the same seed
+    models = dict(zip(["polywall-256", "onenorm10"], benchmark_models()))
+    spec = models[name] if name in models else zoo.build_shipped(name)
+    n = 40 if name == "onenorm10" else 700
+    long, short = (run_chain(spec, spec.init_region, spec.init_point,
+                             ChainConfig(n_samples=size, seed=4, **schedule))
+                   for size in (n, 7))
+    assert len(set(long.R.tolist())) > 1 or name == "polywall-256"
+    for a, b in ((long.X, short.X), (long.Xdot, short.Xdot), (long.R, short.R)):
+        assert a[:7].tobytes() == b.tobytes()
+
+
+def test_recording_memory_stays_near_the_output():
+    # the loop keeps one (2, n - d) state per kept row, and the pass after
+    # it works in bounded batches: no (rows, n, n - d) gather of bases.  A
+    # short t_max keeps the run quick; it still visits most of the 1024
+    # regions, and the recording's size does not depend on it.
+    spec = benchmark_models()[1]
+    cfg = ChainConfig(n_samples=3000, seed=2, t_max=0.1)
+    run_chain(spec, spec.init_region, spec.init_point, cfg)   # builds regions
+    tracemalloc.start()
+    try:
+        out = run_chain(spec, spec.init_region, spec.init_point, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (out.X.nbytes + out.Xdot.nbytes)
 
 
 def test_recorded_states_satisfy_model_constraints():
