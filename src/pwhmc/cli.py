@@ -30,6 +30,8 @@ EXIT_OK = 0
 EXIT_CONTENT = 1
 EXIT_IO = 2
 EXIT_RUNTIME = 3
+# Event-log lines formatted per pass: a bound on the text held at once.
+EVENT_CHUNK = 4096
 
 
 def _load(model_path):
@@ -88,9 +90,28 @@ def _write_samples(path, spec, cfg, out):
 
 
 def _write_events(path, events):
+    """The event log: one JSON line per event, as json.dumps writes it.
+
+    run_chain's events share their keys and value types, so a line is one
+    printf format over an event's values, with %d for an int, %r for a
+    float (which prints a finite float as json.dumps does) and a quoted %s
+    for the kind, a plain word.  Lines are formatted EVENT_CHUNK at a time;
+    a chunk that holds a non-finite float, which json.dumps writes as
+    Infinity or NaN, is written by json.dumps instead.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev) + "\n")
+        if not events:
+            return
+        line = "{" + ", ".join(
+            json.dumps(key) + (': "%s"' if isinstance(value, str) else
+                               ": %r" if isinstance(value, float) else ": %d")
+            for key, value in events[0].items()) + "}\n"
+        for start in range(0, len(events), EVENT_CHUNK):
+            chunk = events[start:start + EVENT_CHUNK]
+            text = "".join([line % tuple(ev.values()) for ev in chunk])
+            if "inf" in text or "nan" in text:      # a non-finite float's repr
+                text = "".join([json.dumps(ev) + "\n" for ev in chunk])
+            fh.write(text)
 
 
 def _chain_paths(base, chain, n_chains):

@@ -53,12 +53,15 @@ SELECT_SLACK = 1e-6
 def first_hit(fa, fb, h, t_max, skip):
     """First boundary crossing among m constraints.
 
-    fa, fb, h are per-constraint floats, as lists, which the scan reads
+    fa, fb are per-constraint floats, as lists, which the scan reads
     fastest, or as arrays, which the numpy pre-selection above SCAN_ROWS
-    rows reads without a conversion; skip is the row just crossed (-1 if
-    none).  Returns (k, tau): k is the 0-based row of the
-    winning constraint and tau its hit time, or (-1, t_max) when nothing is
-    hit in [0, t_max].
+    rows reads without a conversion.  h holds the offsets: plain (a list or
+    an array), or, for a region wider than SCAN_ROWS, that region's
+    ``Reach``, which holds the pre-selection's constants; from plain
+    offsets first_hit derives them itself.  skip is the row just crossed
+    (-1 if none).  Returns (k, tau): k is the 0-based row of the winning
+    constraint and tau its hit time, or (-1, t_max) when nothing is hit in
+    [0, t_max].
 
     Per constraint the crossing function is K(t) = fa sin t + fb cos t + h
     = u cos(t + phi) + h with u = sqrt(fa^2 + fb^2) and phi = atan2(-fa, fb).
@@ -75,10 +78,14 @@ def first_hit(fa, fb, h, t_max, skip):
     """
     kept = None
     if len(h) > SCAN_ROWS:
-        fa, fb, h = np.asarray(fa), np.asarray(fb), np.asarray(h)
-        kept = _candidates(fa, fb, h, t_max)
-        fa, fb, h = fa[kept].tolist(), fb[kept].tolist(), h[kept].tolist()
-        kept = kept.tolist()          # the scan numbers kept rows 0, 1, ...
+        if not isinstance(h, Reach):              # plain offsets
+            fa, fb, h = np.asarray(fa), np.asarray(fb), Reach(h)
+        rows = _candidates(fa, fb, h, t_max)
+        if not rows.size:
+            return -1, t_max
+        kept = rows.tolist()          # the scan numbers kept rows 0, 1, ...
+        fa, fb = fa[rows].tolist(), fb[rows].tolist()
+        h = [h.offsets[k] for k in kept]
         skip = kept.index(skip) if skip in kept else -1
     rows, roots = [], []
     k = 0
@@ -103,11 +110,29 @@ def first_hit(fa, fb, h, t_max, skip):
     return -1, t_max        # unreachable: the minimum itself passes the cutoff
 
 
-def _candidates(fa, fb, h, t_max):
+class Reach:
+    """The constants of first_hit's pre-selection over offsets h, computed
+    once per region: h as a list, for the scan, -h, and the thresholds that
+    u = sqrt(fa^2 + fb^2) must pass for a row to be maybe in reach
+    (|h| (1 - REACH_MARGIN)) or surely in reach (|h| (1 + REACH_MARGIN))."""
+
+    __slots__ = ("offsets", "negh", "maybe", "sure")
+
+    def __init__(self, h):
+        h = np.asarray(h, dtype=float)
+        ah = np.abs(h)
+        self.offsets, self.negh = h.tolist(), -h
+        self.maybe, self.sure = ah * (1.0 - REACH_MARGIN), ah * (1.0 + REACH_MARGIN)
+
+    def __len__(self):
+        return len(self.offsets)
+
+
+def _candidates(fa, fb, reach, t_max):
     """Ascending rows among which first_hit's scan finds its result.
 
-    Rows maybe in reach (u (1 + REACH_MARGIN) > |h|) are kept.  When each
-    of them is surely in reach (u (1 - REACH_MARGIN) > |h|, so the scan
+    Rows maybe in reach (u > |h| (1 - REACH_MARGIN)) are kept.  When each
+    of them is surely in reach (u > |h| (1 + REACH_MARGIN), so the scan
     counts it), numpy computes their approximate roots, and when the
     smallest, r, lies past the EPS_T window, only rows with roots up to
     min(t_max, r + TIE_TOL) + SELECT_SLACK are kept.  No root was moved by
@@ -119,15 +144,15 @@ def _candidates(fa, fb, h, t_max):
     r, and near the window the skip and tau = 0 rules move roots.
     """
     u = np.sqrt(fa * fa + fb * fb)
-    ah = np.abs(h)
-    rows = np.flatnonzero(u * (1.0 + REACH_MARGIN) > ah)     # maybe in reach
-    sure = np.count_nonzero(u * (1.0 - REACH_MARGIN) > ah)   # surely in reach
-    if rows.size and sure == rows.size:
-        # -phi = atan2(fa, fb)
-        roots = np.arccos(-h[rows] / u[rows]) + np.arctan2(fa[rows], fb[rows])
-        low = roots.min()
-        if low > EPS_T + SELECT_SLACK:
-            rows = rows[roots <= min(t_max, low + TIE_TOL) + SELECT_SLACK]
+    rows = (u > reach.maybe).nonzero()[0]                   # maybe in reach
+    if rows.size:
+        u = u[rows]
+        if np.count_nonzero(u > reach.sure[rows]) == rows.size:   # all surely
+            roots = np.arccos(reach.negh[rows] / u)
+            roots += np.arctan2(fa[rows], fb[rows])         # -phi = atan2(fa, fb)
+            low = roots.min()
+            if low > EPS_T + SELECT_SLACK:
+                rows = rows[roots <= min(t_max, low + TIE_TOL) + SELECT_SLACK]
     return rows
 
 
@@ -163,13 +188,13 @@ class Region:
     hyperplane indices idx and face records (see ``face_records``).  G is
     the transpose view of a contiguous GT, so that one product Y.dot(GT)
     gives both coefficient rows of the hit scan for a state Y = [zdot; z].
-    h is a list of floats, as the scan takes them, unless the region is
-    wide (more than SCAN_ROWS rows): then it stays an array, for the
-    pre-selection.  Nothing here is chain state.  A region with base NaN
+    h is an array; hits holds the offsets as first_hit takes them: a list
+    of floats, or, for a wide region (more than SCAN_ROWS rows), its
+    ``Reach``.  Nothing here is chain state.  A region with base NaN
     raises LinAlgError.
     """
 
-    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "wide", "idx", "faces")
+    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "hits", "wide", "idx", "faces")
 
     def __init__(self, cells, M, j):
         if isnan(cells.base[j - 1]):
@@ -183,8 +208,7 @@ class Region:
         self.G = self.GT.T
         self.h = cells.h[rows]
         self.wide = len(self.h) > SCAN_ROWS
-        if not self.wide:
-            self.h = self.h.tolist()
+        self.hits = Reach(self.h) if self.wide else self.h.tolist()
         self.idx = (cells.i[rows] + 1).tolist()
         self.faces = face_records(cells, rows)
 
@@ -280,7 +304,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     # on floats, from one tolist() (a wide region keeps arrays).
     fab = Y.dot(reg.GT)
     fa, fb = (fab[0], fab[1]) if reg.wide else fab.tolist()
-    k, tau = first_hit(fa, fb, reg.h, t_budget, skip)
+    k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
     s, c = sin(tau), cos(tau)
     Y = flight(Y, s, c)
     if k < 0:

@@ -13,6 +13,7 @@ rules energy-consistent, so there is no accept/reject step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,9 @@ MAX_EVENTS_PER_ITERATE = 1_000_000
 # Kept rows written back per product after the loop: a bound on the pass's
 # temporaries, whatever the chain's length.
 RECORD_ROWS = 256
+# Iterates whose velocities one refresh draws: numpy fills the block in
+# stream order, so each iterate gets the draw a call of its own would give.
+REFRESH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,11 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def refresh_velocity(reg, rng) -> np.ndarray:
-    """Fresh velocity eps ~ N(0, I_{n-d}) in region reg's whitened
-    coordinates; it is S @ eps in x."""
-    return rng.standard_normal(reg.S.shape[1])
+def refresh_velocity(rng, count, width) -> np.ndarray:
+    """Fresh velocities of count iterates, one row each: eps ~ N(0, I_width)
+    in whitened coordinates (width = n - d), which is S @ eps in x in the
+    region the iterate starts from."""
+    return rng.standard_normal((count, width))
 
 
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
@@ -119,11 +124,14 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     """Run one chain from (j0, x0) and return the kept iterates.
 
     Stream order contract: exactly one velocity refresh is drawn per
-    iterate, before any evolution, so outputs are reproducible bit for bit
-    from (spec, j0, x0, cfg).  The loop keeps each kept iterate's state
-    [zdot; z] and region label; after it, ``_record`` checks every kept row
-    against its cell and writes it back in x, so that a row outside its
-    cell raises ContractError naming the first such iterate.
+    iterate, in iterate order, so outputs are reproducible bit for bit from
+    (spec, j0, x0, cfg) and a chain's rows do not depend on its length.
+    The draws are made REFRESH_ROWS iterates at a time, in stream order,
+    which leaves each one's bits as a draw of its own would give them.  The
+    loop keeps each kept iterate's state [zdot; z] and region label; after
+    it, ``_record`` checks every kept row against its cell and writes it
+    back in x, so that a row outside its cell raises ContractError naming
+    the first such iterate.
     """
     report = initial_point_check(spec, j0, x0)
     if not report.passed:
@@ -144,8 +152,12 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     j = int(j0)
     Y = np.zeros((2, n - spec.d))        # [zdot; z], zdot drawn per iterate
     Y[1] = table[j].coords(x0)
-    for i in range(cfg.n_iterates):
-        Y[0] = refresh_velocity(table[j], rng)
+    N = cfg.n_iterates
+    draws = chain.from_iterable(
+        refresh_velocity(rng, min(REFRESH_ROWS, N - start), n - spec.d)
+        for start in range(0, N, REFRESH_ROWS))
+    for i, eps in enumerate(draws):
+        Y[0] = eps
         t_left = cfg.t_max
         t_used = 0.0
         n_events = 0

@@ -99,12 +99,15 @@ def face_residuals(f, g, A1, A2, y1, y2):
     continuous across it iff A2 annihilates the face's free directions,
     e2 = ||A2 - Q1 Q1'A2||_F = ||A2'Q0||, and agrees at the particular
     solution x0 = Q1 z1 with R1'z1 = -[y1; g], e1 = ||A2'x0 + y2||.  A face
-    whose [A1 f] fails the rank test (f in A1's span) gets e1 = e2 = inf.
+    whose [A1 f] fails the rank test (f in A1's span) gets e1 = e2 = inf,
+    and so does one whose Q1 is not finite, which numpy's QR can return
+    beside a finite R1 when [A1 f] has an entry near the float range.
     """
     B = np.concatenate([A1, f[:, :, None]], axis=2)
     Q1, R1 = np.linalg.qr(B)
-    ok = rank_margin(R1) > NORMAL_DEGENERACY_TOL
+    ok = (rank_margin(R1) > NORMAL_DEGENERACY_TOL) & np.isfinite(Q1).all(axis=(1, 2))
     R1 = np.where(ok[:, None, None], R1, np.eye(R1.shape[-1]))
+    Q1 = np.where(ok[:, None, None], Q1, 0.0)
     yg = np.concatenate([y1, g[:, None]], axis=1)
     z1 = np.linalg.solve(np.swapaxes(R1, 1, 2), -yg[:, :, None])
     x0 = Q1 @ z1

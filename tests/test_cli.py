@@ -12,7 +12,9 @@ import pytest
 
 import pwhmc
 from pwhmc import cli, sampler, zoo
+from conftest import benchmark_models
 from pwhmc.cli import main
+from pwhmc.model import load_model_file
 from pwhmc.sampler import ChainConfig, run_chain
 
 ONENORM = str(zoo.model_path("onenorm"))
@@ -172,6 +174,61 @@ def test_sample_chains_run_in_turn_in_the_calling_thread(tmp_path,
         log = tmp_path / f"events.chain{chain}.jsonl"
         assert [json.loads(line) for line in log.read_text().splitlines()] \
             == json.loads(json.dumps(ref.events))
+
+
+def _sample_events_match_run_chain(tmp_path, path, n, extra):
+    """pwhmc sample --chains 2 --events on the model file path; each log
+    line is json.dumps of run_chain's event, and the logs are returned."""
+    out, ev = tmp_path / "draws.csv", tmp_path / "events.jsonl"
+    assert main(["sample", path, "--n", str(n), "--seed", "5", "--chains", "2",
+                 "--out", str(out), "--events", str(ev)] + extra) == 0
+    spec = load_model_file(path)
+    burn_in, thin = (3, 2) if extra else (0, 1)
+    logs = []
+    for chain in range(2):
+        ref = run_chain(spec, spec.init_region, spec.init_point,
+                        ChainConfig(n_samples=n, burn_in=burn_in, thin=thin,
+                                    record_events=True,
+                                    seed=np.random.SeedSequence([5, chain])))
+        log = (tmp_path / f"events.chain{chain}.jsonl").read_text()
+        assert log == "".join(json.dumps(e) + "\n" for e in ref.events)
+        logs.append(ref.events)
+    return logs
+
+
+@pytest.mark.parametrize("extra", [[], ["--burnin", "3", "--thin", "2"]])
+def test_sample_event_log_lines_are_json_dumps_of_the_events(tmp_path, extra):
+    models = {name: str(zoo.model_path(name)) for name in zoo.SHIPPED}
+    for name, spec in zip(("polywall", "onenorm10"), benchmark_models()):
+        models[name] = write_model(tmp_path, zoo.dump_model(spec), f"{name}.model")
+    for name, path in models.items():
+        logs = _sample_events_match_run_chain(
+            tmp_path, path, 20 if name == "onenorm10" else 50, extra)
+        assert all(logs)
+
+
+def test_sample_event_log_crosses_a_chunk(tmp_path):
+    logs = _sample_events_match_run_chain(
+        tmp_path, str(zoo.model_path("pospart")), 5000, [])
+    assert min(len(events) for events in logs) > cli.EVENT_CHUNK
+
+
+def test_event_log_writes_non_finite_floats_as_json_dumps(tmp_path, monkeypatch):
+    # a chunk with inf or NaN goes through json.dumps (Infinity, NaN); the
+    # finite chunks around it through the format, with the same bytes
+    events = [{"iterate": i, "time": t, "constraint": 2, "kind": "wall",
+               "j_from": 1, "j_to": 1, "dV": -0.0, "energy_pre": 0.1 * i,
+               "energy_post": 1e-300}
+              for i, t in enumerate([0.5, float("inf"), 2.0 / 3.0,
+                                     -float("inf"), 1e17, float("nan")])]
+    expected = "".join(json.dumps(ev) + "\n" for ev in events)
+    assert "Infinity" in expected and "NaN" in expected
+    for chunk in (cli.EVENT_CHUNK, 2):
+        monkeypatch.setattr(cli, "EVENT_CHUNK", chunk)
+        cli._write_events(tmp_path / "events.jsonl", events)
+        assert (tmp_path / "events.jsonl").read_text() == expected
+    cli._write_events(tmp_path / "events.jsonl", [])
+    assert (tmp_path / "events.jsonl").read_text() == ""
 
 
 def test_sample_rejects_fewer_than_one_chain(tmp_path, capsys):

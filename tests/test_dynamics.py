@@ -172,8 +172,9 @@ def rows_exiting_at(u, root, rng):
     return -u * np.sin(phi), u * np.cos(phi), -u * np.cos(theta)
 
 
-@pytest.mark.parametrize("case", ["random", "ties", "grazing", "unreachable",
-                                  "window", "at-budget", "short-budget"])
+@pytest.mark.parametrize("case", ["random", "ties", "grazing", "bands",
+                                  "unreachable", "window", "at-budget",
+                                  "short-budget"])
 def test_first_hit_preselection_matches_one_row_oracle(case, rng):
     # Regions wider than SCAN_ROWS go through the numpy pre-selection; the
     # result must equal, bit for bit, the one assembled from one-row calls.
@@ -208,6 +209,19 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
             h[pick] = sign * [np.sqrt(a * a + b * b) for a, b
                               in zip(fa[pick].tolist(), fb[pick].tolist())]
             h[pick[4:]] *= 1.0 - np.array([1e-15, -1e-15, 1e-13, -1e-13])
+        elif case == "bands":
+            # rows touching their level early at u/|h| = 1 + e, e at the
+            # edges of the maybe and sure bands (REACH_MARGIN = 1e-12), as
+            # the scan computes u; half the time one of them was just crossed
+            assert dynamics.REACH_MARGIN == 1e-12
+            sign = rng.choice([-1.0, 1.0], size=len(pick))
+            touch = rng.uniform(0.01, 0.3, size=len(pick))
+            phi = np.where(sign > 0, np.pi, 0.0) - touch
+            fa[pick], fb[pick] = -u[pick] * np.sin(phi), u[pick] * np.cos(phi)
+            e = 1e-12 * rng.choice([-4, -2, -1, 0, 1, 2, 4], size=len(pick))
+            h[pick] = sign * [np.sqrt(a * a + b * b) for a, b
+                              in zip(fa[pick].tolist(), fb[pick].tolist())] / (1.0 + e)
+            skip = int(rng.choice(pick)) if rng.uniform() < 0.5 else -1
         elif case == "unreachable":
             h = np.where(h < 0, -1.0, 1.0) * (np.hypot(fa, fb)
                                               + rng.uniform(1e-9, 1.0, m))
@@ -241,6 +255,23 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
         assert hits > 0
     if case in ("window", "short-budget"):
         assert zero > 0
+
+
+def test_a_wide_region_stores_the_constants_first_hit_derives(rng):
+    # a region wider than SCAN_ROWS keeps its pre-selection's constants; the
+    # scan over them gives what first_hit gives from the plain offsets
+    reg = polygon_model(dynamics.SCAN_ROWS + 36).regions[1]
+    assert reg.wide and isinstance(reg.hits, dynamics.Reach)
+    margin = dynamics.REACH_MARGIN
+    for name, value in (("negh", -reg.h), ("maybe", np.abs(reg.h) * (1.0 - margin)),
+                        ("sure", np.abs(reg.h) * (1.0 + margin))):
+        assert getattr(reg.hits, name).tobytes() == value.tobytes()
+    assert reg.hits.offsets == reg.h.tolist() and len(reg.hits) == len(reg.h)
+    for _ in range(200):
+        fa, fb = rng.normal(size=(2, 2)).dot(reg.GT)
+        t_max, skip = float(rng.uniform(0.1, 7.0)), int(rng.integers(-1, len(reg.h)))
+        assert (repr(first_hit(fa, fb, reg.hits, t_max, skip))
+                == repr(first_hit(fa, fb, reg.h, t_max, skip)))
 
 
 def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
@@ -718,7 +749,7 @@ def test_segment_adherence_and_region_bounds(rng):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
-        Y = np.array([refresh_velocity(reg, rng), reg.coords(x0)])
+        Y = np.array([refresh_velocity(rng, 1, reg.S.shape[1])[0], reg.coords(x0)])
         _, tau = first_hit(*Y.dot(reg.GT), reg.h, np.pi / 2, -1)
         for t in np.linspace(0.0, tau, 32):
             x = reg.x_p + reg.S @ flight_of(Y, t)[1]
@@ -756,7 +787,7 @@ def test_membership_preserved_across_transition(rng):
     for _ in range(40):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
-        xdot0 = table[j].S @ refresh_velocity(table[j], rng)
+        xdot0 = table[j].S @ refresh_velocity(rng, 1, spec.n - spec.d)[0]
         x, xdot, tau, j_new = segment_in_x(
             np.pi / 2, j, x0, xdot0, table)[:4]
         assert j_new in members_of(spec, x, tol=1e-9)

@@ -470,6 +470,18 @@ def test_any_document_loads_or_raises_model_format_error():
         (c.name, c.subject) for c in A.failures()]
 
 
+def test_documents_with_a_non_finite_qr_factor_validate_without_a_warning():
+    # three fuzzed documents whose face QR returns a non-finite Q1 (an entry
+    # near 1e308): each fails the same checks, and nothing warns
+    wanted = {1539, 4896, 7363}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, text in enumerate(_fuzz_documents(11, max(wanted) + 1)):
+            if i in wanted:
+                failed = {c.name for c in validate_model(load_model(text)).failures()}
+                assert failed == {"finite_center", "normal_escapes_A", "continuity"}
+
+
 def _line_document(M, y, r):
     """One region in R^2 on the line x1 = -y, with no hyperplanes."""
     return json.dumps({"n": 2, "d": 1, "J": 1, "m": 0,

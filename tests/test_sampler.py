@@ -71,8 +71,7 @@ def test_chain_config_rejects_non_finite_t_max(t_max):
 def test_refresh_velocity_is_tangent_with_right_covariance(rng):
     spec = zoo.sum_constraint_model(3)
     reg = spec.regions[1]
-    draws = np.array([reg.S @ refresh_velocity(reg, rng)
-                      for _ in range(50000)])
+    draws = refresh_velocity(rng, 50000, reg.S.shape[1]) @ reg.S.T
     # tangency: velocities live in the null space of the constraint
     assert np.max(np.abs(draws @ spec.A[0])) < 1e-12
     # covariance = projector onto the manifold directions (M = I here)
@@ -230,13 +229,29 @@ def test_hit_scan_paths_give_byte_identical_chains(name, monkeypatch):
     assert repr(selected.events) == repr(scalar.events)
 
 
+def test_velocities_follow_the_stream_across_refresh_blocks():
+    # 1203 iterates are five blocks of REFRESH_ROWS draws; iterate i's
+    # velocity is still the i-th row of one draw over the whole chain.  A
+    # budget of 1e-12 leaves each velocity as drawn, to about 1e-12.
+    spec = zoo.build_shipped("onenorm")
+    cfg = ChainConfig(n_samples=600, seed=11, burn_in=3, thin=2, t_max=1e-12)
+    assert cfg.n_iterates == 1203 > 4 * sampler.REFRESH_ROWS
+    out = run_chain(spec, spec.init_region, spec.init_point, cfg)
+    eps = make_rng(cfg.seed).standard_normal((cfg.n_iterates, spec.n - spec.d))
+    kept = np.arange(cfg.burn_in + cfg.thin - 1, cfg.n_iterates, cfg.thin)
+    S = spec.cells.S[out.R - 1]
+    expected = (S @ eps[kept][:, :, None])[:, :, 0]
+    assert np.abs(out.Xdot - expected).max() < 1e-9
+    assert (out.R == spec.init_region).all()
+
+
 def test_iterate_time_budget_fully_consumed(rng):
     spec = zoo.one_norm_model()
     table = spec.regions
     j = 1
     z = table[j].coords(np.array([0.2, 0.3, 0.5]))
     for _ in range(50):
-        Y = np.array([refresh_velocity(table[j], rng), z])
+        Y = np.array([refresh_velocity(rng, 1, z.size)[0], z])
         t_left, used, k = np.pi / 2, 0.0, -1
         while True:
             Y, tau, j, k = evolve_segment_detail(t_left, j, Y, k, table)[:4]

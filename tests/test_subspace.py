@@ -202,3 +202,17 @@ def test_face_residuals_reject_parallel_normal():
     A1 = np.array([[1.0], [0.0]])
     ok, e1, e2 = _continuity(np.array([1.0, 0.0]), 0.0, A1, A1, [0.0], [0.0], 1e-8)
     assert not ok and e1 == e2 == np.inf
+
+
+def test_face_residuals_fail_a_non_finite_qr_factor_without_a_warning():
+    # numpy's QR of [A1 f] with an entry at 1e308 returns a non-finite Q1
+    # beside a finite R1: the face fails as a rank failure does
+    A = np.array([[[1e308], [1.0], [1.0]]])
+    assert not np.isfinite(np.linalg.qr(np.concatenate(
+        [A, np.array([[[1.0], [0.0], [0.0]]])], axis=2))[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e1, e2 = face_residuals(np.array([[1.0, 0.0, 0.0]]), np.zeros(1), A, A,
+                                np.zeros((1, 1)), np.zeros((1, 1)))
+    assert e1.tolist() == e2.tolist() == [np.inf]
+
