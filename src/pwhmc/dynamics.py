@@ -13,9 +13,11 @@ potential step, reflect otherwise.  A hard wall is a step that no energy
 clears.
 
 Everything that depends only on the region lives in one Region record per
-region, with the records of all its faces, sliced from the model's cell
-table on the region's first visit into ``ModelSpec.regions``, which every
-chain on the model shares; so a segment does arithmetic only.
+region, sliced from the model's cell table on the region's first visit into
+``ModelSpec.regions``, which every chain on the model shares.  Its faces
+are columns of that table indexed by cell-table entry, built with it but
+for the face maps, which a region's first visit fills; so a segment does
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ def first_hit(fa, fb, h, t_max, skip):
     """First boundary crossing among m constraints.
 
     fa, fb are per-constraint floats, as lists, which the scan reads
-    fastest, or as arrays, which the numpy pre-selection above SCAN_ROWS
-    rows reads without a conversion.  h holds the offsets: plain (a list or
-    an array), or, for a region wider than SCAN_ROWS, that region's
-    ``Reach``, which holds the pre-selection's constants; from plain
-    offsets first_hit derives them itself.  skip is the row just crossed
+    fastest, or as arrays.  h holds the offsets: plain (a list or an
+    array), which are all scanned, or a wide region's ``Reach``, whose
+    constants the numpy pre-selection reads; fa and fb are then arrays,
+    which it reads without a conversion.  skip is the row just crossed
     (-1 if none).  Returns (k, tau): k is the 0-based row of the winning
     constraint and tau its hit time, or (-1, t_max) when nothing is hit in
     [0, t_max].
@@ -72,14 +73,12 @@ def first_hit(fa, fb, h, t_max, skip):
     at tau = 0.  The smallest root wins, near-ties (within TIE_TOL) going to
     the lowest row.  Scalar ``math`` calls are deliberate: numpy's
     vectorized arccos/arctan2 may differ from the platform libm by an ulp,
-    and hit times feed straight into the recorded states.  Up to SCAN_ROWS
-    rows are all scanned; of a wider region only the rows that
-    ``_candidates`` keeps, in order, which changes no result.
+    and hit times feed straight into the recorded states.  Of a Reach only
+    the rows that ``_candidates`` keeps are scanned, in order, which
+    changes no result.
     """
     kept = None
-    if len(h) > SCAN_ROWS:
-        if not isinstance(h, Reach):              # plain offsets
-            fa, fb, h = np.asarray(fa), np.asarray(fb), Reach(h)
+    if isinstance(h, Reach):
         rows = _candidates(fa, fb, h, t_max)
         if not rows.size:
             return -1, t_max
@@ -123,9 +122,6 @@ class Reach:
         ah = np.abs(h)
         self.offsets, self.negh = h.tolist(), -h
         self.maybe, self.sure = ah * (1.0 - REACH_MARGIN), ah * (1.0 + REACH_MARGIN)
-
-    def __len__(self):
-        return len(self.offsets)
 
 
 def _candidates(fa, fb, reach, t_max):
@@ -181,20 +177,20 @@ def boundary_dynamics(v1, V1, V2):
 
 
 class Region:
-    """Everything about region j that the segment loop reads.
+    """Everything about region j that the segment loop reads, besides its
+    faces' columns in the RegionTable.
 
     Built on the region's first visit from M_j and slices of the model's
-    cell table: x_p, S, the boundary rows G = F_j S, their offsets h,
-    hyperplane indices idx and face records (see ``face_records``).  G is
-    the transpose view of a contiguous GT, so that one product Y.dot(GT)
-    gives both coefficient rows of the hit scan for a state Y = [zdot; z].
-    h is an array; hits holds the offsets as first_hit takes them: a list
-    of floats, or, for a wide region (more than SCAN_ROWS rows), its
-    ``Reach``.  Nothing here is chain state.  A region with base NaN
-    raises LinAlgError.
+    cell table: x_p, S, GT = (F_j S)' as one contiguous array, so that one
+    product Y.dot(GT) gives both coefficient rows of the hit scan for a
+    state Y = [zdot; z], hits, the row offsets h as first_hit takes them (a
+    list of floats, or, for a wide region of more than SCAN_ROWS rows, its
+    ``Reach``), the 1-based hyperplane idx of each row, and first, the
+    cell-table entry of row 0: row k is entry first + k.  Nothing here is
+    chain state.  A region with base NaN raises LinAlgError.
     """
 
-    __slots__ = ("x_p", "S", "M", "G", "GT", "h", "hits", "wide", "idx", "faces")
+    __slots__ = ("x_p", "S", "M", "GT", "hits", "wide", "idx", "first")
 
     def __init__(self, cells, M, j):
         if isnan(cells.base[j - 1]):
@@ -205,60 +201,14 @@ class Region:
         self.S = cells.S[j - 1]
         self.M = M[j - 1]
         self.GT = np.ascontiguousarray(cells.G[rows].T)
-        self.G = self.GT.T
-        self.h = cells.h[rows]
-        self.wide = len(self.h) > SCAN_ROWS
-        self.hits = Reach(self.h) if self.wide else self.h.tolist()
+        self.wide = rows.stop - rows.start > SCAN_ROWS
+        self.hits = Reach(cells.h[rows]) if self.wide else cells.h[rows].tolist()
         self.idx = (cells.i[rows] + 1).tolist()
-        self.faces = face_records(cells, rows)
+        self.first = int(rows.start)
 
     def coords(self, x):
         """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
         return self.S.T.dot(self.M.dot(x - self.x_p))
-
-
-def face_records(cells, rows):
-    """The face records of the cell-table entries rows (a slice), from one
-    stacked pass over those that a rule crosses; products run per entry, so
-    no record depends on the others built with it.
-
-    Entry e's record is (nw, label, k2, TT, D), nw = |G_e|, so the face's
-    unit normal into the entry's region is g1 = G_e / nw.  A wall keeps nw
-    alone.  A transition adds the 1-based label of the region across, the
-    face's row k2 there (the mirror entry), TT = T' and D = [g2; q_T], g2
-    the neighbor's unit normal of row k2 into it.  Face points map into the
-    neighbor's coordinates by z2 = P z + q, P = S2'M2 S, q = S2'M2 (x_p -
-    x_p2) (S2'M2 from the cell table), and T = P (I - g1 g1') is P on the
-    face's tangent directions.  On the face g1'z = -h_e / nw, so for a
-    state Y there Y.dot(TT) is [P (zdot - v1 g1); z2 - q_T], v1 = g1'zdot,
-    q_T = q - (h_e / nw) P g1: one product gives the tangential velocity
-    carried across and, plus q_T, the position on the far side.  An entry
-    no rule crosses holds the error that a hit on it raises instead.
-    """
-    nw, far = cells.norm[rows], cells.mirror[rows]
-    ok = nw >= NORMAL_DEGENERACY_TOL           # NaN fails too
-    cross = ok & (far >= 0) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
-    records = [(w, None, None, None, None) for w in nw.tolist()]
-    ks = cross.nonzero()[0]
-    if ks.size < nw.size:                  # walls, or entries no rule crosses
-        for k in np.flatnonzero(~(cross | ok & (cells.t[rows] == cells.j[rows]))):
-            records[k] = _fault(cells, rows.start + k)
-    if ks.size:
-        e = ks + rows.start
-        t, f, w = cells.t[e], cells.mirror[e], cells.norm[e][:, None]
-        SM = cells.SM[t]
-        P = SM @ cells.S[cells.j[e]]
-        g1 = cells.G[e] / w
-        Pg1 = (P @ g1[..., None])[..., 0]
-        TT = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1).copy()
-        q = ((SM @ (cells.x_p[cells.j[e]] - cells.x_p[t])[..., None])[..., 0]
-             - cells.h[e][:, None] / w * Pg1)
-        g2 = cells.G[f] / cells.norm[f][:, None]
-        D = np.concatenate((g2[:, None], q[:, None]), axis=1)
-        for k, label, k2, TT_k, D_k in zip(ks.tolist(), (t + 1).tolist(),
-                                           (f - cells.start[t]).tolist(), TT, D):
-            records[k] = (records[k][0], label, k2, TT_k, D_k)
-    return records
 
 
 def _fault(cells, e):
@@ -274,16 +224,68 @@ def _fault(cells, e):
 
 class RegionTable(dict):
     """Region records of one model (``ModelSpec.regions``) keyed by 1-based
-    label, each built on first lookup from the cell table and the M stack;
-    it holds no reference to the model.  base is the cell table's base
-    column as a list, so that a segment reads offsets as floats."""
+    label, each built on first lookup from the cell table and the M stack,
+    and the face columns of every cell-table entry e; it holds no reference
+    to the model.  base is the cell table's base column as a list, so that
+    a segment reads offsets as floats.
+
+    Built with the table, as lists: norm[e] = |G_e|, so the face's unit
+    normal into the entry's region is g1 = G_e / norm[e]; label[e], the
+    1-based region across a transition, 0 on a wall or -1 on a row no rule
+    crosses (its normal or its mirror's is too short to divide by, or it
+    has no mirror), which raises faults[e] when hit; k2[e], the face's row
+    across (the mirror entry's).  A transition's face map TT[e] = T' and
+    D[e] = [g2; q_T], g2 the neighbor's unit normal of row k2 into it, is
+    filled on its region's first visit (see ``fill``).
+    """
+
+    # slots: a segment reads these on every event, faster than from a __dict__
+    __slots__ = ("cells", "M", "base", "label", "norm", "k2", "faults", "TT", "D")
 
     def __init__(self, cells, M):
         super().__init__()
         self.cells, self.M, self.base = cells, M, cells.base.tolist()
+        far = cells.mirror
+        ok = cells.norm >= NORMAL_DEGENERACY_TOL           # NaN fails too
+        cross = ok & (far >= 0) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
+        label = np.where(cross, cells.t + 1, np.where(ok & (cells.t == cells.j), 0, -1))
+        self.label, self.norm = label.tolist(), cells.norm.tolist()
+        self.k2 = (far - cells.start[cells.t]).tolist()
+        self.faults = {e: _fault(cells, e) for e in np.flatnonzero(label < 0).tolist()}
+        E, w = cells.G.shape
+        self.TT, self.D = np.empty((E, w, w)), np.empty((E, 2, w))
 
     def __missing__(self, j):
-        return self.setdefault(j, Region(self.cells, self.M, j))
+        reg = Region(self.cells, self.M, j)
+        self.fill(slice(reg.first, reg.first + len(reg.idx)))
+        return self.setdefault(j, reg)
+
+    def fill(self, rows):
+        """Fill TT and D of the transitions among the entries rows (a slice)
+        in one stacked pass; products run per entry, so no entry's bits
+        depend on the others filled with it.
+
+        Face points map into the neighbor's coordinates by z2 = P z + q, P
+        = S2'M2 S, q = S2'M2 (x_p - x_p2) (S2'M2 from the cell table), and
+        T = P (I - g1 g1') is P on the face's tangent directions.  On the
+        face g1'z = -h_e / |G_e|, so for a state Y there Y.dot(TT) is [P
+        (zdot - v1 g1); z2 - q_T], v1 = g1'zdot, q_T = q - (h_e / |G_e|) P
+        g1: one product gives the tangential velocity carried across and,
+        plus q_T, the position on the far side.
+        """
+        e = rows.start + np.flatnonzero(np.array(self.label[rows]) > 0)
+        if not e.size:
+            return
+        cells = self.cells
+        t, f, w = cells.t[e], cells.mirror[e], cells.norm[e][:, None]
+        SM = cells.SM[t]
+        P = SM @ cells.S[cells.j[e]]
+        g1 = cells.G[e] / w
+        Pg1 = (P @ g1[..., None])[..., 0]
+        self.TT[e] = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
+        self.D[e, 0] = cells.G[f] / cells.norm[f][:, None]
+        self.D[e, 1] = ((SM @ (cells.x_p[cells.j[e]] - cells.x_p[t])[..., None])[..., 0]
+                        - cells.h[e][:, None] / w * Pg1)
 
 
 def evolve_segment_detail(t_budget, j, Y, skip, table):
@@ -310,19 +312,20 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     if k < 0:
         return Y, tau, j, k, 0.0, 0.0, Y
 
-    face = reg.faces[k]
-    if not isinstance(face, tuple):       # a row no rule crosses
-        raise face
-    nw, label, k2, TT, D = face
+    e = reg.first + k
+    label = table.label[e]
+    if label < 0:                         # a row no rule crosses
+        raise table.faults[e]
+    nw = table.norm[e]
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
     v1 = (fa[k] * c - fb[k] * s) / nw
     z = Y[1]
     V1 = 0.5 * float(z.dot(z)) + table.base[j - 1]
-    if label is None:
+    if label == 0:
         # a wall is the step V2 = inf, which boundary_dynamics never clears
         V2 = V1
     else:
-        W = Y.dot(TT)
+        W, D = Y.dot(table.TT[e]), table.D[e]
         z2 = W[1]
         z2 += D[1]
         V2 = 0.5 * float(z2.dot(z2)) + table.base[label - 1]
@@ -330,7 +333,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
         if speed is not None:
             zdot2 = W[0]
             zdot2 += speed * D[0]
-            return W, tau, label, k2, V1, V2, Y
+            return W, tau, label, table.k2[e], V1, V2, Y
     Y_new = Y.copy()
-    Y_new[0] -= (2.0 * v1 / nw) * reg.G[k]
+    Y_new[0] -= (2.0 * v1 / nw) * reg.GT[:, k]
     return Y_new, tau, j, k, V1, V2, Y

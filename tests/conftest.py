@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,17 +66,20 @@ def rand_continuous_pair(rng, n, d):
         return f, g, A1, y1, A2, y2
 
 
-def first_hit_both_paths(monkeypatch, *args):
-    """first_hit(*args) on the scalar scan alone and through the numpy
-    pre-selection; asserts the two agree bit for bit and returns the
-    result."""
-    with monkeypatch.context() as mp:
-        mp.setattr(dynamics, "SCAN_ROWS", sys.maxsize)
-        scalar = dynamics.first_hit(*args)
-        mp.setattr(dynamics, "SCAN_ROWS", 0)
-        selected = dynamics.first_hit(*args)
+def first_hit_both_paths(fa, fb, h, t_max, skip):
+    """first_hit on the array rows fa, fb and offsets h by the scalar scan
+    alone and, with h handed as a Reach, through the numpy pre-selection;
+    asserts the two agree bit for bit and returns the result."""
+    scalar = dynamics.first_hit(fa, fb, h, t_max, skip)
+    selected = dynamics.first_hit(fa, fb, dynamics.Reach(h), t_max, skip)
     assert repr(selected) == repr(scalar)
     return scalar
+
+
+def region_rows(table, j):
+    """(G, h): region j's boundary rows G z + h >= 0, from the cell table."""
+    rows = slice(table.cells.start[j - 1], table.cells.start[j])
+    return table.cells.G[rows], table.cells.h[rows]
 
 
 def members_of(spec, x, tol=0.0):

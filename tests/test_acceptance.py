@@ -65,7 +65,7 @@ def test_criterion_02_two_region_occupancy_matches_quadrature():
     assert elapsed <= 30.0
 
 
-def test_criterion_03_hit_times_match_grid_oracle(monkeypatch):
+def test_criterion_03_hit_times_match_grid_oracle():
     # 1000 random instances agree with the grid/bisection oracle to 1e-6
     # (hits to 1e-6, no-hit verdicts exactly) as the row just crossed, and
     # as any other row but for rows exiting from outside their face, which
@@ -84,9 +84,8 @@ def test_criterion_03_hit_times_match_grid_oracle(monkeypatch):
         grid = grid_hit_time(np.zeros(1), [fa], [fb], np.ones(1), h, t_max)
         outside = fa < 0 and fb + h < 0 and u > abs(h)
         for skip, expected in ((0, grid), (-1, 0.0 if outside else grid)):
-            k, tau = first_hit_both_paths(monkeypatch, np.array([fa]),
-                                          np.array([fb]), np.array([h]),
-                                          t_max, skip)
+            k, tau = first_hit_both_paths(np.array([fa]), np.array([fb]),
+                                          np.array([h]), t_max, skip)
             if expected is None:
                 assert k < 0
             else:

@@ -20,6 +20,7 @@ from conftest import (
     rand_continuous_pair,
     rand_fullrank,
     rand_spd,
+    region_rows,
     sign_cells_model,
     wall_box_model,
 )
@@ -27,9 +28,11 @@ from pwhmc import dynamics, zoo
 from pwhmc.dynamics import (
     EPS_T,
     TIE_TOL,
+    Reach,
+    RegionTable,
+    _fault,
     boundary_dynamics,
     evolve_segment_detail,
-    face_records,
     first_hit,
     flight,
 )
@@ -61,8 +64,8 @@ def flight_of(Y, t):
 ], ids=["exiting", "unreachable", "still", "initial-root", "beyond-budget",
         "grazing", "exiting-now", "exiting-now-skip", "outside",
         "outside-skip"])
-def test_first_hit_single_row(fa, fb, h, t_max, skip, expected, monkeypatch):
-    k, tau = first_hit_both_paths(monkeypatch, np.array([fa]), np.array([fb]),
+def test_first_hit_single_row(fa, fb, h, t_max, skip, expected):
+    k, tau = first_hit_both_paths(np.array([fa]), np.array([fb]),
                                   np.array([h]), t_max, skip)
     if expected is None:
         assert (k, tau) == (-1, t_max)
@@ -71,7 +74,7 @@ def test_first_hit_single_row(fa, fb, h, t_max, skip, expected, monkeypatch):
         assert tau == pytest.approx(expected, abs=1e-12)
 
 
-def test_first_hit_advances_past_eps_t(rng, monkeypatch):
+def test_first_hit_advances_past_eps_t(rng):
     # Exiting roots placed on and around the exclusion window's edge.  On
     # the row just crossed (skip) a root at or before EPS_T is the face just
     # left and never a hit; on any other row it is a hit at tau = 0.  Every
@@ -88,9 +91,8 @@ def test_first_hit_advances_past_eps_t(rng, monkeypatch):
         phi = theta - root
         t_max = float(np.exp(rng.uniform(np.log(EPS_T / 2), np.log(7.0))))
         skip = int(rng.integers(-1, m))
-        k, tau = first_hit_both_paths(monkeypatch, -u * np.sin(phi),
-                                      u * np.cos(phi), -u * np.cos(theta),
-                                      t_max, skip)
+        k, tau = first_hit_both_paths(-u * np.sin(phi), u * np.cos(phi),
+                                      -u * np.cos(theta), t_max, skip)
         inside = [i for i in range(m) if i != skip and pick[i] <= 1]
         if inside:                  # unambiguously inside the window
             assert tau == 0.0 and k != skip and k <= min(inside)
@@ -104,7 +106,7 @@ def test_first_hit_advances_past_eps_t(rng, monkeypatch):
     assert near > 0 and zero > 0     # roots at 2 EPS_T are found, not skipped
 
 
-def test_hit_time_matches_grid_oracle(rng, monkeypatch):
+def test_hit_time_matches_grid_oracle(rng):
     # As the row just crossed (skip), a row takes the grid's first downward
     # crossing in (0, t_max]; as any other row, a row that is exiting while
     # outside its face (K(0) < 0, K'(0) < 0) is hit at tau = 0.
@@ -119,9 +121,8 @@ def test_hit_time_matches_grid_oracle(rng, monkeypatch):
         grid = grid_hit_time(np.zeros(1), [fa], [fb], np.ones(1), h, t_max)
         outside = fa < 0 and fb + h < 0 and u > abs(h)
         for skip, expected in ((0, grid), (-1, 0.0 if outside else grid)):
-            k, tau = first_hit_both_paths(monkeypatch, np.array([fa]),
-                                          np.array([fb]), np.array([h]),
-                                          t_max, skip)
+            k, tau = first_hit_both_paths(np.array([fa]), np.array([fb]),
+                                          np.array([h]), t_max, skip)
             if expected is None:
                 assert k < 0
             else:
@@ -176,7 +177,7 @@ def rows_exiting_at(u, root, rng):
                                   "unreachable", "window", "at-budget",
                                   "short-budget"])
 def test_first_hit_preselection_matches_one_row_oracle(case, rng):
-    # Regions wider than SCAN_ROWS go through the numpy pre-selection; the
+    # Offsets handed as a Reach go through the numpy pre-selection; the
     # result must equal, bit for bit, the one assembled from one-row calls.
     assert dynamics.SCAN_ROWS >= 1          # one-row calls take the scan
     hits = zero = 0
@@ -246,7 +247,7 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
             fa[rows], fb[rows], h[rows] = rows_exiting_at(
                 u[rows], EPS_T * rng.choice([0.0, 0.5], size=2), rng)
         expected = one_row_oracle(fa, fb, h, t_max, skip)
-        assert repr(first_hit(fa, fb, h, t_max, skip)) == repr(expected)
+        assert repr(first_hit(fa, fb, Reach(h), t_max, skip)) == repr(expected)
         hits += expected[0] >= 0
         zero += expected[1] == 0.0
     if case == "unreachable":
@@ -257,21 +258,22 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
         assert zero > 0
 
 
-def test_a_wide_region_stores_the_constants_first_hit_derives(rng):
-    # a region wider than SCAN_ROWS keeps its pre-selection's constants; the
-    # scan over them gives what first_hit gives from the plain offsets
-    reg = polygon_model(dynamics.SCAN_ROWS + 36).regions[1]
-    assert reg.wide and isinstance(reg.hits, dynamics.Reach)
+def test_a_wide_region_stores_its_preselection_constants(rng):
+    # a region wider than SCAN_ROWS keeps its pre-selection's constants, and
+    # the pre-selection over them gives what the scan of its offsets gives
+    spec = polygon_model(dynamics.SCAN_ROWS + 36)
+    reg, h = spec.regions[1], spec.cells.h
+    assert reg.wide and isinstance(reg.hits, Reach)
     margin = dynamics.REACH_MARGIN
-    for name, value in (("negh", -reg.h), ("maybe", np.abs(reg.h) * (1.0 - margin)),
-                        ("sure", np.abs(reg.h) * (1.0 + margin))):
+    for name, value in (("negh", -h), ("maybe", np.abs(h) * (1.0 - margin)),
+                        ("sure", np.abs(h) * (1.0 + margin))):
         assert getattr(reg.hits, name).tobytes() == value.tobytes()
-    assert reg.hits.offsets == reg.h.tolist() and len(reg.hits) == len(reg.h)
+    assert reg.hits.offsets == h.tolist()
     for _ in range(200):
         fa, fb = rng.normal(size=(2, 2)).dot(reg.GT)
-        t_max, skip = float(rng.uniform(0.1, 7.0)), int(rng.integers(-1, len(reg.h)))
+        t_max, skip = float(rng.uniform(0.1, 7.0)), int(rng.integers(-1, len(h)))
         assert (repr(first_hit(fa, fb, reg.hits, t_max, skip))
-                == repr(first_hit(fa, fb, reg.h, t_max, skip)))
+                == repr(first_hit(fa, fb, reg.hits.offsets, t_max, skip)))
 
 
 def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
@@ -282,7 +284,7 @@ def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
     fa[0], fb[0], h[0] = 0.0, 1.0, 1.0
     fa[5:6], fb[5:6], h[5:6] = rows_exiting_at(np.ones(1), 3.5,
                                                np.random.default_rng(1))
-    assert first_hit(fa, fb, h, 10.0, -1) == (5, pytest.approx(3.5, abs=1e-12))
+    assert first_hit(fa, fb, Reach(h), 10.0, -1) == (5, pytest.approx(3.5, abs=1e-12))
 
 
 # --- segment scanning ------------------------------------------------------
@@ -380,7 +382,7 @@ def _lines_model(F, pieces):
 
 def _state_moving_onto_row(reg):
     # z = +-1 inside the row G z >= 0, with zdot = -z: hit at t = pi/4
-    z = np.sign(reg.G[0])
+    z = np.sign(reg.GT[:, 0])
     return np.array([-z, z])
 
 
@@ -390,7 +392,9 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
     # a warning, and a hit on the row raises, never reflects.
     spec = _lines_model([1.0, 1e-13], [([1.0, 0.0], 1)])
     table = spec.regions
-    assert abs(table[1].G[0, 0]) == pytest.approx(1e-13) and table[1].h[0] == 0.0
+    assert abs(table[1].GT[0, 0]) == pytest.approx(1e-13) and table[1].hits == [0.0]
+    assert list(table.faults) == [0]
+    assert_faults_are_each_entrys_own(table)
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 1's piece"):
         evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
@@ -398,7 +402,9 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
     # the face x1 = 0: the row is fine in region 1, its mirror has length 0.
     spec = _lines_model([1.0, 0.0], [([1.0, -1.0], 2), ([1.0, 0.0], -1)])
     table = spec.regions
-    assert spec.cells.norm.tolist()[1] == 0.0 and len(table[2].faces) == 1
+    assert spec.cells.norm.tolist()[1] == 0.0 and len(table[2].idx) == 1
+    assert sorted(table.faults) == [0, 1]
+    assert_faults_are_each_entrys_own(table)
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 2's piece"):
         evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
@@ -413,6 +419,8 @@ def test_a_transition_without_a_far_entry_raises(rng):
     table = spec.regions
     k = table[1].idx.index(1)
     assert spec.cells.mirror[table.cells.start[0] + k] == -1
+    assert list(table.faults) == [table.cells.start[0] + k]
+    assert_faults_are_each_entrys_own(table)
     Y, _ = state_on_face(table, 1, k, rng)
     with pytest.raises(ModelFormatError, match=r"L\[1,1\] leads to region 5"):
         evolve_segment_detail(0.0, 1, Y, -1, table)
@@ -542,11 +550,12 @@ def state_on_face(table, j, k, rng):
     """(Y, x): a state of region j on row k's face, clear of every other
     row, leaving through it with a random speed."""
     reg = table[j]
-    g1 = reg.G[k] / np.linalg.norm(reg.G[k])
+    G, h = region_rows(table, j)
+    g1 = G[k] / np.linalg.norm(G[k])
     while True:
         z = rng.normal(size=len(g1))
-        z -= (reg.G[k] @ z + reg.h[k]) / np.linalg.norm(reg.G[k]) * g1
-        if np.delete(reg.G @ z + reg.h, k).min(initial=np.inf) > 1e-2:
+        z -= (G[k] @ z + h[k]) / np.linalg.norm(G[k]) * g1
+        if np.delete(G @ z + h, k).min(initial=np.inf) > 1e-2:
             break
     zdot = rng.normal(size=len(g1))
     zdot -= (g1 @ zdot + abs(rng.normal()) + 0.05) * g1
@@ -593,24 +602,43 @@ def test_face_record_matches_rule_from_scratch(rng):
                      for flown in (False, True)}
 
 
-def test_stacked_face_records_are_each_rows_own():
-    # a region's records, built in one stacked pass, equal bit for bit the
-    # records built for each of its rows alone
+def test_stacked_face_columns_are_each_rows_own():
+    # a region's face maps, filled in one stacked pass on its first visit,
+    # equal bit for bit those filled for each of its rows alone, and a visit
+    # writes no other region's rows
     specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
     specs += [sign_cells_model(anisotropic_mass(), scale_left=2.0),
               oblique_wall_model(), wall_box_model()] + benchmark_models()
     for spec in specs:
         cells = spec.cells
+        alone = RegionTable(cells, spec.M)
+        for e in range(len(cells.j)):
+            alone.fill(slice(e, e + 1))
+        crossed = np.array(alone.label) > 0
+        table = RegionTable(cells, spec.M)
         for j in range(1, spec.J + 1):
-            rows = slice(cells.start[j - 1], cells.start[j])
-            for e, record in zip(range(rows.start, rows.stop),
-                                 face_records(cells, rows)):
-                [own] = face_records(cells, slice(e, e + 1))
-                assert record[:3] == own[:3]
-                if record[1] is not None:
-                    assert record[3].flags.c_contiguous
-                    for stacked, alone in zip(record[3:], own[3:]):
-                        assert stacked.tobytes() == alone.tobytes()
+            table[j]
+        for stacked, own in ((table.TT, alone.TT), (table.D, alone.D)):
+            assert stacked.flags.c_contiguous
+            assert stacked[crossed].tobytes() == own[crossed].tobytes()
+        for j in sorted({1, (spec.J + 1) // 2, spec.J}):
+            table = RegionTable(cells, spec.M)
+            table.TT[:], table.D[:] = np.nan, np.nan
+            table[j]
+            rows = np.zeros(len(crossed), dtype=bool)
+            rows[cells.start[j - 1]:cells.start[j]] = True
+            for column in (table.TT, table.D):
+                assert not np.isnan(column[rows & crossed]).any()
+                assert np.isnan(column[~(rows & crossed)]).all()
+
+
+def assert_faults_are_each_entrys_own(table):
+    """table.faults holds _fault's error for each entry labelled -1, and
+    for no other."""
+    assert sorted(table.faults) == np.flatnonzero(np.array(table.label) < 0).tolist()
+    for e, error in table.faults.items():
+        own = _fault(table.cells, e)
+        assert type(error) is type(own) and str(error) == str(own)
 
 
 def fly(table, j, Y, T):
@@ -629,7 +657,7 @@ def fly(table, j, Y, T):
             return j_new, Y_new, kappa, events
         reg = table[j]
         row = reg.idx.index(table[j_new].idx[k])
-        v_n = reg.G[row] @ Y[0] / np.linalg.norm(reg.G[row])
+        v_n = reg.GT[:, row] @ Y[0] / np.linalg.norm(reg.GT[:, row])
         kappa *= 1.0 + (np.linalg.norm(Y[0]) + np.linalg.norm(Y[1])) / abs(v_n)
         j, Y, events = j_new, Y_new, events + 1
 
@@ -677,7 +705,7 @@ def test_boundary_dynamics_velocity_transfer(rng):
         reg = table[j]
         k = int(rng.integers(len(reg.idx)))
         Y0, x = state_on_face(table, j, k, rng)
-        g1 = reg.G[k] / np.linalg.norm(reg.G[k])
+        g1 = reg.GT[:, k] / np.linalg.norm(reg.GT[:, k])
         alpha = -g1 @ Y0[0]
         w = Y0[0] + alpha * g1
         Y, _, j2, k2, V1, V2 = evolve_segment_detail(0.0, j, Y0, -1,
@@ -689,7 +717,7 @@ def test_boundary_dynamics_velocity_transfer(rng):
         moved += 1
         other = table[j2]
         P = other.S.T @ other.M @ reg.S
-        g2 = other.G[k2] / np.linalg.norm(other.G[k2])
+        g2 = other.GT[:, k2] / np.linalg.norm(other.GT[:, k2])
         assert np.allclose(Y[0], speed * g2 + P @ w, atol=1e-10)
     assert moved > 20
 
@@ -750,7 +778,7 @@ def test_segment_adherence_and_region_bounds(rng):
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
         Y = np.array([refresh_velocity(rng, 1, reg.S.shape[1])[0], reg.coords(x0)])
-        _, tau = first_hit(*Y.dot(reg.GT), reg.h, np.pi / 2, -1)
+        _, tau = first_hit(*Y.dot(reg.GT), reg.hits, np.pi / 2, -1)
         for t in np.linspace(0.0, tau, 32):
             x = reg.x_p + reg.S @ flight_of(Y, t)[1]
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8

@@ -596,11 +596,12 @@ def test_region_rows_match_lookup_table():
             sign = np.sign(row[on]).astype(float)
             reg = table[j]
             F = sign[:, None] * spec.F[on]
-            assert np.array_equal(reg.G, F @ reg.S)
-            assert np.allclose(reg.h - F @ reg.x_p, sign * spec.g[on],
-                               rtol=0, atol=1e-12)
-            # a wall's face record has no label across
-            assert ([face[1] or j for face in reg.faces]
+            rows = slice(reg.first, reg.first + len(reg.idx))
+            assert np.array_equal(reg.GT.T, F @ reg.S)
+            assert np.allclose(table.cells.h[rows] - F @ reg.x_p,
+                               sign * spec.g[on], rtol=0, atol=1e-12)
+            # a wall's label is 0, not a region across
+            assert ([label or j for label in table.label[rows]]
                     == np.abs(row[on]).tolist())
             assert reg.idx == (np.flatnonzero(on) + 1).tolist()
 
@@ -839,13 +840,12 @@ def test_validate_formats_failures_only(monkeypatch):
 
 
 def test_validate_reads_the_samplers_geometry():
-    # normal_escapes_A reports each region record's row lengths and
-    # A_full_rank the margins its build tests, bit for bit
+    # normal_escapes_A reports the row lengths the segment divides by and
+    # A_full_rank the margins a region's build tests, bit for bit
     for spec in _checked_models():
         report = validate_model(spec)
         assert report.passed, report.format()
         table = spec.regions
-        norms = [face[0] for j in range(1, spec.J + 1) for face in table[j].faces]
-        assert kind(report, "normal_escapes_A").residual.tolist() == norms
+        assert kind(report, "normal_escapes_A").residual.tolist() == table.norm
         assert (kind(report, "A_full_rank").residual.tolist()
                 == table.cells.margin.tolist())

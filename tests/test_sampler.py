@@ -11,6 +11,7 @@ from conftest import (
     members_of,
     oblique_wall_model,
     polygon_model,
+    region_rows,
     wall_box_model,
 )
 from pwhmc import dynamics, sampler, zoo
@@ -214,12 +215,15 @@ def test_hit_scan_paths_give_byte_identical_chains(name, monkeypatch):
     # scalar scan alone makes it
     builders = {"wall_box": wall_box_model, "oblique_wall": oblique_wall_model,
                 "polygon64": lambda: polygon_model(64)}
-    spec = builders.get(name, lambda: zoo.build_shipped(name))()
+    build = builders.get(name, lambda: zoo.build_shipped(name))
     cfg = ChainConfig(n_samples=300, seed=17, burn_in=3, thin=2,
                       record_events=True)
     outs = []
     for scan_rows in (sys.maxsize, 0):
+        # a fresh model, so that every region is built at this width
         monkeypatch.setattr(dynamics, "SCAN_ROWS", scan_rows)
+        spec = build()
+        assert {spec.regions[j].wide for j in range(1, spec.J + 1)} == {scan_rows == 0}
         outs.append(run_chain(spec, spec.init_region, spec.init_point, cfg))
     scalar, selected = outs
     assert scalar.events
@@ -347,33 +351,60 @@ def test_kept_row_outside_its_cell_raises(monkeypatch):
         assert err.value.residual == pytest.approx(breach, abs=1e-4)
 
 
+def state_outside(table, j):
+    """(Y, breach): a state of region j at rest 1 outside its first row,
+    and the depth of its deepest row breach."""
+    G, h = region_rows(table, j)
+    z = -(h[0] + 1.0) * G[0] / (G[0] @ G[0])
+    return np.array([np.zeros_like(z), z]), -float((G @ z + h).min())
+
+
 def test_cell_check_names_the_first_kept_row_outside_its_cell():
-    # the check runs region by region, but it names the earliest failing
-    # row: here row 1 (region 3), though region 1's failing row 2 is
-    # checked first
+    # the check names the earliest failing row: here row 1 (region 3),
+    # though region 1's row 2 fails too
     spec = zoo.one_norm_model()
     table = spec.regions
-
-    def outside(j):
-        G, h = table[j].G, np.asarray(table[j].h)
-        z = -(h[0] + 1.0) * G[0] / (G[0] @ G[0])
-        return np.array([np.zeros_like(z), z]), -float((G @ z + h).min())
-
-    (Y1, breach), (Y2, _) = outside(3), outside(1)
+    (Y1, breach), (Y2, _) = state_outside(table, 3), state_outside(table, 1)
     Y0 = np.array([[0.0, 0.0], table[1].coords(np.array([0.2, 0.3, 0.5]))])
     with pytest.raises(ContractError,
                        match=r"^iterate 1 ended outside region 3's cell") as err:
-        sampler._record(table, np.array([Y0, Y1, Y2]), np.array([1, 3, 1]),
+        sampler._record(spec, np.array([Y0, Y1, Y2]), np.array([1, 3, 1]),
                         ChainConfig(n_samples=3))
     assert err.value.residual == pytest.approx(breach, rel=1e-12)
+
+
+@pytest.mark.parametrize("failing", [
+    (sampler.RECORD_ROWS + 3, sampler.RECORD_ROWS - 2),
+    (2 * sampler.RECORD_ROWS + 1, sampler.RECORD_ROWS)])
+def test_cell_check_names_the_earliest_row_across_batches(failing, rng):
+    # failing rows on either side of a batch boundary, or both past it: the
+    # earliest kept iterate is named, with cell_slack's breach at its point
+    spec = zoo.one_norm_model()
+    table = spec.regions
+    N = 2 * sampler.RECORD_ROWS + 5
+    R = rng.integers(1, spec.J + 1, size=N)
+    Ys = np.zeros((N, 2, spec.n - spec.d))           # each at its centre
+    cfg = ChainConfig(n_samples=N, burn_in=3, thin=2)
+    X, _ = sampler._record(spec, Ys, R, cfg)
+    assert cell_slack(spec, R, X).min() > 0.0
+    for row in failing:
+        Ys[row] = state_outside(table, R[row])[0]
+    row = min(failing)
+    with pytest.raises(ContractError, match=rf"^iterate {2 * row + 4} ended "
+                       rf"outside region {R[row]}'s cell") as err:
+        sampler._record(spec, Ys, R, cfg)
+    reg = table[int(R[row])]
+    x = reg.x_p + reg.S @ Ys[row, 1]
+    assert err.value.residual == pytest.approx(-cell_slack(spec, R[row], x),
+                                               rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["pospart", "polywall-256", "onenorm10"])
 @pytest.mark.parametrize("schedule", [{}, {"burn_in": 3, "thin": 2}])
 def test_kept_rows_do_not_depend_on_the_chain_length(name, schedule):
-    # the write-back after the loop runs per region and in batches, yet
-    # each row is its own product: the first k rows of a chain are the
-    # bytes of a k-row chain with the same seed
+    # the write-back after the loop runs in batches, yet each row is its
+    # own product: the first k rows of a chain are the bytes of a k-row
+    # chain with the same seed
     models = dict(zip(["polywall-256", "onenorm10"], benchmark_models()))
     spec = models[name] if name in models else zoo.build_shipped(name)
     n = 40 if name == "onenorm10" else 700
