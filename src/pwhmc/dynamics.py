@@ -10,7 +10,10 @@ Crossing times of the boundary rows G_j z + h >= 0 have closed-form roots
 from the velocity along the unit row of G_j, which is the face normal in
 the metric M_j: transmit when the normal kinetic energy clears the
 potential step, reflect otherwise.  A hard wall is a step that no energy
-clears.
+clears.  A flat face, whose two regions have equal M, r, k and c_j, has no
+step: the particle transmits with its normal speed unchanged, and neither
+potential is computed, since a computed dV there is rounding alone and
+could reflect a near-grazing crossing.
 
 Everything that depends only on the region lives in one Region record per
 region, sliced from the model's cell table on the region's first visit into
@@ -76,6 +79,15 @@ def first_hit(fa, fb, h, t_max, skip):
     and hit times feed straight into the recorded states.  Of a Reach only
     the rows that ``_candidates`` keeps are scanned, in order, which
     changes no result.
+
+    The scan skips the roots of rows that cannot be hit first.  |K'| <= u,
+    so a row with K(0) = fb + h > u cut has no root before cut, which
+    starts at t_max + SELECT_SLACK and drops to root + TIE_TOL +
+    SELECT_SLACK at each smaller root kept.  Such a row's computed root
+    lies past the final minimum plus TIE_TOL: SELECT_SLACK dwarfs the
+    error of acos near grazing (about 2e-8) and the rounding of the bound.
+    So it is neither the minimum nor within the tie window, and skipping
+    it changes no result, bit for bit.
     """
     kept = None
     if isinstance(h, Reach):
@@ -88,9 +100,10 @@ def first_hit(fa, fb, h, t_max, skip):
         skip = kept.index(skip) if skip in kept else -1
     rows, roots = [], []
     k = 0
+    cut = t_max + SELECT_SLACK
     for a, b, c in zip(fa, fb, h):
         u = sqrt(a * a + b * b)
-        if u > abs(c):
+        if u > abs(c) and b + c <= u * cut:
             c = -c / u
             if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
                 root = acos(c) - atan2(-a, b)
@@ -99,6 +112,8 @@ def first_hit(fa, fb, h, t_max, skip):
                 if root <= t_max:
                     rows.append(k)
                     roots.append(root)
+                    if root + TIE_TOL + SELECT_SLACK < cut:
+                        cut = root + TIE_TOL + SELECT_SLACK
         k += 1
     if not roots:
         return -1, t_max
@@ -224,27 +239,33 @@ def _fault(cells, e):
 
 class RegionTable(dict):
     """Region records of one model (``ModelSpec.regions``) keyed by 1-based
-    label, each built on first lookup from the cell table and the M stack,
-    and the face columns of every cell-table entry e; it holds no reference
-    to the model.  base is the cell table's base column as a list, so that
-    a segment reads offsets as floats.
+    label, each built on first lookup from the model's cell table and M
+    stack, and the face columns of every cell-table entry e; it holds the
+    model's arrays, not the model.  base is the cell table's base column as
+    a list, so that a segment reads offsets as floats.
 
     Built with the table, as lists: norm[e] = |G_e|, so the face's unit
     normal into the entry's region is g1 = G_e / norm[e]; label[e], the
     1-based region across a transition, 0 on a wall or -1 on a row no rule
     crosses (its normal or its mirror's is too short to divide by, or it
     has no mirror), which raises faults[e] when hit; k2[e], the face's row
-    across (the mirror entry's).  A transition's face map TT[e] = T' and
-    D[e] = [g2; q_T], g2 the neighbor's unit normal of row k2 into it, is
-    filled on its region's first visit (see ``fill``).
+    across (the mirror entry's); and pot[j - 1], region j's M, r, k and c
+    in one row.  A transition's face map TT[e] = T', G2[e] = g2, the
+    neighbor's unit normal of row k2 into it, Q[e] = q_T and flat[e],
+    whether the potential is the same function on both sides, are filled
+    on its region's first visit (see ``fill``).
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
-    __slots__ = ("cells", "M", "base", "label", "norm", "k2", "faults", "TT", "D")
+    __slots__ = ("cells", "M", "pot", "base", "label", "norm", "k2", "faults",
+                 "TT", "G2", "Q", "flat")
 
-    def __init__(self, cells, M):
+    def __init__(self, spec):
         super().__init__()
-        self.cells, self.M, self.base = cells, M, cells.base.tolist()
+        cells = spec.cells
+        self.cells, self.M, self.base = cells, spec.M, cells.base.tolist()
+        self.pot = np.concatenate([spec.M.reshape(spec.J, -1), spec.r,
+                                   spec.k[:, None], cells.c[:, None]], axis=1)
         far = cells.mirror
         ok = cells.norm >= NORMAL_DEGENERACY_TOL           # NaN fails too
         cross = ok & (far >= 0) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
@@ -253,7 +274,9 @@ class RegionTable(dict):
         self.k2 = (far - cells.start[cells.t]).tolist()
         self.faults = {e: _fault(cells, e) for e in np.flatnonzero(label < 0).tolist()}
         E, w = cells.G.shape
-        self.TT, self.D = np.empty((E, w, w)), np.empty((E, 2, w))
+        self.TT = np.empty((E, w, w))
+        self.G2, self.Q = np.empty((E, w)), np.empty((E, w))
+        self.flat = [False] * E
 
     def __missing__(self, j):
         reg = Region(self.cells, self.M, j)
@@ -261,9 +284,9 @@ class RegionTable(dict):
         return self.setdefault(j, reg)
 
     def fill(self, rows):
-        """Fill TT and D of the transitions among the entries rows (a slice)
-        in one stacked pass; products run per entry, so no entry's bits
-        depend on the others filled with it.
+        """Fill TT, G2, Q and flat of the transitions among the entries rows
+        (a slice) in one stacked pass; products run per entry, so no entry's
+        bits depend on the others filled with it.
 
         Face points map into the neighbor's coordinates by z2 = P z + q, P
         = S2'M2 S, q = S2'M2 (x_p - x_p2) (S2'M2 from the cell table), and
@@ -272,20 +295,27 @@ class RegionTable(dict):
         (zdot - v1 g1); z2 - q_T], v1 = g1'zdot, q_T = q - (h_e / |G_e|) P
         g1: one product gives the tangential velocity carried across and,
         plus q_T, the position on the far side.
+
+        A face is flat when its two regions' pot rows (M, r, k and c) are
+        equal, so that V + c is one function on both sides: the exact rule
+        transmits with the normal speed unchanged, and a computed dV would
+        be rounding.
         """
         e = rows.start + np.flatnonzero(np.array(self.label[rows]) > 0)
         if not e.size:
             return
         cells = self.cells
-        t, f, w = cells.t[e], cells.mirror[e], cells.norm[e][:, None]
+        j, t, f, w = cells.j[e], cells.t[e], cells.mirror[e], cells.norm[e][:, None]
         SM = cells.SM[t]
-        P = SM @ cells.S[cells.j[e]]
+        P = SM @ cells.S[j]
         g1 = cells.G[e] / w
         Pg1 = (P @ g1[..., None])[..., 0]
         self.TT[e] = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
-        self.D[e, 0] = cells.G[f] / cells.norm[f][:, None]
-        self.D[e, 1] = ((SM @ (cells.x_p[cells.j[e]] - cells.x_p[t])[..., None])[..., 0]
-                        - cells.h[e][:, None] / w * Pg1)
+        self.G2[e] = cells.G[f] / cells.norm[f][:, None]
+        self.Q[e] = ((SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0]
+                     - cells.h[e][:, None] / w * Pg1)
+        for entry in e[(self.pot[t] == self.pot[j]).all(1)].tolist():
+            self.flat[entry] = True
 
 
 def evolve_segment_detail(t_budget, j, Y, skip, table):
@@ -293,12 +323,14 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
 
     Y = [zdot; z] is the (2, n - d) state in region j's coordinates and skip
     the row of j just crossed (-1 if none).  Applies the boundary rule at
-    the segment end.  Returns (Y, tau, j_new, k, V1, V2, Y_pre): the state
+    the segment end.  Returns (Y, tau, j_new, k, step, Y_pre): the state
     in the coordinates of j_new (which differs from j only on a successful
     transition), the time used, the row hit as numbered in j_new (the next
-    segment's skip; -1 when the budget ran out first), the potentials with
-    c_j on either side of it (V2 = V1 at a wall) and the state before the
-    update.  Y is not modified; the returned state is a fresh array.
+    segment's skip; -1 when the budget ran out first), the potentials (V1,
+    V2) with c_j on either side of a potential step, else None, and the
+    state before the update.  Only a potential step computes them: a flat
+    face transmits and a wall reflects whatever they are.  Y is not
+    modified; the returned state is a fresh array.
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
@@ -310,7 +342,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     s, c = sin(tau), cos(tau)
     Y = flight(Y, s, c)
     if k < 0:
-        return Y, tau, j, k, 0.0, 0.0, Y
+        return Y, tau, j, k, None, Y
 
     e = reg.first + k
     label = table.label[e]
@@ -319,21 +351,24 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     nw = table.norm[e]
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
     v1 = (fa[k] * c - fb[k] * s) / nw
-    z = Y[1]
-    V1 = 0.5 * float(z.dot(z)) + table.base[j - 1]
-    if label == 0:
-        # a wall is the step V2 = inf, which boundary_dynamics never clears
-        V2 = V1
-    else:
-        W, D = Y.dot(table.TT[e]), table.D[e]
+    step = None
+    if label > 0:
+        W = Y.dot(table.TT[e])
         z2 = W[1]
-        z2 += D[1]
-        V2 = 0.5 * float(z2.dot(z2)) + table.base[label - 1]
-        speed = boundary_dynamics(v1, V1, V2)
+        z2 += table.Q[e]
+        if table.flat[e]:
+            speed = abs(v1)
+        else:
+            z = Y[1]
+            step = (0.5 * float(z.dot(z)) + table.base[j - 1],
+                    0.5 * float(z2.dot(z2)) + table.base[label - 1])
+            speed = boundary_dynamics(v1, *step)
         if speed is not None:
             zdot2 = W[0]
-            zdot2 += speed * D[0]
-            return W, tau, label, table.k2[e], V1, V2, Y
+            zdot2 += speed * table.G2[e]
+            return W, tau, label, table.k2[e], step, Y
+    # reflect: at a step the normal energy does not clear, or at a wall,
+    # the step V2 = inf
     Y_new = Y.copy()
     Y_new[0] -= (2.0 * v1 / nw) * reg.GT[:, k]
-    return Y_new, tau, j, k, V1, V2, Y
+    return Y_new, tau, j, k, step, Y

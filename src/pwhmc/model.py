@@ -66,7 +66,7 @@ class ModelSpec:
     @cached_property
     def regions(self) -> dynamics.RegionTable:
         """The region records that every chain on this model shares."""
-        return dynamics.RegionTable(self.cells, self.M)
+        return dynamics.RegionTable(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +78,9 @@ class CellTable:
     j[e] and its target region t[e] (t[e] == j[e] marks a wall).  Region
     j's entries (1-based j) are rows start[j-1]:start[j].  On its piece
     x = x_p[j-1] + S[j-1] z (one stacked ``subspace.ode_param`` call), z =
-    SM[j-1] (x - x_p[j-1]), V_j + c_j = 1/2 |z|^2 + base[j-1] (NaN if the
-    rank or metric test fails) and entry e is the row G[e] z + h[e] >= 0,
-    whose normal has length norm[e] in M_j.
+    SM[j-1] (x - x_p[j-1]), V_j + c_j = 1/2 |z|^2 + base[j-1] (c[j-1] and
+    base[j-1] NaN if the rank or metric test fails) and entry e is the row
+    G[e] z + h[e] >= 0, whose normal has length norm[e] in M_j.
     Across a transition, mirror[e] is the entry (t[e], i[e]), else -1.
     """
 
@@ -92,6 +92,7 @@ class CellTable:
     start: np.ndarray      # (J + 1,) int
     x_p: np.ndarray        # (J, n)
     S: np.ndarray          # (J, n, n - d)
+    c: np.ndarray          # (J,)
     base: np.ndarray       # (J,)
     SM: np.ndarray         # (J, n - d, n)
     margin: np.ndarray     # (J,)
@@ -283,7 +284,7 @@ def cell_table(spec: ModelSpec) -> CellTable:
     G = (F[:, None, :] @ S[j])[:, 0]
     return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g,
                      start=np.searchsorted(j, np.arange(spec.J + 1)),
-                     x_p=x_p, S=S, base=base, SM=SM, margin=margin, G=G,
+                     x_p=x_p, S=S, c=c, base=base, SM=SM, margin=margin, G=G,
                      mirror=mirror, h=np.einsum("en,en->e", F, x_p[j]) + g,
                      norm=np.sqrt(np.einsum("ek,ek->e", G, G)))
 

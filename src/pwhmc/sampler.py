@@ -165,9 +165,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         n_events = 0
         k = -1
         while True:
-            Y, tau, j_new, k, V1, V2, Y_pre = evolve_segment_detail(
-                t_left, j, Y, k, table
-            )
+            Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(t_left, j, Y, k, table)
             t_used += tau
             t_left -= tau
             if k < 0:
@@ -175,13 +173,24 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
             n_events += 1
             if events is not None:
                 reg = table[j_new]
+                wall = j_new == j and table.label[reg.first + k] == 0
+                if step is None:
+                    # a flat face, which always transmits, or a wall: the
+                    # segment computed neither potential, so compute them
+                    # as it would have
+                    z = Y_pre[1]
+                    V1 = V2 = 0.5 * float(z.dot(z)) + table.base[j - 1]
+                    if not wall:
+                        z2 = Y[1]
+                        V2 = 0.5 * float(z2.dot(z2)) + table.base[j_new - 1]
+                else:
+                    V1, V2 = step
                 zdot_pre, zdot = Y_pre[0], Y[0]
                 events.append({
                     "iterate": i,
                     "time": t_used,
                     "constraint": reg.idx[k],
-                    "kind": ("wall" if j_new == j and table.label[reg.first + k] == 0
-                             else "transition"),
+                    "kind": "wall" if wall else "transition",
                     "j_from": j,
                     "j_to": j_new,
                     "dV": V2 - V1,

@@ -1,12 +1,18 @@
-"""Brute-force ground truths that only the tests use.
+"""Brute-force ground truths and references that only the tests use.
 
 Grids, bisection and quadrature, deliberately: they share no code with the
-closed-form hit times and exact draws of the package they check.  This is
-the one place scipy is needed, so the package itself runs on numpy alone.
+closed-form hit times and exact draws of the package they check.  The one
+exception is the hit scan as it was before its time bound, kept to pin the
+bounded scan's results bit for bit.  This is the one place scipy is needed,
+so the package itself runs on numpy alone.
 """
+
+from math import acos, atan2, sqrt
 
 import numpy as np
 from scipy.integrate import quad
+
+from pwhmc.dynamics import EPS_T, TIE_TOL, TWO_PI
 
 
 def grid_hit_time(x_p, a, b, f, g, t_max, grid_n=20000):
@@ -39,6 +45,34 @@ def grid_hit_time(x_p, a, b, f, g, t_max, grid_n=20000):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def first_hit_unbounded(fa, fb, h, t_max, skip):
+    """The scan of ``dynamics.first_hit`` on plain rows before it had a time
+    bound: the exact root of every row in reach, then the lowest row within
+    TIE_TOL of the smallest.  The reference for the bounded scan, which must
+    return the same (k, tau) bit for bit."""
+    rows, roots = [], []
+    k = 0
+    for a, b, c in zip(fa, fb, h):
+        u = sqrt(a * a + b * b)
+        if u > abs(c):
+            c = -c / u
+            if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
+                root = acos(c) - atan2(-a, b)
+                if root <= EPS_T:
+                    root = root + TWO_PI if k == skip else 0.0
+                if root <= t_max:
+                    rows.append(k)
+                    roots.append(root)
+        k += 1
+    if not roots:
+        return -1, t_max
+    cutoff = min(roots) + TIE_TOL
+    for k, root in zip(rows, roots):
+        if root <= cutoff:
+            return k, root
+    return -1, t_max        # unreachable: the minimum itself passes the cutoff
 
 
 def occupancy_quadrature_line(V1, V2, split=0.0):

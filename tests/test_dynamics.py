@@ -3,12 +3,12 @@
 import gc
 import json
 from dataclasses import fields
-from math import cos, sin
+from math import cos, sin, sqrt
 
 import numpy as np
 import pytest
 
-from brute_force import grid_hit_time
+from brute_force import first_hit_unbounded, grid_hit_time
 from conftest import (
     anisotropic_mass,
     benchmark_models,
@@ -24,7 +24,7 @@ from conftest import (
     sign_cells_model,
     wall_box_model,
 )
-from pwhmc import dynamics, zoo
+from pwhmc import dynamics, sampler, zoo
 from pwhmc.dynamics import (
     EPS_T,
     TIE_TOL,
@@ -258,6 +258,124 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
         assert zero > 0
 
 
+def bounded_scan_cases(rng, count):
+    """count random row sets for first_hit's scan, as (fa, fb, h, t_max,
+    skip) with lists of floats.
+
+    Each set has 1 to 12 rows and an anchor time; a row is generic, exits
+    at the anchor plus a near-tie offset (within or just past TIE_TOL, or
+    just either side of the scan's bound TIE_TOL + SELECT_SLACK), sometimes
+    near-grazing, exits inside the EPS_T window, approaches its level at
+    full speed so that its root lies just either side of a bound, grazes
+    as the scan computes u, or is out of reach.  Budgets run to 3 pi.
+    """
+    bound = TIE_TOL + dynamics.SELECT_SLACK
+    m = rng.integers(1, 13, size=count)
+    start = np.concatenate([[0], np.cumsum(m)])
+    of = np.repeat(np.arange(count), m)               # the set of each row
+    n = int(start[-1])
+    t_max = np.where(rng.uniform(size=count) < 0.5, rng.uniform(0.0, np.pi, count),
+                     rng.uniform(np.pi, 3 * np.pi, count))
+    anchor = rng.uniform(0.0, 1.1, count) * t_max
+    # early anchors, where a row at full speed has its root near K(0) / u
+    anchor = np.where(rng.uniform(size=count) < 0.3,
+                      10.0 ** rng.uniform(-7.0, -3.0, count), anchor)
+    u = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    kind = rng.integers(0, 7, n)                 # 0 and 6 stay generic
+    # generic rows, mostly inside their face at t = 0
+    phi = rng.uniform(-np.pi, np.pi, n)
+    fa, fb = -u * np.sin(phi), u * np.cos(phi)
+    h = u * rng.uniform(-0.02, 2.5, n) - fb
+    # exiting near the anchor, some of them near-grazing
+    near = kind == 1
+    offset = rng.choice([0.0, 0.5, -0.5, 0.999, 1.001, 2.0, -2.0], n) * TIE_TOL
+    offset = np.where(rng.uniform(size=n) < 0.3,
+                      bound * (1.0 + rng.choice([-1e-3, -1e-6, 1e-6, 1e-3], n)), offset)
+    theta = rng.uniform(0.05, np.pi - 0.05, n)
+    edge = 10.0 ** rng.uniform(-9.0, -4.0, n)
+    theta = np.where(rng.uniform(size=n) < 0.3,
+                     np.where(rng.uniform(size=n) < 0.5, edge, np.pi - edge), theta)
+    root = anchor[of] + offset
+    # exiting inside the EPS_T window
+    window = kind == 2
+    root = np.where(window, EPS_T * rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], n), root)
+    pick = near | window
+    fa = np.where(pick, -u * np.sin(theta - root), fa)
+    fb = np.where(pick, u * np.cos(theta - root), fb)
+    h = np.where(pick, -u * np.cos(theta), h)
+    # K(t) = -u sin t + h at full speed, its root tied with the anchor or
+    # just either side of the anchor's bound or the budget's
+    fast = kind == 3
+    target = anchor[of] + np.where(rng.uniform(size=n) < 0.5, bound,
+                                   rng.choice([0.3, 0.7, 1.0], n) * TIE_TOL)
+    target = np.where(rng.uniform(size=n) < 0.3, t_max[of] + dynamics.SELECT_SLACK,
+                      target)
+    target *= 1.0 + rng.choice([-1e-9, -1e-12, 0.0, 1e-12, 1e-9], n)
+    fa, fb = np.where(fast, -u, fa), np.where(fast, 0.0, fb)
+    h = np.where(fast, u * np.sin(np.minimum(target, 1.5)), h)
+    # grazing as the scan computes u, and out of reach
+    scan_u = np.array([sqrt(a * a + b * b) for a, b in zip(fa.tolist(), fb.tolist())])
+    sign = rng.choice([-1.0, 1.0], n)
+    grazing = sign * scan_u * (1.0 + rng.choice([0.0, 1e-15, -1e-13], n))
+    h = np.where(kind == 4, grazing, h)
+    h = np.where(kind == 5, sign * scan_u * (1.0 + rng.uniform(1e-9, 1.0, n)), h)
+    # the skip row: none, any row or a row in the window
+    skip = np.where(rng.uniform(size=count) < 0.3, -1,
+                    rng.integers(0, 2**31, count) % m)
+    fa, fb, h = fa.tolist(), fb.tolist(), h.tolist()
+    window = window.tolist()
+    for i in range(count):
+        a, b = int(start[i]), int(start[i + 1])
+        k = int(skip[i])
+        inside = [r - a for r in range(a, b) if window[r]]
+        if inside and rng.uniform() < 0.5:
+            k = inside[0]
+        yield fa[a:b], fb[a:b], h[a:b], float(t_max[i]), k
+
+
+def test_bounded_scan_matches_the_unbounded_one(rng):
+    # The time bound skips the roots of rows that cannot be hit first; the
+    # result is the old scan's bit for bit, through the pre-selection too.
+    seen = {"hit": 0, "now": 0, "late": 0, "miss": 0}
+    for i, (fa, fb, h, t_max, skip) in enumerate(bounded_scan_cases(rng, 100_000)):
+        expected = first_hit_unbounded(fa, fb, h, t_max, skip)
+        assert repr(first_hit(fa, fb, h, t_max, skip)) == repr(expected)
+        if i % 20 == 0:
+            reach = first_hit(np.array(fa), np.array(fb), Reach(h), t_max, skip)
+            assert repr(reach) == repr(expected)
+        k, tau = expected
+        seen["miss" if k < 0 else "now" if tau == 0.0 else
+             "late" if tau > np.pi else "hit"] += 1
+    assert min(seen.values()) > 1000, seen
+
+
+@pytest.mark.parametrize("name", ["onenorm10", "onenorm", "pospart", "polywall"])
+def test_bounded_scan_matches_the_unbounded_one_on_chains(name, monkeypatch):
+    # every first_hit call a chain makes, replayed through the old scan
+    polywall, onenorm10 = benchmark_models()
+    spec = {"onenorm10": onenorm10, "polywall": polywall}.get(name)
+    spec = spec or load_model_file(zoo.model_path(name))
+    calls = []
+
+    def recording(fa, fb, h, t_max, skip):
+        result = first_hit(fa, fb, h, t_max, skip)
+        calls.append((fa, fb, h, t_max, skip, result))
+        return result
+
+    monkeypatch.setattr(dynamics, "first_hit", recording)
+    j0, x0 = spec.init_region, spec.init_point
+    if j0 is None:
+        X, R = exact_sample(spec, 1, np.random.default_rng(2))
+        j0, x0 = int(R[0]), X[0]
+    run_chain(spec, j0, x0, ChainConfig(n_samples=20 if name == "onenorm10" else 500,
+                                        seed=9))
+    assert len(calls) > 800
+    for fa, fb, h, t_max, skip, result in calls:
+        if isinstance(h, Reach):
+            fa, fb, h = fa.tolist(), fb.tolist(), h.offsets
+        assert repr(result) == repr(first_hit_unbounded(fa, fb, h, t_max, skip))
+
+
 def test_a_wide_region_stores_its_preselection_constants(rng):
     # a region wider than SCAN_ROWS keeps its pre-selection's constants, and
     # the pre-selection over them gives what the scan of its offsets gives
@@ -433,12 +551,17 @@ def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):
     Y0 = np.array([reg.S.T @ reg.M @ np.asarray(xdot0, dtype=float),
                    reg.coords(np.asarray(x0, dtype=float))])
     before = Y0.copy()
-    Y, tau, j_new, k, V1, V2, Y_pre = evolve_segment_detail(
-        t_budget, j, Y0, skip, table)
+    Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(t_budget, j, Y0, skip, table)
     assert np.array_equal(Y0, before)
     new = table[j_new]
-    return (new.x_p + new.S @ Y[1], new.S @ Y[0], tau, j_new, k, V1, V2,
+    return (new.x_p + new.S @ Y[1], new.S @ Y[0], tau, j_new, k, step,
             reg.S @ Y_pre[0])
+
+
+def potential(spec, j, x):
+    """V_j(x) + c_j from the model's fields and ode_param alone."""
+    c = ode_param(spec.M[j - 1], spec.r[j - 1], spec.A[j - 1], spec.y[j - 1])[2]
+    return 0.5 * x @ spec.M[j - 1] @ x - spec.r[j - 1] @ x + spec.k[j - 1] + c
 
 
 # --- velocity updates ------------------------------------------------------
@@ -453,9 +576,10 @@ def test_wall_reflection_cases():
     table = spec.regions
     for xdot, expected in (([1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]),
                            ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])):
-        x, new, tau, j_new, k, V1, V2 = segment_in_x(
-            0.0, 1, [0.5, 0.2, 0.0], xdot, table)[:7]
-        assert (tau, j_new, table[1].idx[k], V2) == (0.0, 1, 2, V1)
+        x, new, tau, j_new, k, step = segment_in_x(
+            0.0, 1, [0.5, 0.2, 0.0], xdot, table)[:6]
+        # no potential is computed at a wall
+        assert (tau, j_new, table[1].idx[k], step) == (0.0, 1, 2, None)
         assert np.allclose(new, expected)
 
 
@@ -581,7 +705,7 @@ def test_face_record_matches_rule_from_scratch(rng):
             Y_face, _ = state_on_face(table, j, k, rng)
             back = rng.uniform(0.05, 0.5)
             for Y0, budget in ((Y_face, 0.0), (flight_of(Y_face, -back), 1.0)):
-                Y, tau, j_new, k_new, V1, V2, Y_pre = evolve_segment_detail(
+                Y, tau, j_new, k_new, step, Y_pre = evolve_segment_detail(
                     budget, j, Y0, -1, table)
                 if k_new < 0:
                     continue
@@ -591,9 +715,13 @@ def test_face_record_matches_rule_from_scratch(rng):
                 assert j_new == j_exp
                 assert np.abs(Y_pre - flight_of(Y0, tau)).max() <= 1e-12
                 assert np.abs(Y - expected).max() <= 1e-12
-                assert abs(V1 - V1_exp) <= 1e-12 and abs(V2 - V2_exp) <= 1e-12
                 kind = ("wall" if abs(spec.L[j - 1, i]) == j else
                         "transmit" if j_new != j else "reflect")
+                # the potentials, which only a potential step computes
+                if step is None:
+                    assert kind == "wall" or abs(V2_exp - V1_exp) <= 1e-12
+                else:
+                    assert np.abs(np.subtract(step, (V1_exp, V2_exp))).max() <= 1e-12
                 cases.add((kind, tau > 0))
                 # a second hit reads the stored record and agrees bit for bit
                 again = evolve_segment_detail(budget, j, Y0, -1, table)[0]
@@ -611,25 +739,177 @@ def test_stacked_face_columns_are_each_rows_own():
               oblique_wall_model(), wall_box_model()] + benchmark_models()
     for spec in specs:
         cells = spec.cells
-        alone = RegionTable(cells, spec.M)
+        alone = RegionTable(spec)
         for e in range(len(cells.j)):
             alone.fill(slice(e, e + 1))
         crossed = np.array(alone.label) > 0
-        table = RegionTable(cells, spec.M)
+        table = RegionTable(spec)
         for j in range(1, spec.J + 1):
             table[j]
-        for stacked, own in ((table.TT, alone.TT), (table.D, alone.D)):
+        for stacked, own in ((table.TT, alone.TT), (table.G2, alone.G2),
+                             (table.Q, alone.Q)):
             assert stacked.flags.c_contiguous
             assert stacked[crossed].tobytes() == own[crossed].tobytes()
+        assert table.flat == alone.flat
         for j in sorted({1, (spec.J + 1) // 2, spec.J}):
-            table = RegionTable(cells, spec.M)
-            table.TT[:], table.D[:] = np.nan, np.nan
+            table = RegionTable(spec)
+            table.TT[:], table.G2[:], table.Q[:] = np.nan, np.nan, np.nan
             table[j]
             rows = np.zeros(len(crossed), dtype=bool)
             rows[cells.start[j - 1]:cells.start[j]] = True
-            for column in (table.TT, table.D):
+            for column in (table.TT, table.G2, table.Q):
                 assert not np.isnan(column[rows & crossed]).any()
                 assert np.isnan(column[~(rows & crossed)]).all()
+            assert not any(np.array(table.flat)[~rows])
+
+
+def filled_table(spec):
+    """spec's region table with every region visited."""
+    table = spec.regions
+    for j in range(1, spec.J + 1):
+        table[j]
+    return table
+
+
+@pytest.mark.parametrize("name, flat", [("onenorm", "all"), ("onenorm10", "all"),
+                                        ("pospart", 0), ("ntop", 20)])
+def test_flat_faces_are_those_of_bitwise_equal_potentials(name, flat):
+    # a transition entry is flat iff M, r, k and c of its two regions match
+    # bit for bit; on ntop 16 of the 36 differ in c by about 4.4e-16
+    spec = (benchmark_models()[1] if name == "onenorm10"
+            else load_model_file(zoo.model_path(name)))
+    table, cells = filled_table(spec), spec.cells
+
+    def key(j):
+        return b"".join(np.ascontiguousarray(a[j]).tobytes()
+                        for a in (spec.M, spec.r, spec.k, cells.c))
+
+    crossed = np.flatnonzero(np.array(table.label) > 0)
+    expected = [False] * len(table.label)
+    for e in crossed.tolist():
+        expected[e] = key(cells.j[e]) == key(cells.t[e])
+    assert table.flat == expected
+    assert sum(table.flat) == (len(crossed) if flat == "all" else flat)
+    if name == "ntop":
+        assert len(crossed) == 36
+        bad = [e for e in crossed.tolist() if not table.flat[e]]
+        dc = np.abs(cells.c[cells.j[bad]] - cells.c[cells.t[bad]])
+        assert 0.0 < dc.max() <= 4.5e-16
+
+
+def test_an_ulp_in_k_sends_a_regions_faces_to_the_general_rule(rng, monkeypatch):
+    doc = json.loads(zoo.model_path("onenorm").read_text())
+    doc["regions"][0]["k"] = float(np.nextafter(doc["regions"][0]["k"], np.inf))
+    spec = load_model(json.dumps(doc))
+    table, cells = filled_table(spec), spec.cells
+    crossed = np.array(table.label) > 0
+    general = crossed & ((cells.j == 0) | (cells.t == 0))
+    assert general.any()
+    assert np.array(table.flat).tolist() == (crossed & ~general).tolist()
+    # only a general face computes the step and calls the rule
+    calls = []
+    monkeypatch.setattr(dynamics, "boundary_dynamics",
+                        lambda *args: calls.append(args) or boundary_dynamics(*args))
+    for e in np.flatnonzero(crossed).tolist():
+        j, k = int(cells.j[e]) + 1, e - int(cells.start[cells.j[e]])
+        Y0, _ = state_on_face(table, j, k, rng)
+        before = len(calls)
+        _, tau, j_new = evolve_segment_detail(0.0, j, Y0, -1, table)[:3]
+        assert (tau, j_new) == (0.0, cells.t[e] + 1)
+        assert len(calls) - before == general[e]
+
+
+def test_a_near_grazing_crossing_of_a_flat_face_transmits(rng):
+    # v1 = -1e-9 carries normal kinetic energy 5e-19, below the rounding of
+    # a computed dV: the flat rule transmits every time, where the general
+    # rule on the computed step would reflect some of them
+    spec = load_model_file(zoo.model_path("onenorm"))
+    table, cells = filled_table(spec), spec.cells
+    reflected = 0
+    for e in rng.choice(np.flatnonzero(np.array(table.label) > 0), 200).tolist():
+        assert table.flat[e]
+        j, k = int(cells.j[e]) + 1, e - int(cells.start[cells.j[e]])
+        Y0, _ = state_on_face(table, j, k, rng)
+        g1 = cells.G[e] / cells.norm[e]
+        Y0[0] -= (g1 @ Y0[0] + 1e-9) * g1
+        # outside the face by rounding, as the scan computes K(0), so that
+        # the hit is at t = 0
+        step = 1e-17
+        while Y0.dot(table[j].GT)[1, k] + cells.h[e] >= 0.0:
+            Y0[1] -= step * g1
+            step *= 2.0
+        Y, tau, j_new, k_new, step, Y_pre = evolve_segment_detail(0.0, j, Y0, -1, table)
+        assert (tau, j_new, step) == (0.0, cells.t[e] + 1, None)
+        v1 = g1 @ Y_pre[0]
+        assert -1.1e-9 < v1 < -0.9e-9
+        assert abs(v_n(table[j_new], k_new, Y) + v1) <= 1e-14   # speed kept
+        # the step the general rule would read, as a potential step's
+        dV = ((0.5 * float(Y[1].dot(Y[1])) + table.base[j_new - 1])
+              - (0.5 * float(Y_pre[1].dot(Y_pre[1])) + table.base[j - 1]))
+        reflected += boundary_dynamics(v1, 0.0, dV) is None
+    assert reflected > 20
+
+
+@pytest.mark.parametrize("name", ["onenorm", "pospart", "polywall"])
+def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
+    # each event's energies, from the pre- and post-event states in
+    # whitened coordinates as the segment computes them at a potential step,
+    # and dV against the potentials in x from the model's fields
+    spec = (benchmark_models()[0] if name == "polywall"
+            else load_model_file(zoo.model_path(name)))
+    table = spec.regions
+    segments = []
+
+    def recording(t_budget, j, Y, skip, table):
+        out = evolve_segment_detail(t_budget, j, Y, skip, table)
+        if out[3] >= 0:
+            segments.append((j,) + out)
+        return out
+
+    monkeypatch.setattr(sampler, "evolve_segment_detail", recording)
+    j0, x0 = spec.init_region, spec.init_point
+    if j0 is None:
+        X, R = exact_sample(spec, 1, np.random.default_rng(4))
+        j0, x0 = int(R[0]), X[0]
+    events = run_chain(spec, j0, x0, ChainConfig(n_samples=300, seed=6,
+                                                 record_events=True)).events
+    assert len(events) == len(segments) > 100
+    cases = set()
+    for ev, (j, Y, tau, j_new, k, step, Y_pre) in zip(events, segments):
+        assert (ev["j_from"], ev["j_to"]) == (j, j_new)
+        e = table[j_new].first + k
+        V1 = 0.5 * float(Y_pre[1].dot(Y_pre[1])) + table.base[j - 1]
+        assert ev["energy_pre"] == 0.5 * float(Y_pre[0].dot(Y_pre[0])) + V1
+        post = 0.5 * float(Y[0].dot(Y[0]))
+        reg = table[j]
+        x = reg.x_p + reg.S @ Y_pre[1]
+        if j_new != j:
+            V2 = 0.5 * float(Y[1].dot(Y[1])) + table.base[j_new - 1]
+            assert (ev["kind"], ev["dV"], ev["energy_post"]) == ("transition",
+                                                                V2 - V1, post + V2)
+            assert (step is None) == table.flat[spec.cells.mirror[e]]
+            cases.add("transmit")
+        else:
+            assert ev["energy_post"] == post + V1
+            if table.label[e] == 0:
+                assert (ev["kind"], ev["dV"], step) == ("wall", 0.0, None)
+                cases.add("wall")
+                continue
+            z2 = Y_pre.dot(table.TT[e])[1] + table.Q[e]
+            V2 = 0.5 * float(z2.dot(z2)) + table.base[table.label[e] - 1]
+            assert (ev["kind"], ev["dV"], step) == ("transition", V2 - V1, (V1, V2))
+            assert ev["dV"] > 0.5 * v_n(reg, k, Y_pre) ** 2
+            j_new = table.label[e]
+            cases.add("reflect")
+        dV = potential(spec, j_new, x) - potential(spec, j, x)
+        assert abs(ev["dV"] - dV) <= 1e-12 * max(1.0, abs(V1))
+    assert cases == {"onenorm": {"transmit"}, "pospart": {"transmit", "reflect", "wall"},
+                     "polywall": {"wall"}}[name]
+
+
+def v_n(reg, k, Y):
+    """The normal velocity of state Y on row k of region reg."""
+    return reg.GT[:, k] @ Y[0] / np.linalg.norm(reg.GT[:, k])
 
 
 def assert_faults_are_each_entrys_own(table):
@@ -651,14 +931,14 @@ def fly(table, j, Y, T):
     """
     k, kappa, events = -1, 1.0, 0
     while True:
-        Y_new, tau, j_new, k, _, _, Y = evolve_segment_detail(T, j, Y, k, table)
+        Y_new, tau, j_new, k, _, Y = evolve_segment_detail(T, j, Y, k, table)
         T -= tau
         if k < 0:
             return j_new, Y_new, kappa, events
         reg = table[j]
         row = reg.idx.index(table[j_new].idx[k])
-        v_n = reg.GT[:, row] @ Y[0] / np.linalg.norm(reg.GT[:, row])
-        kappa *= 1.0 + (np.linalg.norm(Y[0]) + np.linalg.norm(Y[1])) / abs(v_n)
+        speed = abs(v_n(reg, row, Y))
+        kappa *= 1.0 + (np.linalg.norm(Y[0]) + np.linalg.norm(Y[1])) / speed
         j, Y, events = j_new, Y_new, events + 1
 
 
@@ -708,9 +988,8 @@ def test_boundary_dynamics_velocity_transfer(rng):
         g1 = reg.GT[:, k] / np.linalg.norm(reg.GT[:, k])
         alpha = -g1 @ Y0[0]
         w = Y0[0] + alpha * g1
-        Y, _, j2, k2, V1, V2 = evolve_segment_detail(0.0, j, Y0, -1,
-                                                     table)[:6]
-        speed = boundary_dynamics(-alpha, V1, V2)
+        Y, _, j2, k2, step = evolve_segment_detail(0.0, j, Y0, -1, table)[:5]
+        speed = boundary_dynamics(-alpha, *(step or (0.0, 0.0)))   # flat: no step
         if speed is None:
             assert j2 == j
             continue
@@ -760,14 +1039,15 @@ def test_evolve_segment_transmits_on_flat_step():
 def test_evolve_segment_junction_energy_balance():
     spec = zoo.step_line_model(dk=0.2)
     speed = 1.3                                  # enough to climb the step
-    x, xdot, tau, j_new, k, V1, V2, xdot_pre = segment_in_x(
+    x, xdot, tau, j_new, k, step, xdot_pre = segment_in_x(
         np.pi / 2, 1, np.array([0.5, 0.0]), np.array([-speed, 0.0]),
         spec.regions,
     )
     assert j_new == 2
-    pre = 0.5 * xdot_pre @ xdot_pre + V1
-    post = 0.5 * xdot @ xdot + V2
+    pre = 0.5 * xdot_pre @ xdot_pre + potential(spec, 1, x)
+    post = 0.5 * xdot @ xdot + potential(spec, 2, x)
     assert post == pytest.approx(pre, abs=1e-8)
+    assert step[1] - step[0] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_segment_adherence_and_region_bounds(rng):
