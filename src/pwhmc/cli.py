@@ -4,13 +4,22 @@ Exit codes: 0 success, 1 model or content failure, 2 I/O or parse failure,
 3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events in one
 iterate).  Every sample run writes a manifest sidecar so the outputs can be
 reproduced bit for bit.
+
+``sample`` checks its settings and the start once, before any chain runs.
+Then every chain runs to its end or to its own error, and a chain that fails
+writes no file.  Each failing chain's message goes to stderr in chain order,
+and the exit code is that of the lowest-numbered failing chain.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +33,7 @@ from .model import (
     load_model_file,
     validate_model,
 )
-from .sampler import ChainConfig, run_chain
+from .sampler import ChainConfig, initial_point_check, run_chain
 
 EXIT_OK = 0
 EXIT_CONTENT = 1
@@ -32,6 +41,12 @@ EXIT_IO = 2
 EXIT_RUNTIME = 3
 # Event-log lines formatted per pass: a bound on the text held at once.
 EVENT_CHUNK = 4096
+# Iterates each chain must run before sample forks workers.  Forking,
+# copying pages on write and reaping cost about 3.5 ms: on a 2-vCPU Xeon
+# guest, `sample --chains 2 --events` at --n 1 took 9.0 ms forked and
+# 5.4 ms in turn on pospart, and forking won from 200 iterates on pospart,
+# ntop and onenorm.
+FORK_MIN_ITERATES = 200
 
 
 def _load(model_path):
@@ -49,10 +64,13 @@ def _fail(code, message):
 
 
 def _start(args):
-    """Load and validate the model, then resolve the starting state.
+    """Load and validate the model, then resolve and check the starting state.
 
     Returns (spec, region, x0); any failure exits with its message printed.
     """
+    if args.seed < 0:
+        raise SystemExit(_fail(EXIT_CONTENT,
+                               f"--seed must be at least 0, got {args.seed}"))
     spec = _load(args.model)
     report = validate_model(spec)
     if not report.passed:
@@ -76,7 +94,18 @@ def _start(args):
             "no starting state: pass --region and --init or add an 'init' "
             "block to the model document",
         ))
-    return spec, int(region), x0
+    region = int(region)
+    # run_chain checks the start too; checked here, a bad one fails once,
+    # before any worker starts
+    report = initial_point_check(spec, region, x0)
+    if not report.passed:
+        raise SystemExit(_fail(
+            EXIT_CONTENT,
+            f"initial point rejected for region {region}: "
+            f"manifold residual {report.manifold_residual:.3e}, "
+            f"cell slack {report.cell_slack:.3e}",
+        ))
+    return spec, region, x0
 
 
 def _write_samples(path, spec, cfg, out):
@@ -130,46 +159,161 @@ def cmd_validate(args):
     return EXIT_OK if report.passed else EXIT_CONTENT
 
 
+def _workers(n_chains, n_iterates):
+    """Processes to run the chains in: one per CPU this process may use, up
+    to one per chain, where fork is safe (no other thread runs) and pays
+    (each chain runs at least FORK_MIN_ITERATES iterates); else 1."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1
+            and n_iterates >= FORK_MIN_ITERATES):
+        return 1
+    return min(n_chains, len(os.sched_getaffinity(0)))
+
+
+def _child(run, chains, fd):
+    """Body of a forked worker: run its chains and send one JSON line
+    [chain, code, message] per chain down the pipe.  It ends in os._exit,
+    so that no exit hook of the parent's (atexit, temporary directories,
+    test teardown) runs here."""
+    try:
+        with open(fd, "w", encoding="utf-8") as pipe:
+            for chain in chains:
+                pipe.write(json.dumps([chain, *run(chain)]) + "\n")
+                pipe.flush()
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(0)
+
+
+def _run_chains(run, n_chains, workers):
+    """Run chains 0..n_chains-1 as run(chain) -> (code, message), chain c in
+    worker c % workers, and return their reports in a list.
+
+    Worker 0 is this process.  The others are forked children, which
+    inherit the model and report over a pipe; a fork that fails leaves its
+    chains to this process.  Every child is reaped, its pipe read to the end
+    first, also when this process's own chains raise.  A chain whose worker
+    ended without reporting it fails with EXIT_IO.
+    """
+    reports = [None] * n_chains
+    children = []                       # (worker, pid, read end of its pipe)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for worker in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                os.close(r)
+                _child(run, range(worker, n_chains, workers), w)
+            os.close(w)
+            children.append((worker, pid, r))
+        forked = {worker for worker, _, _ in children}
+        for chain in range(n_chains):
+            if chain % workers not in forked:
+                reports[chain] = run(chain)
+    finally:
+        for worker, pid, r in children:
+            with open(r, "rb") as pipe:
+                # a child killed while writing leaves its last line unended
+                lines = pipe.read().split(b"\n")[:-1]
+            _, status = os.waitpid(pid, 0)
+            for line in lines:
+                chain, code, message = json.loads(line)
+                reports[chain] = code, message
+            for chain in range(worker, n_chains, workers):
+                if reports[chain] is None:
+                    code = os.waitstatus_to_exitcode(status)
+                    reports[chain] = EXIT_IO, (
+                        f"chain {chain}: its worker process ended without "
+                        f"a report, exit code {code}")
+    return reports
+
+
+def _write_files(files):
+    """Write (path, writer) pairs in turn.  On an OSError, remove what was
+    written, and the file being written unless opening it failed (then it
+    was never touched), and raise it again."""
+    written = []
+    try:
+        for path, write in files:
+            written.append(path)
+            write(path)
+    except OSError as exc:
+        if exc.filename == str(written[-1]):
+            written.pop()
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _write_manifest(path, manifest):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
+
+
 def cmd_sample(args):
     if args.chains < 1:
         return _fail(EXIT_CONTENT,
                      f"--chains must be at least 1, got {args.chains}")
     spec, region, x0 = _start(args)
+    seeds = [[args.seed, chain] if args.chains > 1 else [args.seed]
+             for chain in range(args.chains)]
+    cfgs = [ChainConfig(n_samples=args.n, seed=np.random.SeedSequence(seed),
+                        t_max=args.tmax, burn_in=args.burnin, thin=args.thin,
+                        record_events=args.events is not None)
+            for seed in seeds]
 
-    # Chains run one after another: they are pure Python, so threads would
-    # only take turns on the interpreter lock.
-    try:
-        for chain in range(args.chains):
-            seed = [args.seed, chain] if args.chains > 1 else [args.seed]
-            cfg = ChainConfig(
-                n_samples=args.n, seed=np.random.SeedSequence(seed),
-                t_max=args.tmax, burn_in=args.burnin, thin=args.thin,
-                record_events=args.events is not None,
-            )
+    def sample(chain):
+        """Run one chain and write its files: (EXIT_OK, "") or the failure."""
+        cfg = cfgs[chain]
+        try:
             out = run_chain(spec, region, x0, cfg)
-            samples_path = _chain_paths(args.out, chain, args.chains)
-            _write_samples(samples_path, spec, cfg, out)
-            events_path = None
-            if args.events is not None:
-                events_path = _chain_paths(args.events, chain, args.chains)
-                _write_events(events_path, out.events)
-            # everything needed to replay this chain's outputs exactly
-            manifest = {
-                "model": str(args.model), "seed": seed, "t_max": args.tmax,
-                "n_samples": args.n, "burn_in": args.burnin, "thin": args.thin,
-                "region": region, "init": [float(v) for v in x0],
-                "samples_path": str(samples_path),
-                "events_path": None if events_path is None else str(events_path),
-                "version": __version__,
-                "numpy": np.__version__,
-            }
-            with open(str(samples_path) + ".manifest.json", "w",
-                      encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=1)
-                fh.write("\n")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
-    return EXIT_OK
+        except StallError as exc:
+            return EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}"
+        except ValueError as exc:
+            # a kept row outside its cell (ContractError)
+            return EXIT_CONTENT, str(exc)
+        samples_path = _chain_paths(args.out, chain, args.chains)
+        files = [(samples_path, lambda p: _write_samples(p, spec, cfg, out))]
+        events_path = None
+        if args.events is not None:
+            events_path = _chain_paths(args.events, chain, args.chains)
+            files.append((events_path, lambda p: _write_events(p, out.events)))
+        # everything needed to replay this chain's outputs exactly
+        manifest = {
+            "model": str(args.model), "seed": seeds[chain], "t_max": args.tmax,
+            "n_samples": args.n, "burn_in": args.burnin, "thin": args.thin,
+            "region": region, "init": [float(v) for v in x0],
+            "samples_path": str(samples_path),
+            "events_path": None if events_path is None else str(events_path),
+            "version": __version__,
+            "numpy": np.__version__,
+        }
+        files.append((str(samples_path) + ".manifest.json",
+                      lambda p: _write_manifest(p, manifest)))
+        try:
+            _write_files(files)
+        except OSError as exc:
+            return EXIT_IO, f"cannot write output: {exc}"
+        return EXIT_OK, ""
+
+    workers = _workers(args.chains, cfgs[0].n_iterates)
+    failed = [(code, message)
+              for code, message in _run_chains(sample, args.chains, workers)
+              if code != EXIT_OK]
+    for _, message in failed:
+        print(message, file=sys.stderr)
+    return failed[0][0] if failed else EXIT_OK
 
 
 def cmd_diagnose(args):
@@ -262,8 +406,8 @@ def main(argv=None) -> int:
     except StallError as exc:
         return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
     except ValueError as exc:
-        # bad chain settings, or a start point that run_chain rejects
-        # (ContractError), both before any file is written
+        # bad chain settings or start region (ContractError), before any
+        # file is written, or a diagnose chain's failure
         return _fail(EXIT_CONTENT, str(exc))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -14,6 +15,7 @@ import pwhmc
 from pwhmc import cli, sampler, zoo
 from conftest import benchmark_models
 from pwhmc.cli import main
+from pwhmc.errors import ContractError, StallError
 from pwhmc.model import load_model_file
 from pwhmc.sampler import ChainConfig, run_chain
 
@@ -174,6 +176,217 @@ def test_sample_chains_run_in_turn_in_the_calling_thread(tmp_path,
         log = tmp_path / f"events.chain{chain}.jsonl"
         assert [json.loads(line) for line in log.read_text().splitlines()] \
             == json.loads(json.dumps(ref.events))
+
+
+# The fork tests report a CPU count through a patched os.sched_getaffinity,
+# so they run the worker path on any Linux host.
+forks_here = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                reason="chains fork only where the process "
+                                       "has a CPU affinity set")
+
+
+def _reaped_main(argv):
+    """main(argv), then check that no child process is left behind."""
+    code = main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the CPUs sample sees and count the children it forks."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return set_cpus
+
+
+def _chain_files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@forks_here
+@pytest.mark.parametrize("extra", [[], ["--burnin", "3", "--thin", "2"]])
+@pytest.mark.parametrize("name", ["onenorm", "pospart"])
+def test_sample_outputs_do_not_depend_on_the_worker_count(
+        tmp_path, monkeypatch, workers, name, extra):
+    outputs = []
+    for cpus in (1, 2, 3):
+        forks = workers(cpus)
+        run_dir = tmp_path / f"cpus{cpus}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)           # the manifests hold the paths
+        assert _reaped_main(["sample", str(zoo.model_path(name)), "--n", "300",
+                             "--seed", "8", "--chains", "3", "--out", "o.csv",
+                             "--events", "e.jsonl"] + extra) == 0
+        assert len(forks) == cpus - 1
+        outputs.append(_chain_files(run_dir))
+    assert len(outputs[0]) == 9              # CSV, event log, manifest x 3
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@forks_here
+def test_sample_forks_only_for_chains_long_enough_without_other_threads(
+        tmp_path, monkeypatch, workers):
+    workers(3)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = str(tmp_path / "o.csv")
+    n = cli.FORK_MIN_ITERATES - 3
+    # burn-in 2 and thinning 1 leave each chain one iterate short
+    assert _reaped_main(["sample", ONENORM, "--n", str(n), "--burnin", "2",
+                         "--chains", "3", "--out", out]) == 0
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _reaped_main(["sample", ONENORM, "--n", "300", "--chains", "3",
+                             "--out", out]) == 0
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@forks_here
+def test_sample_forks_at_most_one_child_per_other_cpu(tmp_path, workers):
+    forks = workers(3)
+    out = tmp_path / "o.csv"
+    assert _reaped_main(["sample", ONENORM, "--n", str(cli.FORK_MIN_ITERATES),
+                         "--chains", "64", "--out", str(out)]) == 0
+    assert len(forks) == 2
+    assert len(list(tmp_path.glob("o.chain*.csv"))) == 64
+
+
+@forks_here
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("failing, code, kept", [
+    ({1: StallError("event cap")}, 3, {0, 2}),
+    ({1: ContractError("row outside its cell"), 2: StallError("event cap")},
+     1, {0}),
+])
+def test_a_failing_chain_fails_alone(tmp_path, capsys, monkeypatch, workers,
+                                     cpus, failing, code, kept):
+    workers(cpus)
+
+    def failing_run_chain(spec, j0, x0, cfg):
+        chain = cfg.seed.entropy[1]
+        if chain in failing:
+            raise failing[chain]
+        return run_chain(spec, j0, x0, cfg)
+
+    monkeypatch.setattr(cli, "run_chain", failing_run_chain)
+    assert _reaped_main(["sample", ONENORM, "--n", "300", "--seed", "6",
+                         "--chains", "3", "--out", str(tmp_path / "o.csv"),
+                         "--events", str(tmp_path / "e.jsonl")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [("sampling stalled: event cap {}"
+                      if isinstance(exc, StallError) else str(exc))
+                     for _, exc in sorted(failing.items())]
+    assert _chain_files(tmp_path).keys() == {
+        name for chain in kept for name in (
+            f"o.chain{chain}.csv", f"e.chain{chain}.jsonl",
+            f"o.chain{chain}.csv.manifest.json")}
+
+
+@forks_here
+def test_a_worker_that_dies_fails_its_chains(tmp_path, capsys, monkeypatch,
+                                             workers):
+    workers(3)
+    caller = os.getpid()
+
+    def dying_run_chain(spec, j0, x0, cfg):
+        if cfg.seed.entropy[1] == 1:             # chain 1, in worker 1
+            assert os.getpid() != caller
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_chain(spec, j0, x0, cfg)
+
+    monkeypatch.setattr(cli, "run_chain", dying_run_chain)
+    assert _reaped_main(["sample", ONENORM, "--n", "300", "--chains", "3",
+                         "--out", str(tmp_path / "o.csv")]) == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        "chain 1: its worker process ended without a report, "
+        f"exit code {-signal.SIGKILL}\n")
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "o.chain0.csv", "o.chain2.csv"]
+
+
+@forks_here
+def test_a_fork_that_fails_leaves_its_chains_to_the_caller(
+        tmp_path, monkeypatch, workers):
+    workers(1)
+    assert _reaped_main(["sample", ONENORM, "--n", "300", "--chains", "3",
+                         "--out", str(tmp_path / "ref.csv")]) == 0
+
+    def no_fork():
+        raise BlockingIOError("no more processes")
+
+    workers(3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _reaped_main(["sample", ONENORM, "--n", "300", "--chains", "3",
+                         "--out", str(tmp_path / "o.csv")]) == 0
+    for chain in range(3):
+        assert (tmp_path / f"o.chain{chain}.csv").read_bytes() \
+            == (tmp_path / f"ref.chain{chain}.csv").read_bytes()
+
+
+@forks_here
+@pytest.mark.parametrize("bad, message", [
+    (["--n", "0"], "n_samples"), (["--burnin", "-1"], "burn_in"),
+    (["--thin", "0"], "thin"), (["--tmax", "0"], "t_max"),
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--region", "99"], "start region 99"),
+    (["--init", "0.2,0.3,0.6"], "initial point rejected"),
+])
+def test_bad_settings_fail_once_before_any_worker(tmp_path, capsys,
+                                                  monkeypatch, workers,
+                                                  bad, message):
+    workers(3)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["sample", ONENORM, "--n", "300", "--chains", "3",
+            "--out", str(tmp_path / "o.csv"),
+            "--events", str(tmp_path / "e.jsonl")]
+    assert _reaped_main(argv + bad) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diagnose_refuses_a_negative_seed(capsys):
+    assert main(["diagnose", ONENORM, "--n", "5", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "--seed must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_sample_write_failure_leaves_no_file_of_its_chain(tmp_path, capsys):
+    # chain files are written CSV, event log, manifest: the event log's
+    # directory is missing, so the CSV written before it is removed
+    out = tmp_path / "o.csv"
+    events = tmp_path / "no_such_dir" / "e.jsonl"
+    assert main(["sample", ONENORM, "--n", "5", "--chains", "2",
+                 "--out", str(out), "--events", str(events)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("cannot write output" in e for e in err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _sample_events_match_run_chain(tmp_path, path, n, extra):
