@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 model or content failure, 2 I/O or parse failure,
 iterate).  Every sample run writes a manifest sidecar so the outputs can be
 reproduced bit for bit.
 
-``sample`` checks its settings and the start once, before any chain runs.
-Then every chain runs to its end or to its own error, and a chain that fails
-writes no file.  Each failing chain's message goes to stderr in chain order,
-and the exit code is that of the lowest-numbered failing chain.
+``sample`` checks its settings, its output paths, the model (its validation
+report) and the start once, before any chain runs.  Then every chain runs to
+its end or to its own error, and a chain that fails writes no file.  Each
+failing chain's message goes to stderr in chain order, and the exit code is
+that of the lowest-numbered failing chain.
 """
 
 from __future__ import annotations
@@ -26,14 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelFormatError, StallError
-from .model import (
-    CONTINUITY_TOL,
-    cell_slack,
-    ell,
-    load_model_file,
-    validate_model,
-)
-from .sampler import ChainConfig, initial_point_check, run_chain
+from .model import cell_slack, ell, load_model_file, validate_model
+from .sampler import ChainConfig, check_start, run_chain
 
 EXIT_OK = 0
 EXIT_CONTENT = 1
@@ -63,20 +58,24 @@ def _fail(code, message):
     return code
 
 
-def _start(args):
-    """Load and validate the model, then resolve and check the starting state.
+def _failure(exc):
+    """(exit code, message) of a chain's StallError (the event cap) or
+    ValueError (ContractError: bad settings, model, start or kept row)."""
+    if isinstance(exc, StallError):
+        return EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}"
+    return EXIT_CONTENT, str(exc)
 
-    Returns (spec, region, x0); any failure exits with its message printed.
+
+def _start(args):
+    """Load the model, then resolve and check the starting state.
+
+    Returns (spec, region, x0); a model that fails validation or a bad start
+    raises ContractError, and any other failure exits with its message printed.
     """
     if args.seed < 0:
         raise SystemExit(_fail(EXIT_CONTENT,
                                f"--seed must be at least 0, got {args.seed}"))
     spec = _load(args.model)
-    report = validate_model(spec)
-    if not report.passed:
-        for c in report.failures():
-            print(c.format(), file=sys.stderr)
-        raise SystemExit(_fail(EXIT_CONTENT, "model failed validation"))
     region = args.region if args.region is not None else spec.init_region
     if args.init is not None:
         try:
@@ -97,14 +96,7 @@ def _start(args):
     region = int(region)
     # run_chain checks the start too; checked here, a bad one fails once,
     # before any worker starts
-    report = initial_point_check(spec, region, x0)
-    if not report.passed:
-        raise SystemExit(_fail(
-            EXIT_CONTENT,
-            f"initial point rejected for region {region}: "
-            f"manifold residual {report.manifold_residual:.3e}, "
-            f"cell slack {report.cell_slack:.3e}",
-        ))
+    check_start(spec, region, x0)
     return spec, region, x0
 
 
@@ -151,10 +143,7 @@ def _chain_paths(base, chain, n_chains):
 
 
 def cmd_validate(args):
-    if not 0 <= args.tol < np.inf:
-        return _fail(EXIT_CONTENT,
-                     f"--tol must be nonnegative and finite, got {args.tol}")
-    report = validate_model(_load(args.model), tol=args.tol)
+    report = validate_model(_load(args.model))
     print(report.format())
     return EXIT_OK if report.passed else EXIT_CONTENT
 
@@ -265,6 +254,18 @@ def cmd_sample(args):
     if args.chains < 1:
         return _fail(EXIT_CONTENT,
                      f"--chains must be at least 1, got {args.chains}")
+    # each chain's samples, event-log (None without --events) and manifest paths
+    paths = []
+    for chain in range(args.chains):
+        samples = _chain_paths(args.out, chain, args.chains)
+        events = (None if args.events is None
+                  else _chain_paths(args.events, chain, args.chains))
+        paths.append((samples, events, f"{samples}.manifest.json"))
+    outputs = [os.path.abspath(p) for files in paths for p in files if p is not None]
+    clash = [p for p in outputs if outputs.count(p) > 1]
+    if clash:
+        return _fail(EXIT_CONTENT, "--out and --events must give every output "
+                     f"its own file, but two would be written to {clash[0]}")
     spec, region, x0 = _start(args)
     seeds = [[args.seed, chain] if args.chains > 1 else [args.seed]
              for chain in range(args.chains)]
@@ -278,16 +279,11 @@ def cmd_sample(args):
         cfg = cfgs[chain]
         try:
             out = run_chain(spec, region, x0, cfg)
-        except StallError as exc:
-            return EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}"
-        except ValueError as exc:
-            # a kept row outside its cell (ContractError)
-            return EXIT_CONTENT, str(exc)
-        samples_path = _chain_paths(args.out, chain, args.chains)
+        except (StallError, ValueError) as exc:
+            return _failure(exc)
+        samples_path, events_path, manifest_path = paths[chain]
         files = [(samples_path, lambda p: _write_samples(p, spec, cfg, out))]
-        events_path = None
-        if args.events is not None:
-            events_path = _chain_paths(args.events, chain, args.chains)
+        if events_path is not None:
             files.append((events_path, lambda p: _write_events(p, out.events)))
         # everything needed to replay this chain's outputs exactly
         manifest = {
@@ -299,8 +295,7 @@ def cmd_sample(args):
             "version": __version__,
             "numpy": np.__version__,
         }
-        files.append((str(samples_path) + ".manifest.json",
-                      lambda p: _write_manifest(p, manifest)))
+        files.append((manifest_path, lambda p: _write_manifest(p, manifest)))
         try:
             _write_files(files)
         except OSError as exc:
@@ -365,8 +360,6 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="structural checks on a model document")
     p_val.add_argument("model")
-    p_val.add_argument("--tol", type=float, default=CONTINUITY_TOL,
-                       help="continuity tolerance (default 1e-8)")
     p_val.set_defaults(func=cmd_validate)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -403,12 +396,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code
-    except StallError as exc:
-        return _fail(EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}")
-    except ValueError as exc:
-        # bad chain settings or start region (ContractError), before any
-        # file is written, or a diagnose chain's failure
-        return _fail(EXIT_CONTENT, str(exc))
+    except (StallError, ValueError) as exc:
+        # before any file is written, or a diagnose chain's failure
+        return _fail(*_failure(exc))
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ arithmetic only.
 
 from __future__ import annotations
 
-from math import acos, atan2, cos, isnan, sin, sqrt
+from math import acos, atan2, cos, sin, sqrt
 
 import numpy as np
 
-from .errors import DegenerateNormalError, ModelFormatError
+from .errors import DegenerateNormalError
 from .subspace import NORMAL_DEGENERACY_TOL
 
 # Root-exclusion window after an event: on the row just crossed, roots at
@@ -202,15 +202,12 @@ class Region:
     list of floats, or, for a wide region of more than SCAN_ROWS rows, its
     ``Reach``), the 1-based hyperplane idx of each row, and first, the
     cell-table entry of row 0: row k is entry first + k.  Nothing here is
-    chain state.  A region with base NaN raises LinAlgError.
+    chain state.
     """
 
     __slots__ = ("x_p", "S", "M", "GT", "hits", "wide", "idx", "first")
 
     def __init__(self, cells, M, j):
-        if isnan(cells.base[j - 1]):
-            raise np.linalg.LinAlgError(f"region {j}: A is rank deficient, "
-                                        "or M is not SPD on its piece")
         rows = slice(cells.start[j - 1], cells.start[j])
         self.x_p = cells.x_p[j - 1]
         self.S = cells.S[j - 1]
@@ -227,14 +224,11 @@ class Region:
 
 
 def _fault(cells, e):
-    """The error a hit on entry e raises, for an entry no rule crosses."""
-    j, i, t = cells.j[e] + 1, cells.i[e] + 1, cells.t[e] + 1
+    """The error a hit on entry e raises: its normal, or its mirror's, is too short."""
     bad = cells.mirror[e] if cells.norm[e] >= NORMAL_DEGENERACY_TOL else e
-    if bad < 0:
-        return ModelFormatError(f"L[{j},{i}] leads to region {t}, but L[{t},{i}] is 0")
     return DegenerateNormalError(
-        f"hyperplane {i} is parallel to region {cells.j[bad] + 1}'s piece "
-        f"(row norm {cells.norm[bad]:.3e})")
+        f"hyperplane {cells.i[e] + 1} is parallel to region {cells.j[bad] + 1}'s "
+        f"piece (row norm {cells.norm[bad]:.3e})")
 
 
 class RegionTable(dict):
@@ -247,10 +241,10 @@ class RegionTable(dict):
     Built with the table, as lists: norm[e] = |G_e|, so the face's unit
     normal into the entry's region is g1 = G_e / norm[e]; label[e], the
     1-based region across a transition, 0 on a wall or -1 on a row no rule
-    crosses (its normal or its mirror's is too short to divide by, or it
-    has no mirror), which raises faults[e] when hit; k2[e], the face's row
-    across (the mirror entry's); and pot[j - 1], region j's M, r, k and c
-    in one row.  A transition's face map TT[e] = T', G2[e] = g2, the
+    crosses (its normal or its mirror's is too short to divide by), which
+    raises faults[e] when hit; k2[e], the face's row across (the mirror
+    entry's); and pot[j - 1], region j's M, r, k and c in one row.
+    A transition's face map TT[e] = T', G2[e] = g2, the
     neighbor's unit normal of row k2 into it, Q[e] = q_T and flat[e],
     whether the potential is the same function on both sides, are filled
     on its region's first visit (see ``fill``).
@@ -268,7 +262,8 @@ class RegionTable(dict):
                                    spec.k[:, None], cells.c[:, None]], axis=1)
         far = cells.mirror
         ok = cells.norm >= NORMAL_DEGENERACY_TOL           # NaN fails too
-        cross = ok & (far >= 0) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
+        # a wall has no mirror, and validation gives each transition one
+        cross = ok & (cells.t != cells.j) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
         label = np.where(cross, cells.t + 1, np.where(ok & (cells.t == cells.j), 0, -1))
         self.label, self.norm = label.tolist(), cells.norm.tolist()
         self.k2 = (far - cells.start[cells.t]).tolist()

@@ -35,8 +35,8 @@ class ModelSpec:
 
     Arrays are stacked over regions: ``M[j-1]`` is region j's precision-like
     matrix, ``r[j-1]`` the linear coefficient of its potential, and so on.
-    ``cells`` and ``regions`` are built on first use and cached on the
-    object; neither refers back to it.
+    ``cells``, ``report`` and ``regions`` are built on first use and cached
+    on the object; none refers back to it.
     """
 
     n: int
@@ -64,8 +64,19 @@ class ModelSpec:
         return cell_table(self)
 
     @cached_property
+    def report(self) -> ValidationReport:
+        """The model's validation report (``validate_model``)."""
+        return _checks(self)
+
+    @cached_property
     def regions(self) -> dynamics.RegionTable:
-        """The region records that every chain on this model shares."""
+        """The region records that every chain on this model shares; for a
+        model that fails validation, ContractError listing each failure."""
+        report = validate_model(self)
+        if not report.passed:
+            raise ContractError("\n".join(
+                ["model failed validation"]
+                + [c.format() for c in report.failures()]))
         return dynamics.RegionTable(self)
 
 
@@ -382,13 +393,17 @@ class ValidationReport:
         return "\n".join(lines + [f"{passed.sum()}/{passed.size} checks passed"])
 
 
-def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationReport:
-    """Run all structural checks and return a pass/fail report.
+def validate_model(spec: ModelSpec) -> ValidationReport:
+    """The pass/fail report of all structural checks, run once per model.
 
     Every face is checked once, and each check runs on all its subjects
     at once.  Failures are report entries, never exceptions; a
     single-region model passes vacuously.
     """
+    return spec.report
+
+
+def _checks(spec: ModelSpec) -> ValidationReport:
     tab = spec.cells
     region = ("region {}", (np.arange(1, spec.J + 1),))
     full = tab.margin > NORMAL_DEGENERACY_TOL
@@ -403,10 +418,10 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
         # above, neither is defined, and only that failure is reported.
         CheckKind("finite_center", finite | ~(full & spd), tab.base, *region),
         # Each row needs a normal on the piece, |G_e| = |S_j'F_e|, which the
-        # sampler divides by, or a constant value h_e there off 0: above tol
-        # it never binds, below -tol the piece misses the cell and is never hit.
+        # sampler divides by, or a constant value h_e there off 0: above the
+        # tolerance it never binds, below its negative the piece misses the cell.
         CheckKind("normal_escapes_A",
-                  (tab.norm > NORMAL_DEGENERACY_TOL) | (np.abs(tab.h) > tol),
+                  (tab.norm > NORMAL_DEGENERACY_TOL) | (np.abs(tab.h) > CONTINUITY_TOL),
                   tab.norm, "region {}, hyperplane {}", (tab.j + 1, tab.i + 1))]
 
     # The transition entries, and each face (a pair of regions and the
@@ -430,13 +445,13 @@ def validate_model(spec: ModelSpec, tol: float = CONTINUITY_TOL) -> ValidationRe
 
     j, i, t = tab.j[face], tab.i[face], tab.t[face]
     faces = ("face ({}|{}) via hyperplane {}", (j + 1, t + 1, i + 1))
-    e1, e2 = face_residuals(tab.F[face], tab.g[face], spec.A[j],
-                            spec.A[t], spec.y[j], spec.y[t])
+    gap = np.maximum(*face_residuals(tab.F[face], tab.g[face], spec.A[j],
+                                     spec.A[t], spec.y[j], spec.y[t]))
     # No boundary rule is derived for a mass matrix that jumps across a
     # face, so both sides of every face must share M.
     dM = np.zeros(len(face))
     for row in range(spec.n):          # K x n temporaries, not K x n x n
         np.maximum(dM, np.abs(spec.M[j, row] - spec.M[t, row]).max(axis=1), out=dM)
     return ValidationReport(checks + [
-        CheckKind("continuity", (e1 <= tol) & (e2 <= tol), np.maximum(e1, e2), *faces),
-        CheckKind("mass_continuity", dM <= tol, dM, *faces)])
+        CheckKind("continuity", gap <= CONTINUITY_TOL, gap, *faces),
+        CheckKind("mass_continuity", dM <= CONTINUITY_TOL, dM, *faces)])

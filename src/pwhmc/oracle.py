@@ -73,7 +73,12 @@ def exact_sample(spec, n, rng):
     the draws inside their own cell, so the kept rows have density
     proportional to sum_j Z_j p_j(x) 1{x in cell_j}: the target, with no
     slab width and no mass estimate.  R holds the 1-based piece of each row.
+    n = 0 gives empty arrays, and a negative n raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
+    if n == 0:
+        return np.empty((0, spec.n)), np.empty(0, dtype=np.int64)
     cells = spec.cells
     pieces, log_z = [], []
     for jz in range(spec.J):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dynamics import evolve_segment_detail
 from .errors import ContractError, StallError
-from .model import cell_slack, ell
 from .subspace import COEF_TOL
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
@@ -107,19 +106,38 @@ def refresh_velocity(rng, count, width) -> np.ndarray:
 
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
-    A j0 not an integer in 1..J, or an x0 not n long, raises ContractError."""
-    if not 1 <= j0 <= spec.J:
+    A j0 not an integer in 1..J, or an x0 not n long, raises ContractError.
+
+    The slack is read from region j0's rows of the cell table, which are
+    its sign-adjusted rows of the lookup table: ``cell_slack``'s value."""
+    if np.asarray(j0).dtype.kind not in "iu" or not 1 <= j0 <= spec.J:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ContractError(f"start point has shape {x0.shape}, expected ({spec.n},)")
-    residual = float(np.linalg.norm(ell(spec, j0, x0)))
-    slack = float(cell_slack(spec, j0, x0))
+    tab = spec.cells
+    rows = slice(tab.start[j0 - 1], tab.start[j0])
+    residual = float(np.linalg.norm(x0.dot(spec.A[j0 - 1]) + spec.y[j0 - 1]))
+    slack = float((tab.F[rows].dot(x0) + tab.g[rows]).min(initial=np.inf))
     return InitialPointReport(
         manifold_residual=residual,
         cell_slack=slack,
         passed=(residual <= COEF_TOL) and (slack >= -COEF_TOL),
     )
+
+
+def check_start(spec, j0, x0):
+    """Raise ContractError unless the model passes validation (it has
+    ``regions``) and x0 passes ``initial_point_check`` in region j0."""
+    spec.regions            # raises for a model that fails validation
+    report = initial_point_check(spec, j0, x0)
+    if not report.passed:
+        raise ContractError(
+            f"initial point rejected for region {j0}: "
+            f"manifold residual {report.manifold_residual:.3e}, "
+            f"cell slack {report.cell_slack:.3e}",
+            residual=max(report.manifold_residual, -report.cell_slack),
+        )
 
 
 def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
@@ -133,17 +151,9 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     loop keeps each kept iterate's state [zdot; z] and region label; after
     it, ``_record`` writes every kept row back in x and checks it against
     its cell, so that a row outside its cell raises ContractError naming
-    the first such iterate.
+    the first such iterate, as ``check_start`` first does for the model and start.
     """
-    report = initial_point_check(spec, j0, x0)
-    if not report.passed:
-        raise ContractError(
-            f"initial point rejected for region {j0}: "
-            f"manifold residual {report.manifold_residual:.3e}, "
-            f"cell slack {report.cell_slack:.3e}",
-            residual=max(report.manifold_residual, -report.cell_slack),
-        )
-
+    check_start(spec, j0, x0)
     rng = make_rng(cfg.seed)
     table = spec.regions
     n = spec.n

@@ -198,6 +198,67 @@ def oblique_wall_model():
     return load_model(json.dumps(doc))
 
 
+def lines_model(F, pieces, g=0.0):
+    """N(0, I_2) on one line A_j'x + y_j = 0 per region, for each (A_j, y_j,
+    L_row) in pieces, cut by the one hyperplane F'x + g = 0; it starts at
+    the origin in region 1."""
+    return load_model(json.dumps({
+        "n": 2, "d": 1, "J": len(pieces), "m": 1,
+        "regions": [{"M": np.eye(2).tolist(), "r": [0.0, 0.0], "k": 0.0,
+                     "A": [[a] for a in A], "y": [y], "L_row": [L]}
+                    for A, y, L in pieces],
+        "hyperplanes": {"F": [F], "g": [g]},
+        "init": {"region": 1, "x": [0.0, 0.0]},
+    }))
+
+
+def plane_model(M, A):
+    """N(0, M^-1) on A'x = 0 in R^3, one region with the wall x3 = -1; it
+    starts at the origin."""
+    d = np.shape(A)[1]
+    return load_model(json.dumps({
+        "n": 3, "d": d, "J": 1, "m": 1,
+        "regions": [{"M": np.asarray(M, dtype=float).tolist(), "r": [0.0] * 3,
+                     "k": 0.0, "A": np.asarray(A, dtype=float).tolist(),
+                     "y": [0.0] * d, "L_row": [1]}],
+        "hyperplanes": {"F": [[0.0, 0.0, 1.0]], "g": [1.0]},
+        "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
+    }))
+
+
+def invalid_models():
+    """Every invalid model the suite builds, {case: (spec, failing checks)};
+    validation refuses each before any start is checked."""
+    mass_jump = json.loads(zoo.dump_model(zoo.step_line_model()))
+    mass_jump["regions"][1]["M"] = [[1.0, 0.0], [0.0, 2.0]]
+    no_far_entry = json.loads(zoo.dump_model(zoo.one_norm_model()))
+    no_far_entry["regions"][4]["L_row"][0] = 0      # L[1,1] leads to region 5
+    return {
+        "mass_jump": (load_model(json.dumps(mass_jump)), ["mass_continuity"]),
+        "no_far_entry": (load_model(json.dumps(no_far_entry)), ["reciprocity"]),
+        # on the line x1 = 0 the wall x1 + 1e-13 x2 >= 0 is a row of length
+        # 1e-13 with h = 0, too short to divide by
+        "row_parallel_to_its_piece": (
+            lines_model([1.0, 1e-13], [([1.0, 0.0], 0.0, 1)]), ["normal_escapes_A"]),
+        # a transition from the line x1 = x2 to the line x1 = 0, which lies
+        # in the face x1 = 0: the row is fine in region 1, its mirror has
+        # length 0
+        "zero_length_mirror": (
+            lines_model([1.0, 0.0], [([1.0, -1.0], 0.0, 2), ([1.0, 0.0], 0.0, -1)]),
+            ["normal_escapes_A"]),
+        "rank_deficient_A": (
+            plane_model(np.eye(3), [[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]),
+            ["A_full_rank"]),
+        # sigma_min(A) = 1, but the sampler's QR test sees rank deficiency
+        "ill_scaled_A": (
+            plane_model(np.eye(3), [[1e13, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            ["A_full_rank"]),
+        # M = diag(1, -1, 1) is indefinite on the piece x1 = 0
+        "indefinite_metric": (
+            plane_model(np.diag([1.0, -1.0, 1.0]), np.eye(3, 1)), ["M_spd"]),
+    }
+
+
 def benchmark_models():
     """polywall-256 and onenorm10, from the benchmark's own generators."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"

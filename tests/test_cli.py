@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import pwhmc
-from pwhmc import cli, sampler, zoo
-from conftest import benchmark_models
+from pwhmc import cli, model, sampler, zoo
+from conftest import benchmark_models, invalid_models
 from pwhmc.cli import main
 from pwhmc.errors import ContractError, StallError
-from pwhmc.model import load_model_file
+from pwhmc.model import load_model_file, validate_model
 from pwhmc.sampler import ChainConfig, run_chain
 
 ONENORM = str(zoo.model_path("onenorm"))
@@ -583,31 +583,71 @@ def test_sample_and_diagnose_take_no_tol(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_validate_honours_zero_tol(capsys):
-    assert main(["validate", ONENORM]) == 0
-    # onenorm's continuity residuals are round-off (about 4e-16 to 8e-16),
-    # so a zero tolerance fails them
-    assert main(["validate", ONENORM, "--tol", "0"]) == 1
-    assert "FAIL  continuity" in capsys.readouterr().out
+def test_validate_takes_no_tol(capsys):
+    # validate judges a model at the one tolerance that sample and diagnose
+    # act on; its FAIL lines print each residual
+    with pytest.raises(SystemExit):
+        main(["validate", ONENORM, "--tol", "0"])
+    capsys.readouterr()
 
 
-def test_validate_zero_tol_passes_exact_faces(tmp_path, capsys):
-    # step_line's face residuals are exactly 0: continuity and
-    # mass_continuity compare them to the tolerance the same way
-    path = write_model(tmp_path, zoo.dump_model(zoo.step_line_model()))
-    assert main(["validate", path, "--tol", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    lines = out.splitlines()
-    assert "continuity: 1/1" in lines and "mass_continuity: 1/1" in lines
+@pytest.mark.parametrize("case", sorted(invalid_models()))
+def test_every_entry_point_refuses_an_invalid_model(tmp_path, capsys, case):
+    # the region records are gated on validation, so neither a record nor a
+    # chain exists for a model it fails, and each refusal names the checks
+    spec, checks = invalid_models()[case]
+    cfg = ChainConfig(n_samples=5)
+    for attempt in (lambda: spec.regions,
+                    lambda: run_chain(spec, 1, spec.init_point, cfg)):
+        with pytest.raises(ContractError) as err:
+            attempt()
+        lines = str(err.value).splitlines()
+        assert lines[0] == "model failed validation"
+        assert sorted({line.split()[1] for line in lines[1:]}) == checks
+        assert all(line.startswith("FAIL  ") for line in lines[1:])
+    assert "regions" not in vars(spec)
+    path = write_model(tmp_path, zoo.dump_model(spec))
+    for argv in (["sample", path, "--n", "300", "--chains", "2", "--out",
+                  str(tmp_path / "o.csv"), "--events", str(tmp_path / "e.jsonl")],
+                 ["diagnose", path, "--n", "5"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("model failed validation\n")
+        assert all(f"FAIL  {check}" in captured.err for check in checks)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.model"]
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_validate_rejects_tol_outside_zero_to_inf(capsys, tol):
-    assert main(["validate", ONENORM, "--tol", tol]) == 1
-    captured = capsys.readouterr()
-    assert "--tol" in captured.err
-    assert captured.out == ""
+def test_validation_runs_once_per_model(tmp_path, monkeypatch):
+    calls = []
+    checks = model._checks
+    monkeypatch.setattr(model, "_checks",
+                        lambda spec: calls.append(spec) or checks(spec))
+    spec = zoo.one_norm_model()
+    report = validate_model(spec)
+    run_chain(spec, 1, [0.2, 0.3, 0.5], ChainConfig(n_samples=5))
+    run_chain(spec, 1, [0.2, 0.3, 0.5], ChainConfig(n_samples=5))
+    assert validate_model(spec) is report is spec.report and calls == [spec]
+    # sample loads its model once and validates it once, whatever its chains
+    assert main(["sample", ONENORM, "--n", "5", "--chains", "2",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 2 and calls[1] is not spec
+
+
+def test_sample_refuses_colliding_output_paths(tmp_path, capsys, monkeypatch):
+    # the event log would overwrite the samples or the manifest: refused
+    # before the model is read, with nothing written
+    monkeypatch.chdir(tmp_path)
+    same = str(tmp_path / "same.csv")
+    for argv in (["--events", same],
+                 ["--events", "./same.csv"],
+                 ["--events", same + ".manifest.json"],
+                 ["--events", same, "--chains", "2"]):
+        assert main(["sample", str(zoo.model_path("pospart")), "--n", "300",
+                     "--out", same] + argv) == 1
+        err = capsys.readouterr().err
+        assert "--out and --events" in err and str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_start_region_out_of_range_exits_1_without_output(tmp_path, capsys):

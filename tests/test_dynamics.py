@@ -13,6 +13,8 @@ from conftest import (
     anisotropic_mass,
     benchmark_models,
     first_hit_both_paths,
+    invalid_models,
+    lines_model,
     members_of,
     oblique_wall_model,
     point_in_region,
@@ -36,7 +38,7 @@ from pwhmc.dynamics import (
     first_hit,
     flight,
 )
-from pwhmc.errors import DegenerateNormalError, ModelFormatError
+from pwhmc.errors import ContractError, DegenerateNormalError
 from pwhmc.model import ModelSpec, cell_slack, load_model, load_model_file
 from pwhmc.oracle import exact_sample
 from pwhmc.sampler import ChainConfig, refresh_velocity, run_chain
@@ -486,62 +488,54 @@ def test_a_reflection_builds_no_region_the_chain_does_not_enter():
     assert set(out.R.tolist()) == {1} and set(spec.regions) == {1}
 
 
-def _lines_model(F, pieces):
-    """N(0, I_2) on one line A_j'x = 0 per region, for each (A_j, L_row) in
-    pieces, cut at the origin by the one hyperplane F'x = 0."""
-    return load_model(json.dumps({
-        "n": 2, "d": 1, "J": len(pieces), "m": 1,
-        "regions": [{"M": np.eye(2).tolist(), "r": [0.0, 0.0], "k": 0.0,
-                     "A": [[a] for a in A], "y": [0.0], "L_row": [L]}
-                    for A, L in pieces],
-        "hyperplanes": {"F": [F], "g": [0.0]},
-    }))
-
-
-def _state_moving_onto_row(reg):
-    # z = +-1 inside the row G z >= 0, with zdot = -z: hit at t = pi/4
-    z = np.sign(reg.GT[:, 0])
-    return np.array([-z, z])
-
-
 def test_normal_of_a_row_parallel_to_the_piece_raises():
-    # On the line x1 = 0 the wall x1 + 1e-13 x2 >= 0 is a row of length
-    # 1e-13 with h = 0, too short to divide by.  The region builds without
-    # a warning, and a hit on the row raises, never reflects.
-    spec = _lines_model([1.0, 1e-13], [([1.0, 0.0], 1)])
+    # On the line x1 = 0 the wall x1 + 1e-13 x2 + 1e-7 >= 0 is a row of
+    # length 1e-13, too short to divide by, that binds at x2 = -1e6.  Its
+    # offset clears the tolerance, so validate passes the model; the region
+    # builds without a warning, and a hit on the row raises, never reflects.
+    spec = lines_model([1.0, 1e-13], [([1.0, 0.0], 0.0, 1)], g=1e-7)
+    assert spec.report.passed
     table = spec.regions
-    assert abs(table[1].GT[0, 0]) == pytest.approx(1e-13) and table[1].hits == [0.0]
+    G = table[1].GT[0, 0]
+    assert abs(G) == pytest.approx(1e-13) and table[1].hits == [1e-7]
     assert list(table.faults) == [0]
     assert_faults_are_each_entrys_own(table)
+    # from z = 0 at speed 2e6 toward the row: a hit at t = pi/6
+    Y = np.array([[-2e6 * np.sign(G)], [0.0]])
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 1's piece"):
-        evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
-    # A transition from the line x1 = x2 to the line x1 = 0, which lies in
-    # the face x1 = 0: the row is fine in region 1, its mirror has length 0.
-    spec = _lines_model([1.0, 0.0], [([1.0, -1.0], 2), ([1.0, 0.0], -1)])
+        evolve_segment_detail(1.0, 1, Y, -1, table)
+    # A transition from the line x2 = x1 + 1e6 to the line x1 = 1e-13 x2 -
+    # 1e-7, which meets the face x1 = 0 at x2 = 1e6 too: the row is fine in
+    # region 1, its mirror has length 1e-13 and offset 1e-7, so validate
+    # passes the model.  Region 1's mean lies across the face, so a chain
+    # started in region 1 hits it at once, and raises.
+    spec = lines_model([1.0, 0.0], [([1.0, -1.0], 1e6, 2), ([1.0, -1e-13], 1e-7, -1)])
+    assert spec.report.passed
     table = spec.regions
-    assert spec.cells.norm.tolist()[1] == 0.0 and len(table[2].idx) == 1
+    assert spec.cells.norm.tolist()[1] == pytest.approx(1e-13)
     assert sorted(table.faults) == [0, 1]
     assert_faults_are_each_entrys_own(table)
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 2's piece"):
-        evolve_segment_detail(1.0, 1, _state_moving_onto_row(table[1]), -1, table)
+        run_chain(spec, 1, [1.0, 1e6 + 1.0], ChainConfig(n_samples=1))
+    # with the offset 0, or with a mirror of length 0, validate refuses the
+    # model, so it has no region records
+    for case in ("row_parallel_to_its_piece", "zero_length_mirror"):
+        spec, _ = invalid_models()[case]
+        with pytest.raises(ContractError, match="\nFAIL  normal_escapes_A "):
+            spec.regions
 
 
-def test_a_transition_without_a_far_entry_raises(rng):
-    # L[1,1] leads to region 5, whose row has no entry for hyperplane 1: a
-    # hit there raises a typed error naming the entry, never reflects
-    doc = json.loads(zoo.dump_model(zoo.one_norm_model()))
-    doc["regions"][4]["L_row"][0] = 0
-    spec = load_model(json.dumps(doc))
-    table = spec.regions
-    k = table[1].idx.index(1)
-    assert spec.cells.mirror[table.cells.start[0] + k] == -1
-    assert list(table.faults) == [table.cells.start[0] + k]
-    assert_faults_are_each_entrys_own(table)
-    Y, _ = state_on_face(table, 1, k, rng)
-    with pytest.raises(ModelFormatError, match=r"L\[1,1\] leads to region 5"):
-        evolve_segment_detail(0.0, 1, Y, -1, table)
+def test_a_transition_without_a_far_entry_raises():
+    # L[1,1] leads to region 5, whose row has no entry for hyperplane 1:
+    # validate refuses the model on reciprocity, so it has no region records
+    spec, _ = invalid_models()["no_far_entry"]
+    [e] = np.flatnonzero((spec.cells.j == 0) & (spec.cells.i == 0))
+    assert spec.cells.mirror[e] == -1
+    with pytest.raises(ContractError,
+                       match=r"\nFAIL  reciprocity +L\[1,1\] <-> L\[5,1\]"):
+        spec.regions
 
 
 def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):

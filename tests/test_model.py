@@ -14,6 +14,7 @@ from conftest import (
     benchmark_models,
     members_of,
     oblique_wall_model,
+    plane_model,
     polygon_model,
     rand_continuous_pair,
     rand_spd,
@@ -721,12 +722,24 @@ def test_validate_continuity_matches_lstsq_oracle(rng):
         if c % 4 >= 2:
             y2 = y2 + 0.1 * rng.normal(size=d)
         spec = load_model(_two_piece_document(f, g, A1, y1, A2, y2))
-        report = validate_model(spec, tol=1e-7)
-        [face] = kind(report, "continuity").passed.tolist()
+        report = validate_model(spec)
+        [residual] = kind(report, "continuity").residual.tolist()
+        face = residual <= 1e-7
         expected = _lstsq_gap(f, g, A1, y1, A2, y2) < 1e-7
         assert face == expected, (c, report.format())
         verdicts.append(face)
     assert sum(verdicts) == 100
+
+
+def test_report_residuals_of_exact_and_rounded_faces():
+    # onenorm's continuity residuals are round-off (about 4e-16 to 8e-16),
+    # above 0; step_line's face residuals are exactly 0, for continuity
+    # and mass_continuity alike
+    residual = kind(zoo.one_norm_model().report, "continuity").residual
+    assert residual.size == 12 and (residual > 0).all() and (residual < 1e-15).all()
+    spec = zoo.step_line_model()
+    assert kind(spec.report, "continuity").residual.tolist() == [0.0]
+    assert kind(spec.report, "mass_continuity").residual.tolist() == [0.0]
 
 
 def test_validate_catches_mass_jump():
@@ -753,29 +766,16 @@ def test_validate_catches_non_spd():
         (True, 1.0)] * 3
 
 
-def _two_plane_document(A):
-    # x restricted to A'x = 0 in R^3, with one wall x3 = -1
-    return json.dumps({
-        "n": 3, "d": 2, "J": 1, "m": 1,
-        "regions": [{
-            "M": np.eye(3).tolist(), "r": [0.0, 0.0, 0.0], "k": 0.0,
-            "A": A, "y": [0.0, 0.0], "L_row": [1],
-        }],
-        "hyperplanes": {"F": [[0.0, 0.0, 1.0]], "g": [1.0]},
-        "init": {"region": 1, "x": [0.0, 0.0, 0.0]},
-    })
-
-
 @pytest.mark.parametrize("A", [
     [[1e13, 0.0], [0.0, 1.0], [0.0, 0.0]],     # sigma_min = 1, scale 1e13
     [[1.0, 1e12], [0.0, 1e-11], [0.0, 0.0]],   # |diag R| >= 1e-11, sigma_min ~ 1e-23
 ])
 def test_validate_rank_check_is_the_samplers(A):
-    spec = load_model(_two_plane_document(A))
+    spec = plane_model(np.eye(3), A)
     report = validate_model(spec)
     assert kind(report, "A_full_rank").passed.tolist() == [False]
-    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        spec.regions[1]
+    with pytest.raises(ContractError, match="\nFAIL  A_full_rank +region 1 "):
+        spec.regions
 
 
 def _parallel_row_document(g):

@@ -139,6 +139,14 @@ def test_slab_rejects_empty_width(rng):
         exact_sample(load_model(json.dumps(doc)), 10, rng)
 
 
+def test_exact_sample_of_no_rows_and_of_a_negative_count(rng):
+    spec = zoo.one_norm_model()
+    X, R = exact_sample(spec, 0, rng)
+    assert X.shape == (0, 3) and R.shape == (0,)
+    with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+        exact_sample(spec, -1, rng)
+
+
 def test_slab_axis_plane_marginal_is_standard_normal(rng):
     spec = zoo.axis_plane_model(2)
     xs, R = exact_sample(spec, 4000, rng)

@@ -93,6 +93,23 @@ def test_initial_point_check_cases():
     assert not wrong_cell.passed and wrong_cell.cell_slack < 0
 
 
+def test_initial_point_check_is_ell_and_cell_slack(rng):
+    # the check reads region j0's sign-adjusted rows from the cell table;
+    # its slack is cell_slack's, and its residual ell's, to a few ulps
+    specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
+    for spec in specs + benchmark_models():
+        for j0 in range(1, spec.J + 1):
+            x0 = rng.normal(size=spec.n)
+            report = initial_point_check(spec, j0, x0)
+            scale = np.abs(spec.F) @ np.abs(x0) + np.abs(spec.g)
+            want = cell_slack(spec, j0, x0)
+            assert report.cell_slack == want or (
+                abs(report.cell_slack - want) <= 4 * np.spacing(scale.max()))
+            ell_scale = np.abs(x0) @ np.abs(spec.A[j0 - 1]) + np.abs(spec.y[j0 - 1])
+            assert abs(report.manifold_residual - np.linalg.norm(ell(spec, j0, x0))) \
+                <= 4 * np.spacing(np.linalg.norm(ell_scale))
+
+
 def test_run_chain_rejects_bad_start():
     spec = zoo.one_norm_model()
     cfg = ChainConfig(n_samples=2)

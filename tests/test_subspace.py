@@ -1,15 +1,13 @@
 """QR machinery: ODE parameters, rank test, face residuals."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import rand_continuous_pair, rand_fullrank, rand_spd
+from conftest import plane_model, rand_continuous_pair, rand_fullrank, rand_spd
 from pwhmc import zoo
-from pwhmc.dynamics import Region
-from pwhmc.model import cell_table, load_model
+from pwhmc.errors import ContractError
 from pwhmc.oracle import conditional_gaussian_moments
 from pwhmc.subspace import (
     NORMAL_DEGENERACY_TOL,
@@ -63,23 +61,12 @@ def test_ode_param_invariants_random(rng):
         assert c == pytest.approx(expected, rel=0, abs=1e-9)
 
 
-def _one_region(M, A):
-    n, d = np.shape(A)
-    return load_model(json.dumps({
-        "n": n, "d": d, "J": 1, "m": 0,
-        "regions": [{"M": M, "r": [0.0] * n, "k": 0.0, "A": A,
-                     "y": [0.0] * d, "L_row": []}],
-        "hyperplanes": {"F": [], "g": []},
-    }))
-
-
 def test_rank_deficient_region_fails_the_margin_and_its_build():
     A = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
     *_, margin = ode_param(np.eye(3), np.zeros(3), A, np.zeros(2))
     assert margin <= NORMAL_DEGENERACY_TOL
-    spec = _one_region(np.eye(3).tolist(), A.tolist())
-    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        Region(cell_table(spec), spec.M, 1)
+    with pytest.raises(ContractError, match="\nFAIL  A_full_rank +region 1 "):
+        plane_model(np.eye(3), A).regions
 
 
 def test_region_with_indefinite_metric_on_its_piece_fails_its_build():
@@ -87,9 +74,8 @@ def test_region_with_indefinite_metric_on_its_piece_fails_its_build():
     M = np.diag([1.0, -1.0, 1.0])
     _, S, c, margin = ode_param(M, np.zeros(3), np.eye(3, 1), np.zeros(1))
     assert margin == 1.0 and np.isnan(c) and np.isfinite(S).all()
-    spec = _one_region(M.tolist(), np.eye(3, 1).tolist())
-    with pytest.raises(np.linalg.LinAlgError, match="not SPD on its piece"):
-        Region(cell_table(spec), spec.M, 1)
+    with pytest.raises(ContractError, match="\nFAIL  M_spd +region 1 "):
+        plane_model(M, np.eye(3, 1)).regions
 
 
 def test_stacked_ode_param_is_each_regions_call(rng):
