@@ -261,7 +261,15 @@ def cmd_sample(args):
         events = (None if args.events is None
                   else _chain_paths(args.events, chain, args.chains))
         paths.append((samples, events, f"{samples}.manifest.json"))
-    outputs = [os.path.abspath(p) for files in paths for p in files if p is not None]
+    # each output's file after resolving symlinks, and the option naming it
+    named = [(os.path.realpath(p), option) for files in paths
+             for p, option in zip(files, ("--out", "--events", "--out"))
+             if p is not None]
+    model = os.path.realpath(args.model)
+    over = [option for p, option in named if p == model]
+    if over:
+        return _fail(EXIT_CONTENT, f"{over[0]} would write over the model {model}")
+    outputs = [p for p, _ in named]
     clash = [p for p in outputs if outputs.count(p) > 1]
     if clash:
         return _fail(EXIT_CONTENT, "--out and --events must give every output "

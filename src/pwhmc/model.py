@@ -11,7 +11,9 @@ region j*; zero means hyperplane i does not touch region j.
 Region indices are 1-based everywhere in the public API, matching the model
 document and the lookup-table encoding.  ``cell_table`` is the one decoder of
 L, run once per model as ``ModelSpec.cells``: the sampler's region records,
-the exact oracle and validation all read their boundary rows from it.
+the exact oracle, validation and every point's cell test read their
+boundary rows from it, the cell test through region rows padded to one
+width (``_slack``).
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ class CellTable:
     base[j-1] NaN if the rank or metric test fails) and entry e is the row
     G[e] z + h[e] >= 0, whose normal has length norm[e] in M_j.
     Across a transition, mirror[e] is the entry (t[e], i[e]), else -1.
+    Region j's rows F[e], g[e] are also pad_F[j-1], pad_g[j-1], in entry
+    order and padded to the widest region's w entries with rows that never
+    bind (F = 0, g = +inf).
     """
 
     j: np.ndarray          # (E,) int
@@ -111,6 +116,8 @@ class CellTable:
     h: np.ndarray          # (E,)
     norm: np.ndarray       # (E,)
     mirror: np.ndarray     # (E,) int
+    pad_F: np.ndarray      # (J, w, n)
+    pad_g: np.ndarray      # (J, w)
 
     def __post_init__(self):
         for f in fields(self):
@@ -293,11 +300,16 @@ def cell_table(spec: ModelSpec) -> CellTable:
         SM = S.transpose(0, 2, 1) @ spec.M
     # matmul, not einsum: each row rounds as in the product F_j S_j
     G = (F[:, None, :] @ S[j])[:, 0]
-    return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g,
-                     start=np.searchsorted(j, np.arange(spec.J + 1)),
+    start = np.searchsorted(j, np.arange(spec.J + 1))
+    pos = np.arange(len(j)) - start[j]
+    pad_F = np.zeros((spec.J, (start[1:] - start[:-1]).max(), spec.n))
+    pad_g = np.full(pad_F.shape[:2], np.inf)
+    pad_F[j, pos], pad_g[j, pos] = F, g
+    return CellTable(j=j, i=i, t=np.abs(entry) - 1, F=F, g=g, start=start,
                      x_p=x_p, S=S, c=c, base=base, SM=SM, margin=margin, G=G,
                      mirror=mirror, h=np.einsum("en,en->e", F, x_p[j]) + g,
-                     norm=np.sqrt(np.einsum("ek,ek->e", G, G)))
+                     norm=np.sqrt(np.einsum("ek,ek->e", G, G)),
+                     pad_F=pad_F, pad_g=pad_g)
 
 
 def _region_index(spec: ModelSpec, R) -> np.ndarray:
@@ -337,9 +349,14 @@ def cell_slack(spec: ModelSpec, R, X):
     Positive means strictly inside the cell; +inf for a region without
     boundary rows.  R and X broadcast as in ``ell``.
     """
-    L = spec.L[_region_index(spec, R)]
-    slack = np.sign(L) * (_points(spec, X) @ spec.F.T + spec.g)
-    return np.where(L != 0, slack, np.inf).min(-1, initial=np.inf)
+    return _slack(spec.cells, _region_index(spec, R), _points(spec, X))
+
+
+def _slack(cells: CellTable, jz, X) -> np.ndarray:
+    """Smallest row value F x + g of the 0-based region(s) jz at X (..., n),
+    broadcast as in ``ell``; a padding row reads +inf at a finite x."""
+    rows = (cells.pad_F[jz] @ X[..., None])[..., 0] + cells.pad_g[jz]
+    return rows.min(-1, initial=np.inf)
 
 
 # ---------------------------------------------------------------------------

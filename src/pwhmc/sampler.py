@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import evolve_segment_detail
 from .errors import ContractError, StallError
+from .model import _slack
 from .subspace import COEF_TOL
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
@@ -107,18 +108,14 @@ def refresh_velocity(rng, count, width) -> np.ndarray:
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
     A j0 not an integer in 1..J, or an x0 not n long, raises ContractError.
-
-    The slack is read from region j0's rows of the cell table, which are
-    its sign-adjusted rows of the lookup table: ``cell_slack``'s value."""
+    The slack is ``cell_slack``'s, read from region j0's rows alone."""
     if np.asarray(j0).dtype.kind not in "iu" or not 1 <= j0 <= spec.J:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ContractError(f"start point has shape {x0.shape}, expected ({spec.n},)")
-    tab = spec.cells
-    rows = slice(tab.start[j0 - 1], tab.start[j0])
     residual = float(np.linalg.norm(x0.dot(spec.A[j0 - 1]) + spec.y[j0 - 1]))
-    slack = float((tab.F[rows].dot(x0) + tab.g[rows]).min(initial=np.inf))
+    slack = float(_slack(spec.cells, j0 - 1, x0))
     return InitialPointReport(
         manifold_residual=residual,
         cell_slack=slack,
@@ -231,8 +228,8 @@ def _record(spec, Ys, R, cfg):
     The rows go in row order, RECORD_ROWS at a time.  A batch gathers its
     rows' S and x_p from the cell table for one stacked write-back, which
     makes each row's own (2, n - d) @ (n - d, n) product, as Y.dot(S')
-    does, so no row's bits depend on its batch; its cell check is one
-    product in x.  The first batch with a row outside its cell raises
+    does, so no row's bits depend on its batch; its cell check is
+    ``cell_slack``'s.  The first batch with a row outside its cell raises
     ContractError naming the earliest such kept iterate.
     """
     X = np.empty((len(R), spec.n))
@@ -243,11 +240,7 @@ def _record(spec, Ys, R, cfg):
         xdot_x = Ys[rows] @ spec.cells.S[r].transpose(0, 2, 1)
         Xdot[rows] = xdot_x[:, 0]
         X[rows] = xdot_x[:, 1] + spec.cells.x_p[r]
-        # cell_slack's value, except that a hyperplane off the cell reads 0,
-        # which passes, where cell_slack masks it with +inf: with that mask
-        # this pass took 3.4-3.6 ms, not 1.4-1.7 ms, per 1,000 polywall rows
-        slack = np.sign(spec.L[r]) * (X[rows] @ spec.F.T + spec.g)
-        low = slack.min(1, initial=np.inf)
+        low = _slack(spec.cells, r, X[rows])
         bad = np.flatnonzero(~(low >= -COEF_TOL))          # NaN fails too
         if bad.size:
             row = start + bad.item(0)

@@ -26,7 +26,7 @@ from pwhmc import zoo
 from pwhmc.cli import main
 from pwhmc.model import ell, validate_model
 from pwhmc.oracle import conditional_gaussian_moments, exact_sample
-from pwhmc.sampler import ChainConfig, run_chain
+from pwhmc.sampler import ChainConfig, ChainOutput, run_chain
 
 
 def test_criterion_01_conditional_moments_on_sum_plane():
@@ -159,7 +159,8 @@ def test_criterion_07_continuity_and_null_space_machinery():
         report = validate_model(zoo.build_shipped(name))
         [faces] = [c for c in report.checks if c.name == "continuity"]
         assert faces.passed.size, name
-        assert faces.passed.all(), [c.format() for c in faces.failures()]
+        assert faces.passed.all(), [c.format() for c in report.failures()
+                                    if c.name == "continuity"]
 
     broken = json.loads(zoo.dump_model(zoo.one_norm_model()))
     broken["regions"][0]["y"] = [-2.0]
@@ -291,4 +292,32 @@ def test_criterion_14_ntop_matches_exact_oracle():
                     ChainConfig(n_samples=30000, seed=1204))
     occ_err, ks = oracle_gaps(spec, out, 1205)
     assert occ_err <= 0.015 and ks <= 0.02, \
+        f"occupancy error {occ_err:.4f}, KS {ks:.4f}"
+
+
+@pytest.mark.parametrize("build", [
+    zoo.positive_part_model, zoo.polygonal_top_model,
+    sign_cells_anisotropic_scaled,
+], ids=lambda build: build.__name__)
+def test_criterion_15_one_iterate_leaves_exact_draws_exact(build):
+    # an exact sampler leaves its target unchanged after one iterate: one
+    # iterate from each of N exact states, each with its own seed, must
+    # match a second exact set.  Unlike a long chain, this does not mix
+    # invariance with mixing, and the starts reach every face and corner in
+    # proportion to their mass.  The critical value is fixed from N: the
+    # two-sample KS value at level 0.1%, 1.95 sqrt(2 / N), about 0.0195; a
+    # region's occupancy gap has standard deviation at most sqrt(1 / 2N),
+    # 0.005, and is held to the same value.  A wrong target that is still
+    # reversible (c_j dropped from the potential offsets) reads 0.12-0.16.
+    spec = build()
+    N = 20000
+    X0, R0 = exact_sample(spec, N, np.random.default_rng(1501))
+    steps = [run_chain(spec, int(j), x, ChainConfig(
+                 n_samples=1, seed=np.random.SeedSequence([1502, i])))
+             for i, (x, j) in enumerate(zip(X0, R0))]
+    out = ChainOutput(*(np.concatenate([getattr(s, a) for s in steps])
+                        for a in ("X", "Xdot", "R")))
+    occ_err, ks = oracle_gaps(spec, out, 1503)
+    critical = 1.95 * np.sqrt(2 / N)
+    assert occ_err <= critical and ks <= critical, \
         f"occupancy error {occ_err:.4f}, KS {ks:.4f}"

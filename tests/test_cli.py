@@ -635,19 +635,46 @@ def test_validation_runs_once_per_model(tmp_path, monkeypatch):
 
 
 def test_sample_refuses_colliding_output_paths(tmp_path, capsys, monkeypatch):
-    # the event log would overwrite the samples or the manifest: refused
-    # before the model is read, with nothing written
+    # the event log would overwrite the samples or the manifest, also
+    # through a symlink: refused before the model is read, with nothing
+    # written
     monkeypatch.chdir(tmp_path)
     same = str(tmp_path / "same.csv")
+    (tmp_path / "link.csv").symlink_to(same)
     for argv in (["--events", same],
                  ["--events", "./same.csv"],
                  ["--events", same + ".manifest.json"],
-                 ["--events", same, "--chains", "2"]):
+                 ["--events", same, "--chains", "2"],
+                 ["--events", "link.csv"]):
         assert main(["sample", str(zoo.model_path("pospart")), "--n", "300",
                      "--out", same] + argv) == 1
         err = capsys.readouterr().err
         assert "--out and --events" in err and str(tmp_path) in err
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+
+def test_sample_refuses_to_write_over_its_model(tmp_path, capsys, monkeypatch):
+    # the samples, their manifest or an event log would replace the model
+    # document, also through a symlink: refused before the model is read,
+    # naming the option, with nothing written
+    text = zoo.model_path("pospart").read_text()
+    for case, (model, argv, option) in enumerate((
+            ("m.model", ["--out", "m.model"], "--out"),
+            ("m.model", ["--out", "link.model"], "--out"),
+            ("o.csv.manifest.json", ["--out", "o.csv"], "--out"),
+            ("m.model", ["--out", "o.csv", "--events", "link.model"], "--events"),
+            ("e.chain1.jsonl", ["--out", "o.csv", "--events", "e.jsonl",
+                                "--chains", "2"], "--events"))):
+        folder = tmp_path / str(case)
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        Path(model).write_text(text)
+        Path("link.model").symlink_to(model)
+        assert main(["sample", model, "--n", "5"] + argv) == 1
+        err = capsys.readouterr().err
+        assert f"{option} would write over the model {os.path.realpath(model)}" in err
+        assert Path(model).read_text() == text
+        assert sorted(p.name for p in Path().iterdir()) == sorted([model, "link.model"])
 
 
 def test_start_region_out_of_range_exits_1_without_output(tmp_path, capsys):
