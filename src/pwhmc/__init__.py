@@ -23,7 +23,13 @@ from .model import (
     load_model_file,
     validate_model,
 )
-from .sampler import ChainConfig, ChainOutput, initial_point_check, run_chain
+from .sampler import (
+    ChainConfig,
+    ChainOutput,
+    EventLog,
+    initial_point_check,
+    run_chain,
+)
 from .oracle import conditional_gaussian_moments, exact_sample
 from . import zoo
 
@@ -32,7 +38,7 @@ __all__ = [
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "cell_slack", "ell", "load_model", "load_model_file",
     "validate_model",
-    "ChainConfig", "ChainOutput", "initial_point_check", "run_chain",
+    "ChainConfig", "ChainOutput", "EventLog", "initial_point_check", "run_chain",
     "conditional_gaussian_moments", "exact_sample",
     "zoo",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelFormatError, StallError
 from .model import cell_slack, ell, load_model_file, validate_model
-from .sampler import ChainConfig, check_start, run_chain
+from .sampler import EVENT_KEYS, ChainConfig, check_start, run_chain
 
 EXIT_OK = 0
 EXIT_CONTENT = 1
@@ -36,6 +36,11 @@ EXIT_IO = 2
 EXIT_RUNTIME = 3
 # Event-log lines formatted per pass: a bound on the text held at once.
 EVENT_CHUNK = 4096
+# One event-log line, the fields in EVENT_KEYS order: %r prints a finite
+# float as json.dumps does, and the kind is a plain word.
+EVENT_LINE = ('{"iterate": %d, "time": %r, "constraint": %d, "kind": "%s", '
+              '"j_from": %d, "j_to": %d, "dV": %r, "energy_pre": %r, '
+              '"energy_post": %r}\n')
 # Iterates each chain must run before sample forks workers.  Forking,
 # copying pages on write and reaping cost about 3.5 ms: on a 2-vCPU Xeon
 # guest, `sample --chains 2 --events` at --n 1 took 9.0 ms forked and
@@ -110,28 +115,25 @@ def _write_samples(path, spec, cfg, out):
                       for x, j, i in zip(out.X.tolist(), out.R.tolist(), kept))
 
 
-def _write_events(path, events):
-    """The event log: one JSON line per event, as json.dumps writes it.
+def _write_events(path, log):
+    """The event log of a chain's EventLog: one JSON line per event, as
+    json.dumps writes it.
 
-    run_chain's events share their keys and value types, so a line is one
-    printf format over an event's values, with %d for an int, %r for a
-    float (which prints a finite float as json.dumps does) and a quoted %s
-    for the kind, a plain word.  Lines are formatted EVENT_CHUNK at a time;
-    a chunk that holds a non-finite float, which json.dumps writes as
-    Infinity or NaN, is written by json.dumps instead.
+    Lines are formatted EVENT_CHUNK at a time from the log's columns, each
+    by the one printf format EVENT_LINE.  A chunk that holds a non-finite
+    float, which json.dumps writes as Infinity or NaN, is written by
+    json.dumps instead.
     """
+    floats = (log.time, log.dV, log.energy_pre, log.energy_post)
     with open(path, "w", encoding="utf-8") as fh:
-        if not events:
-            return
-        line = "{" + ", ".join(
-            json.dumps(key) + (': "%s"' if isinstance(value, str) else
-                               ": %r" if isinstance(value, float) else ": %d")
-            for key, value in events[0].items()) + "}\n"
-        for start in range(0, len(events), EVENT_CHUNK):
-            chunk = events[start:start + EVENT_CHUNK]
-            text = "".join([line % tuple(ev.values()) for ev in chunk])
-            if "inf" in text or "nan" in text:      # a non-finite float's repr
-                text = "".join([json.dumps(ev) + "\n" for ev in chunk])
+        for start in range(0, len(log), EVENT_CHUNK):
+            stop = start + EVENT_CHUNK
+            rows = log.rows(start, stop)
+            if all(np.isfinite(c[start:stop]).all() for c in floats):
+                text = "".join([EVENT_LINE % row for row in rows])
+            else:
+                text = "".join([json.dumps(dict(zip(EVENT_KEYS, row))) + "\n"
+                                for row in rows])
             fh.write(text)
 
 
@@ -244,6 +246,18 @@ def _write_files(files):
         raise
 
 
+def _file(path):
+    """The file a path names: the device and inode of one that exists, so
+    that every symlink and hard link to it gives the same value (as
+    os.path.samefile compares them), else the path after resolving
+    symlinks."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _write_manifest(path, manifest):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
@@ -261,16 +275,18 @@ def cmd_sample(args):
         events = (None if args.events is None
                   else _chain_paths(args.events, chain, args.chains))
         paths.append((samples, events, f"{samples}.manifest.json"))
-    # each output's file after resolving symlinks, and the option naming it
-    named = [(os.path.realpath(p), option) for files in paths
+    # each output's file, its path after resolving symlinks, and the option
+    # naming it
+    named = [(_file(p), os.path.realpath(p), option) for files in paths
              for p, option in zip(files, ("--out", "--events", "--out"))
              if p is not None]
-    model = os.path.realpath(args.model)
-    over = [option for p, option in named if p == model]
+    model = _file(args.model)
+    over = [option for f, _, option in named if f == model]
     if over:
-        return _fail(EXIT_CONTENT, f"{over[0]} would write over the model {model}")
-    outputs = [p for p, _ in named]
-    clash = [p for p in outputs if outputs.count(p) > 1]
+        return _fail(EXIT_CONTENT, f"{over[0]} would write over the model "
+                     f"{os.path.realpath(args.model)}")
+    outputs = [f for f, _, _ in named]
+    clash = [p for f, p, _ in named if outputs.count(f) > 1]
     if clash:
         return _fail(EXIT_CONTENT, "--out and --events must give every output "
                      f"its own file, but two would be written to {clash[0]}")
@@ -292,7 +308,7 @@ def cmd_sample(args):
         samples_path, events_path, manifest_path = paths[chain]
         files = [(samples_path, lambda p: _write_samples(p, spec, cfg, out))]
         if events_path is not None:
-            files.append((events_path, lambda p: _write_events(p, out.events)))
+            files.append((events_path, lambda p: _write_events(p, out.log)))
         # everything needed to replay this chain's outputs exactly
         manifest = {
             "model": str(args.model), "seed": seeds[chain], "t_max": args.tmax,
@@ -332,12 +348,12 @@ def cmd_diagnose(args):
     violation = max(0.0, -float(cell_slack(spec, out.R, out.X).min()))
 
     # energy before an iterate's first event and after its last
-    first, last = {}, {}
-    for ev in out.events:
-        first.setdefault(ev["iterate"], ev["energy_pre"])
-        last[ev["iterate"]] = ev["energy_post"]
-    drift = max([0.0] + [abs(last[i] - e) / max(1.0, abs(e))
-                         for i, e in first.items()])
+    log = out.log
+    first = np.unique(log.iterate, return_index=True)[1]
+    last = len(log) - 1 - np.unique(log.iterate[::-1], return_index=True)[1]
+    e = log.energy_pre[first]
+    drift = max([0.0] + (abs(log.energy_post[last] - e)
+                         / np.maximum(1.0, abs(e))).tolist())
 
     visited, counts = np.unique(out.R, return_counts=True)
     # a coordinate constant over the chain (pinned by the piece) reads 0
@@ -345,7 +361,7 @@ def cmd_diagnose(args):
           for c0, c1 in zip(out.X[:-1].T, out.X[1:].T)]
 
     print(f"iterates:                {cfg.n_iterates}")
-    print(f"boundary events:         {len(out.events)}")
+    print(f"boundary events:         {len(log)}")
     print(f"max manifold residual:   {resid:.3e}")
     print(f"max constraint breach:   {violation:.3e}")
     print(f"max energy drift (rel):  {drift:.3e}")

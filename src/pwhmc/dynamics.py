@@ -4,7 +4,8 @@ Region j runs in its whitened tangent coordinates x = x_p + S z, S'M_jS = I
 (see ``subspace.ode_param``), where the energy is 1/2 |zdot|^2 + 1/2 |z|^2 +
 base_j and a trajectory is z(t) = zdot sin t + z cos t.  A chain carries
 its state as one (2, n - d) array Y = [zdot; z]: a flight is one 2 x 2
-rotation of Y, and each linear map of the state is one product Y.dot(.).
+rotation of Y, written into a scratch matrix the chain owns, and each
+linear map of the state is one product Y.dot(.).
 Crossing times of the boundary rows G_j z + h >= 0 have closed-form roots
 (see ``first_hit``); at a crossing one rule, ``boundary_dynamics``, decides
 from the velocity along the unit row of G_j, which is the face normal in
@@ -20,7 +21,8 @@ region, sliced from the model's cell table on the region's first visit into
 ``ModelSpec.regions``, which every chain on the model shares.  Its faces
 are columns of that table indexed by cell-table entry, built with it but
 for the face maps, which a region's first visit fills; so a segment does
-arithmetic only.
+arithmetic only, and no array it makes outlives it but the states it
+returns.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ REACH_MARGIN = 1e-12
 # numpy's arccos/arctan2 and libm's differ: by at most 8.9e-16 in the root
 # over 1e6 random rows surely in reach, near-grazing ones included.
 SELECT_SLACK = 1e-6
+# A region table of up to this many entries hands the segment each
+# transition's face map, far normal and offset as ready views, kept in
+# lists: making a view of a stacked array costs about 0.17 us, three per
+# transmission.  A larger table's segment makes the views on access, as
+# three view headers of 128 bytes per entry then fall out of the cache and
+# reading a cold one costs more: in one process on one CPU, lists made
+# chains about 5% faster on onenorm (24 entries) and ntop (36), and 4%
+# slower on the 1024-region sphere in R^10 (10,240) (BENCH_alloc.json).
+VIEW_ENTRIES = 512
 
 
 def first_hit(fa, fb, h, t_max, skip):
@@ -167,10 +178,15 @@ def _candidates(fa, fb, reach, t_max):
     return rows
 
 
-def flight(Y, s, c):
+def flight(Y, s, c, rot):
     """State Y = [zdot; z] after time t on z(t) = zdot sin t + z cos t, given
-    s = sin t and c = cos t: one rotation of the stacked rows."""
-    return np.array((c, -s, s, c)).reshape((2, 2)).dot(Y)
+    s = sin t and c = cos t: one rotation of the stacked rows.  The rotation
+    is written into rot, a (2, 2) scratch of the caller's: each chain owns
+    one, so that chains running in threads never share it."""
+    rot[0, 0] = rot[1, 1] = c
+    rot[0, 1] = -s
+    rot[1, 0] = s
+    return rot.dot(Y)
 
 
 def boundary_dynamics(v1, V1, V2):
@@ -198,14 +214,15 @@ class Region:
     Built on the region's first visit from M_j and slices of the model's
     cell table: x_p, S, GT = (F_j S)' as one contiguous array, so that one
     product Y.dot(GT) gives both coefficient rows of the hit scan for a
-    state Y = [zdot; z], hits, the row offsets h as first_hit takes them (a
-    list of floats, or, for a wide region of more than SCAN_ROWS rows, its
-    ``Reach``), the 1-based hyperplane idx of each row, and first, the
+    state Y = [zdot; z], normals = F_j S, whose contiguous row k is the
+    unscaled normal a reflection off row k reads, hits, the row
+    offsets h as first_hit takes them (a list of floats, or, for a wide
+    region of more than SCAN_ROWS rows, its ``Reach``), and first, the
     cell-table entry of row 0: row k is entry first + k.  Nothing here is
     chain state.
     """
 
-    __slots__ = ("x_p", "S", "M", "GT", "hits", "wide", "idx", "first")
+    __slots__ = ("x_p", "S", "M", "GT", "normals", "hits", "wide", "first")
 
     def __init__(self, cells, M, j):
         rows = slice(cells.start[j - 1], cells.start[j])
@@ -213,9 +230,9 @@ class Region:
         self.S = cells.S[j - 1]
         self.M = M[j - 1]
         self.GT = np.ascontiguousarray(cells.G[rows].T)
+        self.normals = cells.G[rows]
         self.wide = rows.stop - rows.start > SCAN_ROWS
         self.hits = Reach(cells.h[rows]) if self.wide else cells.h[rows].tolist()
-        self.idx = (cells.i[rows] + 1).tolist()
         self.first = int(rows.start)
 
     def coords(self, x):
@@ -244,15 +261,17 @@ class RegionTable(dict):
     crosses (its normal or its mirror's is too short to divide by), which
     raises faults[e] when hit; k2[e], the face's row across (the mirror
     entry's); and pot[j - 1], region j's M, r, k and c in one row.
-    A transition's face map TT[e] = T', G2[e] = g2, the
-    neighbor's unit normal of row k2 into it, Q[e] = q_T and flat[e],
-    whether the potential is the same function on both sides, are filled
-    on its region's first visit (see ``fill``).
+    A transition's face map TT[e] = T', G2[e] = g2, the neighbor's unit
+    normal of row k2 into it, Q[e] = q_T and flat[e], whether the potential
+    is the same function on both sides, are filled on its region's first
+    visit (see ``fill``) into maps, the stacked arrays of all three.  TT,
+    G2 and Q are those arrays, or, in a table of up to VIEW_ENTRIES
+    entries, lists that hold each filled transition's views of them.
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
     __slots__ = ("cells", "M", "pot", "base", "label", "norm", "k2", "faults",
-                 "TT", "G2", "Q", "flat")
+                 "maps", "TT", "G2", "Q", "flat")
 
     def __init__(self, spec):
         super().__init__()
@@ -269,13 +288,14 @@ class RegionTable(dict):
         self.k2 = (far - cells.start[cells.t]).tolist()
         self.faults = {e: _fault(cells, e) for e in np.flatnonzero(label < 0).tolist()}
         E, w = cells.G.shape
-        self.TT = np.empty((E, w, w))
-        self.G2, self.Q = np.empty((E, w)), np.empty((E, w))
+        self.maps = np.empty((E, w, w)), np.empty((E, w)), np.empty((E, w))
+        self.TT, self.G2, self.Q = ([None] * E for _ in self.maps) \
+            if E <= VIEW_ENTRIES else self.maps
         self.flat = [False] * E
 
     def __missing__(self, j):
         reg = Region(self.cells, self.M, j)
-        self.fill(slice(reg.first, reg.first + len(reg.idx)))
+        self.fill(slice(reg.first, reg.first + len(reg.normals)))
         return self.setdefault(j, reg)
 
     def fill(self, rows):
@@ -305,27 +325,34 @@ class RegionTable(dict):
         P = SM @ cells.S[j]
         g1 = cells.G[e] / w
         Pg1 = (P @ g1[..., None])[..., 0]
-        self.TT[e] = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
-        self.G2[e] = cells.G[f] / cells.norm[f][:, None]
-        self.Q[e] = ((SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0]
-                     - cells.h[e][:, None] / w * Pg1)
+        TT, G2, Q = self.maps
+        TT[e] = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
+        G2[e] = cells.G[f] / cells.norm[f][:, None]
+        Q[e] = ((SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0]
+                - cells.h[e][:, None] / w * Pg1)
+        if self.TT is not TT:               # lists: each entry's views, made once
+            for entry in e.tolist():
+                self.TT[entry], self.G2[entry] = TT[entry], G2[entry]
+                self.Q[entry] = Q[entry]
         for entry in e[(self.pot[t] == self.pot[j]).all(1)].tolist():
             self.flat[entry] = True
 
 
-def evolve_segment_detail(t_budget, j, Y, skip, table):
+def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     """One segment: fly inside region j until a boundary or the budget ends.
 
     Y = [zdot; z] is the (2, n - d) state in region j's coordinates and skip
-    the row of j just crossed (-1 if none).  Applies the boundary rule at
-    the segment end.  Returns (Y, tau, j_new, k, step, Y_pre): the state
-    in the coordinates of j_new (which differs from j only on a successful
-    transition), the time used, the row hit as numbered in j_new (the next
-    segment's skip; -1 when the budget ran out first), the potentials (V1,
-    V2) with c_j on either side of a potential step, else None, and the
-    state before the update.  Only a potential step computes them: a flat
-    face transmits and a wall reflects whatever they are.  Y is not
-    modified; the returned state is a fresh array.
+    the row of j just crossed (-1 if none); rot is the chain's (2, 2)
+    scratch for ``flight``.  Applies the boundary rule at the segment end.
+    Returns (Y, tau, j_new, k, step, Y_pre): the state in the coordinates
+    of j_new (which differs from j only on a successful transition), the
+    time used, the row hit as numbered in j_new (the next segment's skip;
+    -1 when the budget ran out first), the potentials (V1, V2) with c_j on
+    either side of a potential step, else None, and the state before the
+    update.  Only a potential step computes them: a flat face transmits and
+    a wall reflects whatever they are.  Y is not modified; the returned
+    state is a fresh array, and the segment allocates no other array that
+    outlives it.
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
@@ -335,7 +362,7 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     fa, fb = (fab[0], fab[1]) if reg.wide else fab.tolist()
     k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
     s, c = sin(tau), cos(tau)
-    Y = flight(Y, s, c)
+    Y = flight(Y, s, c, rot)
     if k < 0:
         return Y, tau, j, k, None, Y
 
@@ -365,5 +392,5 @@ def evolve_segment_detail(t_budget, j, Y, skip, table):
     # reflect: at a step the normal energy does not clear, or at a wall,
     # the step V2 = inf
     Y_new = Y.copy()
-    Y_new[0] -= (2.0 * v1 / nw) * reg.GT[:, k]
+    Y_new[0] -= (2.0 * v1 / nw) * reg.normals[k]
     return Y_new, tau, j, k, step, Y

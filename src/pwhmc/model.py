@@ -445,6 +445,7 @@ def _checks(spec: ModelSpec) -> ValidationReport:
     # hyperplane between them) once: at the first of two mirrored entries.
     trans = np.flatnonzero(tab.t != tab.j)
     j, i, t, far = tab.j[trans], tab.i[trans], tab.t[trans], tab.mirror[trans]
+    component = _components(j, t, spec.J)
     back = (far >= 0) & (tab.t[far] == j)
     face = trans[~back | (trans < far)]
 
@@ -471,4 +472,26 @@ def _checks(spec: ModelSpec) -> ValidationReport:
         np.maximum(dM, np.abs(spec.M[j, row] - spec.M[t, row]).max(axis=1), out=dM)
     return ValidationReport(checks + [
         CheckKind("continuity", gap <= CONTINUITY_TOL, gap, *faces),
-        CheckKind("mass_continuity", dM <= CONTINUITY_TOL, dM, *faces)])
+        CheckKind("mass_continuity", dM <= CONTINUITY_TOL, dM, *faces),
+        # A chain never leaves the regions that transitions link to its
+        # start, so a region that none links to region 1 would get no mass.
+        CheckKind("connected", component == 0, None, *region)])
+
+
+def _components(j, t, J):
+    """Each 0-based region's component over the transitions j -> t, which
+    reciprocity pairs both ways, labelled by the component's lowest region.
+
+    Each round gives each region its neighbors' lowest label (minimum.at)
+    and then follows labels to their labels' (pointer jumping), so that
+    labels travel along chains of any length in a few rounds: 4 on the
+    1024-region sphere in R^10.
+    """
+    label = np.arange(J)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, j, label[t])
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new

@@ -6,15 +6,19 @@ many boundary events occur.  The chain carries its state as one stacked
 array [zdot; z] in the current region's whitened coordinates (see
 ``dynamics``) and keeps that state and its region label per kept row; after
 the loop, one pass over the kept rows in row order, a batch at a time,
-writes them back in x and checks each against its cell.  The dynamics are
-exact and the boundary rules energy-consistent, so there is no
-accept/reject step.
+writes them back in x and checks each against its cell.  The event log is
+kept the same way: the loop appends each event's numbers and states to
+flat columns, and the energies are formed after it, one batched product
+for all events.  The dynamics are exact and the boundary rules
+energy-consistent, so there is no accept/reject step.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
+from math import nan
 
 import numpy as np
 
@@ -37,6 +41,10 @@ RECORD_ROWS = 128
 # Iterates whose velocities one refresh draws: numpy fills the block in
 # stream order, so each iterate gets the draw a call of its own would give.
 REFRESH_ROWS = 256
+# The fields of an event, in the order of ChainOutput.events and of the
+# event log's JSON lines.
+EVENT_KEYS = ("iterate", "time", "constraint", "kind", "j_from", "j_to", "dV",
+              "energy_pre", "energy_post")
 
 
 @dataclass(frozen=True)
@@ -75,13 +83,59 @@ class ChainConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class EventLog:
+    """A chain's boundary events as columns, event n at row n of each.
+
+    An event is a hit on the boundary row of a region: the constraint is
+    the 1-based hyperplane, wall whether the row is a hard wall (else it is
+    a transition entry, which the particle crossed if j_to != j_from and
+    reflected off otherwise), and time the time into its iterate.  The
+    energies are the conserved 1/2 |zdot|^2 + V + c_j before and after the
+    boundary update, and dV = V2 - V1 is the potential step across the face
+    (0 at a wall).
+    """
+
+    iterate: np.ndarray        # (N,) int
+    time: np.ndarray           # (N,) float
+    constraint: np.ndarray     # (N,) int
+    wall: np.ndarray           # (N,) bool
+    j_from: np.ndarray         # (N,) int
+    j_to: np.ndarray           # (N,) int
+    dV: np.ndarray             # (N,) float
+    energy_pre: np.ndarray     # (N,) float
+    energy_post: np.ndarray    # (N,) float
+
+    def __len__(self):
+        return len(self.iterate)
+
+    def rows(self, start=0, stop=None):
+        """Events start..stop-1 as tuples of Python ints, floats and the
+        kind's word ("wall" or "transition"), in EVENT_KEYS order."""
+        cut = slice(start, stop)
+        kind = [("transition", "wall")[w] for w in self.wall[cut].tolist()]
+        return zip(self.iterate[cut].tolist(), self.time[cut].tolist(),
+                   self.constraint[cut].tolist(), kind, self.j_from[cut].tolist(),
+                   self.j_to[cut].tolist(), self.dV[cut].tolist(),
+                   self.energy_pre[cut].tolist(), self.energy_post[cut].tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class ChainOutput:
-    """Kept samples plus the optional boundary-event log."""
+    """Kept samples plus the optional boundary-event log: log holds it as
+    columns (an EventLog), from which events builds one dict per event."""
 
     X: np.ndarray          # (n_samples, n)
     Xdot: np.ndarray       # (n_samples, n) post-iterate velocities
     R: np.ndarray          # (n_samples,) region labels, 1-based
-    events: list | None = None
+    log: EventLog | None = None
+
+    @property
+    def events(self) -> list | None:
+        """The event log as one dict per event, keyed by EVENT_KEYS, built
+        on each access; None for a chain run without record_events."""
+        if self.log is None:
+            return None
+        return [dict(zip(EVENT_KEYS, row)) for row in self.log.rows()]
 
 
 @dataclass(frozen=True)
@@ -149,21 +203,30 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     it, ``_record`` writes every kept row back in x and checks it against
     its cell, so that a row outside its cell raises ContractError naming
     the first such iterate, as ``check_start`` first does for the model and start.
+    With record_events, the loop appends each event's numbers and its
+    states before and after the boundary update to flat columns, from
+    which ``_event_log`` forms the log.  The chain owns every buffer it
+    writes, the flight's scratch too, so chains on one model may run in
+    threads at once.
     """
     check_start(spec, j0, x0)
     rng = make_rng(cfg.seed)
     table = spec.regions
-    n = spec.n
-    Ys = np.empty((cfg.n_samples, 2, n - spec.d))
+    w = spec.n - spec.d
+    Ys = np.empty((cfg.n_samples, 2, w))
     R = np.empty(cfg.n_samples, dtype=np.int64)
-    events = [] if cfg.record_events else None
+    rot = np.empty((2, 2))               # the flight's rotation
+    record = cfg.record_events
+    # per event: (iterate, row hit, j_from, j_to), (time, V2 of a potential
+    # step or NaN), and the states before and after the update
+    ints, floats, states = array("q"), array("d"), array("d")
 
     j = int(j0)
-    Y = np.zeros((2, n - spec.d))        # [zdot; z], zdot drawn per iterate
+    Y = np.zeros((2, w))                 # [zdot; z], zdot drawn per iterate
     Y[1] = table[j].coords(x0)
     N = cfg.n_iterates
     draws = chain.from_iterable(
-        refresh_velocity(rng, min(REFRESH_ROWS, N - start), n - spec.d)
+        refresh_velocity(rng, min(REFRESH_ROWS, N - start), w)
         for start in range(0, N, REFRESH_ROWS))
     for i, eps in enumerate(draws):
         Y[0] = eps
@@ -172,39 +235,18 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         n_events = 0
         k = -1
         while True:
-            Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(t_left, j, Y, k, table)
+            Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(
+                t_left, j, Y, k, table, rot)
             t_used += tau
             t_left -= tau
             if k < 0:
                 break
             n_events += 1
-            if events is not None:
-                reg = table[j_new]
-                wall = j_new == j and table.label[reg.first + k] == 0
-                if step is None:
-                    # a flat face, which always transmits, or a wall: the
-                    # segment computed neither potential, so compute them
-                    # as it would have
-                    z = Y_pre[1]
-                    V1 = V2 = 0.5 * float(z.dot(z)) + table.base[j - 1]
-                    if not wall:
-                        z2 = Y[1]
-                        V2 = 0.5 * float(z2.dot(z2)) + table.base[j_new - 1]
-                else:
-                    V1, V2 = step
-                zdot_pre, zdot = Y_pre[0], Y[0]
-                events.append({
-                    "iterate": i,
-                    "time": t_used,
-                    "constraint": reg.idx[k],
-                    "kind": "wall" if wall else "transition",
-                    "j_from": j,
-                    "j_to": j_new,
-                    "dV": V2 - V1,
-                    "energy_pre": 0.5 * float(zdot_pre.dot(zdot_pre)) + V1,
-                    "energy_post": 0.5 * float(zdot.dot(zdot))
-                    + (V1 if j_new == j else V2),
-                })
+            if record:
+                ints.extend((i, k, j, j_new))
+                floats.extend((t_used, nan if step is None else step[1]))
+                states.frombytes(Y_pre.tobytes())
+                states.frombytes(Y.tobytes())
             j = j_new
             if n_events > MAX_EVENTS_PER_ITERATE:
                 raise StallError(
@@ -217,8 +259,48 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
             Ys[row] = Y
             R[row] = j
 
+    log = None
+    if record:
+        # per event [[|zdot_pre|^2, |z_pre|^2], [|zdot_post|^2, |z_post|^2]];
+        # the states go before the log's other temporaries are made
+        sq = squared_norms(np.frombuffer(states).reshape(-1, 2, 2, w))
+        del states
+        log = _event_log(spec.cells, ints, floats, sq)
     X, Xdot = _record(spec, Ys, R, cfg)
-    return ChainOutput(X=X, Xdot=Xdot, R=R, events=events)
+    return ChainOutput(X=X, Xdot=Xdot, R=R, log=log)
+
+
+def squared_norms(V):
+    """|v|^2 of each row v of V (..., w), each rounded as float(v.dot(v))
+    rounds it: a stacked matmul of (1, w) by (w, 1) makes the dot call of a
+    1-d v.dot(v) per row."""
+    return (V[..., None, :] @ V[..., None])[..., 0, 0]
+
+
+def _event_log(cells, ints, floats, sq):
+    """The EventLog of the columns run_chain appended: per event
+    (iterate, row k hit as numbered in j_to, j_from, j_to), (time, V2 of a
+    potential step or NaN), and sq, the squared norms of the rows of the
+    states before and after the boundary update.
+
+    V1 = 1/2 |z_pre|^2 + base_from is the potential the particle left.  V2
+    is V1 at a wall, the step's own V2 at a reflection off a potential
+    step, and 1/2 |z_post|^2 + base_to after a crossing; each is the same
+    float operation on the same operands as the segment's, so every value
+    has the bits a computation per event gives it.
+    """
+    it, k, j_from, j_to = np.frombuffer(ints, dtype=np.int64).reshape(-1, 4).T
+    time, step_V2 = np.frombuffer(floats).reshape(-1, 2).T
+    e = cells.start[j_to - 1] + k
+    wall = cells.t[e] == cells.j[e]
+    stay = j_to == j_from
+    V1 = 0.5 * sq[:, 0, 1] + cells.base[j_from - 1]
+    V2 = np.where(wall, V1, np.where(stay, step_V2,
+                                     0.5 * sq[:, 1, 1] + cells.base[j_to - 1]))
+    return EventLog(iterate=it, time=time, constraint=cells.i[e] + 1, wall=wall,
+                    j_from=j_from, j_to=j_to, dV=V2 - V1,
+                    energy_pre=0.5 * sq[:, 0, 0] + V1,
+                    energy_post=0.5 * sq[:, 1, 0] + np.where(stay, V1, V2))
 
 
 def _record(spec, Ys, R, cfg):

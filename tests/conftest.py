@@ -11,6 +11,11 @@ from pwhmc import dynamics, zoo
 from pwhmc.model import cell_slack, load_model
 
 
+def segment(t_budget, j, Y, skip, table):
+    """dynamics.evolve_segment_detail with a flight scratch of its own."""
+    return dynamics.evolve_segment_detail(t_budget, j, Y, skip, table, np.empty((2, 2)))
+
+
 def rand_spd(rng, n, jitter=0.5):
     """Well-conditioned random SPD matrix."""
     B = rng.normal(size=(n, n))
@@ -226,6 +231,21 @@ def plane_model(M, A):
     }))
 
 
+def unreachable_overlap_model():
+    """N(0, I) on the plane x3 = 0 in three regions: region 1 is x1 <= 0,
+    region 2 is x1 >= 0 across the face x1 = 0, and region 3, the quadrant
+    x1, x2 >= 0 with walls only, overlaps region 2 and no transition enters
+    it.  It starts at (-1, 0, 0) in region 1."""
+    region = {"M": np.eye(3).tolist(), "r": [0.0] * 3, "k": 0.0,
+              "A": [[0.0], [0.0], [1.0]], "y": [0.0]}
+    return load_model(json.dumps({
+        "n": 3, "d": 1, "J": 3, "m": 2,
+        "regions": [dict(region, L_row=row) for row in ([-2, 0], [1, 0], [3, 3])],
+        "hyperplanes": {"F": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "g": [0.0, 0.0]},
+        "init": {"region": 1, "x": [-1.0, 0.0, 0.0]},
+    }))
+
+
 def invalid_models():
     """Every invalid model the suite builds, {case: (spec, failing checks)};
     validation refuses each before any start is checked."""
@@ -256,6 +276,8 @@ def invalid_models():
         # M = diag(1, -1, 1) is indefinite on the piece x1 = 0
         "indefinite_metric": (
             plane_model(np.diag([1.0, -1.0, 1.0]), np.eye(3, 1)), ["M_spd"]),
+        # no chain from regions 1 and 2 ever enters region 3
+        "unreachable_overlap": (unreachable_overlap_model(), ["connected"]),
     }
 
 

@@ -17,7 +17,7 @@ from conftest import benchmark_models, invalid_models
 from pwhmc.cli import main
 from pwhmc.errors import ContractError, StallError
 from pwhmc.model import load_model_file, validate_model
-from pwhmc.sampler import ChainConfig, run_chain
+from pwhmc.sampler import ChainConfig, ChainOutput, EventLog, run_chain
 
 ONENORM = str(zoo.model_path("onenorm"))
 
@@ -426,21 +426,34 @@ def test_sample_event_log_crosses_a_chunk(tmp_path):
     assert min(len(events) for events in logs) > cli.EVENT_CHUNK
 
 
+def event_log(events):
+    """The EventLog whose rows are the event dicts events."""
+    columns = {key: np.array([ev[key] for ev in events], dtype=float)
+               for key in ("time", "dV", "energy_pre", "energy_post")}
+    columns.update({key: np.array([ev[key] for ev in events], dtype=np.int64)
+                    for key in ("iterate", "constraint", "j_from", "j_to")})
+    return EventLog(wall=np.array([ev["kind"] == "wall" for ev in events], dtype=bool),
+                    **columns)
+
+
 def test_event_log_writes_non_finite_floats_as_json_dumps(tmp_path, monkeypatch):
     # a chunk with inf or NaN goes through json.dumps (Infinity, NaN); the
     # finite chunks around it through the format, with the same bytes
-    events = [{"iterate": i, "time": t, "constraint": 2, "kind": "wall",
-               "j_from": 1, "j_to": 1, "dV": -0.0, "energy_pre": 0.1 * i,
+    events = [{"iterate": i, "time": t, "constraint": 2,
+               "kind": ("wall", "transition")[i % 2],
+               "j_from": 1, "j_to": 1 + i % 2, "dV": -0.0, "energy_pre": 0.1 * i,
                "energy_post": 1e-300}
               for i, t in enumerate([0.5, float("inf"), 2.0 / 3.0,
                                      -float("inf"), 1e17, float("nan")])]
     expected = "".join(json.dumps(ev) + "\n" for ev in events)
     assert "Infinity" in expected and "NaN" in expected
+    log = event_log(events)
+    assert repr(ChainOutput(None, None, None, log).events) == repr(events)
     for chunk in (cli.EVENT_CHUNK, 2):
         monkeypatch.setattr(cli, "EVENT_CHUNK", chunk)
-        cli._write_events(tmp_path / "events.jsonl", events)
+        cli._write_events(tmp_path / "events.jsonl", log)
         assert (tmp_path / "events.jsonl").read_text() == expected
-    cli._write_events(tmp_path / "events.jsonl", [])
+    cli._write_events(tmp_path / "events.jsonl", event_log([]))
     assert (tmp_path / "events.jsonl").read_text() == ""
 
 
@@ -675,6 +688,30 @@ def test_sample_refuses_to_write_over_its_model(tmp_path, capsys, monkeypatch):
         assert f"{option} would write over the model {os.path.realpath(model)}" in err
         assert Path(model).read_text() == text
         assert sorted(p.name for p in Path().iterdir()) == sorted([model, "link.model"])
+
+
+def test_sample_refuses_outputs_hard_linked_to_its_model_or_each_other(
+        tmp_path, capsys, monkeypatch):
+    # a hard link names the same file by another path: --out hard-linked to
+    # the model, and --events hard-linked to an existing --out, are refused
+    # before the model is read, with nothing written
+    monkeypatch.chdir(tmp_path)
+    text = zoo.model_path("pospart").read_text()
+    Path("m.model").write_text(text)
+    os.link("m.model", "h.model")
+    assert main(["sample", "m.model", "--n", "5", "--out", "h.model"]) == 1
+    assert (f"--out would write over the model {os.path.realpath('m.model')}"
+            in capsys.readouterr().err)
+    assert Path("m.model").read_text() == text
+    Path("o.csv").write_text("kept\n")
+    os.link("o.csv", "e.jsonl")
+    assert main(["sample", "m.model", "--n", "5", "--out", "o.csv",
+                 "--events", "e.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert "--out and --events" in err and str(tmp_path) in err
+    assert Path("o.csv").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "e.jsonl", "h.model", "m.model", "o.csv"]
 
 
 def test_start_region_out_of_range_exits_1_without_output(tmp_path, capsys):

@@ -23,6 +23,7 @@ from conftest import (
     rand_fullrank,
     rand_spd,
     region_rows,
+    segment,
     sign_cells_model,
     wall_box_model,
 )
@@ -47,7 +48,7 @@ from pwhmc.subspace import ode_param
 
 def flight_of(Y, t):
     """The state Y = [zdot; z] after a flight of time t."""
-    return flight(Y, sin(t), cos(t))
+    return flight(Y, sin(t), cos(t), np.empty((2, 2)))
 
 
 # --- hit times -------------------------------------------------------------
@@ -504,7 +505,7 @@ def test_normal_of_a_row_parallel_to_the_piece_raises():
     Y = np.array([[-2e6 * np.sign(G)], [0.0]])
     with pytest.raises(DegenerateNormalError,
                        match="hyperplane 1 is parallel to region 1's piece"):
-        evolve_segment_detail(1.0, 1, Y, -1, table)
+        segment(1.0, 1, Y, -1, table)
     # A transition from the line x2 = x1 + 1e6 to the line x1 = 1e-13 x2 -
     # 1e-7, which meets the face x1 = 0 at x2 = 1e6 too: the row is fine in
     # region 1, its mirror has length 1e-13 and offset 1e-7, so validate
@@ -545,7 +546,7 @@ def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):
     Y0 = np.array([reg.S.T @ reg.M @ np.asarray(xdot0, dtype=float),
                    reg.coords(np.asarray(x0, dtype=float))])
     before = Y0.copy()
-    Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(t_budget, j, Y0, skip, table)
+    Y, tau, j_new, k, step, Y_pre = segment(t_budget, j, Y0, skip, table)
     assert np.array_equal(Y0, before)
     new = table[j_new]
     return (new.x_p + new.S @ Y[1], new.S @ Y[0], tau, j_new, k, step,
@@ -573,7 +574,7 @@ def test_wall_reflection_cases():
         x, new, tau, j_new, k, step = segment_in_x(
             0.0, 1, [0.5, 0.2, 0.0], xdot, table)[:6]
         # no potential is computed at a wall
-        assert (tau, j_new, table[1].idx[k], step) == (0.0, 1, 2, None)
+        assert (tau, j_new, spec.cells.i[table[1].first + k], step) == (0.0, 1, 1, None)
         assert np.allclose(new, expected)
 
 
@@ -606,7 +607,7 @@ def test_boundary_dynamics_artificial_boundary_is_identity():
     table = spec.regions
     for _ in range(20):
         Y0, _ = state_on_face(table, 1, 0, rng)
-        Y, tau, j_new = evolve_segment_detail(0.0, 1, Y0, -1, table)[:3]
+        Y, tau, j_new = segment(0.0, 1, Y0, -1, table)[:3]
         assert (tau, j_new) == (0.0, 2)
         assert np.allclose(table[2].S @ Y[0], table[1].S @ Y0[0],
                            rtol=0, atol=1e-14)
@@ -695,15 +696,15 @@ def test_face_record_matches_rule_from_scratch(rng):
         for _ in range(40):
             j = int(rng.integers(1, spec.J + 1))
             reg = table[j]
-            k = int(rng.integers(len(reg.idx)))
+            k = int(rng.integers(len(reg.normals)))
             Y_face, _ = state_on_face(table, j, k, rng)
             back = rng.uniform(0.05, 0.5)
             for Y0, budget in ((Y_face, 0.0), (flight_of(Y_face, -back), 1.0)):
-                Y, tau, j_new, k_new, step, Y_pre = evolve_segment_detail(
+                Y, tau, j_new, k_new, step, Y_pre = segment(
                     budget, j, Y0, -1, table)
                 if k_new < 0:
                     continue
-                i = table[j_new].idx[k_new] - 1
+                i = spec.cells.i[table[j_new].first + k_new]
                 expected, j_exp, V1_exp, V2_exp = rule_from_scratch(
                     spec, j, i, reg.x_p + reg.S @ Y_pre[1], Y_pre[0])
                 assert j_new == j_exp
@@ -718,7 +719,7 @@ def test_face_record_matches_rule_from_scratch(rng):
                     assert np.abs(np.subtract(step, (V1_exp, V2_exp))).max() <= 1e-12
                 cases.add((kind, tau > 0))
                 # a second hit reads the stored record and agrees bit for bit
-                again = evolve_segment_detail(budget, j, Y0, -1, table)[0]
+                again = segment(budget, j, Y0, -1, table)[0]
                 assert again.tobytes() == np.ascontiguousarray(Y).tobytes()
     assert cases == {(kind, flown) for kind in ("wall", "reflect", "transmit")
                      for flown in (False, True)}
@@ -727,10 +728,13 @@ def test_face_record_matches_rule_from_scratch(rng):
 def test_stacked_face_columns_are_each_rows_own():
     # a region's face maps, filled in one stacked pass on its first visit,
     # equal bit for bit those filled for each of its rows alone, and a visit
-    # writes no other region's rows
+    # writes no other region's rows; a table of up to VIEW_ENTRIES entries
+    # hands out each transition's views of them from lists, a larger one
+    # the arrays
     specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
     specs += [sign_cells_model(anisotropic_mass(), scale_left=2.0),
               oblique_wall_model(), wall_box_model()] + benchmark_models()
+    modes = set()
     for spec in specs:
         cells = spec.cells
         alone = RegionTable(spec)
@@ -740,21 +744,31 @@ def test_stacked_face_columns_are_each_rows_own():
         table = RegionTable(spec)
         for j in range(1, spec.J + 1):
             table[j]
-        for stacked, own in ((table.TT, alone.TT), (table.G2, alone.G2),
-                             (table.Q, alone.Q)):
+        for stacked, own in zip(table.maps, alone.maps):
             assert stacked.flags.c_contiguous
             assert stacked[crossed].tobytes() == own[crossed].tobytes()
         assert table.flat == alone.flat
+        views = len(cells.j) <= dynamics.VIEW_ENTRIES
+        modes.add(views)
+        for column, stacked in zip((table.TT, table.G2, table.Q), table.maps):
+            if views:
+                assert [v is not None for v in column] == crossed.tolist()
+                assert all(v.base is stacked and v.flags.c_contiguous
+                           for v in column if v is not None)
+            else:
+                assert column is stacked
         for j in sorted({1, (spec.J + 1) // 2, spec.J}):
             table = RegionTable(spec)
-            table.TT[:], table.G2[:], table.Q[:] = np.nan, np.nan, np.nan
+            for column in table.maps:
+                column[:] = np.nan
             table[j]
             rows = np.zeros(len(crossed), dtype=bool)
             rows[cells.start[j - 1]:cells.start[j]] = True
-            for column in (table.TT, table.G2, table.Q):
+            for column in table.maps:
                 assert not np.isnan(column[rows & crossed]).any()
                 assert np.isnan(column[~(rows & crossed)]).all()
             assert not any(np.array(table.flat)[~rows])
+    assert modes == {True, False}
 
 
 def filled_table(spec):
@@ -808,7 +822,7 @@ def test_an_ulp_in_k_sends_a_regions_faces_to_the_general_rule(rng, monkeypatch)
         j, k = int(cells.j[e]) + 1, e - int(cells.start[cells.j[e]])
         Y0, _ = state_on_face(table, j, k, rng)
         before = len(calls)
-        _, tau, j_new = evolve_segment_detail(0.0, j, Y0, -1, table)[:3]
+        _, tau, j_new = segment(0.0, j, Y0, -1, table)[:3]
         assert (tau, j_new) == (0.0, cells.t[e] + 1)
         assert len(calls) - before == general[e]
 
@@ -832,7 +846,7 @@ def test_a_near_grazing_crossing_of_a_flat_face_transmits(rng):
         while Y0.dot(table[j].GT)[1, k] + cells.h[e] >= 0.0:
             Y0[1] -= step * g1
             step *= 2.0
-        Y, tau, j_new, k_new, step, Y_pre = evolve_segment_detail(0.0, j, Y0, -1, table)
+        Y, tau, j_new, k_new, step, Y_pre = segment(0.0, j, Y0, -1, table)
         assert (tau, j_new, step) == (0.0, cells.t[e] + 1, None)
         v1 = g1 @ Y_pre[0]
         assert -1.1e-9 < v1 < -0.9e-9
@@ -854,8 +868,8 @@ def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
     table = spec.regions
     segments = []
 
-    def recording(t_budget, j, Y, skip, table):
-        out = evolve_segment_detail(t_budget, j, Y, skip, table)
+    def recording(t_budget, j, Y, skip, table, rot):
+        out = evolve_segment_detail(t_budget, j, Y, skip, table, rot)
         if out[3] >= 0:
             segments.append((j,) + out)
         return out
@@ -925,12 +939,13 @@ def fly(table, j, Y, T):
     """
     k, kappa, events = -1, 1.0, 0
     while True:
-        Y_new, tau, j_new, k, _, Y = evolve_segment_detail(T, j, Y, k, table)
+        Y_new, tau, j_new, k, _, Y = segment(T, j, Y, k, table)
         T -= tau
         if k < 0:
             return j_new, Y_new, kappa, events
-        reg = table[j]
-        row = reg.idx.index(table[j_new].idx[k])
+        reg, i = table[j], table.cells.i
+        row = i[reg.first:reg.first + len(reg.normals)].tolist().index(
+            i[table[j_new].first + k])
         speed = abs(v_n(reg, row, Y))
         kappa *= 1.0 + (np.linalg.norm(Y[0]) + np.linalg.norm(Y[1])) / speed
         j, Y, events = j_new, Y_new, events + 1
@@ -977,12 +992,12 @@ def test_boundary_dynamics_velocity_transfer(rng):
     for _ in range(30):
         j = int(rng.integers(1, spec.J + 1))
         reg = table[j]
-        k = int(rng.integers(len(reg.idx)))
+        k = int(rng.integers(len(reg.normals)))
         Y0, x = state_on_face(table, j, k, rng)
         g1 = reg.GT[:, k] / np.linalg.norm(reg.GT[:, k])
         alpha = -g1 @ Y0[0]
         w = Y0[0] + alpha * g1
-        Y, _, j2, k2, step = evolve_segment_detail(0.0, j, Y0, -1, table)[:5]
+        Y, _, j2, k2, step = segment(0.0, j, Y0, -1, table)[:5]
         speed = boundary_dynamics(-alpha, *(step or (0.0, 0.0)))   # flat: no step
         if speed is None:
             assert j2 == j

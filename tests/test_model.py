@@ -20,6 +20,7 @@ from conftest import (
     rand_spd,
     scaled_line_model,
     sign_cells_model,
+    unreachable_overlap_model,
     wall_box_model,
 )
 from pwhmc.cli import main
@@ -32,7 +33,7 @@ from pwhmc.model import (
     load_model_file,
     validate_model,
 )
-from pwhmc import zoo
+from pwhmc import model, zoo
 from pwhmc.oracle import conditional_gaussian_moments, exact_sample
 from pwhmc.sampler import ChainConfig, run_chain
 from pwhmc.subspace import NORMAL_DEGENERACY_TOL, ode_param
@@ -597,14 +598,14 @@ def test_region_rows_match_lookup_table():
             sign = np.sign(row[on]).astype(float)
             reg = table[j]
             F = sign[:, None] * spec.F[on]
-            rows = slice(reg.first, reg.first + len(reg.idx))
+            rows = slice(reg.first, reg.first + len(reg.normals))
             assert np.array_equal(reg.GT.T, F @ reg.S)
             assert np.allclose(table.cells.h[rows] - F @ reg.x_p,
                                sign * spec.g[on], rtol=0, atol=1e-12)
             # a wall's label is 0, not a region across
             assert ([label or j for label in table.label[rows]]
                     == np.abs(row[on]).tolist())
-            assert reg.idx == (np.flatnonzero(on) + 1).tolist()
+            assert table.cells.i[rows].tolist() == np.flatnonzero(on).tolist()
 
 
 def test_stacked_point_queries_match_pointwise_loop(rng):
@@ -688,7 +689,7 @@ def test_validate_onenorm_entry_counts():
         ("A_full_rank", 8), ("M_spd", 8), ("finite_center", 8),
         ("normal_escapes_A", 24),
         ("reciprocity", 24), ("face_uniqueness", 24),
-        ("continuity", 12), ("mass_continuity", 12)]
+        ("continuity", 12), ("mass_continuity", 12), ("connected", 8)]
 
 
 def _two_piece_document(f, g, A1, y1, A2, y2):
@@ -829,15 +830,43 @@ def _checked_models():
     return conftest_models + zoo_models + shipped + benchmark_models()
 
 
+def test_validate_connected_finds_each_component():
+    # a region passes iff a chain can cross into it from region 1: every
+    # model the suite samples is one component, sign cells and the
+    # 1024-region sphere included; region 3 of the overlap model is a
+    # component of its own
+    for spec in _checked_models():
+        assert kind(validate_model(spec), "connected").passed.all()
+    spec = unreachable_overlap_model()
+    assert [(c.name, c.subject) for c in validate_model(spec).failures()] == [
+        ("connected", "region 3")]
+    # on random graphs of transition entries, paths and cycles with regions
+    # in random order among them, the labels are those of a search
+    rng = np.random.default_rng(5)
+    for J in (1, 2, 7, 60):
+        order = rng.permutation(J)
+        pairs = [(order[q], order[q + 1]) for q in range(J - 1)
+                 if rng.random() < 0.8]
+        pairs += [tuple(rng.integers(0, J, 2)) for _ in range(J // 5)]
+        pairs = [(a, b) for a, b in pairs if a != b]
+        j = np.array([a for a, b in pairs] + [b for a, b in pairs], dtype=int)
+        t = np.array([b for a, b in pairs] + [a for a, b in pairs], dtype=int)
+        expected = np.arange(J)
+        for _ in range(J):                  # a search: J relaxations suffice
+            for a, b in pairs:
+                expected[a] = expected[b] = min(expected[a], expected[b])
+        assert model._components(j, t, J).tolist() == expected.tolist()
+
+
 def test_validate_formats_failures_only(monkeypatch):
-    # onenorm10 has 44,032 subjects, and a passing report labels none
+    # onenorm10 has 45,056 subjects, and a passing report labels none
     made = []
     monkeypatch.setattr("pwhmc.model.CheckResult", lambda *a: made.append(a))
     report = validate_model(benchmark_models()[1])
-    assert len(report.checks) == 8 and report.failures() == []
+    assert len(report.checks) == 9 and report.failures() == []
     lines = report.format().splitlines()
     assert lines[0] == "A_full_rank: 1024/1024"
-    assert lines[-1] == "44032/44032 checks passed" and len(lines) == 9
+    assert lines[-1] == "45056/45056 checks passed" and len(lines) == 10
     assert made == []
 
 

@@ -1,6 +1,7 @@
 """Chain orchestration: refresh, recording, reproducibility, invariants."""
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,10 @@ from conftest import (
     oblique_wall_model,
     polygon_model,
     region_rows,
+    segment,
     wall_box_model,
 )
 from pwhmc import dynamics, sampler, zoo
-from pwhmc.dynamics import evolve_segment_detail
 from pwhmc.errors import ContractError, StallError
 from pwhmc.model import cell_slack, ell, load_model_file
 from pwhmc.sampler import (
@@ -24,6 +25,7 @@ from pwhmc.sampler import (
     make_rng,
     refresh_velocity,
     run_chain,
+    squared_norms,
 )
 
 
@@ -182,7 +184,8 @@ def test_burnin_and_thin_select_rows_of_the_same_path():
 def test_events_off_by_default_and_well_formed_when_on():
     spec = zoo.one_norm_model()
     cfg = ChainConfig(n_samples=300, seed=3)
-    assert run_chain(spec, 1, [0.2, 0.3, 0.5], cfg).events is None
+    out = run_chain(spec, 1, [0.2, 0.3, 0.5], cfg)
+    assert out.log is None and out.events is None
 
     cfg = ChainConfig(n_samples=300, seed=3, record_events=True)
     out = run_chain(spec, 1, [0.2, 0.3, 0.5], cfg)
@@ -223,6 +226,77 @@ def test_shared_regions_carry_no_chain_state(name, kinds):
         assert out.Xdot.tobytes() == fresh.Xdot.tobytes()
         assert out.R.tobytes() == fresh.R.tobytes()
         assert out.events == fresh.events
+
+
+@pytest.mark.parametrize("name", ["onenorm10", "pospart"])
+def test_chains_in_threads_equal_chains_in_turn(name, monkeypatch):
+    # two chains on one model at once, in threads that the interpreter
+    # switches between every few microseconds, give the bytes of the same
+    # chains run one after the other: a chain owns every buffer it writes,
+    # its flight's scratch too, and the region records it shares hold no
+    # chain state
+    spec = benchmark_models()[1] if name == "onenorm10" else zoo.build_shipped(name)
+    cfgs = [ChainConfig(n_samples=40, seed=seed) if name == "onenorm10" else
+            ChainConfig(n_samples=3000, seed=seed, record_events=True)
+            for seed in (1, 2)]
+    start = threading.Barrier(2)
+    outs, scratch = [None, None], [[], []]
+    evolve = sampler.evolve_segment_detail
+
+    def chain(c):
+        start.wait()
+        outs[c] = run_chain(spec, spec.init_region, spec.init_point, cfgs[c])
+
+    def tracking(t_budget, j, Y, skip, table, rot):
+        scratch[threading.current_thread().name == "1"].append(rot)
+        return evolve(t_budget, j, Y, skip, table, rot)
+
+    monkeypatch.setattr(sampler, "evolve_segment_detail", tracking)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=chain, args=(c,), name=str(c))
+                   for c in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    assert not any(thread.is_alive() for thread in threads) and None not in outs
+    # each chain used one scratch of its own, and neither module holds one
+    ids = [{id(rot) for rot in used} for used in scratch]
+    assert [len(i) for i in ids] == [1, 1] and ids[0] != ids[1]
+    assert not [v for module in (dynamics, sampler) for v in vars(module).values()
+                if isinstance(v, np.ndarray)]
+    for out, cfg in zip(outs, cfgs):
+        alone = run_chain(spec, spec.init_region, spec.init_point, cfg)
+        assert out.X.tobytes() == alone.X.tobytes()
+        assert out.Xdot.tobytes() == alone.Xdot.tobytes()
+        assert out.R.tobytes() == alone.R.tobytes()
+        assert repr(out.events) == repr(alone.events)
+    assert outs[1].events if name == "pospart" else outs[1].events is None
+
+
+@pytest.mark.parametrize("name", ["onenorm", "ntop", "pospart", "wall_box"])
+def test_face_views_and_stacked_faces_give_byte_identical_chains(name, monkeypatch):
+    # a segment reads the same face maps whether the region table hands
+    # them out as lists of views or as stacked arrays
+    build = wall_box_model if name == "wall_box" else lambda: zoo.build_shipped(name)
+    cfg = ChainConfig(n_samples=300, seed=17, burn_in=3, thin=2,
+                      record_events=True)
+    outs = []
+    for views in (sys.maxsize, 0):
+        monkeypatch.setattr(dynamics, "VIEW_ENTRIES", views)
+        spec = build()
+        assert isinstance(spec.regions.TT, list) == (views > 0)
+        outs.append(run_chain(spec, spec.init_region, spec.init_point, cfg))
+    lists, stacked = outs
+    assert lists.events
+    for a in ("X", "Xdot", "R"):
+        assert getattr(lists, a).tobytes() == getattr(stacked, a).tobytes()
+    assert repr(lists.events) == repr(stacked.events)
 
 
 @pytest.mark.parametrize("name", ["onenorm", "ntop", "pospart", "wall_box",
@@ -275,7 +349,7 @@ def test_iterate_time_budget_fully_consumed(rng):
         Y = np.array([refresh_velocity(rng, 1, z.size)[0], z])
         t_left, used, k = np.pi / 2, 0.0, -1
         while True:
-            Y, tau, j, k = evolve_segment_detail(t_left, j, Y, k, table)[:4]
+            Y, tau, j, k = segment(t_left, j, Y, k, table)[:4]
             used += tau
             t_left -= tau
             if k < 0:
@@ -431,6 +505,42 @@ def test_kept_rows_do_not_depend_on_the_chain_length(name, schedule):
     assert len(set(long.R.tolist())) > 1 or name == "polywall-256"
     for a, b in ((long.X, short.X), (long.Xdot, short.Xdot), (long.R, short.R)):
         assert a[:7].tobytes() == b.tobytes()
+
+
+def test_squared_norms_round_as_a_dot_per_row():
+    # the event log's energies come from one batched product; each of its
+    # squares has the bits of float(v.dot(v)) on the row alone, at every
+    # width, whatever the row's scale, sign or place in the stack
+    rng = np.random.default_rng(3)
+    for w in range(1, 51):
+        V = rng.normal(size=(64, 2, 2, w)) * 10.0 ** rng.integers(-150, 150, (64, 2, 2, 1))
+        V[0, 0, 0] = 0.0
+        V[0, 0, 1] = -0.0
+        sq = squared_norms(V)
+        assert sq.shape == V.shape[:-1]
+        assert [float(v.dot(v)) for v in V.reshape(-1, w)] == sq.ravel().tolist()
+        rows = np.ascontiguousarray(V[:, 1, 0])
+        assert squared_norms(rows).tolist() == [float(v.dot(v)) for v in rows]
+
+
+def test_event_log_memory_stays_near_the_chain():
+    # an event costs its columns, about 112 bytes on pospart, not a dict
+    # of nine keys: a 20k-row chain with its ~18k events peaks at no more
+    # than 2.5x the same chain without them
+    spec = zoo.build_shipped("pospart")
+    peaks = []
+    for record in (False, True):
+        cfg = ChainConfig(n_samples=20000, seed=1, record_events=record)
+        run_chain(spec, spec.init_region, spec.init_point,
+                  ChainConfig(n_samples=5))                   # builds regions
+        tracemalloc.start()
+        try:
+            out = run_chain(spec, spec.init_region, spec.init_point, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(out.log) > 15000
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 def test_recording_memory_stays_near_the_output():
