@@ -14,7 +14,9 @@ potential step, reflect otherwise.  A hard wall is a step that no energy
 clears.  A flat face, whose two regions have equal M, r, k and c_j, has no
 step: the particle transmits with its normal speed unchanged, and neither
 potential is computed, since a computed dV there is rounding alone and
-could reflect a near-grazing crossing.
+could reflect a near-grazing crossing.  For a state on such a face that
+rule is one affine map of Y, with the kept normal speed folded into the
+face map, so a flat crossing is one product and one add.
 
 Everything that depends only on the region lives in one Region record per
 region, sliced from the model's cell table on the region's first visit into
@@ -264,9 +266,11 @@ class RegionTable(dict):
     A transition's face map TT[e] = T', G2[e] = g2, the neighbor's unit
     normal of row k2 into it, Q[e] = q_T and flat[e], whether the potential
     is the same function on both sides, are filled on its region's first
-    visit (see ``fill``) into maps, the stacked arrays of all three.  TT,
-    G2 and Q are those arrays, or, in a table of up to VIEW_ENTRIES
-    entries, lists that hold each filled transition's views of them.
+    visit (see ``fill``) into maps, the stacked arrays of all three.  A
+    flat entry's TT and Q have the kept normal speed folded in, so only a
+    general transmission reads G2.  TT, G2 and Q are those arrays, or, in a
+    table of up to VIEW_ENTRIES entries, lists that hold each filled
+    transition's views of them.
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
@@ -314,7 +318,11 @@ class RegionTable(dict):
         A face is flat when its two regions' pot rows (M, r, k and c) are
         equal, so that V + c is one function on both sides: the exact rule
         transmits with the normal speed unchanged, and a computed dV would
-        be rounding.
+        be rounding.  Since v1 <= 0, that speed |v1| = -g1'zdot along g2 is
+        linear in zdot, and a flat entry stores it folded in: TT = T' - g1
+        g2' and Q = q_T - (h_e / |G_e|) g2, so that Y.dot(TT) + [0; Q] is
+        [P (zdot - v1 g1) + |v1| g2; z2] for a state Y on the face (there g1'z
+        = -h_e / |G_e|).  Every other entry keeps T', g2 and q_T.
         """
         e = rows.start + np.flatnonzero(np.array(self.label[rows]) > 0)
         if not e.size:
@@ -325,16 +333,22 @@ class RegionTable(dict):
         P = SM @ cells.S[j]
         g1 = cells.G[e] / w
         Pg1 = (P @ g1[..., None])[..., 0]
+        g2 = cells.G[f] / cells.norm[f][:, None]
+        hw = cells.h[e][:, None] / w
+        T = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
+        q = (SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0] - hw * Pg1
+        flat = (self.pot[t] == self.pot[j]).all(1)
+        # each entry's final map is assigned once, so that a second fill of
+        # the region, from another thread, writes the same bits
         TT, G2, Q = self.maps
-        TT[e] = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
-        G2[e] = cells.G[f] / cells.norm[f][:, None]
-        Q[e] = ((SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0]
-                - cells.h[e][:, None] / w * Pg1)
+        TT[e] = np.where(flat[:, None, None], T - g1[:, :, None] * g2[:, None], T)
+        G2[e] = g2
+        Q[e] = np.where(flat[:, None], q - hw * g2, q)
         if self.TT is not TT:               # lists: each entry's views, made once
             for entry in e.tolist():
                 self.TT[entry], self.G2[entry] = TT[entry], G2[entry]
                 self.Q[entry] = Q[entry]
-        for entry in e[(self.pot[t] == self.pot[j]).all(1)].tolist():
+        for entry in e[flat].tolist():
             self.flat[entry] = True
 
 
@@ -350,7 +364,9 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     -1 when the budget ran out first), the potentials (V1, V2) with c_j on
     either side of a potential step, else None, and the state before the
     update.  Only a potential step computes them: a flat face transmits and
-    a wall reflects whatever they are.  Y is not modified; the returned
+    a wall reflects whatever they are.  A flat crossing is the face map
+    alone, one product and one add with the speed folded in; it reads no
+    v1 and no G2.  Y is not modified; the returned
     state is a fresh array, and the segment allocates no other array that
     outlives it.
     """
@@ -370,21 +386,21 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     label = table.label[e]
     if label < 0:                         # a row no rule crosses
         raise table.faults[e]
-    nw = table.norm[e]
-    # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
-    v1 = (fa[k] * c - fb[k] * s) / nw
     step = None
     if label > 0:
         W = Y.dot(table.TT[e])
         z2 = W[1]
         z2 += table.Q[e]
-        if table.flat[e]:
-            speed = abs(v1)
-        else:
-            z = Y[1]
-            step = (0.5 * float(z.dot(z)) + table.base[j - 1],
-                    0.5 * float(z2.dot(z2)) + table.base[label - 1])
-            speed = boundary_dynamics(v1, *step)
+        if table.flat[e]:                 # the speed is folded into the map
+            return W, tau, label, table.k2[e], None, Y
+        z = Y[1]
+        step = (0.5 * float(z.dot(z)) + table.base[j - 1],
+                0.5 * float(z2.dot(z2)) + table.base[label - 1])
+    nw = table.norm[e]
+    # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
+    v1 = (fa[k] * c - fb[k] * s) / nw
+    if step is not None:
+        speed = boundary_dynamics(v1, *step)
         if speed is not None:
             zdot2 = W[0]
             zdot2 += speed * table.G2[e]

@@ -281,12 +281,18 @@ def invalid_models():
     }
 
 
-def benchmark_models():
-    """polywall-256 and onenorm10, from the benchmark's own generators."""
+def benchmark_generators():
+    """The benchmark's model generators and oracles, perfbench/models.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "models.py"
     module_spec = importlib.util.spec_from_file_location("bench_models", path)
     bench = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(bench)
+    return bench
+
+
+def benchmark_models():
+    """polywall-256 and onenorm10, from the benchmark's own generators."""
+    bench = benchmark_generators()
     return [load_model(bench.polywall_document(256, 1.0, 1)),
             load_model(bench.onenorm_document(10, 1))]
 

@@ -16,6 +16,7 @@ from scipy import stats
 from brute_force import grid_hit_time, occupancy_quadrature_line
 from conftest import (
     anisotropic_mass,
+    benchmark_generators,
     first_hit_both_paths,
     oblique_wall_model,
     scaled_line_model,
@@ -24,7 +25,7 @@ from conftest import (
 )
 from pwhmc import zoo
 from pwhmc.cli import main
-from pwhmc.model import ell, validate_model
+from pwhmc.model import ell, load_model, validate_model
 from pwhmc.oracle import conditional_gaussian_moments, exact_sample
 from pwhmc.sampler import ChainConfig, ChainOutput, run_chain
 
@@ -231,6 +232,26 @@ def oracle_gaps(spec, out, seed):
     return float(np.max(np.abs(occ_chain - occ_exact))), float(ks)
 
 
+def kinetic_gap(spec, out, seed):
+    """Two-sample KS statistic of the rows' kinetic energies xdot'M_j xdot,
+    which is |zdot|^2 in whitened coordinates, against as many chi-square
+    draws with n - d degrees of freedom: the law an exact iterate leaves
+    a standard normal zdot in, whatever its start."""
+    kinetic = np.einsum("ni,nij,nj->n", out.Xdot, spec.M[out.R - 1], out.Xdot)
+    exact = np.random.default_rng(seed).chisquare(spec.n - spec.d, kinetic.size)
+    return float(stats.ks_2samp(kinetic, exact).statistic)
+
+
+def one_iterate_each(spec, X0, R0, seed):
+    """The rows of one iterate from each start (X0[i], R0[i]), each with
+    its own seed [seed, i], as one ChainOutput."""
+    steps = [run_chain(spec, int(j), x, ChainConfig(
+                 n_samples=1, seed=np.random.SeedSequence([seed, i])))
+             for i, (x, j) in enumerate(zip(X0, R0))]
+    return ChainOutput(*(np.concatenate([getattr(s, a) for s in steps])
+                         for a in ("X", "Xdot", "R")))
+
+
 def sign_cells_anisotropic():
     return sign_cells_model(anisotropic_mass())
 
@@ -297,7 +318,7 @@ def test_criterion_14_ntop_matches_exact_oracle():
 
 @pytest.mark.parametrize("build", [
     zoo.positive_part_model, zoo.polygonal_top_model,
-    sign_cells_anisotropic_scaled,
+    sign_cells_anisotropic_scaled, zoo.one_norm_model,
 ], ids=lambda build: build.__name__)
 def test_criterion_15_one_iterate_leaves_exact_draws_exact(build):
     # an exact sampler leaves its target unchanged after one iterate: one
@@ -309,15 +330,38 @@ def test_criterion_15_one_iterate_leaves_exact_draws_exact(build):
     # region's occupancy gap has standard deviation at most sqrt(1 / 2N),
     # 0.005, and is held to the same value.  A wrong target that is still
     # reversible (c_j dropped from the potential offsets) reads 0.12-0.16.
+    # The kinetic energy's KS value against its chi-square law is held to
+    # the same value: positions alone hardly see a speed error, and on
+    # one_norm_model, every face of which is flat, a flat transmission 5%
+    # too fast reads 0.018 in position and 0.075 in kinetic energy.
     spec = build()
     N = 20000
     X0, R0 = exact_sample(spec, N, np.random.default_rng(1501))
-    steps = [run_chain(spec, int(j), x, ChainConfig(
-                 n_samples=1, seed=np.random.SeedSequence([1502, i])))
-             for i, (x, j) in enumerate(zip(X0, R0))]
-    out = ChainOutput(*(np.concatenate([getattr(s, a) for s in steps])
-                        for a in ("X", "Xdot", "R")))
+    out = one_iterate_each(spec, X0, R0, 1502)
     occ_err, ks = oracle_gaps(spec, out, 1503)
+    kinetic = kinetic_gap(spec, out, 1504)
     critical = 1.95 * np.sqrt(2 / N)
-    assert occ_err <= critical and ks <= critical, \
-        f"occupancy error {occ_err:.4f}, KS {ks:.4f}"
+    assert max(occ_err, ks, kinetic) <= critical, \
+        f"occupancy error {occ_err:.4f}, KS {ks:.4f}, kinetic KS {kinetic:.4f}"
+
+
+def test_criterion_15_onenorm10_one_iterate_leaves_dirichlet_draws_exact():
+    # criterion 15 on the 1024-region sphere in R^10, past what exact_sample
+    # reaches, with the benchmark's Dirichlet oracle: one iterate from each
+    # of N exact starts, labelled by sign pattern, must match a second
+    # exact set in |x|^2 and in each coordinate to the KS value at level
+    # 0.1%, 1.95 sqrt(2 / N), about 0.044.  Each iterate crosses about 50
+    # flat faces.  The kinetic energy is held to the same value.
+    bench = benchmark_generators()
+    N, n = 4000, 10
+    spec = load_model(bench.onenorm_document(n, 1))
+    X0 = bench.onenorm_oracle(n, N, np.random.default_rng(1511))
+    R0 = 1 + (X0 < 0) @ (1 << np.arange(n - 1, -1, -1))
+    out = one_iterate_each(spec, X0, R0, 1512)
+    X = out.X
+    exact = bench.onenorm_oracle(n, N, np.random.default_rng(1513))
+    ks = [stats.ks_2samp((X * X).sum(1), (exact * exact).sum(1)).statistic]
+    ks += [stats.ks_2samp(X[:, i], exact[:, i]).statistic for i in range(n)]
+    ks.append(kinetic_gap(spec, out, 1514))
+    assert max(ks) <= 1.95 * np.sqrt(2 / N), \
+        f"KS of |x|^2, each coordinate and the kinetic energy {np.round(ks, 4)}"

@@ -665,14 +665,15 @@ def rule_from_scratch(spec, j, i, x, zdot):
                       P @ z + q]), j2, V1, V2)
 
 
-def state_on_face(table, j, k, rng):
+def state_on_face(table, j, k, rng, scale=1.0):
     """(Y, x): a state of region j on row k's face, clear of every other
-    row, leaving through it with a random speed."""
+    row, leaving through it with a random speed; the position is drawn
+    from N(0, scale^2 I) in whitened coordinates before it is projected."""
     reg = table[j]
     G, h = region_rows(table, j)
     g1 = G[k] / np.linalg.norm(G[k])
     while True:
-        z = rng.normal(size=len(g1))
+        z = rng.normal(scale=scale, size=len(g1))
         z -= (G[k] @ z + h[k]) / np.linalg.norm(G[k]) * g1
         if np.delete(G @ z + h, k).min(initial=np.inf) > 1e-2:
             break
@@ -805,10 +806,15 @@ def test_flat_faces_are_those_of_bitwise_equal_potentials(name, flat):
         assert 0.0 < dc.max() <= 4.5e-16
 
 
-def test_an_ulp_in_k_sends_a_regions_faces_to_the_general_rule(rng, monkeypatch):
+def onenorm_ulp_model():
+    """onenorm with region 1's k an ulp larger: its faces are not flat."""
     doc = json.loads(zoo.model_path("onenorm").read_text())
     doc["regions"][0]["k"] = float(np.nextafter(doc["regions"][0]["k"], np.inf))
-    spec = load_model(json.dumps(doc))
+    return load_model(json.dumps(doc))
+
+
+def test_an_ulp_in_k_sends_a_regions_faces_to_the_general_rule(rng, monkeypatch):
+    spec = onenorm_ulp_model()
     table, cells = filled_table(spec), spec.cells
     crossed = np.array(table.label) > 0
     general = crossed & ((cells.j == 0) | (cells.t == 0))
@@ -825,6 +831,65 @@ def test_an_ulp_in_k_sends_a_regions_faces_to_the_general_rule(rng, monkeypatch)
         _, tau, j_new = segment(0.0, j, Y0, -1, table)[:3]
         assert (tau, j_new) == (0.0, cells.t[e] + 1)
         assert len(calls) - before == general[e]
+
+
+def unfolded_face_maps(cells, e):
+    """(T', g2, q_T) of transition entries e by the general rule's formulas,
+    as RegionTable.fill computes them: T = P (I - g1 g1'), g2 the far
+    side's unit normal and q_T = q - (h_e / |G_e|) P g1."""
+    j, t, f, w = cells.j[e], cells.t[e], cells.mirror[e], cells.norm[e][:, None]
+    SM = cells.SM[t]
+    P = SM @ cells.S[j]
+    g1 = cells.G[e] / w
+    Pg1 = (P @ g1[..., None])[..., 0]
+    return ((P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1),
+            cells.G[f] / cells.norm[f][:, None],
+            (SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0]
+            - cells.h[e][:, None] / w * Pg1)
+
+
+@pytest.mark.parametrize("name, draws, scale", [("onenorm", 20, 1.0),
+                                                ("ntop", 20, 1.0),
+                                                ("onenorm10", 1, 0.03)])
+def test_a_flat_crossing_is_the_unfolded_rule(name, draws, scale, rng):
+    # a flat entry's face map has the kept normal speed folded in, so one
+    # product and one add give the general rule's [P (zdot - v1 g1) + |v1|
+    # g2; z T' + q_T] from any state on the face: draws per flat entry, each
+    # from positions of the given scale (onenorm10's faces are 9-simplices
+    # about 0.1 across, which a unit draw rarely lands in)
+    spec = (benchmark_models()[1] if name == "onenorm10"
+            else load_model_file(zoo.model_path(name)))
+    table, cells = filled_table(spec), spec.cells
+    flat = np.flatnonzero(table.flat)
+    assert flat.size == {"onenorm": 24, "ntop": 20, "onenorm10": 10240}[name]
+    TT, G2, Q = unfolded_face_maps(cells, flat)
+    for n, e in enumerate(flat.tolist()):
+        j, k = int(cells.j[e]) + 1, e - int(cells.start[cells.j[e]])
+        g1 = cells.G[e] / cells.norm[e]
+        for _ in range(draws):
+            Y0, _ = state_on_face(table, j, k, rng, scale)
+            Y, tau, j_new, k_new, step = segment(0.0, j, Y0, -1, table)[:5]
+            assert (tau, j_new, step) == (0.0, cells.t[e] + 1, None)
+            v1 = g1 @ Y0[0]
+            expected = np.array([Y0[0] @ TT[n] - v1 * G2[n], Y0[1] @ TT[n] + Q[n]])
+            assert np.abs(Y - expected).max() <= 1e-12 * np.linalg.norm(Y0)
+            speed = np.linalg.norm(Y0[0])
+            assert abs(np.linalg.norm(Y[0]) - speed) <= 1e-13 * speed
+            assert abs(v_n(table[j_new], k_new, Y) + v1) <= 1e-14
+
+
+@pytest.mark.parametrize("name, general", [("pospart", 4), ("ntop", 16),
+                                           ("onenorm_ulp", 6)])
+def test_general_face_maps_are_unfolded(name, general):
+    # only flat entries fold the speed in: every other transition keeps T',
+    # g2 and q_T bit for bit, and the general rule adds the speed it returns
+    spec = (onenorm_ulp_model() if name == "onenorm_ulp"
+            else load_model_file(zoo.model_path(name)))
+    table = filled_table(spec)
+    e = np.flatnonzero((np.array(table.label) > 0) & ~np.array(table.flat))
+    assert e.size == general
+    for column, expected in zip(table.maps, unfolded_face_maps(spec.cells, e)):
+        assert column[e].tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_a_near_grazing_crossing_of_a_flat_face_transmits(rng):
