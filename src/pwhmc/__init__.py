@@ -27,7 +27,6 @@ from .sampler import (
     ChainConfig,
     ChainOutput,
     EventLog,
-    initial_point_check,
     run_chain,
 )
 from .oracle import conditional_gaussian_moments, exact_sample
@@ -38,7 +37,7 @@ __all__ = [
     "ContractError", "DegenerateNormalError", "ModelFormatError", "StallError",
     "ModelSpec", "cell_slack", "ell", "load_model", "load_model_file",
     "validate_model",
-    "ChainConfig", "ChainOutput", "EventLog", "initial_point_check", "run_chain",
+    "ChainConfig", "ChainOutput", "EventLog", "run_chain",
     "conditional_gaussian_moments", "exact_sample",
     "zoo",
 ]

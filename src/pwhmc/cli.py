@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_CONTENT = 1
 EXIT_IO = 2
 EXIT_RUNTIME = 3
-# Event-log lines formatted per pass: a bound on the text held at once.
+# CSV and event-log lines formatted per pass: a bound on the text held at once.
 EVENT_CHUNK = 4096
 # One event-log line, the fields in EVENT_KEYS order: %r prints a finite
 # float as json.dumps does, and the kind is a plain word.
@@ -108,11 +108,12 @@ def _start(args):
 def _write_samples(path, spec, cfg, out):
     header = ",".join([f"x{i + 1}" for i in range(spec.n)] + ["region", "iterate"])
     line = ",".join(["%.17g"] * spec.n) + ",%d,%d\n"
-    kept = range(cfg.burn_in + cfg.thin - 1, cfg.n_iterates, cfg.thin)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % (*x, j, i)
-                      for x, j, i in zip(out.X.tolist(), out.R.tolist(), kept))
+        for start in range(0, len(out.R), EVENT_CHUNK):
+            rows = slice(start, start + EVENT_CHUNK)
+            fh.write("".join([line % (*x, j, i) for x, j, i in zip(
+                out.X[rows].tolist(), out.R[rows].tolist(), cfg.kept[rows])]))
 
 
 def _write_events(path, log):

@@ -213,33 +213,25 @@ class Region:
     """Everything about region j that the segment loop reads, besides its
     faces' columns in the RegionTable.
 
-    Built on the region's first visit from M_j and slices of the model's
-    cell table: x_p, S, GT = (F_j S)' as one contiguous array, so that one
-    product Y.dot(GT) gives both coefficient rows of the hit scan for a
-    state Y = [zdot; z], normals = F_j S, whose contiguous row k is the
-    unscaled normal a reflection off row k reads, hits, the row
-    offsets h as first_hit takes them (a list of floats, or, for a wide
-    region of more than SCAN_ROWS rows, its ``Reach``), and first, the
-    cell-table entry of row 0: row k is entry first + k.  Nothing here is
-    chain state.
+    Built on the region's first visit from slices of the model's cell
+    table: GT = (F_j S)' as one contiguous array, so that one product
+    Y.dot(GT) gives both coefficient rows of the hit scan for a state Y =
+    [zdot; z], normals = F_j S, whose contiguous row k is the unscaled
+    normal a reflection off row k reads, hits, the row offsets h as
+    first_hit takes them (a list of floats, or, for a wide region of more
+    than SCAN_ROWS rows, its ``Reach``), and first, the cell-table entry of
+    row 0: row k is entry first + k.  Nothing here is chain state.
     """
 
-    __slots__ = ("x_p", "S", "M", "GT", "normals", "hits", "wide", "first")
+    __slots__ = ("GT", "normals", "hits", "wide", "first")
 
-    def __init__(self, cells, M, j):
+    def __init__(self, cells, j):
         rows = slice(cells.start[j - 1], cells.start[j])
-        self.x_p = cells.x_p[j - 1]
-        self.S = cells.S[j - 1]
-        self.M = M[j - 1]
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.normals = cells.G[rows]
         self.wide = rows.stop - rows.start > SCAN_ROWS
         self.hits = Reach(cells.h[rows]) if self.wide else cells.h[rows].tolist()
         self.first = int(rows.start)
-
-    def coords(self, x):
-        """Whitened coordinates S'M(x - x_p) of a point x on the piece."""
-        return self.S.T.dot(self.M.dot(x - self.x_p))
 
 
 def _fault(cells, e):
@@ -252,10 +244,10 @@ def _fault(cells, e):
 
 class RegionTable(dict):
     """Region records of one model (``ModelSpec.regions``) keyed by 1-based
-    label, each built on first lookup from the model's cell table and M
-    stack, and the face columns of every cell-table entry e; it holds the
-    model's arrays, not the model.  base is the cell table's base column as
-    a list, so that a segment reads offsets as floats.
+    label, each built on first lookup from the model's cell table, and the
+    face columns of every cell-table entry e; it holds the model's arrays,
+    not the model.  base is the cell table's base column as a list, so that
+    a segment reads offsets as floats.
 
     Built with the table, as lists: norm[e] = |G_e|, so the face's unit
     normal into the entry's region is g1 = G_e / norm[e]; label[e], the
@@ -274,13 +266,13 @@ class RegionTable(dict):
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
-    __slots__ = ("cells", "M", "pot", "base", "label", "norm", "k2", "faults",
+    __slots__ = ("cells", "pot", "base", "label", "norm", "k2", "faults",
                  "maps", "TT", "G2", "Q", "flat")
 
     def __init__(self, spec):
         super().__init__()
         cells = spec.cells
-        self.cells, self.M, self.base = cells, spec.M, cells.base.tolist()
+        self.cells, self.base = cells, cells.base.tolist()
         self.pot = np.concatenate([spec.M.reshape(spec.J, -1), spec.r,
                                    spec.k[:, None], cells.c[:, None]], axis=1)
         far = cells.mirror
@@ -298,7 +290,7 @@ class RegionTable(dict):
         self.flat = [False] * E
 
     def __missing__(self, j):
-        reg = Region(self.cells, self.M, j)
+        reg = Region(self.cells, j)
         self.fill(slice(reg.first, reg.first + len(reg.normals)))
         return self.setdefault(j, reg)
 

@@ -74,7 +74,7 @@ class ModelSpec:
     def regions(self) -> dynamics.RegionTable:
         """The region records that every chain on this model shares; for a
         model that fails validation, ContractError listing each failure."""
-        report = validate_model(self)
+        report = self.report
         if not report.passed:
             raise ContractError("\n".join(
                 ["model failed validation"]

@@ -24,9 +24,11 @@ import numpy as np
 
 from .dynamics import evolve_segment_detail
 from .errors import ContractError, StallError
-from .model import _slack
-from .subspace import COEF_TOL
+from .model import _slack, cell_slack, ell
 
+# Tolerance of the start check, on the start's manifold residual and cell
+# breach, and of the kept-row check, on each row's cell breach.
+COEF_TOL = 1e-8
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 # It is the only runaway guard the chain needs.  first_hit takes an event at
 # t = 0 only on a row the particle is already leaving, and never on the row
@@ -53,7 +55,7 @@ class ChainConfig:
 
     seed may be a non-negative integer or a numpy SeedSequence (the latter
     is how multi-chain runs derive independent streams).  n_samples counts
-    kept rows: the chain runs burn_in + thin * n_samples iterates.
+    kept rows, one per iterate of ``kept``.
     """
 
     n_samples: int
@@ -78,8 +80,14 @@ class ChainConfig:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
 
     @property
+    def kept(self) -> range:
+        """The kept iterates, 0-based: every thin-th after the burn_in first."""
+        return range(self.burn_in + self.thin - 1,
+                     self.burn_in + self.thin * self.n_samples, self.thin)
+
+    @property
     def n_iterates(self) -> int:
-        return self.burn_in + self.thin * self.n_samples
+        return self.kept.stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,14 +170,14 @@ def refresh_velocity(rng, count, width) -> np.ndarray:
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
     A j0 not an integer in 1..J, or an x0 not n long, raises ContractError.
-    The slack is ``cell_slack``'s, read from region j0's rows alone."""
+    The residual is the norm of ``ell``'s and the slack ``cell_slack``'s."""
     if np.asarray(j0).dtype.kind not in "iu" or not 1 <= j0 <= spec.J:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ContractError(f"start point has shape {x0.shape}, expected ({spec.n},)")
-    residual = float(np.linalg.norm(x0.dot(spec.A[j0 - 1]) + spec.y[j0 - 1]))
-    slack = float(_slack(spec.cells, j0 - 1, x0))
+    residual = float(np.linalg.norm(ell(spec, j0, x0)))
+    slack = float(cell_slack(spec, j0, x0))
     return InitialPointReport(
         manifold_residual=residual,
         cell_slack=slack,
@@ -222,9 +230,11 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     ints, floats, states = array("q"), array("d"), array("d")
 
     j = int(j0)
+    cells = spec.cells
     Y = np.zeros((2, w))                 # [zdot; z], zdot drawn per iterate
-    Y[1] = table[j].coords(x0)
-    N = cfg.n_iterates
+    Y[1] = cells.S[j - 1].T.dot(spec.M[j - 1].dot(x0 - cells.x_p[j - 1]))
+    kept = cfg.kept
+    N = kept.stop
     draws = chain.from_iterable(
         refresh_velocity(rng, min(REFRESH_ROWS, N - start), w)
         for start in range(0, N, REFRESH_ROWS))
@@ -254,8 +264,8 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                     context={"iterate": i, "region": j, "t_left": t_left},
                 )
 
-        if i >= cfg.burn_in and (i - cfg.burn_in + 1) % cfg.thin == 0:
-            row = (i - cfg.burn_in + 1) // cfg.thin - 1
+        if i in kept:
+            row = kept.index(i)
             Ys[row] = Y
             R[row] = j
 
@@ -265,7 +275,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
         # the states go before the log's other temporaries are made
         sq = squared_norms(np.frombuffer(states).reshape(-1, 2, 2, w))
         del states
-        log = _event_log(spec.cells, ints, floats, sq)
+        log = _event_log(cells, ints, floats, sq)
     X, Xdot = _record(spec, Ys, R, cfg)
     return ChainOutput(X=X, Xdot=Xdot, R=R, log=log)
 
@@ -327,6 +337,6 @@ def _record(spec, Ys, R, cfg):
         if bad.size:
             row = start + bad.item(0)
             raise ContractError(
-                f"iterate {cfg.burn_in + cfg.thin * (row + 1) - 1} ended outside "
-                f"region {R[row]}'s cell", residual=-float(low[bad[0]]))
+                f"iterate {cfg.kept[row]} ended outside region {R[row]}'s cell",
+                residual=-float(low[bad[0]]))
     return X, Xdot

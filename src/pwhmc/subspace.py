@@ -19,10 +19,6 @@ import numpy as np
 # the rank test's margin.
 NORMAL_DEGENERACY_TOL = 1e-12
 
-# Tolerance of the sampler's initial-point check: the start's manifold
-# residual and cell breach, and the cell breach of every kept row.
-COEF_TOL = 1e-8
-
 
 def rank_margin(R1):
     """1/(||R1^-1||_F max(1, ||R1||_F)) for A = Q1 R1: at most sigma_min(A)

@@ -87,6 +87,18 @@ def region_rows(table, j):
     return table.cells.G[rows], table.cells.h[rows]
 
 
+def coords(spec, j, x):
+    """Whitened coordinates S'M(x - x_p) of a point x on region j's piece,
+    by the products run_chain takes for its start."""
+    cells = spec.cells
+    return cells.S[j - 1].T.dot(spec.M[j - 1].dot(x - cells.x_p[j - 1]))
+
+
+def on_piece(cells, j, z):
+    """The point x_p + S z of region j's piece at whitened coordinates z."""
+    return cells.x_p[j - 1] + cells.S[j - 1] @ z
+
+
 def members_of(spec, x, tol=0.0):
     """Every region whose cell holds x within tol."""
     labels = np.arange(1, spec.J + 1)
@@ -95,9 +107,8 @@ def members_of(spec, x, tol=0.0):
 
 def point_in_region(spec, j, rng, scale=0.6, max_tries=500):
     """Random manifold point strictly inside region j."""
-    reg = spec.regions[j]
     for _ in range(max_tries):
-        x = reg.x_p + reg.S @ rng.normal(scale=scale, size=spec.n - spec.d)
+        x = on_piece(spec.cells, j, rng.normal(scale=scale, size=spec.n - spec.d))
         members = members_of(spec, x)
         if members == {j}:
             return x

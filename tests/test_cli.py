@@ -121,6 +121,21 @@ def test_sample_iterate_column_respects_burnin_thin(tmp_path):
     assert iterates == [6, 9, 12, 15, 18]
 
 
+def test_sample_csv_crosses_a_chunk(tmp_path, monkeypatch):
+    # rows are formatted EVENT_CHUNK at a time: a CSV over several chunks,
+    # the last one short, is the text of one pass over every row
+    spec = zoo.positive_part_model()
+    cfg = ChainConfig(n_samples=11, seed=4, burn_in=3, thin=2)
+    out = run_chain(spec, spec.init_region, spec.init_point, cfg)
+    expected = "x1,x2,x3,region,iterate\n" + "".join(
+        ",".join(["%.17g" % v for v in x] + [str(j), str(3 + 2 * row + 1)]) + "\n"
+        for row, (x, j) in enumerate(zip(out.X.tolist(), out.R.tolist())))
+    for chunk in (cli.EVENT_CHUNK, 4):
+        monkeypatch.setattr(cli, "EVENT_CHUNK", chunk)
+        cli._write_samples(tmp_path / "o.csv", spec, cfg, out)
+        assert (tmp_path / "o.csv").read_text() == expected
+
+
 def test_sample_events_log(tmp_path):
     out = tmp_path / "draws.csv"
     ev_path = tmp_path / "events.jsonl"
@@ -655,12 +670,16 @@ def test_every_entry_point_refuses_an_invalid_model(tmp_path, capsys, case):
 
 
 def test_validation_runs_once_per_model(tmp_path, monkeypatch):
-    calls = []
-    checks = model._checks
+    # the checks run once per model, and a chain reads the cached report
+    # without calling validate_model again
+    calls, validated = [], []
+    checks, validate = model._checks, model.validate_model
     monkeypatch.setattr(model, "_checks",
                         lambda spec: calls.append(spec) or checks(spec))
     spec = zoo.one_norm_model()
     report = validate_model(spec)
+    monkeypatch.setattr(model, "validate_model",
+                        lambda spec: validated.append(spec) or validate(spec))
     run_chain(spec, 1, [0.2, 0.3, 0.5], ChainConfig(n_samples=5))
     run_chain(spec, 1, [0.2, 0.3, 0.5], ChainConfig(n_samples=5))
     assert validate_model(spec) is report is spec.report and calls == [spec]
@@ -668,6 +687,7 @@ def test_validation_runs_once_per_model(tmp_path, monkeypatch):
     assert main(["sample", ONENORM, "--n", "5", "--chains", "2",
                  "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == 2 and calls[1] is not spec
+    assert validated == []
 
 
 def test_sample_refuses_colliding_output_paths(tmp_path, capsys, monkeypatch):

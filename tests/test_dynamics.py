@@ -12,11 +12,13 @@ from brute_force import first_hit_unbounded, grid_hit_time
 from conftest import (
     anisotropic_mass,
     benchmark_models,
+    coords,
     first_hit_both_paths,
     invalid_models,
     lines_model,
     members_of,
     oblique_wall_model,
+    on_piece,
     point_in_region,
     polygon_model,
     rand_continuous_pair,
@@ -455,7 +457,7 @@ def test_regions_memoize():
     other = zoo.one_norm_model()
     fresh = other.regions[1]
     assert fresh is not reg1
-    assert np.array_equal(fresh.x_p, reg1.x_p)
+    assert np.array_equal(fresh.GT, reg1.GT) and fresh.hits == reg1.hits
 
 
 def test_a_model_whose_regions_were_built_dies_on_del():
@@ -542,15 +544,15 @@ def test_a_transition_without_a_far_entry_raises():
 def segment_in_x(t_budget, j, x0, xdot0, table, skip=-1):
     """evolve_segment_detail on a state given in x, with every state it
     returns mapped back to x; the state passed in is left as it was."""
-    reg = table[j]
-    Y0 = np.array([reg.S.T @ reg.M @ np.asarray(xdot0, dtype=float),
-                   reg.coords(np.asarray(x0, dtype=float))])
+    cells = table.cells
+    SM = cells.SM[j - 1]
+    Y0 = np.array([SM @ np.asarray(xdot0, dtype=float),
+                   SM @ (np.asarray(x0, dtype=float) - cells.x_p[j - 1])])
     before = Y0.copy()
     Y, tau, j_new, k, step, Y_pre = segment(t_budget, j, Y0, skip, table)
     assert np.array_equal(Y0, before)
-    new = table[j_new]
-    return (new.x_p + new.S @ Y[1], new.S @ Y[0], tau, j_new, k, step,
-            reg.S @ Y_pre[0])
+    return (on_piece(cells, j_new, Y[1]), cells.S[j_new - 1] @ Y[0], tau, j_new,
+            k, step, cells.S[j - 1] @ Y_pre[0])
 
 
 def potential(spec, j, x):
@@ -609,7 +611,7 @@ def test_boundary_dynamics_artificial_boundary_is_identity():
         Y0, _ = state_on_face(table, 1, 0, rng)
         Y, tau, j_new = segment(0.0, 1, Y0, -1, table)[:3]
         assert (tau, j_new) == (0.0, 2)
-        assert np.allclose(table[2].S @ Y[0], table[1].S @ Y0[0],
+        assert np.allclose(spec.cells.S[1] @ Y[0], spec.cells.S[0] @ Y0[0],
                            rtol=0, atol=1e-14)
 
 
@@ -669,7 +671,6 @@ def state_on_face(table, j, k, rng, scale=1.0):
     """(Y, x): a state of region j on row k's face, clear of every other
     row, leaving through it with a random speed; the position is drawn
     from N(0, scale^2 I) in whitened coordinates before it is projected."""
-    reg = table[j]
     G, h = region_rows(table, j)
     g1 = G[k] / np.linalg.norm(G[k])
     while True:
@@ -680,7 +681,7 @@ def state_on_face(table, j, k, rng, scale=1.0):
     zdot = rng.normal(size=len(g1))
     zdot -= (g1 @ zdot + abs(rng.normal()) + 0.05) * g1
     return (np.array([zdot * rng.uniform(0.2, 2.0), z]),
-            reg.x_p + reg.S @ z)
+            on_piece(table.cells, j, z))
 
 
 def test_face_record_matches_rule_from_scratch(rng):
@@ -707,7 +708,7 @@ def test_face_record_matches_rule_from_scratch(rng):
                     continue
                 i = spec.cells.i[table[j_new].first + k_new]
                 expected, j_exp, V1_exp, V2_exp = rule_from_scratch(
-                    spec, j, i, reg.x_p + reg.S @ Y_pre[1], Y_pre[0])
+                    spec, j, i, on_piece(spec.cells, j, Y_pre[1]), Y_pre[0])
                 assert j_new == j_exp
                 assert np.abs(Y_pre - flight_of(Y0, tau)).max() <= 1e-12
                 assert np.abs(Y - expected).max() <= 1e-12
@@ -955,7 +956,7 @@ def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
         assert ev["energy_pre"] == 0.5 * float(Y_pre[0].dot(Y_pre[0])) + V1
         post = 0.5 * float(Y[0].dot(Y[0]))
         reg = table[j]
-        x = reg.x_p + reg.S @ Y_pre[1]
+        x = on_piece(spec.cells, j, Y_pre[1])
         if j_new != j:
             V2 = 0.5 * float(Y[1].dot(Y[1])) + table.base[j_new - 1]
             assert (ev["kind"], ev["dV"], ev["energy_post"]) == ("transition",
@@ -1036,13 +1037,12 @@ def test_flight_is_reversible(model, rng):
     X, R = exact_sample(spec, 300, rng)
     events = 0
     for x, j in zip(X, R.tolist()):
-        reg = table[j]
-        Y0 = np.array([rng.standard_normal(reg.S.shape[1]), reg.coords(x)])
+        Y0 = np.array([rng.standard_normal(spec.n - spec.d), coords(spec, j, x)])
         j1, Y, kappa, n1 = fly(table, j, Y0, 3.0)
         j2, Y, _, n2 = fly(table, j1, Y * [[-1.0], [1.0]], 3.0)
         assert j2 == j
-        error = max(np.abs(reg.x_p + reg.S @ Y[1] - x).max(),
-                    np.abs(reg.S @ (Y[0] + Y0[0])).max())
+        error = max(np.abs(on_piece(spec.cells, j, Y[1]) - x).max(),
+                    np.abs(spec.cells.S[j - 1] @ (Y[0] + Y0[0])).max())
         assert error <= max(1e-12, 1e-13 * kappa)
         events += n1 + n2
     assert events >= 300
@@ -1069,7 +1069,7 @@ def test_boundary_dynamics_velocity_transfer(rng):
             continue
         moved += 1
         other = table[j2]
-        P = other.S.T @ other.M @ reg.S
+        P = spec.cells.SM[j2 - 1] @ spec.cells.S[j - 1]
         g2 = other.GT[:, k2] / np.linalg.norm(other.GT[:, k2])
         assert np.allclose(Y[0], speed * g2 + P @ w, atol=1e-10)
     assert moved > 20
@@ -1131,10 +1131,11 @@ def test_segment_adherence_and_region_bounds(rng):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
         reg = table[j]
-        Y = np.array([refresh_velocity(rng, 1, reg.S.shape[1])[0], reg.coords(x0)])
+        Y = np.array([refresh_velocity(rng, 1, spec.n - spec.d)[0],
+                      coords(spec, j, x0)])
         _, tau = first_hit(*Y.dot(reg.GT), reg.hits, np.pi / 2, -1)
         for t in np.linspace(0.0, tau, 32):
-            x = reg.x_p + reg.S @ flight_of(Y, t)[1]
+            x = on_piece(spec.cells, j, flight_of(Y, t)[1])
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8
             if t < tau:
                 assert cell_slack(spec, j, x) > -1e-7
@@ -1169,7 +1170,7 @@ def test_membership_preserved_across_transition(rng):
     for _ in range(40):
         j = int(rng.integers(1, spec.J + 1))
         x0 = point_in_region(spec, j, rng)
-        xdot0 = table[j].S @ refresh_velocity(rng, 1, spec.n - spec.d)[0]
+        xdot0 = spec.cells.S[j - 1] @ refresh_velocity(rng, 1, spec.n - spec.d)[0]
         x, xdot, tau, j_new = segment_in_x(
             np.pi / 2, j, x0, xdot0, table)[:4]
         assert j_new in members_of(spec, x, tol=1e-9)

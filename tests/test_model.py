@@ -12,6 +12,7 @@ from brute_force import region_arrays
 from conftest import (
     anisotropic_mass,
     benchmark_models,
+    coords,
     members_of,
     oblique_wall_model,
     plane_model,
@@ -104,7 +105,7 @@ def test_load_allows_zero_hyperplanes():
 def piece_energy(spec, j, x):
     """The sampler's potential at a point x of region j's piece:
     1/2 |z|^2 + base_j in its whitened coordinates z."""
-    z = spec.regions[j].coords(x)
+    z = coords(spec, j, x)
     return 0.5 * float(z @ z) + float(spec.cells.base[j - 1])
 
 
@@ -160,10 +161,9 @@ def test_mean_document_loads_linear_coefficient():
     rng = np.random.default_rng(5)
     for jz, mu in enumerate(np.array(mus)):
         assert np.array_equal(spec.r[jz], M @ mu)
-        reg = table[jz + 1]
         mom = conditional_gaussian_moments(mu, np.linalg.inv(M),
                                            spec.A[jz], -spec.y[jz])
-        assert np.allclose(reg.x_p, mom.m, rtol=0, atol=1e-12)
+        assert np.allclose(spec.cells.x_p[jz], mom.m, rtol=0, atol=1e-12)
         for _ in range(5):
             x = rng.normal(size=3) * [1.0, 1.0, 0.0]     # on the plane x3 = 0
             expected = 0.5 * (x - mu) @ M @ (x - mu) + k[jz] \
@@ -599,8 +599,8 @@ def test_region_rows_match_lookup_table():
             reg = table[j]
             F = sign[:, None] * spec.F[on]
             rows = slice(reg.first, reg.first + len(reg.normals))
-            assert np.array_equal(reg.GT.T, F @ reg.S)
-            assert np.allclose(table.cells.h[rows] - F @ reg.x_p,
+            assert np.array_equal(reg.GT.T, F @ table.cells.S[j - 1])
+            assert np.allclose(table.cells.h[rows] - F @ table.cells.x_p[j - 1],
                                sign * spec.g[on], rtol=0, atol=1e-12)
             # a wall's label is 0, not a region across
             assert ([label or j for label in table.label[rows]]
