@@ -25,6 +25,14 @@ are columns of that table indexed by cell-table entry, built with it but
 for the face maps, which a region's first visit fills; so a segment does
 arithmetic only, and no array it makes outlives it but the states it
 returns.
+
+On a model whose pieces are planes (n - d = 2), numpy's dispatch costs more
+than the arithmetic on arrays of two to four elements, so the table also
+holds each region's rows and each face map as plain floats, and the chain
+runs ``planar_segment``: the same rules on the state as a tuple of four
+floats.  ``evolve_segment_detail`` runs every wider model and is the
+planar segment's reference.  The two round some products differently, so
+a planar chain agrees with one on the arrays to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -57,15 +65,6 @@ REACH_MARGIN = 1e-12
 # numpy's arccos/arctan2 and libm's differ: by at most 8.9e-16 in the root
 # over 1e6 random rows surely in reach, near-grazing ones included.
 SELECT_SLACK = 1e-6
-# A region table of up to this many entries hands the segment each
-# transition's face map, far normal and offset as ready views, kept in
-# lists: making a view of a stacked array costs about 0.17 us, three per
-# transmission.  A larger table's segment makes the views on access, as
-# three view headers of 128 bytes per entry then fall out of the cache and
-# reading a cold one costs more: in one process on one CPU, lists made
-# chains about 5% faster on onenorm (24 entries) and ntop (36), and 4%
-# slower on the 1024-region sphere in R^10 (10,240) (BENCH_alloc.json).
-VIEW_ENTRIES = 512
 
 
 def first_hit(fa, fb, h, t_max, skip):
@@ -220,16 +219,23 @@ class Region:
     normal a reflection off row k reads, hits, the row offsets h as
     first_hit takes them (a list of floats, or, for a wide region of more
     than SCAN_ROWS rows, its ``Reach``), and first, the cell-table entry of
-    row 0: row k is entry first + k.  Nothing here is chain state.
+    row 0: row k is entry first + k.  A planar region (n - d = 2) also
+    holds, for ``planar_segment``, its rows of F_j S as float pairs, and if
+    wide the two rows of GT as complex columns (a + 0j); a wider region
+    holds None in both.  Nothing here is chain state.
     """
 
-    __slots__ = ("GT", "normals", "hits", "wide", "first")
+    __slots__ = ("GT", "normals", "pairs", "columns", "hits", "wide", "first")
 
     def __init__(self, cells, j):
         rows = slice(cells.start[j - 1], cells.start[j])
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.normals = cells.G[rows]
+        planar = cells.G.shape[1] == 2
+        self.pairs = self.normals.tolist() if planar else None
         self.wide = rows.stop - rows.start > SCAN_ROWS
+        self.columns = ((self.GT[0] + 0j, self.GT[1] + 0j) if planar and self.wide
+                        else None)
         self.hits = Reach(cells.h[rows]) if self.wide else cells.h[rows].tolist()
         self.first = int(rows.start)
 
@@ -258,16 +264,16 @@ class RegionTable(dict):
     A transition's face map TT[e] = T', G2[e] = g2, the neighbor's unit
     normal of row k2 into it, Q[e] = q_T and flat[e], whether the potential
     is the same function on both sides, are filled on its region's first
-    visit (see ``fill``) into maps, the stacked arrays of all three.  A
-    flat entry's TT and Q have the kept normal speed folded in, so only a
-    general transmission reads G2.  TT, G2 and Q are those arrays, or, in a
-    table of up to VIEW_ENTRIES entries, lists that hold each filled
-    transition's views of them.
+    visit (see ``fill``), as stacked arrays.  A flat entry's TT and Q have
+    the kept normal speed folded in, so only a general transmission reads
+    G2.  A planar table (n - d = 2) also holds each filled transition's
+    map as plain floats, faces[e] = TT's four in row order, Q's two and
+    G2's two, which ``planar_segment`` reads; planar says which it is.
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
     __slots__ = ("cells", "pot", "base", "label", "norm", "k2", "faults",
-                 "maps", "TT", "G2", "Q", "flat")
+                 "TT", "G2", "Q", "flat", "planar", "faces")
 
     def __init__(self, spec):
         super().__init__()
@@ -284,10 +290,11 @@ class RegionTable(dict):
         self.k2 = (far - cells.start[cells.t]).tolist()
         self.faults = {e: _fault(cells, e) for e in np.flatnonzero(label < 0).tolist()}
         E, w = cells.G.shape
-        self.maps = np.empty((E, w, w)), np.empty((E, w)), np.empty((E, w))
-        self.TT, self.G2, self.Q = ([None] * E for _ in self.maps) \
-            if E <= VIEW_ENTRIES else self.maps
+        self.TT = np.empty((E, w, w))
+        self.G2, self.Q = np.empty((E, w)), np.empty((E, w))
         self.flat = [False] * E
+        self.planar = w == 2
+        self.faces = [None] * E if self.planar else None
 
     def __missing__(self, j):
         reg = Region(self.cells, j)
@@ -332,14 +339,14 @@ class RegionTable(dict):
         flat = (self.pot[t] == self.pot[j]).all(1)
         # each entry's final map is assigned once, so that a second fill of
         # the region, from another thread, writes the same bits
-        TT, G2, Q = self.maps
+        TT, G2, Q = self.TT, self.G2, self.Q
         TT[e] = np.where(flat[:, None, None], T - g1[:, :, None] * g2[:, None], T)
         G2[e] = g2
         Q[e] = np.where(flat[:, None], q - hw * g2, q)
-        if self.TT is not TT:               # lists: each entry's views, made once
-            for entry in e.tolist():
-                self.TT[entry], self.G2[entry] = TT[entry], G2[entry]
-                self.Q[entry] = Q[entry]
+        if self.planar:
+            for entry, tt, qt, g in zip(e.tolist(), TT[e].reshape(-1, 4).tolist(),
+                                        Q[e].tolist(), G2[e].tolist()):
+                self.faces[entry] = (*tt, *qt, *g)
         for entry in e[flat].tolist():
             self.flat[entry] = True
 
@@ -402,3 +409,68 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     Y_new = Y.copy()
     Y_new[0] -= (2.0 * v1 / nw) * reg.normals[k]
     return Y_new, tau, j, k, step, Y
+
+
+def planar_segment(t_budget, j, Y, skip, table):
+    """``evolve_segment_detail`` on a planar table (n - d = 2), on floats.
+
+    Y = (zdot0, zdot1, z0, z1) is the state [zdot; z] as a tuple, and so is
+    each state returned; otherwise the arguments and the returned 6-tuple
+    are ``evolve_segment_detail``'s, and so are the rules, applied in the
+    same order, each written out per component.  The scan's coefficients
+    fa = G zdot and fb = G z are one comprehension each, or for a wide
+    region two complex numpy products and a sum, whose real and imaginary
+    parts round as the comprehension does.  So the scan sees the same
+    values either way, and the same bits but for the sign of a coefficient
+    that is exactly zero, which needs a velocity component of exactly zero.
+    Each product of the state by a 2 x 2 map is rounded as Python rounds
+    it, where numpy's BLAS may fuse a multiply and an add, so a chain on
+    this path agrees with one on ``evolve_segment_detail`` to rounding, not
+    bit for bit.
+    """
+    reg = table[j]
+    zd0, zd1, z0, z1 = Y
+    if reg.wide:
+        # fa + i fb in two complex products: each part of a + 0j times
+        # zdot_i + i z_i is one real product, as the comprehension rounds it
+        ga, gb = reg.columns
+        f = ga * complex(zd0, z0)
+        f += gb * complex(zd1, z1)
+        fa, fb = f.real, f.imag
+    else:
+        fa = [zd0 * a + zd1 * b for a, b in reg.pairs]
+        fb = [z0 * a + z1 * b for a, b in reg.pairs]
+    k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
+    s, c = sin(tau), cos(tau)
+    d0, d1 = c * zd0 - s * z0, c * zd1 - s * z1       # zdot and z at tau
+    p0, p1 = s * zd0 + c * z0, s * zd1 + c * z1
+    Y_pre = (d0, d1, p0, p1)
+    if k < 0:
+        return Y_pre, tau, j, k, None, Y_pre
+
+    e = reg.first + k
+    label = table.label[e]
+    if label < 0:                         # a row no rule crosses
+        raise table.faults[e]
+    step = None
+    if label > 0:
+        t00, t01, t10, t11, q0, q1, g0, g1 = table.faces[e]
+        u0, u1 = d0 * t00 + d1 * t10, d0 * t01 + d1 * t11
+        w0, w1 = p0 * t00 + p1 * t10 + q0, p0 * t01 + p1 * t11 + q1
+        if table.flat[e]:                 # the speed is folded into the map
+            return (u0, u1, w0, w1), tau, label, table.k2[e], None, Y_pre
+        step = (0.5 * (p0 * p0 + p1 * p1) + table.base[j - 1],
+                0.5 * (w0 * w0 + w1 * w1) + table.base[label - 1])
+    nw = table.norm[e]
+    # v1 = g1'zdot at tau, from row k's scan coefficients, formed again from
+    # the state before the flight as the scan formed them
+    a, b = reg.pairs[k]
+    v1 = ((zd0 * a + zd1 * b) * c - (z0 * a + z1 * b) * s) / nw
+    if step is not None:
+        speed = boundary_dynamics(v1, *step)
+        if speed is not None:
+            return ((u0 + speed * g0, u1 + speed * g1, w0, w1), tau, label,
+                    table.k2[e], step, Y_pre)
+    # reflect: at a step the normal energy does not clear, or at a wall
+    f = 2.0 * v1 / nw
+    return (d0 - f * a, d1 - f * b, p0, p1), tau, j, k, step, Y_pre

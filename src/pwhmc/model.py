@@ -339,8 +339,13 @@ def ell(spec: ModelSpec, R, X) -> np.ndarray:
     R is one 1-based region label or an array of them, X one point or a
     stack of points; the two broadcast against each other.
     """
-    i = _region_index(spec, R)
-    return np.einsum("...nd,...n->...d", spec.A[i], _points(spec, X)) + spec.y[i]
+    return _ell(spec, _region_index(spec, R), _points(spec, X))
+
+
+def _ell(spec: ModelSpec, i, X) -> np.ndarray:
+    """A_i'X + y_i of the 0-based region(s) i at the float point(s) X (..., n),
+    broadcast as in ``ell``."""
+    return np.einsum("...nd,...n->...d", spec.A[i], X) + spec.y[i]
 
 
 def cell_slack(spec: ModelSpec, R, X):

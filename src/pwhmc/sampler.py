@@ -2,15 +2,17 @@
 
 One iterate draws a fresh tangent velocity, then evolves the particle for a
 total time t_max, consuming the budget segment by segment across however
-many boundary events occur.  The chain carries its state as one stacked
-array [zdot; z] in the current region's whitened coordinates (see
-``dynamics``) and keeps that state and its region label per kept row; after
-the loop, one pass over the kept rows in row order, a batch at a time,
-writes them back in x and checks each against its cell.  The event log is
-kept the same way: the loop appends each event's numbers and states to
-flat columns, and the energies are formed after it, one batched product
-for all events.  The dynamics are exact and the boundary rules
-energy-consistent, so there is no accept/reject step.
+many boundary events occur.  The chain carries its state [zdot; z] in the
+current region's whitened coordinates (see ``dynamics``): as one stacked
+array, or on a planar model as a tuple of four floats, which
+``planar_segment`` takes.  It appends each kept row's state to one flat
+column and keeps its region label; after the loop, one pass over the kept
+rows in row order, a batch at a time, writes them back in x and checks
+each against its cell.  The event log is kept the same way: the loop
+appends each event's numbers and states to flat columns, and the energies
+are formed after it, one batched pass for all events.  The dynamics are
+exact and the boundary rules energy-consistent, so there is no
+accept/reject step.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from math import nan
 
 import numpy as np
 
-from .dynamics import evolve_segment_detail
+from .dynamics import evolve_segment_detail, planar_segment
 from .errors import ContractError, StallError
-from .model import _slack, cell_slack, ell
+from .model import _ell, _slack
 
 # Tolerance of the start check, on the start's manifold residual and cell
 # breach, and of the kept-row check, on each row's cell breach.
@@ -170,14 +172,16 @@ def refresh_velocity(rng, count, width) -> np.ndarray:
 def initial_point_check(spec, j0, x0) -> InitialPointReport:
     """Is x0 a usable start: on region j0's manifold and inside its cell?
     A j0 not an integer in 1..J, or an x0 not n long, raises ContractError.
-    The residual is the norm of ``ell``'s and the slack ``cell_slack``'s."""
+    The residual is the norm of ``ell``'s and the slack ``cell_slack``'s,
+    each formed as they form it, on the region and point checked here."""
     if np.asarray(j0).dtype.kind not in "iu" or not 1 <= j0 <= spec.J:
         raise ContractError(f"start region {j0} is out of range 1..{spec.J}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.n,):
         raise ContractError(f"start point has shape {x0.shape}, expected ({spec.n},)")
-    residual = float(np.linalg.norm(ell(spec, j0, x0)))
-    slack = float(cell_slack(spec, j0, x0))
+    i = int(j0) - 1
+    residual = float(np.linalg.norm(_ell(spec, i, x0)))
+    slack = float(_slack(spec.cells, i, x0))
     return InitialPointReport(
         manifold_residual=residual,
         cell_slack=slack,
@@ -206,11 +210,15 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     iterate, in iterate order, so outputs are reproducible bit for bit from
     (spec, j0, x0, cfg) and a chain's rows do not depend on its length.
     The draws are made REFRESH_ROWS iterates at a time, in stream order,
-    which leaves each one's bits as a draw of its own would give them.  The
-    loop keeps each kept iterate's state [zdot; z] and region label; after
-    it, ``_record`` writes every kept row back in x and checks it against
-    its cell, so that a row outside its cell raises ContractError naming
-    the first such iterate, as ``check_start`` first does for the model and start.
+    which leaves each one's bits as a draw of its own would give them.  A
+    planar model's chain (``RegionTable.planar``) runs ``planar_segment`` on
+    floats, any other ``evolve_segment_detail`` on arrays; the two differ in
+    rounding, so replay is bit for bit for a given model, seed and numpy
+    build.  The loop keeps each kept iterate's state [zdot; z] and region
+    label; after it, ``_record`` writes every kept row back in x and checks
+    it against its cell, so that a row outside its cell raises ContractError
+    naming the first such iterate, as ``check_start`` first does for the
+    model and start.
     With record_events, the loop appends each event's numbers and its
     states before and after the boundary update to flat columns, from
     which ``_event_log`` forms the log.  The chain owns every buffer it
@@ -220,8 +228,9 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     check_start(spec, j0, x0)
     rng = make_rng(cfg.seed)
     table = spec.regions
+    planar = table.planar
     w = spec.n - spec.d
-    Ys = np.empty((cfg.n_samples, 2, w))
+    Ys = array("d")                      # each kept state [zdot; z], flat
     R = np.empty(cfg.n_samples, dtype=np.int64)
     rot = np.empty((2, 2))               # the flight's rotation
     record = cfg.record_events
@@ -231,22 +240,27 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
 
     j = int(j0)
     cells = spec.cells
-    Y = np.zeros((2, w))                 # [zdot; z], zdot drawn per iterate
-    Y[1] = cells.S[j - 1].T.dot(spec.M[j - 1].dot(x0 - cells.x_p[j - 1]))
+    z = cells.S[j - 1].T.dot(spec.M[j - 1].dot(x0 - cells.x_p[j - 1]))
+    # [zdot; z], zdot drawn per iterate
+    Y = (0.0, 0.0, *z.tolist()) if planar else np.stack([np.zeros(w), z])
     kept = cfg.kept
     N = kept.stop
-    draws = chain.from_iterable(
-        refresh_velocity(rng, min(REFRESH_ROWS, N - start), w)
-        for start in range(0, N, REFRESH_ROWS))
+    blocks = (refresh_velocity(rng, min(REFRESH_ROWS, N - start), w)
+              for start in range(0, N, REFRESH_ROWS))
+    draws = chain.from_iterable(b.tolist() if planar else b for b in blocks)
     for i, eps in enumerate(draws):
-        Y[0] = eps
+        if planar:
+            Y = (*eps, Y[2], Y[3])
+        else:
+            Y[0] = eps
         t_left = cfg.t_max
         t_used = 0.0
         n_events = 0
         k = -1
         while True:
-            Y, tau, j_new, k, step, Y_pre = evolve_segment_detail(
-                t_left, j, Y, k, table, rot)
+            Y, tau, j_new, k, step, Y_pre = (
+                planar_segment(t_left, j, Y, k, table) if planar else
+                evolve_segment_detail(t_left, j, Y, k, table, rot))
             t_used += tau
             t_left -= tau
             if k < 0:
@@ -255,8 +269,12 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
             if record:
                 ints.extend((i, k, j, j_new))
                 floats.extend((t_used, nan if step is None else step[1]))
-                states.frombytes(Y_pre.tobytes())
-                states.frombytes(Y.tobytes())
+                if planar:
+                    states.extend(Y_pre)
+                    states.extend(Y)
+                else:
+                    states.frombytes(Y_pre.tobytes())
+                    states.frombytes(Y.tobytes())
             j = j_new
             if n_events > MAX_EVENTS_PER_ITERATE:
                 raise StallError(
@@ -265,18 +283,25 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                 )
 
         if i in kept:
-            row = kept.index(i)
-            Ys[row] = Y
-            R[row] = j
+            if planar:
+                Ys.extend(Y)
+            else:
+                Ys.frombytes(Y.tobytes())
+            R[kept.index(i)] = j
 
     log = None
     if record:
         # per event [[|zdot_pre|^2, |z_pre|^2], [|zdot_post|^2, |z_post|^2]];
         # the states go before the log's other temporaries are made
-        sq = squared_norms(np.frombuffer(states).reshape(-1, 2, 2, w))
-        del states
+        V = np.frombuffer(states).reshape(-1, 2, 2, w)
+        if planar:                    # rounded as planar_segment rounds them
+            sq = V[..., 0] * V[..., 0]
+            sq += V[..., 1] * V[..., 1]
+        else:
+            sq = squared_norms(V)
+        del states, V
         log = _event_log(cells, ints, floats, sq)
-    X, Xdot = _record(spec, Ys, R, cfg)
+    X, Xdot = _record(spec, np.frombuffer(Ys).reshape(-1, 2, w), R, cfg)
     return ChainOutput(X=X, Xdot=Xdot, R=R, log=log)
 
 

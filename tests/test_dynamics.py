@@ -40,6 +40,7 @@ from pwhmc.dynamics import (
     evolve_segment_detail,
     first_hit,
     flight,
+    planar_segment,
 )
 from pwhmc.errors import ContractError, DegenerateNormalError
 from pwhmc.model import ModelSpec, cell_slack, load_model, load_model_file
@@ -730,9 +731,9 @@ def test_face_record_matches_rule_from_scratch(rng):
 def test_stacked_face_columns_are_each_rows_own():
     # a region's face maps, filled in one stacked pass on its first visit,
     # equal bit for bit those filled for each of its rows alone, and a visit
-    # writes no other region's rows; a table of up to VIEW_ENTRIES entries
-    # hands out each transition's views of them from lists, a larger one
-    # the arrays
+    # writes no other region's rows; a planar table (n - d = 2) also holds
+    # each transition's map as the floats of its stacked rows, a wider
+    # table none
     specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
     specs += [sign_cells_model(anisotropic_mass(), scale_left=2.0),
               oblique_wall_model(), wall_box_model()] + benchmark_models()
@@ -746,31 +747,140 @@ def test_stacked_face_columns_are_each_rows_own():
         table = RegionTable(spec)
         for j in range(1, spec.J + 1):
             table[j]
-        for stacked, own in zip(table.maps, alone.maps):
+        maps = (table.TT, table.G2, table.Q)
+        for stacked, own in zip(maps, (alone.TT, alone.G2, alone.Q)):
             assert stacked.flags.c_contiguous
             assert stacked[crossed].tobytes() == own[crossed].tobytes()
         assert table.flat == alone.flat
-        views = len(cells.j) <= dynamics.VIEW_ENTRIES
-        modes.add(views)
-        for column, stacked in zip((table.TT, table.G2, table.Q), table.maps):
-            if views:
-                assert [v is not None for v in column] == crossed.tolist()
-                assert all(v.base is stacked and v.flags.c_contiguous
-                           for v in column if v is not None)
-            else:
-                assert column is stacked
+        assert table.planar == (spec.n - spec.d == 2)
+        modes.add(table.planar)
+        if table.planar:
+            assert table.faces == alone.faces
+            assert [f is not None for f in table.faces] == crossed.tolist()
+            for e in np.flatnonzero(crossed).tolist():
+                stacked = np.concatenate([m[e].ravel() for m in (table.TT, table.Q,
+                                                                 table.G2)])
+                assert np.array(table.faces[e]).tobytes() == stacked.tobytes()
+        else:
+            assert table.faces is None
         for j in sorted({1, (spec.J + 1) // 2, spec.J}):
             table = RegionTable(spec)
-            for column in table.maps:
+            for column in (table.TT, table.G2, table.Q):
                 column[:] = np.nan
             table[j]
             rows = np.zeros(len(crossed), dtype=bool)
             rows[cells.start[j - 1]:cells.start[j]] = True
-            for column in table.maps:
+            for column in (table.TT, table.G2, table.Q):
                 assert not np.isnan(column[rows & crossed]).any()
                 assert np.isnan(column[~(rows & crossed)]).all()
             assert not any(np.array(table.flat)[~rows])
+            if table.planar:
+                assert [f is not None for f in table.faces] == (rows & crossed).tolist()
     assert modes == {True, False}
+
+
+PLANAR_MODELS = {
+    "onenorm": lambda: zoo.build_shipped("onenorm"),
+    "ntop": lambda: zoo.build_shipped("ntop"),
+    "pospart": lambda: zoo.build_shipped("pospart"),
+    "sign_cells": lambda: sign_cells_model(anisotropic_mass(), scale_left=2.0),
+    "wall_box": wall_box_model,
+    "oblique_wall": oblique_wall_model,
+    "polygon64": lambda: polygon_model(64),
+    "polywall": lambda: benchmark_models()[0],
+}
+
+
+def planar_states(spec, rng, count=60):
+    """(budget, j, Y, skip) cases for one planar model: states from inside
+    each region with budgets up to 3, and per face row (up to 8 a region),
+    a state on the face leaving it (an event at t = 0), that state flown
+    back by up to 1.5 (a hit at t > 0), and a near-grazing one, whose
+    normal speed is 1e-2 of its speed, flown back alike.  (A general
+    crossing's speed carries the potentials' rounding over the normal
+    speed, so much nearer grazing two roundings of one crossing part by
+    more than 1e-12 |Y|.)"""
+    table = spec.regions
+    cases = []
+    for _ in range(count):
+        j = int(rng.integers(1, spec.J + 1))
+        Y = np.array([rng.normal(size=2), coords(spec, j, point_in_region(spec, j, rng))])
+        cases.append((rng.uniform(0.0, 3.0), j, Y, -1))
+    for j in range(1, spec.J + 1):
+        G, h = region_rows(table, j)
+        rows = range(len(G)) if len(G) <= 8 else rng.choice(len(G), 8, replace=False)
+        for k in rows:
+            z = face_point(G, h, int(k), rng)
+            if z is None:                      # a row that bounds no face
+                continue
+            g1 = G[k] / np.linalg.norm(G[k])
+            tangent = np.array([-g1[1], g1[0]]) * rng.choice([-1.0, 1.0])
+            speed = rng.uniform(0.2, 2.0)
+            zdot = rng.normal(size=2)
+            zdot -= (g1 @ zdot + abs(rng.normal()) + 0.05) * g1
+            Y0 = np.array([zdot * speed, z])
+            graze = np.array([speed * (tangent * sqrt(1.0 - 1e-4) - 1e-2 * g1), z])
+            cases.append((rng.uniform(0.0, 2.0), j, Y0, -1))
+            for Y in (Y0, graze):
+                t = rng.uniform(0.05, 1.5)
+                cases.append((t + rng.uniform(0.0, 1.0), j, fly_back(Y, t), -1))
+    return cases
+
+
+def face_point(G, h, k, rng):
+    """A point drawn on row k's face of the planar cell G z + h >= 0, in the
+    middle 80% of its edge (clipped to |s| <= 3 along it), or None when the
+    row bounds no edge."""
+    norm = np.linalg.norm(G[k])
+    g1 = G[k] / norm
+    tangent = np.array([-g1[1], g1[0]])
+    z0 = -h[k] / norm * g1
+    a, b = np.delete(G @ tangent, k), np.delete(G @ z0 + h, k)   # a s + b >= 0
+    if b[a == 0].min(initial=np.inf) <= 0:
+        return None
+    with np.errstate(divide="ignore"):
+        ends = -b / a
+    lo = max(ends[a > 0].max(initial=-np.inf), -3.0)
+    hi = min(ends[a < 0].min(initial=np.inf), 3.0)
+    if not lo < hi:
+        return None
+    return z0 + rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)) * tangent
+
+
+def fly_back(Y, t):
+    """Y flown for time -t."""
+    return flight(Y, sin(-t), cos(-t), np.empty((2, 2)))
+
+
+@pytest.mark.parametrize("name", list(PLANAR_MODELS))
+def test_planar_segment_is_the_numpy_segment(name, rng):
+    # on a planar model, planar_segment and evolve_segment_detail, run from
+    # the same states, hit the same row into the same region at times within
+    # 1e-12 and return states within 1e-12 |Y|: the two write the same rules
+    # and differ in rounding alone (BLAS may fuse a multiply and an add)
+    spec = PLANAR_MODELS[name]()
+    table = spec.regions
+    assert table.planar
+    kinds = set()
+    for budget, j, Y, skip in planar_states(spec, rng):
+        Y_new, tau, j_new, k, step, Y_pre = segment(budget, j, Y, skip, table)
+        got = planar_segment(budget, j, tuple(Y.ravel().tolist()), skip, table)
+        assert all(type(v) is float for v in got[0] + got[5])
+        assert (got[2], got[3]) == (j_new, k)
+        assert abs(got[1] - tau) <= 1e-12
+        scale = np.linalg.norm(Y)
+        assert np.abs(np.reshape(got[0], (2, 2)) - Y_new).max() <= 1e-12 * scale
+        assert np.abs(np.reshape(got[5], (2, 2)) - Y_pre).max() <= 1e-12 * scale
+        assert (got[4] is None) == (step is None)
+        if step is not None:
+            assert np.abs(np.subtract(got[4], step)).max() <= 1e-12 * max(1.0, abs(step[0]))
+        kinds.add("none" if k < 0 else
+                  ("flat", "cross")[step is not None] if j_new != j else
+                  ("wall", "reflect")[step is not None])
+    walls = {"none", "wall"}
+    assert kinds == {"onenorm": {"none", "flat"}, "ntop": {"none", "flat", "cross"},
+                     "pospart": {"none", "cross", "reflect", "wall"},
+                     "sign_cells": {"none", "cross", "reflect"}}.get(name, walls)
 
 
 def filled_table(spec):
@@ -889,7 +999,8 @@ def test_general_face_maps_are_unfolded(name, general):
     table = filled_table(spec)
     e = np.flatnonzero((np.array(table.label) > 0) & ~np.array(table.flat))
     assert e.size == general
-    for column, expected in zip(table.maps, unfolded_face_maps(spec.cells, e)):
+    for column, expected in zip((table.TT, table.G2, table.Q),
+                                unfolded_face_maps(spec.cells, e)):
         assert column[e].tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
@@ -924,41 +1035,54 @@ def test_a_near_grazing_crossing_of_a_flat_face_transmits(rng):
     assert reflected > 20
 
 
-@pytest.mark.parametrize("name", ["onenorm", "pospart", "polywall"])
+@pytest.mark.parametrize("name", ["onenorm", "pospart", "polywall", "onenorm10"])
 def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
     # each event's energies, from the pre- and post-event states in
     # whitened coordinates as the segment computes them at a potential step,
-    # and dV against the potentials in x from the model's fields
-    spec = (benchmark_models()[0] if name == "polywall"
-            else load_model_file(zoo.model_path(name)))
+    # and dV against the potentials in x from the model's fields; the
+    # planar models run planar_segment, onenorm10 evolve_segment_detail
+    spec = {"polywall": lambda: benchmark_models()[0],
+            "onenorm10": lambda: benchmark_models()[1]}.get(
+        name, lambda: load_model_file(zoo.model_path(name)))()
     table = spec.regions
+    planar = table.planar
+    assert planar == (name != "onenorm10")
     segments = []
+    evolve = "planar_segment" if planar else "evolve_segment_detail"
+    run = getattr(sampler, evolve)
 
-    def recording(t_budget, j, Y, skip, table, rot):
-        out = evolve_segment_detail(t_budget, j, Y, skip, table, rot)
+    def recording(t_budget, j, Y, skip, table, *rot):
+        out = run(t_budget, j, Y, skip, table, *rot)
         if out[3] >= 0:
-            segments.append((j,) + out)
+            Y_new, *rest, Y_pre = out
+            segments.append((j, np.reshape(Y_new, (2, -1)), *rest,
+                             np.reshape(Y_pre, (2, -1))))
         return out
 
-    monkeypatch.setattr(sampler, "evolve_segment_detail", recording)
+    def sq(v):
+        """|v|^2 as the segment rounds it."""
+        return v[0] * v[0] + v[1] * v[1] if planar else float(v.dot(v))
+
+    monkeypatch.setattr(sampler, evolve, recording)
     j0, x0 = spec.init_region, spec.init_point
     if j0 is None:
         X, R = exact_sample(spec, 1, np.random.default_rng(4))
         j0, x0 = int(R[0]), X[0]
-    events = run_chain(spec, j0, x0, ChainConfig(n_samples=300, seed=6,
+    n = 30 if name == "onenorm10" else 300
+    events = run_chain(spec, j0, x0, ChainConfig(n_samples=n, seed=6,
                                                  record_events=True)).events
     assert len(events) == len(segments) > 100
     cases = set()
     for ev, (j, Y, tau, j_new, k, step, Y_pre) in zip(events, segments):
         assert (ev["j_from"], ev["j_to"]) == (j, j_new)
         e = table[j_new].first + k
-        V1 = 0.5 * float(Y_pre[1].dot(Y_pre[1])) + table.base[j - 1]
-        assert ev["energy_pre"] == 0.5 * float(Y_pre[0].dot(Y_pre[0])) + V1
-        post = 0.5 * float(Y[0].dot(Y[0]))
+        V1 = 0.5 * sq(Y_pre[1]) + table.base[j - 1]
+        assert ev["energy_pre"] == 0.5 * sq(Y_pre[0]) + V1
+        post = 0.5 * sq(Y[0])
         reg = table[j]
         x = on_piece(spec.cells, j, Y_pre[1])
         if j_new != j:
-            V2 = 0.5 * float(Y[1].dot(Y[1])) + table.base[j_new - 1]
+            V2 = 0.5 * sq(Y[1]) + table.base[j_new - 1]
             assert (ev["kind"], ev["dV"], ev["energy_post"]) == ("transition",
                                                                 V2 - V1, post + V2)
             assert (step is None) == table.flat[spec.cells.mirror[e]]
@@ -969,8 +1093,13 @@ def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
                 assert (ev["kind"], ev["dV"], step) == ("wall", 0.0, None)
                 cases.add("wall")
                 continue
-            z2 = Y_pre.dot(table.TT[e])[1] + table.Q[e]
-            V2 = 0.5 * float(z2.dot(z2)) + table.base[table.label[e] - 1]
+            if planar:
+                t00, t01, t10, t11, q0, q1 = table.faces[e][:6]
+                z0, z1 = Y_pre[1].tolist()
+                z2 = (z0 * t00 + z1 * t10 + q0, z0 * t01 + z1 * t11 + q1)
+            else:
+                z2 = Y_pre.dot(table.TT[e])[1] + table.Q[e]
+            V2 = 0.5 * sq(z2) + table.base[table.label[e] - 1]
             assert (ev["kind"], ev["dV"], step) == ("transition", V2 - V1, (V1, V2))
             assert ev["dV"] > 0.5 * v_n(reg, k, Y_pre) ** 2
             j_new = table.label[e]
@@ -978,7 +1107,7 @@ def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
         dV = potential(spec, j_new, x) - potential(spec, j, x)
         assert abs(ev["dV"] - dV) <= 1e-12 * max(1.0, abs(V1))
     assert cases == {"onenorm": {"transmit"}, "pospart": {"transmit", "reflect", "wall"},
-                     "polywall": {"wall"}}[name]
+                     "polywall": {"wall"}, "onenorm10": {"transmit"}}[name]
 
 
 def v_n(reg, k, Y):
@@ -995,8 +1124,9 @@ def assert_faults_are_each_entrys_own(table):
         assert type(error) is type(own) and str(error) == str(own)
 
 
-def fly(table, j, Y, T):
-    """(j, Y, kappa, events) after flying the state (j, Y) for time T.
+def fly(table, j, Y, T, planar=False):
+    """(j, Y, kappa, events) after flying the state (j, Y) for time T, by
+    evolve_segment_detail or, with planar, by planar_segment.
 
     kappa is the product over the events of 1 + (|z| + |zdot|) / |v_n|:
     an event's saltation matrix holds the face offset and the velocity
@@ -1004,11 +1134,17 @@ def fly(table, j, Y, T):
     can amplify a rounding error.
     """
     k, kappa, events = -1, 1.0, 0
+    if planar:
+        Y = tuple(Y.ravel().tolist())
     while True:
-        Y_new, tau, j_new, k, _, Y = segment(T, j, Y, k, table)
+        if planar:
+            Y_new, tau, j_new, k, _, Y = planar_segment(T, j, Y, k, table)
+            Y = np.reshape(Y, (2, 2))
+        else:
+            Y_new, tau, j_new, k, _, Y = segment(T, j, Y, k, table)
         T -= tau
         if k < 0:
-            return j_new, Y_new, kappa, events
+            return j_new, np.reshape(Y_new, (2, -1)), kappa, events
         reg, i = table[j], table.cells.i
         row = i[reg.first:reg.first + len(reg.normals)].tolist().index(
             i[table[j_new].first + k])
@@ -1032,20 +1168,23 @@ def test_flight_is_reversible(model, rng):
     # returns to (x, -v) in its own region, within 1e-12 unless a run of
     # near-grazing events makes the flight ill-conditioned (polygon64 has
     # kappa up to about 1e12; every model keeps error / kappa near 1e-15).
+    # Each flight runs on both segments: every model here is planar.
     spec = model()
     table = spec.regions
+    assert table.planar
     X, R = exact_sample(spec, 300, rng)
     events = 0
     for x, j in zip(X, R.tolist()):
         Y0 = np.array([rng.standard_normal(spec.n - spec.d), coords(spec, j, x)])
-        j1, Y, kappa, n1 = fly(table, j, Y0, 3.0)
-        j2, Y, _, n2 = fly(table, j1, Y * [[-1.0], [1.0]], 3.0)
-        assert j2 == j
-        error = max(np.abs(on_piece(spec.cells, j, Y[1]) - x).max(),
-                    np.abs(spec.cells.S[j - 1] @ (Y[0] + Y0[0])).max())
-        assert error <= max(1e-12, 1e-13 * kappa)
-        events += n1 + n2
-    assert events >= 300
+        for planar in (False, True):
+            j1, Y, kappa, n1 = fly(table, j, Y0, 3.0, planar)
+            j2, Y, _, n2 = fly(table, j1, Y * [[-1.0], [1.0]], 3.0, planar)
+            assert j2 == j
+            error = max(np.abs(on_piece(spec.cells, j, Y[1]) - x).max(),
+                        np.abs(spec.cells.S[j - 1] @ (Y[0] + Y0[0])).max())
+            assert error <= max(1e-12, 1e-13 * kappa)
+            events += n1 + n2
+    assert events >= 600
 
 
 def test_boundary_dynamics_velocity_transfer(rng):
