@@ -26,11 +26,12 @@ for the face maps, which a region's first visit fills; so a segment does
 arithmetic only, and no array it makes outlives it but the states it
 returns.
 
-On a model whose pieces are planes (n - d = 2), numpy's dispatch costs more
-than the arithmetic on arrays of two to four elements, so the table also
-holds each region's rows and each face map as plain floats, and the chain
-runs ``planar_segment``: the same rules on the state as a tuple of four
-floats.  ``evolve_segment_detail`` runs every wider model and is the
+On a model whose pieces are planes (n - d = 2) and whose regions all take
+the scalar scan whole (at most SCAN_ROWS rows), numpy's dispatch costs
+more than the arithmetic on arrays of two to four elements, so the table
+also holds each region's rows and each face map as plain floats, and the
+chain runs ``planar_segment``: the same rules on the state as a tuple of
+four floats.  ``evolve_segment_detail`` runs every other model and is the
 planar segment's reference.  The two round some products differently, so
 a planar chain agrees with one on the arrays to rounding, not bit for bit.
 """
@@ -219,23 +220,19 @@ class Region:
     normal a reflection off row k reads, hits, the row offsets h as
     first_hit takes them (a list of floats, or, for a wide region of more
     than SCAN_ROWS rows, its ``Reach``), and first, the cell-table entry of
-    row 0: row k is entry first + k.  A planar region (n - d = 2) also
-    holds, for ``planar_segment``, its rows of F_j S as float pairs, and if
-    wide the two rows of GT as complex columns (a + 0j); a wider region
-    holds None in both.  Nothing here is chain state.
+    row 0: row k is entry first + k.  On a planar table (``RegionTable``)
+    it also holds, for ``planar_segment``, its rows of F_j S as float
+    pairs, and None elsewhere.  Nothing here is chain state.
     """
 
-    __slots__ = ("GT", "normals", "pairs", "columns", "hits", "wide", "first")
+    __slots__ = ("GT", "normals", "pairs", "hits", "wide", "first")
 
-    def __init__(self, cells, j):
+    def __init__(self, cells, j, planar):
         rows = slice(cells.start[j - 1], cells.start[j])
         self.GT = np.ascontiguousarray(cells.G[rows].T)
         self.normals = cells.G[rows]
-        planar = cells.G.shape[1] == 2
         self.pairs = self.normals.tolist() if planar else None
         self.wide = rows.stop - rows.start > SCAN_ROWS
-        self.columns = ((self.GT[0] + 0j, self.GT[1] + 0j) if planar and self.wide
-                        else None)
         self.hits = Reach(cells.h[rows]) if self.wide else cells.h[rows].tolist()
         self.first = int(rows.start)
 
@@ -266,9 +263,11 @@ class RegionTable(dict):
     is the same function on both sides, are filled on its region's first
     visit (see ``fill``), as stacked arrays.  A flat entry's TT and Q have
     the kept normal speed folded in, so only a general transmission reads
-    G2.  A planar table (n - d = 2) also holds each filled transition's
-    map as plain floats, faces[e] = TT's four in row order, Q's two and
-    G2's two, which ``planar_segment`` reads; planar says which it is.
+    G2.  planar says that chains run ``planar_segment``: the pieces are
+    planes (n - d = 2) and the widest region, the padded rows' width, takes
+    the scalar scan whole.  A planar table also holds each filled
+    transition's map as plain floats, faces[e] = TT's four in row order,
+    Q's two and G2's two, which ``planar_segment`` reads.
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
@@ -293,11 +292,11 @@ class RegionTable(dict):
         self.TT = np.empty((E, w, w))
         self.G2, self.Q = np.empty((E, w)), np.empty((E, w))
         self.flat = [False] * E
-        self.planar = w == 2
+        self.planar = w == 2 and cells.pad_g.shape[1] <= SCAN_ROWS
         self.faces = [None] * E if self.planar else None
 
     def __missing__(self, j):
-        reg = Region(self.cells, j)
+        reg = Region(self.cells, j, self.planar)
         self.fill(slice(reg.first, reg.first + len(reg.normals)))
         return self.setdefault(j, reg)
 
@@ -412,34 +411,23 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
 
 
 def planar_segment(t_budget, j, Y, skip, table):
-    """``evolve_segment_detail`` on a planar table (n - d = 2), on floats.
+    """``evolve_segment_detail`` on a planar table (``RegionTable.planar``),
+    on floats.
 
     Y = (zdot0, zdot1, z0, z1) is the state [zdot; z] as a tuple, and so is
     each state returned; otherwise the arguments and the returned 6-tuple
     are ``evolve_segment_detail``'s, and so are the rules, applied in the
-    same order, each written out per component.  The scan's coefficients
-    fa = G zdot and fb = G z are one comprehension each, or for a wide
-    region two complex numpy products and a sum, whose real and imaginary
-    parts round as the comprehension does.  So the scan sees the same
-    values either way, and the same bits but for the sign of a coefficient
-    that is exactly zero, which needs a velocity component of exactly zero.
-    Each product of the state by a 2 x 2 map is rounded as Python rounds
-    it, where numpy's BLAS may fuse a multiply and an add, so a chain on
-    this path agrees with one on ``evolve_segment_detail`` to rounding, not
-    bit for bit.
+    same order, each written out per component.  No region of a planar
+    table is wide, so the scan's coefficients fa = G zdot and fb = G z are
+    one comprehension each over the region's float pairs.  Each product of
+    the state by a 2 x 2 map is rounded as Python rounds it, where numpy's
+    BLAS may fuse a multiply and an add, so a chain on this path agrees
+    with one on ``evolve_segment_detail`` to rounding, not bit for bit.
     """
     reg = table[j]
     zd0, zd1, z0, z1 = Y
-    if reg.wide:
-        # fa + i fb in two complex products: each part of a + 0j times
-        # zdot_i + i z_i is one real product, as the comprehension rounds it
-        ga, gb = reg.columns
-        f = ga * complex(zd0, z0)
-        f += gb * complex(zd1, z1)
-        fa, fb = f.real, f.imag
-    else:
-        fa = [zd0 * a + zd1 * b for a, b in reg.pairs]
-        fb = [z0 * a + z1 * b for a, b in reg.pairs]
+    fa = [zd0 * a + zd1 * b for a, b in reg.pairs]
+    fb = [z0 * a + z1 * b for a, b in reg.pairs]
     k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
     s, c = sin(tau), cos(tau)
     d0, d1 = c * zd0 - s * z0, c * zd1 - s * z1       # zdot and z at tau

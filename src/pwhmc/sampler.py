@@ -4,7 +4,8 @@ One iterate draws a fresh tangent velocity, then evolves the particle for a
 total time t_max, consuming the budget segment by segment across however
 many boundary events occur.  The chain carries its state [zdot; z] in the
 current region's whitened coordinates (see ``dynamics``): as one stacked
-array, or on a planar model as a tuple of four floats, which
+array, or on a planar table (planes, no region wider than
+``dynamics.SCAN_ROWS``) as a tuple of four floats, which
 ``planar_segment`` takes.  It appends each kept row's state to one flat
 column and keeps its region label; after the loop, one pass over the kept
 rows in row order, a batch at a time, writes them back in x and checks
@@ -211,14 +212,15 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     (spec, j0, x0, cfg) and a chain's rows do not depend on its length.
     The draws are made REFRESH_ROWS iterates at a time, in stream order,
     which leaves each one's bits as a draw of its own would give them.  A
-    planar model's chain (``RegionTable.planar``) runs ``planar_segment`` on
-    floats, any other ``evolve_segment_detail`` on arrays; the two differ in
-    rounding, so replay is bit for bit for a given model, seed and numpy
-    build.  The loop keeps each kept iterate's state [zdot; z] and region
-    label; after it, ``_record`` writes every kept row back in x and checks
-    it against its cell, so that a row outside its cell raises ContractError
-    naming the first such iterate, as ``check_start`` first does for the
-    model and start.
+    chain on a planar table (``RegionTable.planar``: planes, no region wider
+    than the scalar scan takes) runs ``planar_segment`` on floats, any
+    other ``evolve_segment_detail`` on arrays; the two differ in rounding,
+    so replay is bit for bit for a given model, seed and numpy build.  The
+    loop keeps each kept iterate's state [zdot; z] and region label; after
+    it, ``_record`` writes every kept row back in x and checks it against
+    its cell, so that a row outside its cell raises ContractError naming
+    the first such iterate, as ``check_start`` first does for the model and
+    start.
     With record_events, the loop appends each event's numbers and its
     states before and after the boundary update to flat columns, from
     which ``_event_log`` forms the log.  The chain owns every buffer it

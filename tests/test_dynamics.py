@@ -388,6 +388,9 @@ def test_a_wide_region_stores_its_preselection_constants(rng):
     spec = polygon_model(dynamics.SCAN_ROWS + 36)
     reg, h = spec.regions[1], spec.cells.h
     assert reg.wide and isinstance(reg.hits, Reach)
+    # its pieces are planes, but the table runs the array segment, which
+    # reads no float pairs
+    assert not spec.regions.planar and reg.pairs is None
     margin = dynamics.REACH_MARGIN
     for name, value in (("negh", -h), ("maybe", np.abs(h) * (1.0 - margin)),
                         ("sure", np.abs(h) * (1.0 + margin))):
@@ -731,9 +734,10 @@ def test_face_record_matches_rule_from_scratch(rng):
 def test_stacked_face_columns_are_each_rows_own():
     # a region's face maps, filled in one stacked pass on its first visit,
     # equal bit for bit those filled for each of its rows alone, and a visit
-    # writes no other region's rows; a planar table (n - d = 2) also holds
-    # each transition's map as the floats of its stacked rows, a wider
-    # table none
+    # writes no other region's rows; a planar table (n - d = 2, and no
+    # region wider than SCAN_ROWS) also holds each transition's map as the
+    # floats of its stacked rows, and each region its rows as float pairs,
+    # any other table none
     specs = [load_model_file(zoo.model_path(name)) for name in zoo.SHIPPED]
     specs += [sign_cells_model(anisotropic_mass(), scale_left=2.0),
               oblique_wall_model(), wall_box_model()] + benchmark_models()
@@ -752,8 +756,11 @@ def test_stacked_face_columns_are_each_rows_own():
             assert stacked.flags.c_contiguous
             assert stacked[crossed].tobytes() == own[crossed].tobytes()
         assert table.flat == alone.flat
-        assert table.planar == (spec.n - spec.d == 2)
+        assert table.planar == (spec.n - spec.d == 2
+                                and cells.pad_g.shape[1] <= dynamics.SCAN_ROWS)
         modes.add(table.planar)
+        assert all((table[j].pairs is not None) == table.planar
+                   for j in range(1, spec.J + 1))
         if table.planar:
             assert table.faces == alone.faces
             assert [f is not None for f in table.faces] == crossed.tolist()
@@ -787,7 +794,6 @@ PLANAR_MODELS = {
     "wall_box": wall_box_model,
     "oblique_wall": oblique_wall_model,
     "polygon64": lambda: polygon_model(64),
-    "polywall": lambda: benchmark_models()[0],
 }
 
 
@@ -1040,13 +1046,15 @@ def test_event_log_energies_are_those_of_the_states(name, monkeypatch):
     # each event's energies, from the pre- and post-event states in
     # whitened coordinates as the segment computes them at a potential step,
     # and dV against the potentials in x from the model's fields; the
-    # planar models run planar_segment, onenorm10 evolve_segment_detail
+    # planar models run planar_segment, onenorm10 and polywall, whose one
+    # region is wider than SCAN_ROWS, evolve_segment_detail
     spec = {"polywall": lambda: benchmark_models()[0],
             "onenorm10": lambda: benchmark_models()[1]}.get(
         name, lambda: load_model_file(zoo.model_path(name)))()
     table = spec.regions
     planar = table.planar
-    assert planar == (name != "onenorm10")
+    assert planar == (name not in ("onenorm10", "polywall"))
+    assert (table[1].pairs is None) != planar         # floats only where read
     segments = []
     evolve = "planar_segment" if planar else "evolve_segment_detail"
     run = getattr(sampler, evolve)

@@ -281,20 +281,26 @@ def test_chains_in_threads_equal_chains_in_turn(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["onenorm", "ntop", "pospart", "wall_box",
-                                  "oblique_wall", "polygon64"])
+                                  "oblique_wall", "polygon64", "onenorm10"])
 def test_hit_scan_paths_give_byte_identical_chains(name, monkeypatch):
-    # first_hit's numpy pre-selection leaves every output byte as the
-    # scalar scan alone makes it
+    # on the array segment, first_hit's numpy pre-selection leaves every
+    # output byte as the scalar scan alone makes it
     builders = {"wall_box": wall_box_model, "oblique_wall": oblique_wall_model,
-                "polygon64": lambda: polygon_model(64)}
+                "polygon64": lambda: polygon_model(64),
+                "onenorm10": lambda: benchmark_models()[1]}
     build = builders.get(name, lambda: zoo.build_shipped(name))
     cfg = ChainConfig(n_samples=300, seed=17, burn_in=3, thin=2,
                       record_events=True)
     outs = []
     for scan_rows in (sys.maxsize, 0):
-        # a fresh model, so that every region is built at this width
+        # a fresh model, so that every region is built at this width; a
+        # table whose regions all take the scan whole is planar, so the
+        # narrow scan's table is put on the arrays before any region is built
         monkeypatch.setattr(dynamics, "SCAN_ROWS", scan_rows)
         spec = build()
+        if scan_rows == sys.maxsize:
+            spec.regions.planar = False
+        assert not spec.regions.planar
         assert {spec.regions[j].wide for j in range(1, spec.J + 1)} == {scan_rows == 0}
         outs.append(run_chain(spec, spec.init_region, spec.init_point, cfg))
     scalar, selected = outs
