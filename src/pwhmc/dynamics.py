@@ -11,12 +11,17 @@ Crossing times of the boundary rows G_j z + h >= 0 have closed-form roots
 from the velocity along the unit row of G_j, which is the face normal in
 the metric M_j: transmit when the normal kinetic energy clears the
 potential step, reflect otherwise.  A hard wall is a step that no energy
-clears.  A flat face, whose two regions have equal M, r, k and c_j, has no
-step: the particle transmits with its normal speed unchanged, and neither
-potential is computed, since a computed dV there is rounding alone and
-could reflect a near-grazing crossing.  For a state on such a face that
-rule is one affine map of Y, with the kept normal speed folded into the
-face map, so a flat crossing is one product and one add.
+clears, and a flat face, whose two regions have equal M, r and k and c_j
+within C_ULPS ulps, a step of zero, which every energy clears with its
+normal speed unchanged.  For a state on the face both rules are one
+affine map of Y, the reflection I - 2 g1 g1' at a wall and at a flat face
+the face map with the kept normal speed folded in, so that such an event
+is one product and one add and neither potential is computed: a computed
+dV there is rounding alone and could reflect a near-grazing crossing.
+Only a potential step forms the potentials and applies the rule.  A
+segment that starts after an event outside its region's cell, which a
+model whose faces do not match from both sides allows, raises
+ContractError there.
 
 Everything that depends only on the region lives in one Region record per
 region, sliced from the model's cell table on the region's first visit into
@@ -38,11 +43,11 @@ a planar chain agrees with one on the arrays to rounding, not bit for bit.
 
 from __future__ import annotations
 
-from math import acos, atan2, cos, sin, sqrt
+from math import acos, atan2, cos, inf, sin, sqrt
 
 import numpy as np
 
-from .errors import DegenerateNormalError
+from .errors import ContractError, DegenerateNormalError
 from .subspace import NORMAL_DEGENERACY_TOL
 
 # Root-exclusion window after an event: on the row just crossed, roots at
@@ -66,6 +71,16 @@ REACH_MARGIN = 1e-12
 # numpy's arccos/arctan2 and libm's differ: by at most 8.9e-16 in the root
 # over 1e6 random rows surely in reach, near-grazing ones included.
 SELECT_SLACK = 1e-6
+# Tolerance of the start check, on the start's manifold residual and cell
+# breach, of a segment's start after an event and of the kept-row check: a
+# state more than this outside a row of its cell (K(0) = G z + h <
+# -COEF_TOL) is refused.
+COEF_TOL = 1e-8
+# Two regions' c_j within this many ulps are one constant: c_j is computed
+# (``subspace.ode_param``), not stated by the model, and the stacked
+# computation rounds it apart by up to 2 ulps on faces where M, r and k
+# agree bit for bit.
+C_ULPS = 8
 
 
 def first_hit(fa, fb, h, t_max, skip):
@@ -76,9 +91,16 @@ def first_hit(fa, fb, h, t_max, skip):
     array), which are all scanned, or a wide region's ``Reach``, whose
     constants the numpy pre-selection reads; fa and fb are then arrays,
     which it reads without a conversion.  skip is the row just crossed
-    (-1 if none).  Returns (k, tau): k is the 0-based row of the winning
-    constraint and tau its hit time, or (-1, t_max) when nothing is hit in
-    [0, t_max].
+    (-1 if none).  Returns (k, tau, out): k is the 0-based row of the
+    winning constraint and tau its hit time, or (-1, t_max) when nothing is
+    hit in [0, t_max].  out is -1 unless an event has just happened (skip
+    >= 0) and some row reads K(0) = fb + h < -COEF_TOL: then it is the
+    first row with the smallest K(0), and the state lies outside the cell
+    these rows bound, which a segment refuses.  Every row counts toward
+    out, those of a Reach that ``_candidates`` drops and those out of reach
+    alike: a row with h < 0 and u <= -h lies outside its face for the whole
+    segment, and no root of it is ever taken.  Before any event the state
+    is where a flight that hit nothing left it, inside its cell.
 
     Per constraint the crossing function is K(t) = fa sin t + fb cos t + h
     = u cos(t + phi) + h with u = sqrt(fa^2 + fb^2) and phi = atan2(-fa, fb).
@@ -91,7 +113,7 @@ def first_hit(fa, fb, h, t_max, skip):
     vectorized arccos/arctan2 may differ from the platform libm by an ulp,
     and hit times feed straight into the recorded states.  Of a Reach only
     the rows that ``_candidates`` keeps are scanned, in order, which
-    changes no result.
+    changes no result; numpy finds out over all of them first.
 
     The scan skips the roots of rows that cannot be hit first.  |K'| <= u,
     so a row with K(0) = fb + h > u cut has no root before cut, which
@@ -102,11 +124,17 @@ def first_hit(fa, fb, h, t_max, skip):
     So it is neither the minimum nor within the tie window, and skipping
     it changes no result, bit for bit.
     """
-    kept = None
+    kept, out = None, -1
+    low = -COEF_TOL if skip >= 0 else -inf
     if isinstance(h, Reach):
+        if skip >= 0:
+            k0 = fb - h.negh              # K(0), each rounded as the scan's
+            if np.count_nonzero(k0 < -COEF_TOL):
+                out = int(k0.argmin())
+            low = -inf                    # numpy has looked at every row
         rows = _candidates(fa, fb, h, t_max)
         if not rows.size:
-            return -1, t_max
+            return -1, t_max, out
         kept = rows.tolist()          # the scan numbers kept rows 0, 1, ...
         fa, fb = fa[rows].tolist(), fb[rows].tolist()
         h = [h.offsets[k] for k in kept]
@@ -115,8 +143,11 @@ def first_hit(fa, fb, h, t_max, skip):
     k = 0
     cut = t_max + SELECT_SLACK
     for a, b, c in zip(fa, fb, h):
+        k0 = b + c
+        if k0 < low:
+            low, out = k0, k
         u = sqrt(a * a + b * b)
-        if u > abs(c) and b + c <= u * cut:
+        if u > abs(c) and k0 <= u * cut:
             c = -c / u
             if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
                 root = acos(c) - atan2(-a, b)
@@ -129,12 +160,12 @@ def first_hit(fa, fb, h, t_max, skip):
                         cut = root + TIE_TOL + SELECT_SLACK
         k += 1
     if not roots:
-        return -1, t_max
+        return -1, t_max, out
     cutoff = min(roots) + TIE_TOL
     for k, root in zip(rows, roots):
         if root <= cutoff:
-            return (k if kept is None else kept[k]), root
-    return -1, t_max        # unreachable: the minimum itself passes the cutoff
+            return (k if kept is None else kept[k]), root, out
+    return -1, t_max, out   # unreachable: the minimum itself passes the cutoff
 
 
 class Reach:
@@ -200,7 +231,9 @@ def boundary_dynamics(v1, V1, V2):
     transmits: the face-tangent part of zdot carries over to the far side
     and the returned speed goes along the far side's unit normal g2.  Or it
     does not, and the particle reflects, zdot - 2 v1 g1: the return is None.
-    A hard wall is the step V2 = inf.
+    A hard wall is the step V2 = inf, and a flat face the step V2 = V1;
+    their outcomes are the entries' maps (``RegionTable.fill``), so only a
+    potential step calls this.
     """
     E = 0.5 * v1 * v1
     dV = V2 - V1
@@ -237,6 +270,23 @@ class Region:
         self.first = int(rows.start)
 
 
+def _outside(table, j, skip, row, fb):
+    """The error a segment raises when its state starts, after an event on
+    region j's row skip, outside j's cell: K(0) = fb + h < -COEF_TOL on
+    the region's row ``row``, with fb = G z on that row.  Across a
+    transition the event's entry names the region left and the hyperplane
+    crossed."""
+    cells = table.cells
+    first = int(cells.start[j - 1])
+    e = first + skip
+    a, i = cells.t[e] + 1, cells.i[e] + 1
+    return ContractError(
+        f"the state lies outside region {j}'s cell after the event at "
+        f"L[{a},{i}] (hyperplane {i} from region {a}): past its row on "
+        f"hyperplane {cells.i[first + row] + 1}",
+        residual=-float(fb + cells.h[first + row]))
+
+
 def _fault(cells, e):
     """The error a hit on entry e raises: its normal, or its mirror's, is too short."""
     bad = cells.mirror[e] if cells.norm[e] >= NORMAL_DEGENERACY_TOL else e
@@ -254,44 +304,44 @@ class RegionTable(dict):
 
     Built with the table, as lists: norm[e] = |G_e|, so the face's unit
     normal into the entry's region is g1 = G_e / norm[e]; label[e], the
-    1-based region across a transition, 0 on a wall or -1 on a row no rule
-    crosses (its normal or its mirror's is too short to divide by), which
-    raises faults[e] when hit; k2[e], the face's row across (the mirror
-    entry's); and pot[j - 1], region j's M, r, k and c in one row.
-    A transition's face map TT[e] = T', G2[e] = g2, the neighbor's unit
-    normal of row k2 into it, Q[e] = q_T and flat[e], whether the potential
-    is the same function on both sides, are filled on its region's first
-    visit (see ``fill``), as stacked arrays.  A flat entry's TT and Q have
-    the kept normal speed folded in, so only a general transmission reads
-    G2.  planar says that chains run ``planar_segment``: the pieces are
-    planes (n - d = 2) and the widest region, the padded rows' width, takes
-    the scalar scan whole.  A planar table also holds each filled
-    transition's map as plain floats, faces[e] = TT's four in row order,
-    Q's two and G2's two, which ``planar_segment`` reads.
+    1-based region the particle is in after the entry's map (the region
+    across a transition, the entry's own region at a wall), or -1 on a row
+    no rule crosses (its normal or its mirror's is too short to divide by),
+    which raises faults[e] when hit; k2[e], the row the particle is on
+    after the map (the mirror entry's row across a transition, the entry's
+    own row at a wall); and pot[j - 1], region j's M, r and k in one row.
+    Each entry's map, TT[e], Q[e] and G2[e], and step[e], whether the entry
+    is a potential step, are filled on its region's first visit (see
+    ``fill``), as stacked arrays and a list.  Only a step reads G2.
+    planar says that chains run ``planar_segment``: the pieces are planes
+    (n - d = 2) and the widest region, the padded rows' width, takes the
+    scalar scan whole.  A planar table also holds each filled entry's map
+    as plain floats, faces[e] = TT's four in row order, Q's two and G2's
+    two, which ``planar_segment`` reads.
     """
 
     # slots: a segment reads these on every event, faster than from a __dict__
     __slots__ = ("cells", "pot", "base", "label", "norm", "k2", "faults",
-                 "TT", "G2", "Q", "flat", "planar", "faces")
+                 "TT", "G2", "Q", "step", "planar", "faces")
 
     def __init__(self, spec):
         super().__init__()
         cells = spec.cells
         self.cells, self.base = cells, cells.base.tolist()
         self.pot = np.concatenate([spec.M.reshape(spec.J, -1), spec.r,
-                                   spec.k[:, None], cells.c[:, None]], axis=1)
-        far = cells.mirror
-        ok = cells.norm >= NORMAL_DEGENERACY_TOL           # NaN fails too
-        # a wall has no mirror, and validation gives each transition one
-        cross = ok & (cells.t != cells.j) & (cells.norm[far] >= NORMAL_DEGENERACY_TOL)
-        label = np.where(cross, cells.t + 1, np.where(ok & (cells.t == cells.j), 0, -1))
-        self.label, self.norm = label.tolist(), cells.norm.tolist()
-        self.k2 = (far - cells.start[cells.t]).tolist()
-        self.faults = {e: _fault(cells, e) for e in np.flatnonzero(label < 0).tolist()}
+                                   spec.k[:, None]], axis=1)
         E, w = cells.G.shape
+        # the entry the particle is on after the map: validation gives each
+        # transition a mirror, and a wall is its own
+        after = np.where(cells.t == cells.j, np.arange(E), cells.mirror)
+        ok = np.minimum(cells.norm, cells.norm[after]) >= NORMAL_DEGENERACY_TOL
+        label = np.where(ok, cells.t + 1, -1)              # NaN fails too
+        self.label, self.norm = label.tolist(), cells.norm.tolist()
+        self.k2 = (after - cells.start[cells.t]).tolist()
+        self.faults = {e: _fault(cells, e) for e in np.flatnonzero(~ok).tolist()}
         self.TT = np.empty((E, w, w))
         self.G2, self.Q = np.empty((E, w)), np.empty((E, w))
-        self.flat = [False] * E
+        self.step = [False] * E
         self.planar = w == 2 and cells.pad_g.shape[1] <= SCAN_ROWS
         self.faces = [None] * E if self.planar else None
 
@@ -301,53 +351,64 @@ class RegionTable(dict):
         return self.setdefault(j, reg)
 
     def fill(self, rows):
-        """Fill TT, G2, Q and flat of the transitions among the entries rows
-        (a slice) in one stacked pass; products run per entry, so no entry's
+        """Fill TT, G2, Q and step of the entries rows (a slice) that a rule
+        crosses, in one stacked pass; products run per entry, so no entry's
         bits depend on the others filled with it.
 
         Face points map into the neighbor's coordinates by z2 = P z + q, P
         = S2'M2 S, q = S2'M2 (x_p - x_p2) (S2'M2 from the cell table), and
         T = P (I - g1 g1') is P on the face's tangent directions.  On the
-        face g1'z = -h_e / |G_e|, so for a state Y there Y.dot(TT) is [P
+        face g1'z = -h_e / |G_e|, so for a state Y there Y.dot(T') is [P
         (zdot - v1 g1); z2 - q_T], v1 = g1'zdot, q_T = q - (h_e / |G_e|) P
         g1: one product gives the tangential velocity carried across and,
         plus q_T, the position on the far side.
 
-        A face is flat when its two regions' pot rows (M, r, k and c) are
-        equal, so that V + c is one function on both sides: the exact rule
-        transmits with the normal speed unchanged, and a computed dV would
-        be rounding.  Since v1 <= 0, that speed |v1| = -g1'zdot along g2 is
-        linear in zdot, and a flat entry stores it folded in: TT = T' - g1
-        g2' and Q = q_T - (h_e / |G_e|) g2, so that Y.dot(TT) + [0; Q] is
-        [P (zdot - v1 g1) + |v1| g2; z2] for a state Y on the face (there g1'z
-        = -h_e / |G_e|).  Every other entry keeps T', g2 and q_T.
+        An entry is a potential step unless V + c is one function on both
+        sides: at a wall, and across a transition whose regions' M, r and
+        k are equal bit for bit and whose c_j agree within C_ULPS ulps.
+        There the exact rule keeps the normal speed |v1| = -g1'zdot (v1 <=
+        0), linear in zdot, along g2, the far side's unit normal, and the
+        entry stores it folded in: TT = T' - g1 g2' and Q = q_T - (h_e /
+        |G_e|) g2, so that Y.dot(TT) + [0; Q] is [P (zdot - v1 g1) + |v1|
+        g2; z2] for a state Y on the face.  At a wall, P = I, g2 = g1 and q
+        = 0, so the map is the reflection TT = I - 2 g1 g1', Q = -2 (h_e /
+        |G_e|) g1, formed as such without P; the position comes back as z
+        to rounding.  A step keeps T', g2 and q_T, to which its rule adds
+        the speed it returns.
         """
         e = rows.start + np.flatnonzero(np.array(self.label[rows]) > 0)
-        if not e.size:
-            return
-        cells = self.cells
-        j, t, f, w = cells.j[e], cells.t[e], cells.mirror[e], cells.norm[e][:, None]
-        SM = cells.SM[t]
-        P = SM @ cells.S[j]
-        g1 = cells.G[e] / w
-        Pg1 = (P @ g1[..., None])[..., 0]
-        g2 = cells.G[f] / cells.norm[f][:, None]
-        hw = cells.h[e][:, None] / w
-        T = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
-        q = (SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0] - hw * Pg1
-        flat = (self.pot[t] == self.pot[j]).all(1)
+        cells, TT, G2, Q = self.cells, self.TT, self.G2, self.Q
         # each entry's final map is assigned once, so that a second fill of
         # the region, from another thread, writes the same bits
-        TT, G2, Q = self.TT, self.G2, self.Q
-        TT[e] = np.where(flat[:, None, None], T - g1[:, :, None] * g2[:, None], T)
-        G2[e] = g2
-        Q[e] = np.where(flat[:, None], q - hw * g2, q)
+        wall = cells.t[e] == cells.j[e]
+        a = e[wall]
+        if a.size:                        # neither SM nor P: a wall's P is I
+            g1, hw = cells.G[a] / cells.norm[a][:, None], cells.h[a] / cells.norm[a]
+            TT[a] = np.eye(g1.shape[1]) - 2.0 * g1[:, :, None] * g1[:, None]
+            G2[a], Q[a] = g1, -2.0 * hw[:, None] * g1
+        a = e[~wall]
+        if a.size:                        # a region of walls only skips this pass
+            j, t, f, w = cells.j[a], cells.t[a], cells.mirror[a], cells.norm[a][:, None]
+            SM = cells.SM[t]
+            P = SM @ cells.S[j]
+            g1 = cells.G[a] / w
+            Pg1 = (P @ g1[..., None])[..., 0]
+            g2 = cells.G[f] / cells.norm[f][:, None]
+            hw = cells.h[a][:, None] / w
+            T = (P - Pg1[..., None] * g1[:, None]).transpose(0, 2, 1)
+            q = (SM @ (cells.x_p[j] - cells.x_p[t])[..., None])[..., 0] - hw * Pg1
+            c1, c2 = cells.c[j], cells.c[t]
+            step = (self.pot[t] != self.pot[j]).any(1) | (
+                abs(c2 - c1) > C_ULPS * np.spacing(np.maximum(abs(c1), abs(c2))))
+            TT[a] = np.where(step[:, None, None], T, T - g1[:, :, None] * g2[:, None])
+            G2[a] = g2
+            Q[a] = np.where(step[:, None], q, q - hw * g2)
+            for entry in a[step].tolist():
+                self.step[entry] = True
         if self.planar:
             for entry, tt, qt, g in zip(e.tolist(), TT[e].reshape(-1, 4).tolist(),
                                         Q[e].tolist(), G2[e].tolist()):
                 self.faces[entry] = (*tt, *qt, *g)
-        for entry in e[flat].tolist():
-            self.flat[entry] = True
 
 
 def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
@@ -361,12 +422,13 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     time used, the row hit as numbered in j_new (the next segment's skip;
     -1 when the budget ran out first), the potentials (V1, V2) with c_j on
     either side of a potential step, else None, and the state before the
-    update.  Only a potential step computes them: a flat face transmits and
-    a wall reflects whatever they are.  A flat crossing is the face map
-    alone, one product and one add with the speed folded in; it reads no
-    v1 and no G2.  Y is not modified; the returned
-    state is a fresh array, and the segment allocates no other array that
-    outlives it.
+    update.  Every event is the entry's map, one product and one add; only
+    at a potential step does the segment go on to form v1 and the two
+    potentials and apply the rule, which adds the speed it returns along
+    G2 or reflects.  A state that starts more than COEF_TOL outside a row
+    of j's cell raises ContractError (see ``_outside``).  Y is not
+    modified; the returned state is a fresh array, and the segment
+    allocates no other array that outlives it.
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
@@ -374,7 +436,9 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     # on floats, from one tolist() (a wide region keeps arrays).
     fab = Y.dot(reg.GT)
     fa, fb = (fab[0], fab[1]) if reg.wide else fab.tolist()
-    k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
+    k, tau, out = first_hit(fa, fb, reg.hits, t_budget, skip)
+    if out >= 0:
+        raise _outside(table, j, skip, out, fb[out])
     s, c = sin(tau), cos(tau)
     Y = flight(Y, s, c, rot)
     if k < 0:
@@ -384,27 +448,20 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     label = table.label[e]
     if label < 0:                         # a row no rule crosses
         raise table.faults[e]
-    step = None
-    if label > 0:
-        W = Y.dot(table.TT[e])
-        z2 = W[1]
-        z2 += table.Q[e]
-        if table.flat[e]:                 # the speed is folded into the map
-            return W, tau, label, table.k2[e], None, Y
-        z = Y[1]
-        step = (0.5 * float(z.dot(z)) + table.base[j - 1],
-                0.5 * float(z2.dot(z2)) + table.base[label - 1])
+    W = Y.dot(table.TT[e])
+    W[1] += table.Q[e]
+    if not table.step[e]:                 # a wall or a flat face: the map alone
+        return W, tau, label, table.k2[e], None, Y
+    step = (0.5 * float(Y[1].dot(Y[1])) + table.base[j - 1],
+            0.5 * float(W[1].dot(W[1])) + table.base[label - 1])
     nw = table.norm[e]
     # v1 = g1'zdot at tau, from the hit scan's coefficients of row k
     v1 = (fa[k] * c - fb[k] * s) / nw
-    if step is not None:
-        speed = boundary_dynamics(v1, *step)
-        if speed is not None:
-            zdot2 = W[0]
-            zdot2 += speed * table.G2[e]
-            return W, tau, label, table.k2[e], step, Y
-    # reflect: at a step the normal energy does not clear, or at a wall,
-    # the step V2 = inf
+    speed = boundary_dynamics(v1, *step)
+    if speed is not None:
+        W[0] += speed * table.G2[e]
+        return W, tau, label, table.k2[e], step, Y
+    # reflect: the normal kinetic energy does not clear the step
     Y_new = Y.copy()
     Y_new[0] -= (2.0 * v1 / nw) * reg.normals[k]
     return Y_new, tau, j, k, step, Y
@@ -428,7 +485,9 @@ def planar_segment(t_budget, j, Y, skip, table):
     zd0, zd1, z0, z1 = Y
     fa = [zd0 * a + zd1 * b for a, b in reg.pairs]
     fb = [z0 * a + z1 * b for a, b in reg.pairs]
-    k, tau = first_hit(fa, fb, reg.hits, t_budget, skip)
+    k, tau, out = first_hit(fa, fb, reg.hits, t_budget, skip)
+    if out >= 0:
+        raise _outside(table, j, skip, out, fb[out])
     s, c = sin(tau), cos(tau)
     d0, d1 = c * zd0 - s * z0, c * zd1 - s * z1       # zdot and z at tau
     p0, p1 = s * zd0 + c * z0, s * zd1 + c * z1
@@ -440,25 +499,22 @@ def planar_segment(t_budget, j, Y, skip, table):
     label = table.label[e]
     if label < 0:                         # a row no rule crosses
         raise table.faults[e]
-    step = None
-    if label > 0:
-        t00, t01, t10, t11, q0, q1, g0, g1 = table.faces[e]
-        u0, u1 = d0 * t00 + d1 * t10, d0 * t01 + d1 * t11
-        w0, w1 = p0 * t00 + p1 * t10 + q0, p0 * t01 + p1 * t11 + q1
-        if table.flat[e]:                 # the speed is folded into the map
-            return (u0, u1, w0, w1), tau, label, table.k2[e], None, Y_pre
-        step = (0.5 * (p0 * p0 + p1 * p1) + table.base[j - 1],
-                0.5 * (w0 * w0 + w1 * w1) + table.base[label - 1])
+    t00, t01, t10, t11, q0, q1, g0, g1 = table.faces[e]
+    u0, u1 = d0 * t00 + d1 * t10, d0 * t01 + d1 * t11
+    w0, w1 = p0 * t00 + p1 * t10 + q0, p0 * t01 + p1 * t11 + q1
+    if not table.step[e]:                 # a wall or a flat face: the map alone
+        return (u0, u1, w0, w1), tau, label, table.k2[e], None, Y_pre
+    step = (0.5 * (p0 * p0 + p1 * p1) + table.base[j - 1],
+            0.5 * (w0 * w0 + w1 * w1) + table.base[label - 1])
     nw = table.norm[e]
     # v1 = g1'zdot at tau, from row k's scan coefficients, formed again from
     # the state before the flight as the scan formed them
     a, b = reg.pairs[k]
     v1 = ((zd0 * a + zd1 * b) * c - (z0 * a + z1 * b) * s) / nw
-    if step is not None:
-        speed = boundary_dynamics(v1, *step)
-        if speed is not None:
-            return ((u0 + speed * g0, u1 + speed * g1, w0, w1), tau, label,
-                    table.k2[e], step, Y_pre)
-    # reflect: at a step the normal energy does not clear, or at a wall
+    speed = boundary_dynamics(v1, *step)
+    if speed is not None:
+        return ((u0 + speed * g0, u1 + speed * g1, w0, w1), tau, label,
+                table.k2[e], step, Y_pre)
+    # reflect: the normal kinetic energy does not clear the step
     f = 2.0 * v1 / nw
     return (d0 - f * a, d1 - f * b, p0, p1), tau, j, k, step, Y_pre

@@ -25,13 +25,10 @@ from math import nan
 
 import numpy as np
 
-from .dynamics import evolve_segment_detail, planar_segment
+from .dynamics import COEF_TOL, evolve_segment_detail, planar_segment
 from .errors import ContractError, StallError
 from .model import _ell, _slack
 
-# Tolerance of the start check, on the start's manifold residual and cell
-# breach, and of the kept-row check, on each row's cell breach.
-COEF_TOL = 1e-8
 # Hard cap on events within one iterate; a healthy model triggers a handful.
 # It is the only runaway guard the chain needs.  first_hit takes an event at
 # t = 0 only on a row the particle is already leaving, and never on the row
@@ -220,7 +217,9 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     it, ``_record`` writes every kept row back in x and checks it against
     its cell, so that a row outside its cell raises ContractError naming
     the first such iterate, as ``check_start`` first does for the model and
-    start.
+    start.  Each segment after an event checks its own start against its
+    cell, so a crossing that lands outside the cell across raises there,
+    naming the region and the entry crossed.
     With record_events, the loop appends each event's numbers and its
     states before and after the boundary update to flat columns, from
     which ``_event_log`` forms the log.  The chain owns every buffer it

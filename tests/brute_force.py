@@ -12,7 +12,7 @@ from math import acos, atan2, sqrt
 import numpy as np
 from scipy.integrate import quad
 
-from pwhmc.dynamics import EPS_T, TIE_TOL, TWO_PI
+from pwhmc.dynamics import COEF_TOL, EPS_T, TIE_TOL, TWO_PI
 
 
 def grid_hit_time(x_p, a, b, f, g, t_max, grid_n=20000):
@@ -73,6 +73,15 @@ def first_hit_unbounded(fa, fb, h, t_max, skip):
         if root <= cutoff:
             return k, root
     return -1, t_max        # unreachable: the minimum itself passes the cutoff
+
+
+def breach_row(fb, h, skip):
+    """The row that ``dynamics.first_hit`` reports outside its face: after
+    an event (skip >= 0), the first with the smallest K(0) = fb + h, when
+    that is below -COEF_TOL; else -1."""
+    k0 = np.add(fb, h)
+    return (int(k0.argmin()) if skip >= 0 and k0.size and k0.min() < -COEF_TOL
+            else -1)
 
 
 def occupancy_quadrature_line(V1, V2, split=0.0):

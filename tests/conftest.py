@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brute_force import breach_row
 from pwhmc import dynamics, zoo
 from pwhmc.model import cell_slack, load_model
 
@@ -74,11 +75,13 @@ def rand_continuous_pair(rng, n, d):
 def first_hit_both_paths(fa, fb, h, t_max, skip):
     """first_hit on the array rows fa, fb and offsets h by the scalar scan
     alone and, with h handed as a Reach, through the numpy pre-selection;
-    asserts the two agree bit for bit and returns the result."""
+    asserts the two agree bit for bit, and their row outside its face with
+    ``breach_row``'s, and returns (k, tau)."""
     scalar = dynamics.first_hit(fa, fb, h, t_max, skip)
     selected = dynamics.first_hit(fa, fb, dynamics.Reach(h), t_max, skip)
     assert repr(selected) == repr(scalar)
-    return scalar
+    assert scalar[2] == breach_row(fb, h, skip)
+    return scalar[:2]
 
 
 def region_rows(table, j):
@@ -252,6 +255,22 @@ def unreachable_overlap_model():
     return load_model(json.dumps({
         "n": 3, "d": 1, "J": 3, "m": 2,
         "regions": [dict(region, L_row=row) for row in ([-2, 0], [1, 0], [3, 3])],
+        "hyperplanes": {"F": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "g": [0.0, 0.0]},
+        "init": {"region": 1, "x": [-1.0, 0.0, 0.0]},
+    }))
+
+
+def gap_model():
+    """N(0, I) on the plane x3 = 0 in two regions that leave a gap: region
+    1 is x1 <= 0, region 2 is x1 >= 0 with a wall at x2 <= 0, so the
+    quadrant x1, x2 > 0 lies in no cell.  Validation passes it, since no
+    check compares a face's two sides; a crossing of x1 = 0 at x2 > 0
+    lands outside region 2's cell.  It starts at (-1, 0, 0) in region 1."""
+    region = {"M": np.eye(3).tolist(), "r": [0.0] * 3, "k": 0.0,
+              "A": [[0.0], [0.0], [1.0]], "y": [0.0]}
+    return load_model(json.dumps({
+        "n": 3, "d": 1, "J": 2, "m": 2,
+        "regions": [dict(region, L_row=row) for row in ([-2, 0], [1, -2])],
         "hyperplanes": {"F": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "g": [0.0, 0.0]},
         "init": {"region": 1, "x": [-1.0, 0.0, 0.0]},
     }))

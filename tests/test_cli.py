@@ -13,7 +13,7 @@ import pytest
 
 import pwhmc
 from pwhmc import cli, model, sampler, zoo
-from conftest import benchmark_models, invalid_models
+from conftest import benchmark_models, gap_model, invalid_models
 from pwhmc.cli import main
 from pwhmc.errors import ContractError, StallError
 from pwhmc.model import load_model_file, validate_model
@@ -588,6 +588,21 @@ def test_sample_refuses_model_with_ill_scaled_constraints(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model failed validation" in err and "A_full_rank" in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_sample_refuses_a_model_whose_cells_leave_a_gap(tmp_path, capsys):
+    # validate passes the gap model; sample's chain raises at the first
+    # crossing into the gap, and sample exits 1 naming region 2, with
+    # nothing written
+    path = write_model(tmp_path, zoo.dump_model(gap_model()))
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["sample", path, "--n", "20", "--thin", "50",
+                 "--out", str(tmp_path / "o.csv"),
+                 "--events", str(tmp_path / "e.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "the state lies outside region 2's cell" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.model"]
 
 
 def test_sample_bad_chain_settings_exit_1(tmp_path, capsys):

@@ -602,9 +602,8 @@ def test_region_rows_match_lookup_table():
             assert np.array_equal(reg.GT.T, F @ table.cells.S[j - 1])
             assert np.allclose(table.cells.h[rows] - F @ table.cells.x_p[j - 1],
                                sign * spec.g[on], rtol=0, atol=1e-12)
-            # a wall's label is 0, not a region across
-            assert ([label or j for label in table.label[rows]]
-                    == np.abs(row[on]).tolist())
+            # the region after each entry's map: a wall's is its own
+            assert table.label[rows] == np.abs(row[on]).tolist()
             assert table.cells.i[rows].tolist() == np.flatnonzero(on).tolist()
 
 

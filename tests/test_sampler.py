@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     benchmark_models,
     coords,
+    gap_model,
     members_of,
     oblique_wall_model,
     on_piece,
@@ -418,7 +419,7 @@ def test_kept_row_outside_its_cell_raises(monkeypatch):
     # cell check after the loop names the first kept iterate outside its
     # cell, and its breach, instead of returning the rows
     monkeypatch.setattr(dynamics, "first_hit",
-                        lambda fa, fb, h, t_max, skip: (-1, t_max))
+                        lambda fa, fb, h, t_max, skip: (-1, t_max, -1))
     spec = zoo.build_shipped("pospart")
     for schedule, iterate, breach in (({}, 0, 0.2246),
                                       ({"burn_in": 3, "thin": 2}, 4, 0.2346)):
@@ -427,6 +428,46 @@ def test_kept_row_outside_its_cell_raises(monkeypatch):
             run_chain(spec, spec.init_region, spec.init_point,
                       ChainConfig(n_samples=200, seed=1, **schedule))
         assert err.value.residual == pytest.approx(breach, abs=1e-4)
+
+
+def test_a_state_outside_its_cell_is_refused_after_the_crossing(monkeypatch):
+    # the gap model passes validation, and a crossing of x1 = 0 at x2 > 0
+    # lands outside region 2's cell: the segment that starts there raises
+    # ContractError naming region 2, the entry crossed, L[1,1], and the row
+    # breached, the wall on hyperplane 2, by the state's depth past it.  No
+    # earlier segment starts outside its cell, so this is the first
+    # crossing that leaves one, long before the kept row that ends the
+    # 50th iterate would show it
+    spec = gap_model()
+    assert spec.report.passed and spec.regions.planar
+    calls = []
+    planar = sampler.planar_segment
+
+    def recording(t_budget, j, Y, skip, table):
+        calls.append((j, Y, skip))
+        return planar(t_budget, j, Y, skip, table)
+
+    monkeypatch.setattr(sampler, "planar_segment", recording)
+    for seed in range(3):
+        calls.clear()
+        with pytest.raises(ContractError, match=(
+                r"^the state lies outside region 2's cell after the event at "
+                r"L\[1,1\] \(hyperplane 1 from region 1\): past its row on "
+                r"hyperplane 2 \(residual=")) as err:
+            run_chain(spec, 1, spec.init_point,
+                      ChainConfig(n_samples=100, seed=seed, thin=50))
+        slack = [cell_slack(spec, j, on_piece(spec.cells, j, np.array(Y[2:])))
+                 for j, Y, _ in calls]
+        assert [s < -dynamics.COEF_TOL for s in slack].index(True) == len(calls) - 1
+        assert calls[-1][0] == 2 and calls[-2][0] == 1 and calls[-1][2] == 0
+        assert err.value.residual == pytest.approx(-slack[-1], rel=1e-9)
+        # the segment on arrays refuses that state alike
+        j, Y, skip = calls[-1]
+        with pytest.raises(ContractError) as again:
+            segment(1.0, j, np.reshape(Y, (2, 2)), skip, spec.regions)
+        assert str(again.value) == str(err.value)
+        iterates = sum(skip < 0 for _, _, skip in calls)
+        assert iterates < 50
 
 
 def state_outside(table, j):
