@@ -1,9 +1,10 @@
 """Command-line surface: validate / sample / diagnose.
 
 Exit codes: 0 success, 1 model or content failure, 2 I/O or parse failure,
-3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events in one
-iterate).  Every sample run writes a manifest sidecar so the outputs can be
-reproduced bit for bit.
+3 event cap exceeded (more than MAX_EVENTS_PER_ITERATE events, or more
+than ZERO_TIME_EVENTS events at t = 0 in a row, in one iterate).  Every
+sample run writes a manifest sidecar so the outputs can be reproduced bit
+for bit.
 
 ``sample`` checks its settings, its output paths, the model (its validation
 report) and the start once, before any chain runs.  Then every chain runs to
@@ -64,7 +65,7 @@ def _fail(code, message):
 
 
 def _failure(exc):
-    """(exit code, message) of a chain's StallError (the event cap) or
+    """(exit code, message) of a chain's StallError (an event cap) or
     ValueError (ContractError: bad settings, model, start or kept row)."""
     if isinstance(exc, StallError):
         return EXIT_RUNTIME, f"sampling stalled: {exc} {exc.context}"

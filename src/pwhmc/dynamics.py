@@ -7,7 +7,8 @@ its state as one (2, n - d) array Y = [zdot; z]: a flight is one 2 x 2
 rotation of Y, written into a scratch matrix the chain owns, and each
 linear map of the state is one product Y.dot(.).
 Crossing times of the boundary rows G_j z + h >= 0 have closed-form roots
-(see ``first_hit``); at a crossing one rule, ``boundary_dynamics``, decides
+(see ``first_hit``, and ``wide_hit`` for a region of more than SCAN_ROWS
+rows); at a crossing one rule, ``boundary_dynamics``, decides
 from the velocity along the unit row of G_j, which is the face normal in
 the metric M_j: transmit when the normal kinetic energy clears the
 potential step, reflect otherwise.  A hard wall is a step that no energy
@@ -19,9 +20,11 @@ the face map with the kept normal speed folded in, so that such an event
 is one product and one add and neither potential is computed: a computed
 dV there is rounding alone and could reflect a near-grazing crossing.
 Only a potential step forms the potentials and applies the rule.  A
-segment that starts after an event outside its region's cell, which a
-model whose faces do not match from both sides allows, raises
-ContractError there.
+segment that starts after a crossing into its region outside the region's
+cell, which a model whose faces do not match from both sides allows,
+raises ContractError there.  Only a crossing can land there: a wall's map
+returns the position to rounding and a reflection keeps it, so the hit
+scan tests the cell only on a segment that starts on a transition row.
 
 Everything that depends only on the region lives in one Region record per
 region, sliced from the model's cell table on the region's first visit into
@@ -57,10 +60,11 @@ EPS_T = 1e-9
 # to the lowest constraint row.
 TIE_TOL = 1e-9
 TWO_PI = 6.283185307179586476925286766559
-# Above this many rows first_hit lets numpy drop the rows that cannot win
-# before the exact scan.  The numpy step costs about as much as scanning
-# 48-64 rows, whatever the width: per call on one CPU, the scan alone is
-# 1.6x faster at 32 rows and 2.0x slower at 128 (BENCH_hitscan.json).
+# Above this many rows a region's scan is wide_hit, which lets numpy drop
+# the rows that cannot win before the exact scan.  The numpy step costs
+# about as much as scanning 48-64 rows, whatever the width: per call on one
+# CPU, the scan alone is 1.6x faster at 32 rows and 2.0x slower at 128
+# (BENCH_hitscan.json).
 SCAN_ROWS = 64
 # Relative margin on u > |h| in the selection, so that a row kept as maybe
 # in reach or counted as surely in reach is so by the scan's own test,
@@ -72,7 +76,7 @@ REACH_MARGIN = 1e-12
 # over 1e6 random rows surely in reach, near-grazing ones included.
 SELECT_SLACK = 1e-6
 # Tolerance of the start check, on the start's manifold residual and cell
-# breach, of a segment's start after an event and of the kept-row check: a
+# breach, of a segment's start after a crossing and of the kept-row check: a
 # state more than this outside a row of its cell (K(0) = G z + h <
 # -COEF_TOL) is refused.
 COEF_TOL = 1e-8
@@ -83,24 +87,22 @@ COEF_TOL = 1e-8
 C_ULPS = 8
 
 
-def first_hit(fa, fb, h, t_max, skip):
+def first_hit(fa, fb, h, t_max, skip, check):
     """First boundary crossing among m constraints.
 
-    fa, fb are per-constraint floats, as lists, which the scan reads
-    fastest, or as arrays.  h holds the offsets: plain (a list or an
-    array), which are all scanned, or a wide region's ``Reach``, whose
-    constants the numpy pre-selection reads; fa and fb are then arrays,
-    which it reads without a conversion.  skip is the row just crossed
-    (-1 if none).  Returns (k, tau, out): k is the 0-based row of the
-    winning constraint and tau its hit time, or (-1, t_max) when nothing is
-    hit in [0, t_max].  out is -1 unless an event has just happened (skip
-    >= 0) and some row reads K(0) = fb + h < -COEF_TOL: then it is the
-    first row with the smallest K(0), and the state lies outside the cell
-    these rows bound, which a segment refuses.  Every row counts toward
-    out, those of a Reach that ``_candidates`` drops and those out of reach
-    alike: a row with h < 0 and u <= -h lies outside its face for the whole
-    segment, and no root of it is ever taken.  Before any event the state
-    is where a flight that hit nothing left it, inside its cell.
+    fa, fb and h are per-constraint floats, as lists, which the scan reads
+    fastest, or as arrays; a wide region's rows go to ``wide_hit``
+    instead.  skip is the row just crossed (-1 if none).  Returns (k, tau,
+    out): k is the 0-based row of the winning constraint and tau its hit
+    time, or (-1, t_max) when nothing is hit in [0, t_max].  out is -1
+    unless check is true and some row reads K(0) = fb + h < -COEF_TOL:
+    then it is the first row with the smallest K(0), and the state lies
+    outside the cell these rows bound, which a segment refuses.  The
+    caller sets check, a segment only after a crossing into its region
+    (see ``evolve_segment_detail``), and it moves no (k, tau).  Every row
+    counts toward out, those out of reach too: a row with h < 0 and u <=
+    -h lies outside its face for the whole segment, and no root of it is
+    ever taken.
 
     Per constraint the crossing function is K(t) = fa sin t + fb cos t + h
     = u cos(t + phi) + h with u = sqrt(fa^2 + fb^2) and phi = atan2(-fa, fb).
@@ -111,65 +113,69 @@ def first_hit(fa, fb, h, t_max, skip):
     at tau = 0.  The smallest root wins, near-ties (within TIE_TOL) going to
     the lowest row.  Scalar ``math`` calls are deliberate: numpy's
     vectorized arccos/arctan2 may differ from the platform libm by an ulp,
-    and hit times feed straight into the recorded states.  Of a Reach only
-    the rows that ``_candidates`` keeps are scanned, in order, which
-    changes no result; numpy finds out over all of them first.
+    and hit times feed straight into the recorded states.
 
     The scan skips the roots of rows that cannot be hit first.  |K'| <= u,
     so a row with K(0) = fb + h > u cut has no root before cut, which
-    starts at t_max + SELECT_SLACK and drops to root + TIE_TOL +
-    SELECT_SLACK at each smaller root kept.  Such a row's computed root
-    lies past the final minimum plus TIE_TOL: SELECT_SLACK dwarfs the
-    error of acos near grazing (about 2e-8) and the rounding of the bound.
-    So it is neither the minimum nor within the tie window, and skipping
-    it changes no result, bit for bit.
+    starts at t_max + SELECT_SLACK and is root + TIE_TOL + SELECT_SLACK
+    after each smaller root kept.  Such a row's computed root lies past
+    the final minimum plus TIE_TOL: SELECT_SLACK dwarfs the error of acos
+    near grazing (about 2e-8) and the rounding of the bound.  So it is
+    neither the minimum nor within the tie window, and skipping it changes
+    no result, bit for bit.  Nor is it out: a row in reach with K(0) < 0
+    <= u cut passes the bound, so K(0) meets the floor only on rows that
+    pass it or lie out of reach.
     """
-    kept, out = None, -1
-    low = -COEF_TOL if skip >= 0 else -inf
-    if isinstance(h, Reach):
-        if skip >= 0:
-            k0 = fb - h.negh              # K(0), each rounded as the scan's
-            if np.count_nonzero(k0 < -COEF_TOL):
-                out = int(k0.argmin())
-            low = -inf                    # numpy has looked at every row
-        rows = _candidates(fa, fb, h, t_max)
-        if not rows.size:
-            return -1, t_max, out
-        kept = rows.tolist()          # the scan numbers kept rows 0, 1, ...
-        fa, fb = fa[rows].tolist(), fb[rows].tolist()
-        h = [h.offsets[k] for k in kept]
-        skip = kept.index(skip) if skip in kept else -1
-    rows, roots = [], []
+    low = -COEF_TOL if check else -inf
+    hits, out = [], -1                    # (row, root) of each root kept
+    best, cut = t_max, t_max + SELECT_SLACK   # the smallest root kept
     k = 0
-    cut = t_max + SELECT_SLACK
     for a, b, c in zip(fa, fb, h):
-        k0 = b + c
-        if k0 < low:
-            low, out = k0, k
         u = sqrt(a * a + b * b)
-        if u > abs(c) and k0 <= u * cut:
-            c = -c / u
-            if abs(c) < 1.0:              # |c| = 1 grazes: K'(root) = 0
-                root = acos(c) - atan2(-a, b)
-                if root <= EPS_T:
-                    root = root + TWO_PI if k == skip else 0.0
-                if root <= t_max:
-                    rows.append(k)
-                    roots.append(root)
-                    if root + TIE_TOL + SELECT_SLACK < cut:
-                        cut = root + TIE_TOL + SELECT_SLACK
+        if u > abs(c):
+            k0 = b + c
+            if k0 <= u * cut:
+                if k0 < low:
+                    low, out = k0, k
+                c = -c / u
+                if abs(c) < 1.0:          # |c| = 1 grazes: K'(root) = 0
+                    root = acos(c) - atan2(-a, b)
+                    if root <= EPS_T:
+                        root = root + TWO_PI if k == skip else 0.0
+                    if root <= t_max:
+                        hits.append((k, root))
+                        if root < best:
+                            best, cut = root, root + TIE_TOL + SELECT_SLACK
+        elif b + c < low:
+            low, out = b + c, k
         k += 1
-    if not roots:
-        return -1, t_max, out
-    cutoff = min(roots) + TIE_TOL
-    for k, root in zip(rows, roots):
-        if root <= cutoff:
-            return (k if kept is None else kept[k]), root, out
-    return -1, t_max, out   # unreachable: the minimum itself passes the cutoff
+    best += TIE_TOL
+    for k, root in hits:
+        if root <= best:
+            return k, root, out
+    return -1, t_max, out
+
+
+def wide_hit(fa, fb, reach, t_max, skip, check):
+    """``first_hit`` on a wide region's rows: fa and fb as arrays, the
+    offsets as the region's ``Reach``.  The scan takes the rows that
+    ``_candidates`` keeps, in order, which changes no (k, tau); with check,
+    one numpy count finds out over every row, K(0) rounded as the scan
+    rounds it."""
+    rows = _candidates(fa, fb, reach, t_max)
+    kept = rows.tolist()                  # the scan numbers kept rows 0, 1, ...
+    k, tau, out = first_hit(fa[rows].tolist(), fb[rows].tolist(),
+                            [reach.offsets[k] for k in kept], t_max,
+                            kept.index(skip) if skip in kept else -1, False)
+    if check:
+        k0 = fb - reach.negh
+        if np.count_nonzero(k0 < -COEF_TOL):
+            out = int(k0.argmin())
+    return (kept[k] if k >= 0 else -1), tau, out
 
 
 class Reach:
-    """The constants of first_hit's pre-selection over offsets h, computed
+    """The constants of wide_hit's pre-selection over offsets h, computed
     once per region: h as a list, for the scan, -h, and the thresholds that
     u = sqrt(fa^2 + fb^2) must pass for a row to be maybe in reach
     (|h| (1 - REACH_MARGIN)) or surely in reach (|h| (1 + REACH_MARGIN))."""
@@ -250,12 +256,13 @@ class Region:
     table: GT = (F_j S)' as one contiguous array, so that one product
     Y.dot(GT) gives both coefficient rows of the hit scan for a state Y =
     [zdot; z], normals = F_j S, whose contiguous row k is the unscaled
-    normal a reflection off row k reads, hits, the row offsets h as
-    first_hit takes them (a list of floats, or, for a wide region of more
-    than SCAN_ROWS rows, its ``Reach``), and first, the cell-table entry of
-    row 0: row k is entry first + k.  On a planar table (``RegionTable``)
-    it also holds, for ``planar_segment``, its rows of F_j S as float
-    pairs, and None elsewhere.  Nothing here is chain state.
+    normal a reflection off row k reads, hits, the row offsets h as the
+    scan takes them (a list of floats for ``first_hit``, or, for a wide
+    region of more than SCAN_ROWS rows, its ``Reach`` for ``wide_hit``),
+    and first, the cell-table entry of row 0: row k is entry first + k.
+    On a planar table (``RegionTable``) it also holds, for
+    ``planar_segment``, its rows of F_j S as float pairs, and None
+    elsewhere.  Nothing here is chain state.
     """
 
     __slots__ = ("GT", "normals", "pairs", "hits", "wide", "first")
@@ -271,8 +278,8 @@ class Region:
 
 
 def _outside(table, j, skip, row, fb):
-    """The error a segment raises when its state starts, after an event on
-    region j's row skip, outside j's cell: K(0) = fb + h < -COEF_TOL on
+    """The error a segment raises when its state starts, after a crossing
+    onto region j's row skip, outside j's cell: K(0) = fb + h < -COEF_TOL on
     the region's row ``row``, with fb = G z on that row.  Across a
     transition the event's entry names the region left and the hyperplane
     crossed."""
@@ -425,10 +432,14 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     update.  Every event is the entry's map, one product and one add; only
     at a potential step does the segment go on to form v1 and the two
     potentials and apply the rule, which adds the speed it returns along
-    G2 or reflects.  A state that starts more than COEF_TOL outside a row
-    of j's cell raises ContractError (see ``_outside``).  Y is not
-    modified; the returned state is a fresh array, and the segment
-    allocates no other array that outlives it.
+    G2 or reflects.  When skip is a transition row of j, one the particle
+    has just crossed into j by (or reflected off, at a potential step),
+    the hit scan also tests the cell, and a state that starts more than
+    COEF_TOL outside a row of it raises ContractError (see ``_outside``);
+    after a wall, whose map returns the position to rounding, and at an
+    iterate's start the test does not run.  A region wider than SCAN_ROWS
+    takes ``wide_hit``.  Y is not modified; the returned state is a fresh
+    array, and the segment allocates no other array that outlives it.
     """
     reg = table[j]
     # ndarray.dot makes the same BLAS call as @ without the ufunc dispatch,
@@ -436,7 +447,9 @@ def evolve_segment_detail(t_budget, j, Y, skip, table, rot):
     # on floats, from one tolist() (a wide region keeps arrays).
     fab = Y.dot(reg.GT)
     fa, fb = (fab[0], fab[1]) if reg.wide else fab.tolist()
-    k, tau, out = first_hit(fa, fb, reg.hits, t_budget, skip)
+    k, tau, out = (wide_hit if reg.wide else first_hit)(
+        fa, fb, reg.hits, t_budget, skip,
+        skip >= 0 and table.label[reg.first + skip] != j)
     if out >= 0:
         raise _outside(table, j, skip, out, fb[out])
     s, c = sin(tau), cos(tau)
@@ -474,9 +487,10 @@ def planar_segment(t_budget, j, Y, skip, table):
     Y = (zdot0, zdot1, z0, z1) is the state [zdot; z] as a tuple, and so is
     each state returned; otherwise the arguments and the returned 6-tuple
     are ``evolve_segment_detail``'s, and so are the rules, applied in the
-    same order, each written out per component.  No region of a planar
-    table is wide, so the scan's coefficients fa = G zdot and fb = G z are
-    one comprehension each over the region's float pairs.  Each product of
+    same order, each written out per component, and the cell test runs
+    after the same events.  No region of a planar table is wide, so the
+    scan is ``first_hit``, and its coefficients fa = G zdot and fb = G z
+    are one comprehension each over the region's float pairs.  Each product of
     the state by a 2 x 2 map is rounded as Python rounds it, where numpy's
     BLAS may fuse a multiply and an add, so a chain on this path agrees
     with one on ``evolve_segment_detail`` to rounding, not bit for bit.
@@ -485,7 +499,8 @@ def planar_segment(t_budget, j, Y, skip, table):
     zd0, zd1, z0, z1 = Y
     fa = [zd0 * a + zd1 * b for a, b in reg.pairs]
     fb = [z0 * a + z1 * b for a, b in reg.pairs]
-    k, tau, out = first_hit(fa, fb, reg.hits, t_budget, skip)
+    k, tau, out = first_hit(fa, fb, reg.hits, t_budget, skip,
+                            skip >= 0 and table.label[reg.first + skip] != j)
     if out >= 0:
         raise _outside(table, j, skip, out, fb[out])
     s, c = sin(tau), cos(tau)

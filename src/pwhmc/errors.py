@@ -20,7 +20,8 @@ class DegenerateNormalError(ValueError):
 
 
 class StallError(RuntimeError):
-    """One iterate hit more boundary events than the sampler's event cap."""
+    """One iterate hit more boundary events than one of the sampler's caps:
+    on all its events, or on its events at t = 0 in a row."""
 
     def __init__(self, message, context=None):
         super().__init__(message)

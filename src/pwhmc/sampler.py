@@ -30,12 +30,15 @@ from .errors import ContractError, StallError
 from .model import _ell, _slack
 
 # Hard cap on events within one iterate; a healthy model triggers a handful.
-# It is the only runaway guard the chain needs.  first_hit takes an event at
-# t = 0 only on a row the particle is already leaving, and never on the row
-# just crossed, so zero-time events happen only at a corner where several
-# faces meet; finitely many faces give finitely many of them (billiards in a
-# wedge), and every other event advances time by more than EPS_T.
 MAX_EVENTS_PER_ITERATE = 1_000_000
+# Cap on consecutive events at t = 0 within one iterate.  first_hit takes an
+# event at t = 0 only on a row the particle is already leaving, and never on
+# the row just crossed, so such events happen only at a corner where several
+# faces meet, and finitely many there: a billiard in a wedge of angle alpha
+# bounces at most about ceil(pi / alpha) times before it leaves, so 1,000
+# admits corners down to about 0.18 degrees.  A longer run is a loop that
+# would otherwise go on to MAX_EVENTS_PER_ITERATE, holding every event.
+ZERO_TIME_EVENTS = 1000
 # Kept rows written back and checked per batch after the loop: a bound on
 # the pass's temporaries, whatever the chain's length.  A batch gathers
 # each row's (n, n - d) basis, 92 kB on the 1024-region sphere in R^10.
@@ -217,9 +220,12 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
     it, ``_record`` writes every kept row back in x and checks it against
     its cell, so that a row outside its cell raises ContractError naming
     the first such iterate, as ``check_start`` first does for the model and
-    start.  Each segment after an event checks its own start against its
+    start.  Each segment after a crossing checks its own start against its
     cell, so a crossing that lands outside the cell across raises there,
-    naming the region and the entry crossed.
+    naming the region and the entry crossed.  Events at t = 0 come only
+    at a corner, about ceil(pi / alpha) of them at a corner of angle
+    alpha (a billiard in a wedge), so more than ZERO_TIME_EVENTS of them
+    in a row raise StallError naming the iterate, the region and the row.
     With record_events, the loop appends each event's numbers and its
     states before and after the boundary update to flat columns, from
     which ``_event_log`` forms the log.  The chain owns every buffer it
@@ -256,7 +262,7 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
             Y[0] = eps
         t_left = cfg.t_max
         t_used = 0.0
-        n_events = 0
+        n_events = stalled = 0
         k = -1
         while True:
             Y, tau, j_new, k, step, Y_pre = (
@@ -281,6 +287,12 @@ def run_chain(spec, j0, x0, cfg: ChainConfig) -> ChainOutput:
                 raise StallError(
                     "event cap exceeded within one iterate",
                     context={"iterate": i, "region": j, "t_left": t_left},
+                )
+            stalled = stalled + 1 if tau == 0.0 else 0
+            if stalled > ZERO_TIME_EVENTS:
+                raise StallError(
+                    "zero-time event cap exceeded within one iterate",
+                    context={"iterate": i, "region": j, "row": k},
                 )
 
         if i in kept:

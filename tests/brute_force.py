@@ -75,12 +75,12 @@ def first_hit_unbounded(fa, fb, h, t_max, skip):
     return -1, t_max        # unreachable: the minimum itself passes the cutoff
 
 
-def breach_row(fb, h, skip):
-    """The row that ``dynamics.first_hit`` reports outside its face: after
-    an event (skip >= 0), the first with the smallest K(0) = fb + h, when
-    that is below -COEF_TOL; else -1."""
+def breach_row(fb, h, check):
+    """The row that ``dynamics.first_hit`` reports outside its face: with
+    the cell test on (check), the first with the smallest K(0) = fb + h,
+    when that is below -COEF_TOL; else -1."""
     k0 = np.add(fb, h)
-    return (int(k0.argmin()) if skip >= 0 and k0.size and k0.min() < -COEF_TOL
+    return (int(k0.argmin()) if check and k0.size and k0.min() < -COEF_TOL
             else -1)
 
 

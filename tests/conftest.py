@@ -74,14 +74,19 @@ def rand_continuous_pair(rng, n, d):
 
 def first_hit_both_paths(fa, fb, h, t_max, skip):
     """first_hit on the array rows fa, fb and offsets h by the scalar scan
-    alone and, with h handed as a Reach, through the numpy pre-selection;
-    asserts the two agree bit for bit, and their row outside its face with
-    ``breach_row``'s, and returns (k, tau)."""
-    scalar = dynamics.first_hit(fa, fb, h, t_max, skip)
-    selected = dynamics.first_hit(fa, fb, dynamics.Reach(h), t_max, skip)
-    assert repr(selected) == repr(scalar)
-    assert scalar[2] == breach_row(fb, h, skip)
-    return scalar[:2]
+    alone and, with h handed as a Reach, through the numpy pre-selection,
+    each with the cell test on and off; asserts that the four agree on (k,
+    tau) bit for bit, that the row outside its face is ``breach_row``'s
+    with the test on and -1 with it off, and returns (k, tau)."""
+    results = {}
+    for check in (True, False):
+        scalar = dynamics.first_hit(fa, fb, h, t_max, skip, check)
+        selected = dynamics.wide_hit(fa, fb, dynamics.Reach(h), t_max, skip, check)
+        assert repr(selected) == repr(scalar)
+        assert scalar[2] == breach_row(fb, h, check)
+        results[check] = scalar[:2]
+    assert repr(results[True]) == repr(results[False])
+    return results[True]
 
 
 def region_rows(table, j):

@@ -41,6 +41,7 @@ from pwhmc.dynamics import (
     first_hit,
     flight,
     planar_segment,
+    wide_hit,
 )
 from pwhmc.errors import ContractError, DegenerateNormalError
 from pwhmc.model import ModelSpec, cell_slack, load_model, load_model_file
@@ -146,15 +147,15 @@ def test_kernel_tie_breaks_to_lowest_row():
     fa = np.array([0.3, 0.3, 0.3])
     fb = np.array([0.8, 0.8, 0.8])
     h = np.array([0.1, 0.1, 0.1])
-    k = first_hit(fa, fb, h, 10.0, -1)[0]
+    k = first_hit(fa, fb, h, 10.0, -1, False)[0]
     assert k == 0
 
 
 def test_kernel_empty_rows():
-    assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, -1) == (-1, 2.0, -1)
+    assert first_hit(np.empty(0), np.empty(0), np.empty(0), 2.0, -1, True) == (-1, 2.0, -1)
 
 
-def one_row_oracle(fa, fb, h, t_max, skip):
+def one_row_oracle(fa, fb, h, t_max, skip, check):
     """first_hit's result built from one-row first_hit calls, which take the
     scalar scan: each row's own hit time, then the lowest row within
     TIE_TOL of the earliest, and ``breach_row``'s row outside its face."""
@@ -162,14 +163,14 @@ def one_row_oracle(fa, fb, h, t_max, skip):
     for k in range(len(h)):
         row = slice(k, k + 1)
         hit, tau, _ = first_hit(fa[row], fb[row], h[row], t_max,
-                                0 if k == skip else -1)
+                                0 if k == skip else -1, False)
         if hit == 0:
             times[k] = tau
     if not times:
-        return -1, t_max, breach_row(fb, h, skip)
+        return -1, t_max, breach_row(fb, h, check)
     cutoff = min(times.values()) + TIE_TOL
     k = min(k for k, tau in times.items() if tau <= cutoff)
-    return k, times[k], breach_row(fb, h, skip)
+    return k, times[k], breach_row(fb, h, check)
 
 
 def rows_exiting_at(u, root, rng):
@@ -187,7 +188,7 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
     # result must equal, bit for bit, the one assembled from one-row calls.
     assert dynamics.SCAN_ROWS >= 1          # one-row calls take the scan
     hits = zero = 0
-    for _ in range(60):
+    for i in range(60):
         m = int(rng.integers(dynamics.SCAN_ROWS + 1, 601))
         u = rng.uniform(0.0, 3.0, size=m)
         phi = rng.uniform(-np.pi, np.pi, size=m)
@@ -246,14 +247,15 @@ def test_first_hit_preselection_matches_one_row_oracle(case, rng):
             fa[pick[:1]], fb[pick[:1]], h[pick[:1]] = rows_exiting_at(
                 u[pick[:1]], rng.uniform(1e-5, 1e-3), rng)
             row = slice(pick[0], pick[0] + 1)
-            t_max = first_hit(fa[row], fb[row], h[row], 1.0, -1)[1]
+            t_max = first_hit(fa[row], fb[row], h[row], 1.0, -1, False)[1]
         elif case == "short-budget":
             t_max = float(rng.choice([EPS_T / 2, 1e-12, EPS_T]))
             rows = pick[:2]
             fa[rows], fb[rows], h[rows] = rows_exiting_at(
                 u[rows], EPS_T * rng.choice([0.0, 0.5], size=2), rng)
-        expected = one_row_oracle(fa, fb, h, t_max, skip)
-        assert repr(first_hit(fa, fb, Reach(h), t_max, skip)) == repr(expected)
+        check = i % 2 == 0                  # the cell test on every other set
+        expected = one_row_oracle(fa, fb, h, t_max, skip, check)
+        assert repr(wide_hit(fa, fb, Reach(h), t_max, skip, check)) == repr(expected)
         hits += expected[0] >= 0
         zero += expected[1] == 0.0
     if case == "unreachable":
@@ -342,33 +344,39 @@ def bounded_scan_cases(rng, count):
 def test_bounded_scan_matches_the_unbounded_one(rng):
     # The time bound skips the roots of rows that cannot be hit first; the
     # result is the old scan's bit for bit, through the pre-selection too.
-    seen = {"hit": 0, "now": 0, "late": 0, "miss": 0}
+    seen = {"hit": 0, "now": 0, "late": 0, "miss": 0, "out": 0}
     for i, (fa, fb, h, t_max, skip) in enumerate(bounded_scan_cases(rng, 100_000)):
-        expected = (*first_hit_unbounded(fa, fb, h, t_max, skip), breach_row(fb, h, skip))
-        assert repr(first_hit(fa, fb, h, t_max, skip)) == repr(expected)
+        check = i % 3 > 0                   # the cell test on two sets in three
+        expected = (*first_hit_unbounded(fa, fb, h, t_max, skip), breach_row(fb, h, check))
+        assert repr(first_hit(fa, fb, h, t_max, skip, check)) == repr(expected)
         if i % 20 == 0:
-            reach = first_hit(np.array(fa), np.array(fb), Reach(h), t_max, skip)
+            reach = wide_hit(np.array(fa), np.array(fb), Reach(h), t_max, skip, check)
             assert repr(reach) == repr(expected)
-        k, tau, _ = expected
+        k, tau, out = expected
         seen["miss" if k < 0 else "now" if tau == 0.0 else
              "late" if tau > np.pi else "hit"] += 1
+        seen["out"] += out >= 0
     assert min(seen.values()) > 1000, seen
 
 
 @pytest.mark.parametrize("name", ["onenorm10", "onenorm", "pospart", "polywall"])
 def test_bounded_scan_matches_the_unbounded_one_on_chains(name, monkeypatch):
-    # every first_hit call a chain makes, replayed through the old scan
+    # every first_hit and wide_hit call a chain makes, replayed through the
+    # old scan
     polywall, onenorm10 = benchmark_models()
     spec = {"onenorm10": onenorm10, "polywall": polywall}.get(name)
     spec = spec or load_model_file(zoo.model_path(name))
     calls = []
 
-    def recording(fa, fb, h, t_max, skip):
-        result = first_hit(fa, fb, h, t_max, skip)
-        calls.append((fa, fb, h, t_max, skip, result))
-        return result
+    def recorded(scan):
+        def recording(fa, fb, h, t_max, skip, check):
+            result = scan(fa, fb, h, t_max, skip, check)
+            calls.append((fa, fb, h, t_max, skip, result))
+            return result
+        return recording
 
-    monkeypatch.setattr(dynamics, "first_hit", recording)
+    for scan in ("first_hit", "wide_hit"):
+        monkeypatch.setattr(dynamics, scan, recorded(getattr(dynamics, scan)))
     j0, x0 = spec.init_region, spec.init_point
     if j0 is None:
         X, R = exact_sample(spec, 1, np.random.default_rng(2))
@@ -381,6 +389,56 @@ def test_bounded_scan_matches_the_unbounded_one_on_chains(name, monkeypatch):
             fa, fb, h = fa.tolist(), fb.tolist(), h.offsets
         assert repr(result[:2]) == repr(first_hit_unbounded(fa, fb, h, t_max, skip))
         assert result[2] == -1                  # no chain state leaves its cell
+
+
+@pytest.mark.parametrize("name", ["onenorm10", "onenorm", "pospart", "polywall"])
+def test_the_cell_test_runs_after_each_crossing_and_only_then(name, monkeypatch):
+    # each segment turns first_hit's cell test on exactly when the row it
+    # starts on (skip) is a transition entry, one the particle has just
+    # crossed into its region: after every event on the one-norm spheres,
+    # which cross flat faces only; never on the polygon, whose region has
+    # walls only; and on pospart after its crossings and its reflections
+    # off potential steps, not after its walls
+    polywall, onenorm10 = benchmark_models()
+    spec = {"onenorm10": onenorm10, "polywall": polywall}.get(name)
+    spec = spec or load_model_file(zoo.model_path(name))
+    cells = spec.cells
+    segments, checks, depth = [], [], [0]
+
+    def counted(scan):
+        def counting(*args):
+            depth[0] += 1                 # wide_hit's own first_hit is not counted
+            try:
+                return scan(*args)
+            finally:
+                depth[0] -= 1
+                if not depth[0]:
+                    checks.append(args[5])
+        return counting
+
+    def recorded(run):
+        def recording(*args):
+            segments.append((args[1], args[3]))      # (j, skip)
+            return run(*args)
+        return recording
+
+    for scan in ("first_hit", "wide_hit"):
+        monkeypatch.setattr(dynamics, scan, counted(getattr(dynamics, scan)))
+    for run in ("planar_segment", "evolve_segment_detail"):
+        monkeypatch.setattr(sampler, run, recorded(getattr(sampler, run)))
+    run_chain(spec, spec.init_region, spec.init_point,
+              ChainConfig(n_samples=20 if name == "onenorm10" else 300, seed=4))
+    assert len(checks) == len(segments) > 500
+    crossed = [skip >= 0 and cells.t[cells.start[j - 1] + skip] != j - 1
+               for j, skip in segments]
+    assert checks == crossed
+    after_event = [skip >= 0 for _, skip in segments]
+    if name == "polywall":
+        assert any(after_event) and not any(checks)
+    elif name == "pospart":
+        assert 0 < sum(checks) < sum(after_event)
+    else:
+        assert checks == after_event
 
 
 def test_a_wide_region_stores_its_preselection_constants(rng):
@@ -397,11 +455,12 @@ def test_a_wide_region_stores_its_preselection_constants(rng):
                         ("sure", np.abs(h) * (1.0 + margin))):
         assert getattr(reg.hits, name).tobytes() == value.tobytes()
     assert reg.hits.offsets == h.tolist()
-    for _ in range(200):
+    for i in range(200):
         fa, fb = rng.normal(size=(2, 2)).dot(reg.GT)
         t_max, skip = float(rng.uniform(0.1, 7.0)), int(rng.integers(-1, len(h)))
-        assert (repr(first_hit(fa, fb, reg.hits, t_max, skip))
-                == repr(first_hit(fa, fb, reg.hits.offsets, t_max, skip)))
+        check = i % 2 == 0
+        assert (repr(wide_hit(fa, fb, reg.hits, t_max, skip, check))
+                == repr(first_hit(fa, fb, reg.hits.offsets, t_max, skip, check)))
 
 
 def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
@@ -412,8 +471,8 @@ def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
     fa[0], fb[0], h[0] = 0.0, 1.0, 1.0
     fa[5:6], fb[5:6], h[5:6] = rows_exiting_at(np.ones(1), 3.5,
                                                np.random.default_rng(1))
-    assert first_hit(fa, fb, Reach(h), 10.0, -1) == (5, pytest.approx(3.5, abs=1e-12),
-                                                     -1)
+    assert wide_hit(fa, fb, Reach(h), 10.0, -1, False) == (
+        5, pytest.approx(3.5, abs=1e-12), -1)
 
 
 # --- segment scanning ------------------------------------------------------
@@ -421,7 +480,7 @@ def test_first_hit_preselection_ignores_a_grazing_row_before_the_hit():
 def test_flight_without_constraints_runs_the_budget():
     a, b = np.array([0.3, -0.1]), np.array([0.0, 0.7])
     G = np.zeros((0, 2))
-    k, tau, _ = first_hit(G.dot(a), G.dot(b), np.zeros(0), 1.2, -1)
+    k, tau, _ = first_hit(G.dot(a), G.dot(b), np.zeros(0), 1.2, -1, False)
     xdot, x = flight_of(np.array([a, b]), tau)
     assert k == -1 and tau == 1.2
     assert np.allclose(x, a * np.sin(1.2) + b * np.cos(1.2))
@@ -432,7 +491,7 @@ def test_first_hit_single_constraint_lands_on_it():
     # F = [1], g = 0 about x_p = 0.5: offset h = F x_p + g = 0.5
     F, x_p = np.array([[1.0]]), np.array([0.5])
     a, b = np.array([1.0]), np.array([0.0])
-    k, tau, _ = first_hit(F.dot(a), F.dot(b), np.array([0.5]), 4.0, -1)
+    k, tau, _ = first_hit(F.dot(a), F.dot(b), np.array([0.5]), 4.0, -1, False)
     x = x_p + flight_of(np.array([a, b]), tau)[1]
     assert k == 0
     assert tau == pytest.approx(7 * np.pi / 6, abs=1e-12)
@@ -445,7 +504,7 @@ def test_first_hit_picks_earliest():
     a = np.array([-np.cos(r) for r in roots])
     b = np.array([np.sin(r) for r in roots])
     k, tau, _ = first_hit(np.eye(2).dot(a), np.eye(2).dot(b), np.zeros(2), 5.0,
-                          -1)
+                          -1, False)
     assert k == 1
     assert tau == pytest.approx(1.0, abs=1e-12)
 
@@ -1323,7 +1382,7 @@ def test_segment_adherence_and_region_bounds(rng):
         reg = table[j]
         Y = np.array([refresh_velocity(rng, 1, spec.n - spec.d)[0],
                       coords(spec, j, x0)])
-        tau = first_hit(*Y.dot(reg.GT), reg.hits, np.pi / 2, -1)[1]
+        tau = first_hit(*Y.dot(reg.GT), reg.hits, np.pi / 2, -1, False)[1]
         for t in np.linspace(0.0, tau, 32):
             x = on_piece(spec.cells, j, flight_of(Y, t)[1])
             assert np.linalg.norm(spec.A[j - 1].T @ x + spec.y[j - 1]) < 1e-8

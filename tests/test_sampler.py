@@ -374,6 +374,39 @@ def test_event_cap_raises_stall_error_with_context(monkeypatch):
     assert set(err.value.context) == {"iterate", "region", "t_left"}
 
 
+def test_a_zero_time_loop_raises_at_its_cap(monkeypatch):
+    # a segment that meets row 0 at t = 0 forever: the chain raises after
+    # ZERO_TIME_EVENTS + 1 such events in a row, naming the iterate, the
+    # region and the row, so it never holds more events than that; a run
+    # of ZERO_TIME_EVENTS broken by an event that takes time is no stall
+    cap = sampler.ZERO_TIME_EVENTS
+    calls = [0]
+
+    def stuck(t_budget, j, Y, skip, table):
+        calls[0] += 1
+        if calls[0] > cap + 1:
+            pytest.fail("no StallError after the zero-time cap")
+        return Y, 0.0, j, 0, None, Y
+
+    def pausing(t_budget, j, Y, skip, table):
+        calls[0] += 1
+        if calls[0] > 2 * cap + 1:        # the budget runs out
+            return Y, t_budget, j, -1, None, Y
+        return Y, 0.0 if calls[0] % (cap + 1) else 1e-3, j, 0, None, Y
+
+    spec = zoo.one_norm_model()
+    x0 = np.array([0.2, 0.3, 0.5])
+    monkeypatch.setattr(sampler, "planar_segment", stuck)
+    with pytest.raises(StallError, match="zero-time event cap") as err:
+        run_chain(spec, 1, x0, ChainConfig(n_samples=3, record_events=True))
+    assert calls[0] == cap + 1
+    assert err.value.context == {"iterate": 0, "region": 1, "row": 0}
+    calls[0] = 0
+    monkeypatch.setattr(sampler, "planar_segment", pausing)
+    out = run_chain(spec, 1, x0, ChainConfig(n_samples=1, record_events=True))
+    assert len(out.events) == 2 * cap + 1
+
+
 def test_energy_ledger_on_identity_mass_model():
     junctions, segments = _energy_ledger(
         zoo.one_norm_model(), 1, [0.2, 0.3, 0.5])
@@ -419,7 +452,7 @@ def test_kept_row_outside_its_cell_raises(monkeypatch):
     # cell check after the loop names the first kept iterate outside its
     # cell, and its breach, instead of returning the rows
     monkeypatch.setattr(dynamics, "first_hit",
-                        lambda fa, fb, h, t_max, skip: (-1, t_max, -1))
+                        lambda fa, fb, h, t_max, skip, check: (-1, t_max, -1))
     spec = zoo.build_shipped("pospart")
     for schedule, iterate, breach in (({}, 0, 0.2246),
                                       ({"burn_in": 3, "thin": 2}, 4, 0.2346)):
